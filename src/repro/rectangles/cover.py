@@ -1,10 +1,17 @@
 """Greedy rectangle cover: the sequential kernel-extraction loop.
 
-This is the reproduction's stand-in for SIS ``gkx``: iteratively build
-the KC matrix, find the best rectangle, extract its kernel as a new
-network node, rewrite the covered nodes, and repeat until no rectangle
-has positive gain.  All three parallel algorithms in :mod:`repro.parallel`
+This is the reproduction's stand-in for SIS ``gkx``: build the KC
+matrix, find the best rectangle, extract its kernel as a new network
+node, rewrite the covered nodes, and repeat until no rectangle has
+positive gain.  All three parallel algorithms in :mod:`repro.parallel`
 are parallelizations of exactly this loop.
+
+The matrix is built once per run and then patched: after each
+extraction only the rewritten nodes and the new node change, so only
+their rows are replaced (:class:`~repro.rectangles.kcmatrix.
+IncrementalKCMatrix`).  The patched matrix sorts exactly like a fresh
+:func:`~repro.rectangles.kcmatrix.build_kc_matrix` of the active nodes,
+so the extraction stream is the same as rebuilding every iteration.
 """
 
 from __future__ import annotations
@@ -13,13 +20,13 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.algebra.cube import Cube, cube_union
-from repro.algebra.kernels import Kernel, kernels
+from repro.algebra.kernels import kernels
 from repro.algebra.sop import Sop
 from repro.machine.cancel import check_cancelled
 from repro.machine.costmodel import CostMeter, CostModel, DEFAULT_COST_MODEL
 from repro.network.boolean_network import BooleanNetwork
-from repro.obs.tracer import active_tracer
-from repro.rectangles.kcmatrix import KCMatrix, build_kc_matrix
+from repro.obs.tracer import NULL_SPAN, active_tracer
+from repro.rectangles.kcmatrix import IncrementalKCMatrix, KCMatrix, build_kc_matrix
 from repro.rectangles.pingpong import best_rectangle_pingpong
 from repro.rectangles.rectangle import (
     Rectangle,
@@ -28,6 +35,7 @@ from repro.rectangles.rectangle import (
     rectangle_kernel,
 )
 from repro.rectangles.search import SearchBudget, best_rectangle_exhaustive
+from repro.verify import audit as _audit
 
 Searcher = Callable[[KCMatrix], Optional[Tuple[Rectangle, int]]]
 
@@ -169,7 +177,10 @@ def kernel_extract(
     factorable, exactly as in SIS.  *meter* (see
     :mod:`repro.machine.costmodel`) is charged for kernel generation,
     matrix entries and search work — the simulated multiprocessor uses
-    these charges as its clock.
+    these charges as its clock.  ``kc_entry`` is charged once per entry
+    of the current matrix every iteration, pricing the paper's
+    per-iteration rebuild even though the host only patches the rows
+    that changed.
 
     When a tracer is active (:mod:`repro.obs`), each iteration emits
     ``kernel-gen`` / ``kc-build`` / ``rect-search`` / ``extract-commit``
@@ -182,7 +193,14 @@ def kernel_extract(
         meter = CostMeter()
 
     def _vnow() -> Optional[float]:
-        return model.compute_time(meter.counts) if meter is not None else None
+        if tr is None or meter is None:
+            return None
+        return model.compute_time(meter.counts)
+
+    def _span(name: str):
+        if tr is None:
+            return NULL_SPAN
+        return tr.span(name, cat="seq", virtual_start=_vnow())
 
     if isinstance(searcher, str):
         searcher = make_searcher(
@@ -192,35 +210,37 @@ def kernel_extract(
     for n in active:
         if n not in network.nodes:
             raise KeyError(f"unknown node {n!r}")
-    kernel_cache: Dict[str, List[Kernel]] = {}
     result = KernelExtractionResult(
         initial_lc=network.literal_count(), final_lc=network.literal_count()
     )
     counter = 0
+    kc: Optional[IncrementalKCMatrix] = None
+    changed: Sequence[str] = sorted(active)
     while max_iterations is None or result.iterations < max_iterations:
         check_cancelled()
-        if tr is None:
-            matrix = build_kc_matrix(
-                network, nodes=sorted(active), kernel_cache=kernel_cache, meter=meter
-            )
-            best = searcher(matrix)
-        else:
-            # Pre-warm the kernel cache under its own span so kernel
-            # generation and matrix build are separately attributable.
-            with tr.span("kernel-gen", cat="seq", virtual_start=_vnow()) as sp:
-                for n in sorted(active):
-                    if n not in kernel_cache:
-                        kernel_cache[n] = kernels(network.nodes[n], meter=meter)
-                sp.set_virtual_end(_vnow())
-            with tr.span("kc-build", cat="seq", virtual_start=_vnow()) as sp:
-                matrix = build_kc_matrix(
-                    network, nodes=sorted(active),
-                    kernel_cache=kernel_cache, meter=meter,
+        with _span("kernel-gen") as sp:
+            fresh = {n: kernels(network.nodes[n], meter=meter) for n in changed}
+            sp.set_virtual_end(_vnow())
+        with _span("kc-build") as sp:
+            if kc is None:
+                kc = IncrementalKCMatrix(fresh)
+            else:
+                kc.replace_nodes(fresh)
+            matrix = kc.matrix
+            # The simulated clock prices the paper's per-iteration
+            # rebuild: one kc_entry per entry of the current matrix.
+            if meter is not None:
+                meter.charge("kc_entry", matrix.num_entries)
+            if _audit.enabled():
+                # Re-enumerate every kernel: a node missing from
+                # *changed* would keep a stale list in kc.kernels.
+                _audit.audit_kc_order(
+                    matrix, build_kc_matrix(network, sorted(active))
                 )
-                sp.set_virtual_end(_vnow())
-            with tr.span("rect-search", cat="seq", virtual_start=_vnow()) as sp:
-                best = searcher(matrix)
-                sp.set_virtual_end(_vnow())
+            sp.set_virtual_end(_vnow())
+        with _span("rect-search") as sp:
+            best = searcher(matrix)
+            sp.set_virtual_end(_vnow())
         if best is None:
             break
         rect, gain = best
@@ -230,26 +250,17 @@ def kernel_extract(
         while new_name in network.nodes or network.is_input(new_name):
             counter += 1
             new_name = f"{name_prefix}{counter}]"
-        if tr is None:
+        with _span("extract-commit") as sp:
             applied = apply_rectangle(
                 network, matrix, rect, new_name=new_name, gain=gain
             )
             if meter is not None:
                 meter.charge("divide_node", len(applied.modified_nodes))
-        else:
-            with tr.span("extract-commit", cat="seq",
-                         virtual_start=_vnow()) as sp:
-                applied = apply_rectangle(
-                    network, matrix, rect, new_name=new_name, gain=gain
-                )
-                if meter is not None:
-                    meter.charge("divide_node", len(applied.modified_nodes))
-                sp.set_virtual_end(_vnow())
-                sp.add_counters(gain=gain, modified=len(applied.modified_nodes))
+            sp.set_virtual_end(_vnow())
+            sp.add_counters(gain=gain, modified=len(applied.modified_nodes))
         counter += 1
-        for n in applied.modified_nodes:
-            kernel_cache.pop(n, None)
         active.add(applied.new_node)
+        changed = applied.modified_nodes + (applied.new_node,)
         result.steps.append(applied)
     result.final_lc = network.literal_count()
     return result

@@ -6,6 +6,11 @@ paper's "offset which is a factor of the processor id" — processor 2's
 first kernel is row 200001).  Labels therefore stay consistent across
 replicas regardless of generation order, and sub-matrices exchanged
 between processors splice together without renumbering.
+
+The sequential greedy loop uses a second scheme,
+:class:`IncrementalKCMatrix`: labels derived from node names and
+kernel positions, so a matrix patched after each extraction still sorts
+exactly like a fresh :func:`build_kc_matrix`.
 """
 
 from __future__ import annotations
@@ -120,6 +125,31 @@ class KCMatrix:
         self.cols.pop(label, None)
         if _audit.enabled():
             _audit.audit_col_removed(self, label)
+        self._touch()
+
+    def relabel_col(self, old: int, new: int) -> None:
+        """Move column *old* — its cube, entries and adjacency — to *new*.
+
+        O(column degree).  Used by :class:`IncrementalKCMatrix` when a
+        column's first occurrence moves and its order-preserving label
+        must move with it.
+        """
+        if new in self.cols:
+            raise ValueError(f"duplicate column label {new}")
+        cube = self.cols.pop(old)
+        self.cols[new] = cube
+        self.col_of_cube[cube] = new
+        rows = self.by_col.pop(old)
+        self.by_col[new] = rows
+        entries = self.entries
+        by_row = self.by_row
+        for row in rows:
+            entries[(row, new)] = entries.pop((row, old))
+            cols = by_row[row]
+            cols.discard(old)
+            cols.add(new)
+        if _audit.enabled():
+            _audit.audit_col_relabeled(self, old, new)
         self._touch()
 
     # ------------------------------------------------------------------
@@ -263,8 +293,12 @@ def build_kc_matrix(
 
     *pid* selects the label space (processor id); sequential callers use
     0.  *kernel_cache* maps node name → kernel list and is filled in (and
-    trusted) when provided, so the greedy loop only re-enumerates kernels
-    of nodes it modified.
+    trusted) when provided, so repeated builds over a changing network
+    only re-enumerate kernels of nodes dropped from the cache.
+
+    This is the from-scratch builder.  The sequential greedy loop builds
+    once and then patches an :class:`IncrementalKCMatrix`, whose labels
+    sort exactly like this builder's allocation order.
     """
     mat = KCMatrix()
     row_alloc = LabelAllocator(pid)
@@ -287,3 +321,135 @@ def build_kc_matrix(
                 if meter is not None:
                     meter.charge("kc_entry", 1)
     return mat
+
+
+#: Bits below a row label for the kernel index, and below a column label
+#: for the cube's position in its kernel expression.
+INDEX_BITS = 20
+_INDEX_LIMIT = 1 << INDEX_BITS
+
+
+def _utf8(name: str) -> bytes:
+    return name.encode("utf-8", "surrogatepass")
+
+
+class IncrementalKCMatrix:
+    """A KC matrix patched per extraction, ordered like a fresh build.
+
+    Every tie-break of the rectangle searches follows sorted-label order,
+    so the labels here sort exactly as :func:`build_kc_matrix` over
+    ``sorted(nodes)`` allocates them:
+
+    - a row's label is ``name_key(node) << INDEX_BITS | kernel index``,
+      where ``name_key`` is the node name's UTF-8 bytes zero-padded to a
+      fixed width, read as an integer, followed by 16 bits of byte
+      length (UTF-8 byte order is code-point order; the length separates
+      names that differ only by trailing NULs);
+    - a column's label is its first occurrence: the minimum, over the
+      rows holding the cube, of ``row label << INDEX_BITS | position of
+      the cube in that row's kernel expression``.  Each column keeps the
+      set of its occurrence keys; when the minimum moves the column is
+      relabelled (:meth:`KCMatrix.relabel_col`, O(column degree)).
+
+    Built from a ``{node: kernel list}`` map; :attr:`kernels` holds the
+    kernels behind the current rows.  :meth:`replace_nodes` removes the
+    rows of the given nodes and adds rows for their new kernels.  A name
+    longer than the encoding width triggers one rebuild at a wider
+    width.  The dense bitset view is still compiled once per matrix
+    version by the searches.
+    """
+
+    def __init__(self, node_kernels: Dict[str, List[Kernel]]) -> None:
+        self._build(node_kernels, 8)
+
+    def _build(self, node_kernels: Dict[str, List[Kernel]], min_width: int) -> None:
+        names = sorted(node_kernels)
+        self.matrix = KCMatrix()
+        self._width = max([min_width] + [len(_utf8(n)) for n in names])
+        self._name_keys: Dict[str, int] = {}
+        self.kernels: Dict[str, List[Kernel]] = {}
+        self._occ: Dict[Cube, Set[int]] = {}
+        for node in names:
+            self._add_node(node, node_kernels[node])
+
+    def _name_key(self, node: str) -> int:
+        got = self._name_keys.get(node)
+        if got is None:
+            raw = _utf8(node)
+            pad = 8 * (self._width - len(raw)) + 16
+            got = (int.from_bytes(raw, "big") << pad) | len(raw)
+            self._name_keys[node] = got
+        return got
+
+    def _add_node(self, node: str, ks: List[Kernel]) -> None:
+        if len(ks) >= _INDEX_LIMIT:
+            raise OverflowError(f"node {node!r} has too many kernels to label")
+        self.kernels[node] = ks
+        mat = self.matrix
+        col_of_cube = mat.col_of_cube
+        occ = self._occ
+        base = self._name_key(node) << INDEX_BITS
+        for kidx, kern in enumerate(ks):
+            row = base | kidx
+            mat.add_row(row, node, kern.cokernel)
+            if len(kern.expression) >= _INDEX_LIMIT:
+                raise OverflowError(f"node {node!r} has a kernel too large to label")
+            rkey = row << INDEX_BITS
+            for idx, kc in enumerate(kern.expression):
+                key = rkey | idx
+                col = col_of_cube.get(kc)
+                if col is None:
+                    occ[kc] = {key}
+                    col = mat.ensure_col(kc, lambda: key)
+                else:
+                    occ[kc].add(key)
+                    if key < col:
+                        mat.relabel_col(col, key)
+                        col = key
+                mat.add_entry(row, col)
+
+    def _remove_node(self, node: str, touched: Set[Cube]) -> None:
+        ks = self.kernels.pop(node, None)
+        if ks is None:
+            return
+        mat = self.matrix
+        occ = self._occ
+        base = self._name_key(node) << INDEX_BITS
+        for kidx, kern in enumerate(ks):
+            row = base | kidx
+            mat.remove_row(row)
+            rkey = row << INDEX_BITS
+            for idx, kc in enumerate(kern.expression):
+                occ[kc].discard(rkey | idx)
+                touched.add(kc)
+
+    def replace_nodes(self, node_kernels: Dict[str, List[Kernel]]) -> None:
+        """Replace the rows of the given nodes (changed or new) by rows
+        for their given kernels.
+
+        Removals settle first — every touched column is dropped or
+        relabelled to its surviving first occurrence — so the labels the
+        additions meet are all live occurrence keys and never collide
+        with the keys of the re-added rows.
+        """
+        names = sorted(node_kernels)
+        if any(len(_utf8(n)) > self._width for n in names):
+            self._build({**self.kernels, **node_kernels}, 2 * self._width)
+            return
+        mat = self.matrix
+        occ = self._occ
+        touched: Set[Cube] = set()
+        for node in names:
+            self._remove_node(node, touched)
+        for kc in touched:
+            keys = occ[kc]
+            label = mat.col_of_cube[kc]
+            if not keys:
+                del occ[kc]
+                mat.remove_col(label)
+            else:
+                low = min(keys)
+                if low != label:
+                    mat.relabel_col(label, low)
+        for node in names:
+            self._add_node(node, node_kernels[node])

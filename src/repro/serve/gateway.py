@@ -53,9 +53,11 @@ from repro.serve.diskcache import DiskCache
 from repro.serve.durability import JobJournal
 from repro.serve.protocol import (
     BadRequest,
+    answers,
     estimate_kc_footprint,
     job_cache_key,
     parse_job_request,
+    response_document,
 )
 from repro.serve.router import TenantRateLimiter, shard_for
 from repro.serve.worker import WorkerHandle
@@ -192,7 +194,9 @@ class Job:
         return end - self.created
 
     def finish(self, result: Dict[str, Any], cache: str) -> None:
-        self.result = result
+        # *result* is the document shared by every request with this
+        # key; this request gets the network only if it asked for it.
+        self.result = response_document(result, self.spec)
         self.cache = cache
         self.status = "done"
         self.finished = time.monotonic()
@@ -230,11 +234,26 @@ class _Inflight:
 
     req_id: str
     key: str
+    #: the in-flight table key (:func:`_inflight_slot`).
+    slot: str
     worker_id: int
     msg: Dict[str, Any]
     jobs: List[Job] = field(default_factory=list)
     #: estimated KC-matrix footprint charged against the shed budget.
     footprint: int = 0
+
+
+_NET_SLOT = "+net"
+
+
+def _inflight_slot(key: str, spec: Dict[str, Any]) -> str:
+    """Where a computation for *spec* sits in the in-flight table.
+
+    Only a request with ``include_network`` gets the network rendered
+    into its result, and that flag is not part of the canonical key, so
+    the two kinds of computation are tracked apart under one key.
+    """
+    return key + _NET_SLOT if spec.get("include_network") else key
 
 
 class Gateway:
@@ -502,7 +521,7 @@ class Gateway:
 
     def _fail_shard_pending(self, handle: WorkerHandle, error: str) -> None:
         for infl in list(self._outstanding[handle.worker_id].values()):
-            self._inflight.pop(infl.key, None)
+            self._inflight.pop(infl.slot, None)
             self._footprint_inflight = max(
                 0, self._footprint_inflight - infl.footprint)
             for job in infl.jobs:
@@ -596,7 +615,7 @@ class Gateway:
             self.journal.append("done", job.job_id, status=job.status)
 
     def _complete(self, infl: _Inflight, msg: Dict[str, Any]) -> None:
-        self._inflight.pop(infl.key, None)
+        self._inflight.pop(infl.slot, None)
         self._footprint_inflight = max(
             0, self._footprint_inflight - infl.footprint)
         batch = msg.get("trace")
@@ -686,7 +705,8 @@ class Gateway:
         footprint = 0
         if self.config.max_footprint is not None:
             footprint = estimate_kc_footprint(network)
-            needs_compute = key not in self._inflight and key not in self.cache
+            needs_compute = (self._joinable(key, spec) is None
+                             and key not in self.cache)
             # Shed only requests that would start a fresh computation,
             # and never an idle gateway — one oversized job must still
             # make progress when nothing else is running.
@@ -727,12 +747,24 @@ class Gateway:
             raise
         return job
 
+    def _joinable(self, key: str,
+                  spec: Dict[str, Any]) -> Optional[_Inflight]:
+        """An in-flight computation whose result can answer *spec*.
+
+        One computed with the network answers every request; one
+        without it answers only requests that did not ask for it.
+        """
+        infl = self._inflight.get(key + _NET_SLOT)
+        if infl is None and not spec.get("include_network"):
+            infl = self._inflight.get(key)
+        return infl
+
     def _answer_or_dispatch(self, job: Job, key: str,
                             spec: Dict[str, Any], footprint: int) -> None:
         """Cache hit, coalesce, or dispatch — shared by live submission
         and journal replay."""
         cached = self.cache.get(key)
-        if cached is not None:
+        if cached is not None and answers(cached, spec):
             if job.spans is not None:
                 job.spans.event(
                     "cache-hit",
@@ -748,7 +780,7 @@ class Gateway:
             self._observe_slo(job, ok=True)
             return
 
-        infl = self._inflight.get(key)
+        infl = self._joinable(key, spec)
         if infl is not None:
             job.coalesced = True
             infl.jobs.append(job)
@@ -791,12 +823,13 @@ class Gateway:
             msg["trace"] = {"trace_id": job.trace_id,
                             "parent": job.dispatch_span["id"]}
         infl = _Inflight(
-            req_id=job.job_id, key=key, worker_id=worker_id,
+            req_id=job.job_id, key=key, slot=_inflight_slot(key, spec),
+            worker_id=worker_id,
             msg=msg,
             jobs=[job],
             footprint=footprint,
         )
-        self._inflight[key] = infl
+        self._inflight[infl.slot] = infl
         self._footprint_inflight += footprint
         self._outstanding[worker_id][job.job_id] = infl
         if self.journal is not None:
@@ -880,7 +913,7 @@ class Gateway:
         # shadow the disk tier for fresh post-restart requests.
         if self.disk is not None:
             cached = self.disk.get(key)
-            if cached is not None:
+            if cached is not None and answers(cached, spec):
                 job.finish(cached, "disk")
                 self._journal_done(job)
                 self.metrics.inc("results_ok")

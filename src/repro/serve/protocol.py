@@ -47,6 +47,8 @@ __all__ = [
     "parse_job_request",
     "job_cache_key",
     "result_document",
+    "answers",
+    "response_document",
     "estimate_kc_footprint",
     "SEARCHERS",
 ]
@@ -179,7 +181,14 @@ def estimate_kc_footprint(network) -> int:
 def result_document(
     spec: Dict[str, Any], job_result, worker: Optional[int] = None
 ) -> Dict[str, Any]:
-    """The JSON-serializable answer built from an engine JobResult."""
+    """The JSON-serializable answer built from an engine JobResult.
+
+    The optimized network is rendered as ``eqn`` only when the request
+    set ``include_network``.  That flag is not part of the canonical
+    key, so a document shared through the caches may or may not carry
+    the network: :func:`answers` says whether it fits a request, and
+    :func:`response_document` cuts each request's answer from it.
+    """
     doc = {
         "circuit": job_result.circuit,
         "algorithm": job_result.algorithm,
@@ -201,3 +210,19 @@ def result_document(
 
             doc["eqn"] = write_eqn(network)
     return doc
+
+
+def answers(doc: Dict[str, Any], spec: Dict[str, Any]) -> bool:
+    """Whether a shared result document can answer the request *spec*.
+
+    A document without ``eqn`` (computed for a request that did not ask
+    for the network) cannot answer a request with ``include_network``.
+    """
+    return "eqn" in doc or not spec.get("include_network")
+
+
+def response_document(doc: Dict[str, Any], spec: Dict[str, Any]) -> Dict[str, Any]:
+    """The shared *doc* as answered to *spec*: ``eqn`` only if requested."""
+    if "eqn" not in doc or spec.get("include_network"):
+        return doc
+    return {k: v for k, v in doc.items() if k != "eqn"}

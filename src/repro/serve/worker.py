@@ -39,7 +39,7 @@ from typing import Any, Callable, Dict, Optional
 from repro.obs.flight import auto_dump, flight_recorder, set_flight_dir
 from repro.obs.tracer import Tracer, use_tracer
 from repro.serve.diskcache import DiskCache
-from repro.serve.protocol import result_document
+from repro.serve.protocol import answers, result_document
 
 __all__ = ["worker_main", "WorkerHandle"]
 
@@ -165,7 +165,7 @@ def worker_main(
 
             with obs.span("disk-probe", cat="serve"):
                 cached = disk.get(key)
-            if cached is not None:
+            if cached is not None and answers(cached, spec):
                 return {"ok": True, "result": cached, "cache": "disk"}
         network = _resolve_spec_network(spec)
         job = FactorizationJob(

@@ -19,6 +19,8 @@ lazily) or :func:`set_audits` from code.  When enabled:
 - splice-style bulk operations (``merge``, ``submatrix_columns``) and
   every bitset-view compilation validate the full structure, including
   sparse/bitview parity,
+- every matrix the greedy loop patches instead of rebuilding is checked
+  against a fresh build for order-isomorphism (:func:`audit_kc_order`),
 - every ``CubeStateStore`` operation validates the records it touched
   (claim/value/owner consistency — the no-double-cover invariant).
 
@@ -144,6 +146,25 @@ def audit_col_removed(mat: "KCMatrix", label: int) -> None:
             _fail(f"remove_col({label}): by_row still lists the column")
 
 
+def audit_col_relabeled(mat: "KCMatrix", old: int, new: int) -> None:
+    """Post-condition of ``relabel_col``: every index moved, O(degree)."""
+    if old in mat.cols or old in mat.by_col:
+        _fail(f"relabel_col({old}, {new}): old label survives in cols/by_col")
+    cube = mat.cols.get(new)
+    if cube is None or new not in mat.by_col:
+        _fail(f"relabel_col({old}, {new}): column missing under the new label")
+    if mat.col_of_cube.get(cube) != new:
+        _fail(f"relabel_col({old}, {new}): col_of_cube inverse disagrees")
+    for row in mat.by_col[new]:
+        if (row, old) in mat.entries or old in mat.by_row[row]:
+            _fail(f"relabel_col({old}, {new}): row {row} still references old")
+        if new not in mat.by_row[row]:
+            _fail(f"relabel_col({old}, {new}): by_row[{row}] misses new label")
+        expect = cube_union(mat.rows[row].cokernel, cube)
+        if mat.entries.get((row, new)) != expect:
+            _fail(f"relabel_col({old}, {new}): entry ({row}, {new}) cube wrong")
+
+
 # ----------------------------------------------------------------------
 # KCMatrix: full-structure check
 # ----------------------------------------------------------------------
@@ -188,6 +209,41 @@ def audit_kcmatrix(mat: "KCMatrix") -> None:
         expect_nodes.setdefault(info.node, set()).add(label)
     if mat.node_rows != expect_nodes:
         _fail("node_rows index disagrees with rows")
+
+
+def kc_order_form(mat: "KCMatrix") -> Tuple[list, list, list]:
+    """The label-free, order-sensitive form of a KC matrix.
+
+    ``(rows, cols, cells)``: the ``(node, cokernel)`` of every row in
+    sorted-label order, the column cubes in sorted-label order, and the
+    sorted ``(row position, column position, cube)`` cells.  Two matrices
+    with equal forms hand every search the same dense positions, so every
+    tie-break resolves the same way; only the labels may differ.
+    """
+    row_labels = sorted(mat.rows)
+    col_labels = sorted(mat.cols)
+    row_pos = {lab: i for i, lab in enumerate(row_labels)}
+    col_pos = {lab: j for j, lab in enumerate(col_labels)}
+    rows = [(mat.rows[lab].node, mat.rows[lab].cokernel) for lab in row_labels]
+    cols = [mat.cols[lab] for lab in col_labels]
+    cells = sorted(
+        (row_pos[r], col_pos[c], cube) for (r, c), cube in mat.entries.items()
+    )
+    return rows, cols, cells
+
+
+def audit_kc_order(mat: "KCMatrix", fresh: "KCMatrix") -> None:
+    """A patched matrix must be order-isomorphic to a fresh build
+    (O(entries)); see :func:`kc_order_form`."""
+    audit_kcmatrix(mat)
+    got_rows, got_cols, got_cells = kc_order_form(mat)
+    want_rows, want_cols, want_cells = kc_order_form(fresh)
+    if got_rows != want_rows:
+        _fail("patched KC matrix rows differ from a fresh build's")
+    if got_cols != want_cols:
+        _fail("patched KC matrix column order differs from a fresh build's")
+    if got_cells != want_cells:
+        _fail("patched KC matrix entries differ from a fresh build's")
 
 
 def audit_bitview(mat: "KCMatrix", view) -> None:
