@@ -4,9 +4,14 @@ Every processor holds the whole circuit and the whole KC matrix.  Work is
 split two ways:
 
 1. *Kernel generation*: nodes are dealt round-robin; each processor
-   enumerates kernels for its nodes and broadcasts them.  The offset
-   labeling (:class:`~repro.rectangles.kcmatrix.LabelAllocator`) keeps
-   every replica's row/column labels identical regardless of order.
+   enumerates kernels for its nodes and broadcasts them.  Every replica
+   labels a node's rows (and the columns it meets first) in its owner's
+   label space, so all replicas agree regardless of generation order.
+   The host builds the replica once and then patches only the rows of
+   the nodes each extraction rewrites
+   (:class:`~repro.rectangles.kcmatrix.IncrementalKCMatrix` with an
+   owner map); the simulated clocks still price the paper's full
+   per-step rebuild on every processor.
 2. *Rectangle search*: the exhaustive search tree is decomposed by
    leftmost column (Figure 1); processor *p* explores rectangles anchored
    in its column stripe.  The per-processor bests are reduced, the winner
@@ -32,14 +37,15 @@ from repro.obs.tracer import Tracer
 from repro.network.boolean_network import BooleanNetwork
 from repro.parallel.common import ParallelRunResult
 from repro.rectangles.cover import apply_rectangle
-from repro.rectangles.kcmatrix import KCMatrix, LabelAllocator, build_kc_matrix
-from repro.rectangles.rectangle import Rectangle, default_value
+from repro.rectangles.kcmatrix import IncrementalKCMatrix, build_kc_matrix
+from repro.rectangles.rectangle import Rectangle
 from repro.rectangles.search import (
     BudgetExceeded,
     SearchBudget,
     best_rectangle_exhaustive,
     column_stripes,
 )
+from repro.verify import audit as _audit
 
 
 def _generate_kernels_partitioned(
@@ -73,7 +79,7 @@ def _generate_kernels_partitioned(
     if fa is not None:
         # A processor that crashed at the kernel-gen tick leaves its
         # share un-enumerated; the lowest survivor regenerates it so the
-        # replica build below never misses a cache entry.
+        # replica patch below never misses a cache entry.
         while True:
             missing = [n for n in ordered if n not in cache]
             if not missing:
@@ -93,37 +99,6 @@ def _generate_kernels_partitioned(
         if words:
             machine.broadcast(pid, words, name="kernel-bcast")
     machine.barrier("kernel-sync")
-
-
-def _build_replicated_matrix(
-    machine: SimulatedMachine,
-    network: BooleanNetwork,
-    nodes: List[str],
-    cache: Dict[str, List[Kernel]],
-    node_owner: Dict[str, int],
-) -> KCMatrix:
-    """Build the (identical) KC matrix replica, charging every processor.
-
-    Row labels come from the owning processor's allocator, matching the
-    paper's labeling scheme; the build itself is redundant work performed
-    by all processors, so all clocks advance by the same cost.
-    """
-    mat = KCMatrix()
-    row_allocs = [LabelAllocator(p) for p in range(machine.nprocs)]
-    col_allocs = [LabelAllocator(p) for p in range(machine.nprocs)]
-    probe = CostMeter()
-    for n in sorted(nodes):
-        owner = node_owner[n]
-        for kern in cache[n]:
-            row = row_allocs[owner]()
-            mat.add_row(row, n, kern.cokernel)
-            for kc in kern.expression:
-                col = mat.ensure_col(kc, col_allocs[owner])
-                mat.add_entry(row, col)
-                probe.charge("kc_entry", 1)
-    # The build is redundant work performed by all processors.
-    machine.charge_all(probe, name="kc-build")
-    return mat
 
 
 def replicated_kernel_extract(
@@ -161,17 +136,36 @@ def replicated_kernel_extract(
         budget = SearchBudget(search_budget)
     else:
         budget = None
-    cache: Dict[str, List[Kernel]] = {}
-    active = sorted(work_net.nodes)
-    node_owner = {n: i % nprocs for i, n in enumerate(active)}
+    pending = sorted(work_net.nodes)
+    node_owner = {n: i % nprocs for i, n in enumerate(pending)}
     initial_lc = work_net.literal_count()
     extractions = 0
-    pending = list(active)
+    kc: Optional[IncrementalKCMatrix] = None
 
     while max_iterations is None or extractions < max_iterations:
         check_cancelled()
-        _generate_kernels_partitioned(machine, work_net, pending, cache)
-        matrix = _build_replicated_matrix(machine, work_net, active, cache, node_owner)
+        fresh: Dict[str, List[Kernel]] = {}
+        _generate_kernels_partitioned(machine, work_net, pending, fresh)
+        # Each replica is patched in the pending nodes' rows only, with
+        # labels that sort like a per-owner rebuild.
+        if kc is None:
+            kc = IncrementalKCMatrix(fresh, owner=node_owner)
+        else:
+            kc.replace_nodes(fresh)
+        matrix = kc.matrix
+        # The paper's processors each rebuild the whole replica: price
+        # one kc_entry per entry of the current matrix on every clock.
+        probe = CostMeter()
+        if matrix.num_entries:
+            probe.charge("kc_entry", matrix.num_entries)
+        machine.charge_all(probe, name="kc-build")
+        if _audit.enabled():
+            # Re-enumerate every kernel: a node missing from *pending*
+            # would keep a stale list in kc.kernels.
+            _audit.audit_kc_order(
+                matrix,
+                build_kc_matrix(work_net, sorted(work_net.nodes), owner=node_owner),
+            )
         alive = machine.alive_pids()
         stripes = column_stripes(matrix, len(alive))
         stripe_of = {pid: stripes[i] for i, pid in enumerate(alive)}
@@ -182,7 +176,7 @@ def replicated_kernel_extract(
                 return None
             return best_rectangle_exhaustive(
                 matrix,
-                anchor_filter=lambda c: c in stripe,
+                anchor_filter=stripe.__contains__,
                 budget=budget,
                 meter=proc.meter,
             )
@@ -226,10 +220,7 @@ def replicated_kernel_extract(
         machine.charge_all(probe, name="extract-commit")
         extractions += 1
         node_owner[applied.new_node] = extractions % nprocs
-        active = sorted(set(active) | {applied.new_node})
-        pending = [applied.new_node] + list(applied.modified_nodes)
-        for n in applied.modified_nodes:
-            cache.pop(n, None)
+        pending = [applied.new_node, *applied.modified_nodes]
 
     return ParallelRunResult(
         algorithm="replicated",

@@ -91,13 +91,14 @@ def apply_rectangle(
     kernel_sop = rectangle_kernel(matrix, rect)
     if new_name is None:
         new_name = network.new_node_name()
-    before = network.literal_count()
-    network.add_node(new_name, kernel_sop)
-    x_lit = network.table.id_of(new_name)
-
     rows_by_node: Dict[str, List[int]] = {}
     for r in rect.rows:
         rows_by_node.setdefault(matrix.rows[r].node, []).append(r)
+    # Only the rewritten nodes and the new node change, so the literal
+    # count delta is measured over them rather than the whole network.
+    before = sum(network.literal_count(n) for n in rows_by_node)
+    network.add_node(new_name, kernel_sop)
+    x_lit = network.table.id_of(new_name)
 
     # Overlap bookkeeping: the distinct original cubes each node loses.
     # A search has usually just compiled the matrix's bitset view, whose
@@ -122,7 +123,9 @@ def apply_rectangle(
         new_cubes.extend(replacements)
         network.set_expression(node, new_cubes)
 
-    after = network.literal_count()
+    after = network.literal_count(new_name) + sum(
+        network.literal_count(n) for n in rows_by_node
+    )
     return AppliedExtraction(
         new_node=new_name,
         kernel=kernel_sop,

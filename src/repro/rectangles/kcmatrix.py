@@ -7,16 +7,16 @@ first kernel is row 200001).  Labels therefore stay consistent across
 replicas regardless of generation order, and sub-matrices exchanged
 between processors splice together without renumbering.
 
-The sequential greedy loop uses a second scheme,
-:class:`IncrementalKCMatrix`: labels derived from node names and
-kernel positions, so a matrix patched after each extraction still sorts
-exactly like a fresh :func:`build_kc_matrix`.
+The sequential and replicated greedy loops use a second scheme,
+:class:`IncrementalKCMatrix`: labels derived from node names, kernel
+positions and (replicated) node owners, so a matrix patched after each
+extraction still sorts exactly like a fresh :func:`build_kc_matrix`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.algebra.cube import Cube, cube_union
 from repro.algebra.kernels import Kernel, kernels
@@ -288,23 +288,31 @@ def build_kc_matrix(
     pid: int = 0,
     kernel_cache: Optional[Dict[str, List[Kernel]]] = None,
     meter=None,
+    owner: Optional[Mapping[str, int]] = None,
 ) -> KCMatrix:
     """Build the KC matrix for *nodes* of *network* (default: all nodes).
 
     *pid* selects the label space (processor id); sequential callers use
-    0.  *kernel_cache* maps node name → kernel list and is filled in (and
-    trusted) when provided, so repeated builds over a changing network
-    only re-enumerate kernels of nodes dropped from the cache.
+    0.  *owner* (node → processor id) instead labels each node's rows,
+    and the columns it meets first, from its owner's label space — the
+    replicated algorithm's replica.  *kernel_cache* maps node name →
+    kernel list and is filled in (and trusted) when provided, so repeated
+    builds over a changing network only re-enumerate kernels of nodes
+    dropped from the cache.
 
-    This is the from-scratch builder.  The sequential greedy loop builds
-    once and then patches an :class:`IncrementalKCMatrix`, whose labels
-    sort exactly like this builder's allocation order.
+    This is the from-scratch builder.  The greedy loops build once and
+    then patch an :class:`IncrementalKCMatrix`, whose labels sort exactly
+    like this builder's allocation order.
     """
     mat = KCMatrix()
-    row_alloc = LabelAllocator(pid)
-    col_alloc = LabelAllocator(pid)
+    allocs: Dict[int, Tuple[LabelAllocator, LabelAllocator]] = {}
     node_list = list(nodes) if nodes is not None else list(network.topological_order())
     for node in node_list:
+        p = pid if owner is None else owner[node]
+        pair = allocs.get(p)
+        if pair is None:
+            pair = allocs[p] = (LabelAllocator(p), LabelAllocator(p))
+        row_alloc, col_alloc = pair
         f: Sop = network.nodes[node]
         if kernel_cache is not None and node in kernel_cache:
             ks = kernel_cache[node]
@@ -351,6 +359,16 @@ class IncrementalKCMatrix:
       set of its occurrence keys; when the minimum moves the column is
       relabelled (:meth:`KCMatrix.relabel_col`, O(column degree)).
 
+    With an *owner* map (node → processor id) the labels sort like
+    ``build_kc_matrix(..., owner=owner)``, whose per-owner allocators
+    order rows by (owner, node name, kernel index) and columns by (owner
+    of the first-occurrence node, first occurrence).  Both labels gain
+    the owner as a prefix above every name-derived bit; the occurrence
+    keys stay owner-free, so a column's label still carries its minimum
+    key in its low bits, and a relabel moves it to the new minimum's
+    owner when that changes.  A node's owner is read when its rows are
+    (re)added; the map may grow as nodes are added.
+
     Built from a ``{node: kernel list}`` map; :attr:`kernels` holds the
     kernels behind the current rows.  :meth:`replace_nodes` removes the
     rows of the given nodes and adds rows for their new kernels.  A name
@@ -359,14 +377,26 @@ class IncrementalKCMatrix:
     version by the searches.
     """
 
-    def __init__(self, node_kernels: Dict[str, List[Kernel]]) -> None:
+    def __init__(
+        self,
+        node_kernels: Dict[str, List[Kernel]],
+        owner: Optional[Mapping[str, int]] = None,
+    ) -> None:
+        self._owner = owner
         self._build(node_kernels, 8)
 
     def _build(self, node_kernels: Dict[str, List[Kernel]], min_width: int) -> None:
         names = sorted(node_kernels)
         self.matrix = KCMatrix()
         self._width = max([min_width] + [len(_utf8(n)) for n in names])
+        name_bits = 8 * self._width + 16
+        # An owner sits above the row and occurrence keys it prefixes.
+        self._row_shift = name_bits + INDEX_BITS
+        self._col_shift = name_bits + 2 * INDEX_BITS
+        self._key_mask = (1 << self._col_shift) - 1
         self._name_keys: Dict[str, int] = {}
+        # Name key → the owner its node's rows were labelled with.
+        self._owners: Dict[int, int] = {}
         self.kernels: Dict[str, List[Kernel]] = {}
         self._occ: Dict[Cube, Set[int]] = {}
         for node in names:
@@ -388,24 +418,34 @@ class IncrementalKCMatrix:
         mat = self.matrix
         col_of_cube = mat.col_of_cube
         occ = self._occ
-        base = self._name_key(node) << INDEX_BITS
+        key_mask = self._key_mask
+        name_key = self._name_key(node)
+        owner = 0
+        if self._owner is not None:
+            owner = self._owners[name_key] = self._owner[node]
+        row_prefix = owner << self._row_shift
+        col_prefix = owner << self._col_shift
+        base = name_key << INDEX_BITS
         for kidx, kern in enumerate(ks):
-            row = base | kidx
+            rk = base | kidx
+            row = row_prefix | rk
             mat.add_row(row, node, kern.cokernel)
             if len(kern.expression) >= _INDEX_LIMIT:
                 raise OverflowError(f"node {node!r} has a kernel too large to label")
-            rkey = row << INDEX_BITS
+            rkey = rk << INDEX_BITS
             for idx, kc in enumerate(kern.expression):
                 key = rkey | idx
                 col = col_of_cube.get(kc)
                 if col is None:
                     occ[kc] = {key}
-                    col = mat.ensure_col(kc, lambda: key)
+                    label = col_prefix | key
+                    col = mat.ensure_col(kc, lambda: label)
                 else:
                     occ[kc].add(key)
-                    if key < col:
-                        mat.relabel_col(col, key)
-                        col = key
+                    if key < (col & key_mask):
+                        label = col_prefix | key
+                        mat.relabel_col(col, label)
+                        col = label
                 mat.add_entry(row, col)
 
     def _remove_node(self, node: str, touched: Set[Cube]) -> None:
@@ -414,11 +454,13 @@ class IncrementalKCMatrix:
             return
         mat = self.matrix
         occ = self._occ
-        base = self._name_key(node) << INDEX_BITS
+        name_key = self._name_key(node)
+        row_prefix = self._owners.get(name_key, 0) << self._row_shift
+        base = name_key << INDEX_BITS
         for kidx, kern in enumerate(ks):
-            row = base | kidx
-            mat.remove_row(row)
-            rkey = row << INDEX_BITS
+            rk = base | kidx
+            mat.remove_row(row_prefix | rk)
+            rkey = rk << INDEX_BITS
             for idx, kc in enumerate(kern.expression):
                 occ[kc].discard(rkey | idx)
                 touched.add(kc)
@@ -441,15 +483,17 @@ class IncrementalKCMatrix:
         touched: Set[Cube] = set()
         for node in names:
             self._remove_node(node, touched)
+        key_mask = self._key_mask
         for kc in touched:
             keys = occ[kc]
             label = mat.col_of_cube[kc]
             if not keys:
                 del occ[kc]
                 mat.remove_col(label)
-            else:
+            elif (label & key_mask) not in keys:
+                # The column's first occurrence was removed.
                 low = min(keys)
-                if low != label:
-                    mat.relabel_col(label, low)
+                owner = self._owners.get(low >> 2 * INDEX_BITS, 0)
+                mat.relabel_col(label, (owner << self._col_shift) | low)
         for node in names:
             self._add_node(node, node_kernels[node])

@@ -4,7 +4,9 @@ from repro.machine.costmodel import CostMeter
 from repro.network.simulate import exhaustive_equivalence_check, random_equivalence_check
 from repro.rectangles.cover import apply_rectangle, kernel_extract, make_searcher
 from repro.rectangles.kcmatrix import build_kc_matrix
+from repro.rectangles.pingpong import best_rectangle_pingpong
 from repro.rectangles.search import BudgetExceeded, SearchBudget, best_rectangle_exhaustive
+from repro.verify.generator import FAMILIES, random_network
 
 
 class TestApplyRectangle:
@@ -33,6 +35,25 @@ class TestApplyRectangle:
         rect, _ = best_rectangle_exhaustive(mat)
         applied = apply_rectangle(net, mat, rect)
         assert applied.new_node in net.nodes
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_actual_delta_is_the_whole_network_difference(self, family):
+        # actual_delta is summed over the rewritten nodes and the new
+        # node only; every other node must be left as it was.
+        steps = 0
+        for seed in range(10):
+            net = random_network(seed, family)
+            for i in range(50):
+                mat = build_kc_matrix(net, sorted(net.nodes))
+                best = best_rectangle_pingpong(mat)
+                if best is None or best[1] < 1:
+                    break
+                before = net.literal_count()
+                applied = apply_rectangle(net, mat, best[0], new_name=f"[d{i}]")
+                assert applied.actual_delta == before - net.literal_count()
+                steps += 1
+        if family != "degenerate":
+            assert steps > 0
 
 
 class TestKernelExtract:
