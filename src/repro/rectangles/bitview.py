@@ -1,36 +1,43 @@
-"""Dense bitset view of a :class:`~repro.rectangles.kcmatrix.KCMatrix`.
+"""Bitset forms of a :class:`~repro.rectangles.kcmatrix.KCMatrix`.
 
 The rectangle searches spend nearly all of their time intersecting row
 sets, scanning candidate columns and re-valuing (row, col) cells.  The
 sparse matrix keys all of that by *global offset labels* (processor 2's
 first kernel is row 200001), so the sets are sparse ``Set[int]`` objects
-and every cell value is a fresh ``value_fn`` call.
+and every cell value is a fresh ``value_fn`` call.  Two bitset forms
+replace them, sharing one cell layout:
 
-:class:`BitKCView` compiles the matrix once into a dense form:
-
-- row/column labels are remapped to dense positions ``0..R-1`` /
-  ``0..C-1`` in sorted-label order, so position order *is* label order
-  and every tie-break of the set-based searchers is preserved;
-- each column's row set and each row's column set become Python int
+- each column's row set and each row's column set are Python int
   bitmasks — a row-set intersection is one big-int ``&``, a dominance
   test one equality, a cardinality one popcount;
-- every occupied cell carries a dense *entry id* into a per-search value
+- every occupied cell carries an *entry id* into a per-search value
   table, and per-row ``len(cokernel) + 1`` / per-column
   ``len(kernel_cube)`` cost tables turn row marginals and rectangle
   gains into table lookups instead of ``value_fn`` calls;
-- rows carry dense node ids, so the distinct-cube gain correction (two
-  cells of one node naming the same original cube count once) only ever
+- rows carry node ids, so the distinct-cube gain correction (two cells
+  of one node naming the same original cube count once) only ever
   hashes cubes for nodes that actually contribute several rows to a
   rectangle — the common all-distinct case is pure table arithmetic.
 
-The view is *structural*: it never mutates the matrix and is invalidated
-by any matrix mutation (``KCMatrix`` drops its cached view on every
-``add_row``/``add_entry``/``remove_row``/``remove_col``/``merge``).  The
-value table for the pure :func:`~repro.rectangles.rectangle.default_value`
-is cached with the structure; any other ``value_fn`` (e.g. the L-shaped
-speculative cube-state values, which change between search rounds) is
-evaluated freshly per search — still once per cell instead of once per
-(row, col, visit).
+:class:`LiveBitIndex` (``KCMatrix.bitview()``) is built once per matrix
+and then *patched* by the matrix's mutators in O(degree).  Rows and
+columns live at stable *slots* that never move while they live; a
+removal frees its slot and the next insertion reuses the lowest free
+one.  Slot order is therefore not label order, and the ping-pong search
+that runs on it takes every tie-break from the labels.
+
+:class:`BitKCView` (``KCMatrix.dense_view()``) is the sorted
+compilation: dense positions ``0..R-1`` / ``0..C-1`` in sorted-label
+order, so position order *is* label order.  The exhaustive search walks
+label-ordered column subsets by position (``neg_above``) and the memo
+signature hashes positions, so they keep this form, compiled once per
+matrix version and dropped by every mutation.
+
+The value table for the pure :func:`~repro.rectangles.rectangle.
+default_value` is kept with the structure; any other ``value_fn`` (e.g.
+the L-shaped speculative cube-state values, which change between search
+rounds) is evaluated freshly per search — still once per cell instead of
+once per (row, col, visit).
 
 The labels stay the external interface: every rectangle leaving a
 bit-core search carries the original offset labels, so the parallel
@@ -40,7 +47,8 @@ algorithms' exchange/splice protocol is untouched.
 from __future__ import annotations
 
 import os
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from heapq import heappop, heappush
+from typing import AbstractSet, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.algebra.cube import Cube
 from repro.rectangles.rectangle import ValueFn, default_value
@@ -86,12 +94,119 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-class BitKCView:
-    """Dense-position bitmask compilation of one KCMatrix snapshot.
+def _dup_slots(cells: List[Dict[int, int]], cubes: List, slots: Iterable[int]) -> Set[int]:
+    """The *slots* whose cells repeat an original cube within the row."""
+    out: Set[int] = set()
+    for slot in slots:
+        rcells = cells[slot]
+        if len(rcells) > 1 and len({cubes[eid] for eid in rcells.values()}) < len(rcells):
+            out.add(slot)
+    return out
 
-    Build with :meth:`KCMatrix.bitview` (cached) rather than directly;
-    the cache guarantees at most one compilation per matrix version.
+
+class _BitCells:
+    """The cell layout both bitset forms share, and the queries over it.
+
+    Subclasses provide ``row_pos``/``col_pos`` (label → row/column
+    index), ``cells`` (per row: column index → entry id),
+    ``entry_cubes``, ``row_node``/``node_names``, the cost tables and
+    :meth:`dup_rows`.
     """
+
+    __slots__ = ()
+
+    def _values_for(self, value_fn: ValueFn) -> List[int]:
+        """A fresh per-entry-id table under a non-default *value_fn*."""
+        cubes = self.entry_cubes
+        names = self.node_names
+        row_node = self.row_node
+        out: List[int] = [0] * len(cubes)
+        for rpos, rcells in enumerate(self.cells):
+            if rcells:
+                name = names[row_node[rpos]]
+                for eid in rcells.values():
+                    out[eid] = value_fn(name, cubes[eid])
+        return out
+
+    def rect_gain(
+        self,
+        row_positions: Sequence[int],
+        col_positions: Sequence[int],
+        values: List[int],
+    ) -> int:
+        """Exact distinct-cube-counted gain of a position rectangle.
+
+        Order-free: cells of one node naming the same cube carry equal
+        values, so which of them counts first does not matter.
+        """
+        cells = self.cells
+        row_node = self.row_node
+        gain = 0
+        for cpos in col_positions:
+            gain -= self.col_cost[cpos]
+        counts: Dict[int, int] = {}
+        for rpos in row_positions:
+            gain -= self.row_cost[rpos]
+            nid = row_node[rpos]
+            counts[nid] = counts.get(nid, 0) + 1
+        dup = self.dup_rows()
+        need: Set[int] = {nid for nid, k in counts.items() if k > 1}
+        if dup:
+            for rpos in row_positions:
+                if rpos in dup:
+                    need.add(row_node[rpos])
+        if not need:
+            # Every cell is a distinct (node, cube) ref: no correction.
+            for rpos in row_positions:
+                rcells = cells[rpos]
+                for cpos in col_positions:
+                    gain += values[rcells[cpos]]
+            return gain
+        cubes = self.entry_cubes
+        seen: Dict[int, Set[Cube]] = {nid: set() for nid in need}
+        for rpos in row_positions:
+            rcells = cells[rpos]
+            node_seen = seen.get(row_node[rpos])
+            if node_seen is None:
+                for cpos in col_positions:
+                    gain += values[rcells[cpos]]
+            else:
+                for cpos in col_positions:
+                    eid = rcells[cpos]
+                    cube = cubes[eid]
+                    if cube not in node_seen:
+                        node_seen.add(cube)
+                        gain += values[eid]
+        return gain
+
+    def covered_cubes_by_node(self, rect) -> Dict[str, Set[Cube]]:
+        """Distinct original cubes a (label) rectangle covers, per node."""
+        out: Dict[str, Set[Cube]] = {}
+        cells = self.cells
+        cubes = self.entry_cubes
+        names = self.node_names
+        row_pos = self.row_pos
+        col_positions = [self.col_pos[c] for c in rect.cols]
+        for rlab in rect.rows:
+            rpos = row_pos[rlab]
+            rcells = cells[rpos]
+            node = names[self.row_node[rpos]]
+            per_node = out.setdefault(node, set())
+            for cpos in col_positions:
+                per_node.add(cubes[rcells[cpos]])
+        return out
+
+
+class BitKCView(_BitCells):
+    """Sorted dense-position compilation of one KCMatrix snapshot.
+
+    Build with :meth:`KCMatrix.dense_view` (cached) rather than
+    directly; the cache guarantees at most one compilation per matrix
+    version.
+    """
+
+    #: Positions are ranks in sorted-label order.
+    ORDERED = True
 
     __slots__ = (
         "row_labels",
@@ -106,6 +221,7 @@ class BitKCView:
         "node_names",
         "row_cost",
         "col_cost",
+        "_overlap_rows",
         "_default_values",
         "_neg_above",
         "_dup_rows",
@@ -164,6 +280,7 @@ class BitKCView:
         self.col_rows: List[int] = col_rows
         self.cells: List[Dict[int, int]] = cells
         self.entry_cubes: List[Cube] = entry_cubes
+        self._overlap_rows: List[int] = [row_pos[lab] for lab in matrix.overlap_rows]
         self._default_values: Optional[List[int]] = None
         self._neg_above: Optional[List[int]] = None
         self._dup_rows: Optional[Set[int]] = None
@@ -193,30 +310,14 @@ class BitKCView:
         co-kernel, so distinct columns give distinct cubes.  Hand-built
         matrices can violate that (a column cube may overlap the
         co-kernel), and the distinct-cube gain correction must then also
-        dedupe within single rows.  Detection is cheap: a row is clean
-        whenever every cell's cube length equals |cokernel| + |kc| (the
-        disjoint case); only rows with an overlapping cell pay for cube
-        hashing.
+        dedupe within single rows.  Only rows with an overlapping cell
+        (``len(cube) != |cokernel| + |kc|``) can repeat a cube; the
+        matrix counts them as entries are added
+        (:attr:`KCMatrix.overlap_rows`), so only those rows are scanned.
         """
         got = self._dup_rows
         if got is None:
-            got = set()
-            cubes = self.entry_cubes
-            col_cost = self.col_cost
-            row_cost = self.row_cost
-            for rpos, rcells in enumerate(self.cells):
-                if len(rcells) < 2:
-                    continue
-                base = row_cost[rpos] - 1
-                disjoint = True
-                for cpos, eid in rcells.items():
-                    if len(cubes[eid]) != base + col_cost[cpos]:
-                        disjoint = False
-                        break
-                if disjoint:
-                    continue
-                if len({cubes[eid] for eid in rcells.values()}) < len(rcells):
-                    got.add(rpos)
+            got = _dup_slots(self.cells, self.entry_cubes, self._overlap_rows)
             self._dup_rows = got
         return got
 
@@ -390,82 +491,216 @@ class BitKCView:
                 vals = [len(cube) for cube in self.entry_cubes]
                 self._default_values = vals
             return vals
-        cubes = self.entry_cubes
-        names = self.node_names
-        out: List[int] = [0] * len(cubes)
-        for rpos, rcells in enumerate(self.cells):
-            name = names[self.row_node[rpos]]
-            for eid in rcells.values():
-                out[eid] = value_fn(name, cubes[eid])
-        return out
-
-    # ------------------------------------------------------------------
-    def rect_gain(
-        self,
-        row_positions: Sequence[int],
-        col_positions: Sequence[int],
-        values: List[int],
-    ) -> int:
-        """Exact distinct-cube-counted gain of a position rectangle."""
-        cells = self.cells
-        row_node = self.row_node
-        gain = 0
-        for cpos in col_positions:
-            gain -= self.col_cost[cpos]
-        counts: Dict[int, int] = {}
-        for rpos in row_positions:
-            gain -= self.row_cost[rpos]
-            nid = row_node[rpos]
-            counts[nid] = counts.get(nid, 0) + 1
-        dup = self.dup_rows()
-        need: Set[int] = {nid for nid, k in counts.items() if k > 1}
-        if dup:
-            for rpos in row_positions:
-                if rpos in dup:
-                    need.add(row_node[rpos])
-        if not need:
-            # Every cell is a distinct (node, cube) ref: no correction.
-            for rpos in row_positions:
-                rcells = cells[rpos]
-                for cpos in col_positions:
-                    gain += values[rcells[cpos]]
-            return gain
-        cubes = self.entry_cubes
-        seen: Dict[int, Set[Cube]] = {nid: set() for nid in need}
-        for rpos in row_positions:
-            rcells = cells[rpos]
-            node_seen = seen.get(row_node[rpos])
-            if node_seen is None:
-                for cpos in col_positions:
-                    gain += values[rcells[cpos]]
-            else:
-                for cpos in col_positions:
-                    eid = rcells[cpos]
-                    cube = cubes[eid]
-                    if cube not in node_seen:
-                        node_seen.add(cube)
-                        gain += values[eid]
-        return gain
-
-    def covered_cubes_by_node(self, rect) -> Dict[str, Set[Cube]]:
-        """Distinct original cubes a (label) rectangle covers, per node."""
-        out: Dict[str, Set[Cube]] = {}
-        cells = self.cells
-        cubes = self.entry_cubes
-        names = self.node_names
-        row_pos = self.row_pos
-        col_positions = [self.col_pos[c] for c in rect.cols]
-        for rlab in rect.rows:
-            rpos = row_pos[rlab]
-            rcells = cells[rpos]
-            node = names[self.row_node[rpos]]
-            per_node = out.setdefault(node, set())
-            for cpos in col_positions:
-                per_node.add(cubes[rcells[cpos]])
-        return out
+        return self._values_for(value_fn)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"BitKCView({self.num_rows}×{self.num_cols}, "
+            f"{self.num_entries} entries)"
+        )
+
+
+class LiveBitIndex(_BitCells):
+    """Slot-addressed bitmask index of a KCMatrix, patched in place.
+
+    Built by :meth:`KCMatrix.bitview` on first use.  From then on the
+    matrix's mutators call :meth:`add_row`, :meth:`add_col`,
+    :meth:`add_entry`, :meth:`remove_row`, :meth:`remove_col` and
+    :meth:`relabel_col`, so the index follows every structural change in
+    O(degree) instead of being recompiled.
+
+    Rows and columns sit at stable *slots*: a slot never moves while its
+    row or column lives, a removal clears one bit in each incident mask
+    and frees the slot, and an insertion takes the lowest free slot, so
+    mask width stays bounded by the largest live count.  A relabel only
+    rewrites ``col_labels[slot]``.  Free slots have ``None`` labels,
+    empty masks and empty cells.  Entry ids are recycled the same way;
+    a free id's cube is ``None`` and its default value 0.
+
+    Slot order is *not* label order: callers that break ties must do so
+    by ``row_labels`` / ``col_labels``.
+    """
+
+    #: Slots are stable, not ranks in sorted-label order.
+    ORDERED = False
+
+    __slots__ = (
+        "row_labels",
+        "col_labels",
+        "row_pos",
+        "col_pos",
+        "row_cols",
+        "col_rows",
+        "cells",
+        "entry_cubes",
+        "row_node",
+        "node_names",
+        "row_cost",
+        "col_cost",
+        "_node_ids",
+        "_values",
+        "_overlap",
+        "_free_rows",
+        "_free_cols",
+        "_free_eids",
+    )
+
+    def __init__(self, matrix) -> None:
+        self.row_labels: List[Optional[int]] = []
+        self.col_labels: List[Optional[int]] = []
+        self.row_pos: Dict[int, int] = {}
+        self.col_pos: Dict[int, int] = {}
+        self.row_cols: List[int] = []
+        self.col_rows: List[int] = []
+        self.cells: List[Dict[int, int]] = []
+        self.entry_cubes: List[Optional[Cube]] = []
+        self.row_node: List[int] = []
+        self.node_names: List[str] = []
+        self.row_cost: List[int] = []
+        self.col_cost: List[int] = []
+        self._node_ids: Dict[str, int] = {}
+        self._values: List[int] = []
+        # The matrix's own overlap counts (row label → overlapping
+        # cells), kept current by its mutators.
+        self._overlap: Dict[int, int] = matrix.overlap_rows
+        self._free_rows: List[int] = []
+        self._free_cols: List[int] = []
+        self._free_eids: List[int] = []
+        for label, info in matrix.rows.items():
+            self.add_row(label, info.node, info.cokernel)
+        for label, cube in matrix.cols.items():
+            self.add_col(label, cube)
+        for (row, col), cube in matrix.entries.items():
+            self.add_entry(row, col, cube)
+
+    # ------------------------------------------------------------------
+    @property
+    def num_rows(self) -> int:
+        return len(self.row_pos)
+
+    @property
+    def num_cols(self) -> int:
+        return len(self.col_pos)
+
+    @property
+    def num_entries(self) -> int:
+        return len(self.entry_cubes) - len(self._free_eids)
+
+    def value_table(self, value_fn: ValueFn = default_value) -> List[int]:
+        """Per-entry-id values under *value_fn* (free ids read 0).
+
+        The default table is maintained with the cells and returned
+        as is; any other function is evaluated per call.
+        """
+        if value_fn is default_value:
+            return self._values
+        return self._values_for(value_fn)
+
+    def dup_rows(self) -> AbstractSet[int]:
+        """Row slots whose cells repeat an original cube.
+
+        Only rows the matrix counts as holding an overlapping cell can
+        (see :meth:`BitKCView.dup_rows`); kernel-built matrices have
+        none, so this is O(1) for them.
+        """
+        overlap = self._overlap
+        if not overlap:
+            return frozenset()
+        row_pos = self.row_pos
+        return _dup_slots(self.cells, self.entry_cubes, [row_pos[r] for r in overlap])
+
+    # ------------------------------------------------------------------
+    # Patching (called by the KCMatrix mutators)
+    # ------------------------------------------------------------------
+    def add_row(self, label: int, node: str, cokernel: Cube) -> None:
+        nid = self._node_ids.get(node)
+        if nid is None:
+            nid = self._node_ids[node] = len(self.node_names)
+            self.node_names.append(node)
+        cost = len(cokernel) + 1
+        if self._free_rows:
+            slot = heappop(self._free_rows)
+            self.row_labels[slot] = label
+            self.row_node[slot] = nid
+            self.row_cost[slot] = cost
+        else:
+            slot = len(self.row_labels)
+            self.row_labels.append(label)
+            self.row_cols.append(0)
+            self.cells.append({})
+            self.row_node.append(nid)
+            self.row_cost.append(cost)
+        self.row_pos[label] = slot
+
+    def add_col(self, label: int, cube: Cube) -> None:
+        if self._free_cols:
+            slot = heappop(self._free_cols)
+            self.col_labels[slot] = label
+            self.col_cost[slot] = len(cube)
+        else:
+            slot = len(self.col_labels)
+            self.col_labels.append(label)
+            self.col_rows.append(0)
+            self.col_cost.append(len(cube))
+        self.col_pos[label] = slot
+
+    def add_entry(self, row: int, col: int, cube: Cube) -> None:
+        rslot = self.row_pos[row]
+        cslot = self.col_pos[col]
+        if self._free_eids:
+            eid = self._free_eids.pop()
+            self.entry_cubes[eid] = cube
+            self._values[eid] = len(cube)
+        else:
+            eid = len(self.entry_cubes)
+            self.entry_cubes.append(cube)
+            self._values.append(len(cube))
+        self.cells[rslot][cslot] = eid
+        self.row_cols[rslot] |= 1 << cslot
+        self.col_rows[cslot] |= 1 << rslot
+
+    def remove_row(self, label: int) -> None:
+        slot = self.row_pos.pop(label)
+        keep = ~(1 << slot)
+        col_rows = self.col_rows
+        cubes = self.entry_cubes
+        values = self._values
+        free = self._free_eids
+        for cslot, eid in self.cells[slot].items():
+            col_rows[cslot] &= keep
+            cubes[eid] = None
+            values[eid] = 0
+            free.append(eid)
+        self.cells[slot] = {}
+        self.row_cols[slot] = 0
+        self.row_labels[slot] = None
+        heappush(self._free_rows, slot)
+
+    def remove_col(self, label: int) -> None:
+        slot = self.col_pos.pop(label)
+        keep = ~(1 << slot)
+        cells = self.cells
+        row_cols = self.row_cols
+        cubes = self.entry_cubes
+        values = self._values
+        free = self._free_eids
+        for rslot in iter_bits(self.col_rows[slot]):
+            eid = cells[rslot].pop(slot)
+            cubes[eid] = None
+            values[eid] = 0
+            free.append(eid)
+            row_cols[rslot] &= keep
+        self.col_rows[slot] = 0
+        self.col_labels[slot] = None
+        heappush(self._free_cols, slot)
+
+    def relabel_col(self, old: int, new: int) -> None:
+        slot = self.col_pos.pop(old)
+        self.col_pos[new] = slot
+        self.col_labels[slot] = new
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (
+            f"LiveBitIndex({self.num_rows}×{self.num_cols}, "
             f"{self.num_entries} entries)"
         )

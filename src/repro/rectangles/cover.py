@@ -101,10 +101,12 @@ def apply_rectangle(
     x_lit = network.table.id_of(new_name)
 
     # Overlap bookkeeping: the distinct original cubes each node loses.
-    # A search has usually just compiled the matrix's bitset view, whose
-    # dense cell ids dedupe overlapping cells without re-hashing cube
-    # tuples; fall back to the sparse entry map when no view is live.
-    view = matrix._bitview
+    # The search has usually just used one of the matrix's bitset forms
+    # (the live index after ping-pong, the sorted compilation after the
+    # exhaustive search), whose cell ids dedupe overlapping cells without
+    # re-hashing cube tuples; fall back to the sparse entry map when
+    # neither is built.
+    view = matrix._live if matrix._live is not None else matrix._dense
     if view is not None:
         covered_by_node: Dict[str, Set[Cube]] = view.covered_cubes_by_node(rect)
     else:

@@ -44,7 +44,13 @@ class KCMatrix:
     ``entries[(r, c)]`` is the original SOP cube of ``rows[r].node``
     obtained as ``rows[r].cokernel ∪ cols[c]``.  ``by_row``/``by_col``
     are adjacency indexes kept consistent by :meth:`add_entry` /
-    :meth:`remove_row`.
+    :meth:`remove_row`.  ``overlap_rows`` counts, per row, the cells
+    whose column cube overlaps the row's co-kernel (never any for
+    kernel-built matrices); only such rows can repeat a cube.
+
+    The bitset index (:meth:`bitview`) is patched by the mutators once
+    built; the sorted compilation (:meth:`dense_view`) is dropped by
+    every mutation.
     """
 
     rows: Dict[int, RowInfo] = field(default_factory=dict)
@@ -54,16 +60,17 @@ class KCMatrix:
     by_row: Dict[int, Set[int]] = field(default_factory=dict)
     by_col: Dict[int, Set[int]] = field(default_factory=dict)
     node_rows: Dict[str, Set[int]] = field(default_factory=dict)
-    _version: int = field(default=0, repr=False, compare=False)
-    _bitview: Optional[object] = field(default=None, repr=False, compare=False)
+    overlap_rows: Dict[int, int] = field(default_factory=dict, repr=False, compare=False)
+    _live: Optional[object] = field(default=None, repr=False, compare=False)
+    _dense: Optional[object] = field(default=None, repr=False, compare=False)
 
     # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------
     def _touch(self) -> None:
-        """Record a structural mutation; drops the cached bitset view."""
-        self._version += 1
-        self._bitview = None
+        """Record a raw-dict mutation: drops both bitset forms."""
+        self._dense = None
+        self._live = None
 
     def add_row(self, label: int, node: str, cokernel: Cube) -> None:
         if label in self.rows:
@@ -71,9 +78,11 @@ class KCMatrix:
         self.rows[label] = RowInfo(node, cokernel)
         self.by_row[label] = set()
         self.node_rows.setdefault(node, set()).add(label)
+        if self._live is not None:
+            self._live.add_row(label, node, cokernel)
         if _audit.enabled():
             _audit.audit_row_added(self, label)
-        self._touch()
+        self._dense = None
 
     def ensure_col(self, cube: Cube, label_factory: Callable[[], int]) -> int:
         """Return the column label for *cube*, creating it if new."""
@@ -86,24 +95,37 @@ class KCMatrix:
         self.cols[label] = cube
         self.col_of_cube[cube] = label
         self.by_col[label] = set()
+        if self._live is not None:
+            self._live.add_col(label, cube)
         if _audit.enabled():
             _audit.audit_col_added(self, label)
-        self._touch()
+        self._dense = None
         return label
 
     def add_entry(self, row: int, col: int) -> None:
-        info = self.rows[row]
-        self.entries[(row, col)] = cube_union(info.cokernel, self.cols[col])
-        self.by_row[row].add(col)
-        self.by_col[col].add(row)
+        key = (row, col)
+        entries = self.entries
+        if key not in entries:
+            cokernel = self.rows[row].cokernel
+            kc = self.cols[col]
+            cube = entries[key] = cube_union(cokernel, kc)
+            self.by_row[row].add(col)
+            self.by_col[col].add(row)
+            if len(cube) != len(cokernel) + len(kc):
+                self.overlap_rows[row] = self.overlap_rows.get(row, 0) + 1
+            if self._live is not None:
+                self._live.add_entry(row, col, cube)
         if _audit.enabled():
             _audit.audit_entry_added(self, row, col)
-        self._touch()
+        self._dense = None
 
     def remove_row(self, label: int) -> None:
+        if self._live is not None and label in self.rows:
+            self._live.remove_row(label)
         for col in self.by_row.pop(label, set()):
             self.by_col[col].discard(label)
             self.entries.pop((label, col), None)
+        self.overlap_rows.pop(label, None)
         info = self.rows.pop(label, None)
         if info is not None:
             node_set = self.node_rows.get(info.node)
@@ -113,19 +135,27 @@ class KCMatrix:
                     del self.node_rows[info.node]
         if _audit.enabled():
             _audit.audit_row_removed(self, label)
-        self._touch()
+        self._dense = None
 
     def remove_col(self, label: int) -> None:
         cube = self.cols.get(label)
+        if self._live is not None and cube is not None:
+            self._live.remove_col(label)
+        overlap = self.overlap_rows
         for row in self.by_col.pop(label, set()):
             self.by_row[row].discard(label)
-            self.entries.pop((row, label), None)
+            got = self.entries.pop((row, label), None)
+            if row in overlap and len(got) != len(self.rows[row].cokernel) + len(cube):
+                if overlap[row] == 1:
+                    del overlap[row]
+                else:
+                    overlap[row] -= 1
         if cube is not None:
             self.col_of_cube.pop(cube, None)
         self.cols.pop(label, None)
         if _audit.enabled():
             _audit.audit_col_removed(self, label)
-        self._touch()
+        self._dense = None
 
     def relabel_col(self, old: int, new: int) -> None:
         """Move column *old* — its cube, entries and adjacency — to *new*.
@@ -148,9 +178,11 @@ class KCMatrix:
             cols = by_row[row]
             cols.discard(old)
             cols.add(new)
+        if self._live is not None:
+            self._live.relabel_col(old, new)
         if _audit.enabled():
             _audit.audit_col_relabeled(self, old, new)
-        self._touch()
+        self._dense = None
 
     # ------------------------------------------------------------------
     # Queries
@@ -183,20 +215,39 @@ class KCMatrix:
         return sorted(self.node_rows.get(node, ()))
 
     def bitview(self):
-        """The cached dense bitset view (see :mod:`repro.rectangles.bitview`).
+        """The live bitset index (see :mod:`repro.rectangles.bitview`).
 
-        Compiled lazily and dropped by every structural mutation, so the
-        greedy extraction loops rebuild it exactly once per matrix
-        version no matter how many searches share the matrix.
+        Built lazily on the first call; from then on every mutator
+        patches it in O(degree), so the greedy extraction loops never
+        recompile it.  Only the raw-dict paths (:meth:`merge`,
+        :meth:`submatrix_columns`) drop it.  Under ``REPRO_CHECK=1``
+        every call checks the index against the matrix.
         """
-        view = self._bitview
+        view = self._live
+        if view is None:
+            from repro.rectangles.bitview import LiveBitIndex
+
+            view = self._live = LiveBitIndex(self)
+        if _audit.enabled():
+            _audit.audit_bitview(self, view)
+        return view
+
+    def dense_view(self):
+        """The cached sorted-label compilation (:class:`BitKCView`).
+
+        Positions are ranks in sorted-label order, which the exhaustive
+        search's column-subset walk and the memo signature rely on.
+        Compiled lazily and dropped by every mutation, so it is built
+        at most once per matrix version.
+        """
+        view = self._dense
         if view is None:
             from repro.rectangles.bitview import BitKCView
 
             view = BitKCView(self)
             if _audit.enabled():
                 _audit.audit_bitview(self, view)
-            self._bitview = view
+            self._dense = view
         return view
 
     def submatrix_columns(self, col_labels: Iterable[int]) -> "KCMatrix":
@@ -216,12 +267,14 @@ class KCMatrix:
             out.col_of_cube[cube] = c
             out.by_col[c] = set()
             for r in sorted(self.by_col[c]):
+                info = self.rows[r]
                 if r not in out.rows:
-                    info = self.rows[r]
                     out.add_row(r, info.node, info.cokernel)
-                out.entries[(r, c)] = self.entries[(r, c)]
+                cell = out.entries[(r, c)] = self.entries[(r, c)]
                 out.by_row[r].add(c)
                 out.by_col[c].add(r)
+                if r in self.overlap_rows and len(cell) != len(info.cokernel) + len(cube):
+                    out.overlap_rows[r] = out.overlap_rows.get(r, 0) + 1
         if _audit.enabled():
             _audit.audit_kcmatrix(out)
         out._touch()
@@ -232,7 +285,9 @@ class KCMatrix:
 
         Labels shared by both must agree on their row/column identity —
         this is exactly the guarantee the offset labeling provides.
+        Drops the bitset index: a splice rewrites most of the matrix.
         """
+        self._touch()
         for label, info in other.rows.items():
             mine = self.rows.get(label)
             if mine is None:
@@ -250,7 +305,6 @@ class KCMatrix:
                 self.cols[label] = cube
                 self.col_of_cube[cube] = label
                 self.by_col[label] = set()
-                self._touch()
             elif mine != cube:
                 raise ValueError(f"column label clash at {label}")
         for (r, c) in other.entries.keys():
@@ -373,8 +427,8 @@ class IncrementalKCMatrix:
     kernels behind the current rows.  :meth:`replace_nodes` removes the
     rows of the given nodes and adds rows for their new kernels.  A name
     longer than the encoding width triggers one rebuild at a wider
-    width.  The dense bitset view is still compiled once per matrix
-    version by the searches.
+    width.  The matrix's live bitset index (:meth:`KCMatrix.bitview`)
+    follows every patch.
     """
 
     def __init__(

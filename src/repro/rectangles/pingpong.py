@@ -15,10 +15,12 @@ uses (and which DNFs on them, as in the paper).
 
 Like the exhaustive search, the heuristic runs on either core
 (``core=`` / ``REPRO_RECT_CORE``): the default ``"bit"`` core drives the
-ascents over the dense bitmask view — candidate sets are single ``&``
-operations and cell values are table lookups — while ``"set"`` is the
-legacy sparse implementation.  Both produce identical local optima,
-identical rankings and the identical best rectangle.
+ascents over the matrix's live bitset index (``KCMatrix.bitview()``,
+patched by every mutation rather than recompiled per search) —
+candidate sets are single ``&`` operations and cell values are table
+lookups — while ``"set"`` is the legacy sparse implementation.  Both
+produce identical local optima, identical rankings and the identical
+best rectangle.
 """
 
 from __future__ import annotations
@@ -144,7 +146,16 @@ def _ascents_set(matrix, value_fn, min_cols, max_seeds, max_rounds, meter):
 
 
 def _ascents_bit(matrix, value_fn, min_cols, max_seeds, max_rounds, meter):
-    """Bitmask ascents: same seeds, same fixpoints, same stream."""
+    """Bitmask ascents on the live index: same seeds, same fixpoints,
+    same stream as the set core.
+
+    The index addresses rows and columns by stable slots, not label
+    ranks, so every tie-break reads the labels: seeds order by
+    (-potential, row label), the keep-top-*min_cols* fallback by
+    (contribution, -column label), and rectangles leave label-sorted.
+    Everything else — candidate intersections, the half-step memos,
+    ``rect_gain`` — is order-free.
+    """
     view = matrix.bitview()
     values = view.value_table(value_fn)
     row_cols = view.row_cols
@@ -157,11 +168,18 @@ def _ascents_bit(matrix, value_fn, min_cols, max_seeds, max_rounds, meter):
 
     getval = values.__getitem__
 
+    def top_cols(scored: List[Tuple[int, int]]) -> Tuple[int, ...]:
+        # Fewer than min_cols columns contribute positively: keep the
+        # top min_cols by contribution, ties to the smaller label, so
+        # the rectangle stays a kernel.
+        if len(scored) < min_cols:
+            return ()
+        scored.sort(key=lambda cs: (-cs[0], col_labels[cs[1]]))
+        return tuple(sorted([c for _, c in scored[:min_cols]]))
+
     def cols_for_rows(rows: Tuple[int, ...]) -> Tuple[int, ...]:
         # When enough columns contribute positively the result is just
-        # their sorted positions — the (contrib, -cpos) ranking only
-        # matters for the keep-top-min_cols fallback, so the scored list
-        # and its sort are skipped on the fast path.
+        # their sorted slots; the ranking only matters for the fallback.
         if len(rows) == 1:
             # A seed's first half-step: its candidate columns are exactly
             # its own cells, no intersection needed.
@@ -173,37 +191,29 @@ def _ascents_bit(matrix, value_fn, min_cols, max_seeds, max_rounds, meter):
             ]
             if len(pos) >= min_cols:
                 return tuple(sorted(pos))
-            scored = [
-                (values[eid] - col_cost[cpos], -cpos)
-                for cpos, eid in rcells.items()
-            ]
-        else:
-            cand = row_cols[rows[0]]
-            for r in rows[1:]:
-                cand &= row_cols[r]
-                if not cand:
-                    return ()
-            rdicts = [cells[r] for r in rows]
-            scored = []
-            m = cand
-            while m:
-                low = m & -m
-                cpos = low.bit_length() - 1
-                m ^= low
-                contrib = -col_cost[cpos]
-                for rc in rdicts:
-                    contrib += values[rc[cpos]]
-                scored.append((contrib, -cpos))
-            pos = [(-negc) for contrib, negc in scored if contrib > 0]
-            if len(pos) >= min_cols:
-                return tuple(sorted(pos))
-        scored.sort(reverse=True)
-        chosen = [(-negc) for contrib, negc in scored if contrib > 0]
-        if len(chosen) < min_cols:
-            chosen = [(-negc) for _, negc in scored[:min_cols]]
-            if len(chosen) < min_cols:
+            return top_cols(
+                [(values[eid] - col_cost[cpos], cpos) for cpos, eid in rcells.items()]
+            )
+        cand = row_cols[rows[0]]
+        for r in rows[1:]:
+            cand &= row_cols[r]
+            if not cand:
                 return ()
-        return tuple(sorted(chosen))
+        rdicts = [cells[r] for r in rows]
+        scored = []
+        m = cand
+        while m:
+            low = m & -m
+            cpos = low.bit_length() - 1
+            m ^= low
+            contrib = -col_cost[cpos]
+            for rc in rdicts:
+                contrib += values[rc[cpos]]
+            scored.append((contrib, cpos))
+        pos = [cpos for contrib, cpos in scored if contrib > 0]
+        if len(pos) >= min_cols:
+            return tuple(pos)  # the mask walk visits slots in order
+        return top_cols(scored)
 
     def rows_for_cols(cols: Tuple[int, ...]) -> Tuple[int, ...]:
         cand = col_rows[cols[0]]
@@ -240,8 +250,13 @@ def _ascents_bit(matrix, value_fn, min_cols, max_seeds, max_rounds, meter):
         sum(map(mul, map(getshar, rcells.keys()), map(getval, rcells.values())))
         for rcells in cells
     ]
-    order = sorted(zip([-p for p in potential], range(len(row_labels))))
-    seeds = [r for _, r in order]
+    # Seeds are the live slots only, most potential first, ties to the
+    # smaller row label.
+    seeds = [
+        r for _, _, r in sorted([
+            (-potential[r], lab, r) for lab, r in view.row_pos.items()
+        ])
+    ]
     if max_seeds is not None:
         seeds = seeds[:max_seeds]
 
@@ -298,8 +313,8 @@ def _ascents_bit(matrix, value_fn, min_cols, max_seeds, max_rounds, meter):
             if gain > 0:
                 out = (
                     Rectangle(
-                        rows=tuple([row_labels[r] for r in rows]),
-                        cols=tuple([col_labels[c] for c in cols]),
+                        rows=tuple(sorted([row_labels[r] for r in rows])),
+                        cols=tuple(sorted([col_labels[c] for c in cols])),
                     ),
                     gain,
                 )

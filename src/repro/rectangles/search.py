@@ -217,7 +217,7 @@ def _enumerate_rectangles_bit(
     prime_only: bool,
 ) -> Iterator[Tuple[Rectangle, int]]:
     """The dense bitmask core: same tree, same stream, table lookups."""
-    view = matrix.bitview()
+    view = matrix.dense_view()
     values = view.value_table(value_fn)
     row_cols = view.row_cols
     col_rows = view.col_rows
@@ -495,7 +495,7 @@ def _best_rectangle_bit_v2(
     and hence identical budget spends and meter charges — to the set
     core's v2 twin.
     """
-    view = matrix.bitview()
+    view = matrix.dense_view()
     values = view.value_table(default_value)
     row_cols = view.row_cols
     col_rows = view.col_rows
@@ -909,7 +909,7 @@ def best_rectangle_exhaustive(
         view = None
         key = None
         if memo_obj is not None:
-            view = matrix.bitview()
+            view = matrix.dense_view()
             key = memo_key(view.signature(), min_cols)
             hit = memo_obj.lookup(key)
             if hit is not None:

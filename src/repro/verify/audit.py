@@ -2,10 +2,13 @@
 
 The rectangle cores and the speculative cube-state protocol maintain
 redundant indexes for speed: ``KCMatrix`` keeps ``entries``/``by_row``/
-``by_col``/``node_rows``/``col_of_cube`` in lockstep, compiles a dense
-:class:`~repro.rectangles.bitview.BitKCView` mirror of the whole
-structure, and :class:`~repro.parallel.cubestate.CubeStateStore` tracks
-per-cube claims that must never double-cover.  A bug in any of that
+``by_col``/``node_rows``/``col_of_cube``/``overlap_rows`` in lockstep,
+patches a live bitset index of the whole structure
+(:class:`~repro.rectangles.bitview.LiveBitIndex`), compiles a sorted
+one for the exhaustive search
+(:class:`~repro.rectangles.bitview.BitKCView`), and
+:class:`~repro.parallel.cubestate.CubeStateStore` tracks per-cube
+claims that must never double-cover.  A bug in any of that
 bookkeeping silently corrupts factorization results long before an
 equivalence check can localize it.
 
@@ -16,9 +19,11 @@ lazily) or :func:`set_audits` from code.  When enabled:
 
 - every :class:`KCMatrix` mutator validates the delta it just applied
   (O(delta), not O(matrix)),
-- splice-style bulk operations (``merge``, ``submatrix_columns``) and
-  every bitset-view compilation validate the full structure, including
-  sparse/bitview parity,
+- splice-style bulk operations (``merge``, ``submatrix_columns``)
+  validate the full structure,
+- every ``KCMatrix.bitview()`` call checks the patched live index, and
+  every sorted compilation checks itself, against the matrix dicts
+  (sparse/bitview parity),
 - every matrix the greedy loop patches instead of rebuilding is checked
   against a fresh build for order-isomorphism (:func:`audit_kc_order`),
 - every ``CubeStateStore`` operation validates the records it touched
@@ -209,6 +214,14 @@ def audit_kcmatrix(mat: "KCMatrix") -> None:
         expect_nodes.setdefault(info.node, set()).add(label)
     if mat.node_rows != expect_nodes:
         _fail("node_rows index disagrees with rows")
+    # overlap_rows counts each row's cells whose column cube overlaps
+    # the co-kernel (the only rows that can repeat a cube).
+    expect_overlap: dict = {}
+    for (r, c), cube in mat.entries.items():
+        if len(cube) != len(mat.rows[r].cokernel) + len(mat.cols[c]):
+            expect_overlap[r] = expect_overlap.get(r, 0) + 1
+    if mat.overlap_rows != expect_overlap:
+        _fail("overlap_rows counts disagree with entries")
 
 
 def kc_order_form(mat: "KCMatrix") -> Tuple[list, list, list]:
@@ -246,12 +259,29 @@ def audit_kc_order(mat: "KCMatrix", fresh: "KCMatrix") -> None:
         _fail("patched KC matrix entries differ from a fresh build's")
 
 
+def _audit_slots(kind: str, labels: list, pos: dict, want: dict, ordered: bool) -> None:
+    """``labels[slot]`` and ``pos[label]`` are inverse over *want*'s keys."""
+    live = [lab for lab in labels if lab is not None]
+    if len(live) != len(want) or set(live) != set(want):
+        _fail(f"bitview {kind} labels != matrix {kind}s")
+    if ordered and labels != sorted(want):
+        _fail(f"bitview {kind} labels not in sorted-label order")
+    if len(pos) != len(want):
+        _fail(f"bitview {kind}_pos has {len(pos)} labels, matrix {len(want)}")
+    for lab, slot in pos.items():
+        if slot >= len(labels) or labels[slot] != lab:
+            _fail(f"bitview {kind}_pos[{lab}] = {slot} disagrees with the slot's label")
+
+
 def audit_bitview(mat: "KCMatrix", view) -> None:
-    """Sparse/bitview parity: the dense compilation mirrors the matrix."""
-    if view.row_labels != sorted(mat.rows):
-        _fail("bitview row_labels != sorted matrix rows")
-    if view.col_labels != sorted(mat.cols):
-        _fail("bitview col_labels != sorted matrix cols")
+    """Sparse/bitview parity: the bitset form mirrors the matrix.
+
+    Holds for both forms: the sorted compilation (positions must also be
+    in sorted-label order) and the live slot index (free slots must be
+    empty, and the default value table must match every live cell).
+    """
+    _audit_slots("row", view.row_labels, view.row_pos, mat.rows, view.ORDERED)
+    _audit_slots("col", view.col_labels, view.col_pos, mat.cols, view.ORDERED)
     if view.num_entries != mat.num_entries:
         _fail(
             f"bitview has {view.num_entries} cells, "
@@ -260,6 +290,7 @@ def audit_bitview(mat: "KCMatrix", view) -> None:
     n_cells = sum(len(rcells) for rcells in view.cells)
     if n_cells != mat.num_entries:
         _fail(f"bitview has {n_cells} cells, matrix has {mat.num_entries} entries")
+    eids = set()
     for (r, c), cube in mat.entries.items():
         i = view.row_pos.get(r)
         j = view.col_pos.get(c)
@@ -268,21 +299,36 @@ def audit_bitview(mat: "KCMatrix", view) -> None:
         eid = view.cells[i].get(j)
         if eid is None:
             _fail(f"bitview has no cell for entry ({r}, {c})")
+        eids.add(eid)
         if view.entry_cubes[eid] != cube:
             _fail(f"bitview cell ({r}, {c}) cube disagrees with sparse entry")
         if not (view.row_cols[i] >> j) & 1:
             _fail(f"bitview row mask misses ({r}, {c})")
         if not (view.col_rows[j] >> i) & 1:
             _fail(f"bitview col mask misses ({r}, {c})")
+    if len(eids) != mat.num_entries:
+        _fail("bitview cells share an entry id")
     for i, mask in enumerate(view.row_cols):
         if popcount(mask) != len(view.cells[i]):
-            _fail(f"bitview row mask popcount disagrees at row pos {i}")
+            _fail(f"bitview row mask popcount disagrees at row slot {i}")
+    if sum(popcount(mask) for mask in view.col_rows) != mat.num_entries:
+        _fail("bitview col mask popcounts disagree with the entry count")
     for i, lab in enumerate(view.row_labels):
-        if view.row_cost[i] != len(mat.rows[lab].cokernel) + 1:
+        if lab is None:
+            continue
+        info = mat.rows[lab]
+        if view.row_cost[i] != len(info.cokernel) + 1:
             _fail(f"bitview row_cost[{lab}] disagrees with cokernel size")
+        if view.node_names[view.row_node[i]] != info.node:
+            _fail(f"bitview row {lab} carries the wrong node")
     for j, lab in enumerate(view.col_labels):
-        if view.col_cost[j] != len(mat.cols[lab]):
+        if lab is not None and view.col_cost[j] != len(mat.cols[lab]):
             _fail(f"bitview col_cost[{lab}] disagrees with kernel-cube size")
+    if not view.ORDERED:
+        values = view.value_table()
+        for eid in eids:
+            if values[eid] != len(view.entry_cubes[eid]):
+                _fail(f"bitview default value of entry id {eid} is stale")
 
 
 # ----------------------------------------------------------------------

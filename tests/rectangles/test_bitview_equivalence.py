@@ -223,14 +223,25 @@ class TestViewStructure:
             assert view.col_rows[cpos] >> rpos & 1
 
     def test_view_invalidated_by_mutation(self, eq1_network):
+        # The sorted compilation is dropped by every mutation.
         mat = build_kc_matrix(eq1_network)
-        view = mat.bitview()
-        assert mat.bitview() is view  # cached while untouched
+        view = mat.dense_view()
+        assert mat.dense_view() is view  # cached while untouched
         some_row = next(iter(mat.rows))
         mat.remove_row(some_row)
-        view2 = mat.bitview()
+        view2 = mat.dense_view()
         assert view2 is not view
         assert view2.num_rows == mat.num_rows
+
+    def test_live_index_patched_by_mutation(self, eq1_network):
+        # The live index survives mutations and follows them.
+        mat = build_kc_matrix(eq1_network)
+        view = mat.bitview()
+        some_row = next(iter(mat.rows))
+        mat.remove_row(some_row)
+        assert mat.bitview() is view
+        assert view.num_rows == mat.num_rows
+        assert some_row not in view.row_pos
 
     def test_value_table_default_cached(self, eq1_network):
         mat = build_kc_matrix(eq1_network)

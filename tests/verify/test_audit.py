@@ -3,7 +3,7 @@
 import pytest
 
 from repro.parallel.cubestate import CubeStateStore, CubeStatus
-from repro.rectangles.kcmatrix import KCMatrix, LabelAllocator
+from repro.rectangles.kcmatrix import KCMatrix, LabelAllocator, RowInfo
 from repro.verify import InvariantViolation, audit, set_audits
 
 
@@ -94,7 +94,9 @@ class TestKCMatrixAudits:
     def test_bitview_parity_detects_stale_view(self):
         mat = _small_matrix()
         view = mat.bitview()
-        mat.add_row(4, "G", (12,))  # view no longer mirrors the matrix
+        # The mutators patch the live index; a raw-dict write does not.
+        mat.rows[4] = RowInfo("G", (12,))
+        mat.by_row[4] = set()
         with pytest.raises(InvariantViolation):
             audit.audit_bitview(mat, view)
 
