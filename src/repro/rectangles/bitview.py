@@ -34,7 +34,8 @@ signature hashes positions, so they keep this form, compiled once per
 matrix version and dropped by every mutation.
 
 The value table for the pure :func:`~repro.rectangles.rectangle.
-default_value` is kept with the structure; any other ``value_fn`` (e.g.
+default_value` is kept with the structure, and so are the live index's
+ping-pong seed potentials under it (``row_pot``); any other ``value_fn`` (e.g.
 the L-shaped speculative cube-state values, which change between search
 rounds) is evaluated freshly per search — still once per cell instead of
 once per (row, col, visit).
@@ -48,6 +49,7 @@ from __future__ import annotations
 
 import os
 from heapq import heappop, heappush
+from operator import mul
 from typing import AbstractSet, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.algebra.cube import Cube
@@ -92,6 +94,20 @@ def iter_bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def seed_potentials(
+    cells: List[Dict[int, int]], col_sizes: List[int], values: List[int]
+) -> List[int]:
+    """Each row's ping-pong seed potential, ``Σ_c (col_sizes[c] − 1) ·
+    values[cell]``: the value a row shares with other rows."""
+    shar1 = [n - 1 for n in col_sizes]
+    getshar = shar1.__getitem__
+    getval = values.__getitem__
+    return [
+        sum(map(mul, map(getshar, rcells.keys()), map(getval, rcells.values())))
+        for rcells in cells
+    ]
 
 
 def _dup_slots(cells: List[Dict[int, int]], cubes: List, slots: Iterable[int]) -> Set[int]:
@@ -505,17 +521,31 @@ class LiveBitIndex(_BitCells):
 
     Built by :meth:`KCMatrix.bitview` on first use.  From then on the
     matrix's mutators call :meth:`add_row`, :meth:`add_col`,
-    :meth:`add_entry`, :meth:`remove_row`, :meth:`remove_col` and
-    :meth:`relabel_col`, so the index follows every structural change in
-    O(degree) instead of being recompiled.
+    :meth:`add_entry`, :meth:`remove_row`, :meth:`remove_col`,
+    :meth:`relabel_row` and :meth:`relabel_col`, so the index follows
+    every structural change in O(degree) instead of being recompiled.
 
     Rows and columns sit at stable *slots*: a slot never moves while its
     row or column lives, a removal clears one bit in each incident mask
     and frees the slot, and an insertion takes the lowest free slot, so
     mask width stays bounded by the largest live count.  A relabel only
-    rewrites ``col_labels[slot]``.  Free slots have ``None`` labels,
-    empty masks and empty cells.  Entry ids are recycled the same way;
-    a free id's cube is ``None`` and its default value 0.
+    rewrites ``row_labels[slot]`` or ``col_labels[slot]``.  Free slots
+    have ``None`` labels, empty masks and empty cells.  Entry ids are
+    recycled the same way; a free id's cube is ``None`` and its default
+    value 0.
+
+    ``row_pot`` holds each row slot's ping-pong seed potential under the
+    default value, ``Σ_c (|col c| − 1) · value(cell)`` (0 for a free
+    slot), as of the column sizes in ``_pot_sizes``.  It is ``None``
+    until the first :meth:`potentials` call builds it in bulk.  From
+    then on the mutators patch it: a new cell adds its value times its
+    column's recorded size minus one, a removed column takes its cells'
+    terms back, and every column that gained or lost a row is marked.
+    The next :meth:`potentials` call settles each marked column once,
+    in O(column degree): its rows shift by their own cells' values
+    times the change in its size.  A column touched by several
+    mutations between two searches is settled once.  Relabels leave the
+    table untouched.
 
     Slot order is *not* label order: callers that break ties must do so
     by ``row_labels`` / ``col_labels``.
@@ -537,6 +567,9 @@ class LiveBitIndex(_BitCells):
         "node_names",
         "row_cost",
         "col_cost",
+        "row_pot",
+        "_pot_sizes",
+        "_pot_dirty",
         "_node_ids",
         "_values",
         "_overlap",
@@ -558,6 +591,11 @@ class LiveBitIndex(_BitCells):
         self.node_names: List[str] = []
         self.row_cost: List[int] = []
         self.col_cost: List[int] = []
+        self.row_pot: Optional[List[int]] = None
+        # Per column slot: the size row_pot reflects; the column slots
+        # whose size has changed since.
+        self._pot_sizes: List[int] = []
+        self._pot_dirty: Set[int] = set()
         self._node_ids: Dict[str, int] = {}
         self._values: List[int] = []
         # The matrix's own overlap counts (row label → overlapping
@@ -596,6 +634,31 @@ class LiveBitIndex(_BitCells):
             return self._values
         return self._values_for(value_fn)
 
+    def potentials(self) -> List[int]:
+        """Per-slot seed potentials under the default value (``row_pot``).
+
+        Built in bulk on the first call; later calls settle only the
+        columns whose size changed since the previous call.
+        """
+        pot = self.row_pot
+        if pot is None:
+            self._pot_sizes = [popcount(mask) for mask in self.col_rows]
+            pot = self.row_pot = seed_potentials(self.cells, self._pot_sizes, self._values)
+        elif self._pot_dirty:
+            cells = self.cells
+            values = self._values
+            col_rows = self.col_rows
+            sizes = self._pot_sizes
+            for cslot in self._pot_dirty:
+                mask = col_rows[cslot]
+                grown = popcount(mask) - sizes[cslot]
+                if grown:
+                    sizes[cslot] += grown
+                    for r in iter_bits(mask):
+                        pot[r] += grown * values[cells[r][cslot]]
+            self._pot_dirty.clear()
+        return pot
+
     def dup_rows(self) -> AbstractSet[int]:
         """Row slots whose cells repeat an original cube.
 
@@ -630,6 +693,8 @@ class LiveBitIndex(_BitCells):
             self.cells.append({})
             self.row_node.append(nid)
             self.row_cost.append(cost)
+            if self.row_pot is not None:
+                self.row_pot.append(0)
         self.row_pos[label] = slot
 
     def add_col(self, label: int, cube: Cube) -> None:
@@ -642,6 +707,8 @@ class LiveBitIndex(_BitCells):
             self.col_labels.append(label)
             self.col_rows.append(0)
             self.col_cost.append(len(cube))
+            if self.row_pot is not None:
+                self._pot_sizes.append(0)
         self.col_pos[label] = slot
 
     def add_entry(self, row: int, col: int, cube: Cube) -> None:
@@ -655,6 +722,10 @@ class LiveBitIndex(_BitCells):
             eid = len(self.entry_cubes)
             self.entry_cubes.append(cube)
             self._values.append(len(cube))
+        pot = self.row_pot
+        if pot is not None:
+            pot[rslot] += (self._pot_sizes[cslot] - 1) * len(cube)
+            self._pot_dirty.add(cslot)
         self.cells[rslot][cslot] = eid
         self.row_cols[rslot] |= 1 << cslot
         self.col_rows[cslot] |= 1 << rslot
@@ -663,15 +734,19 @@ class LiveBitIndex(_BitCells):
         slot = self.row_pos.pop(label)
         keep = ~(1 << slot)
         col_rows = self.col_rows
+        cells = self.cells
         cubes = self.entry_cubes
         values = self._values
         free = self._free_eids
-        for cslot, eid in self.cells[slot].items():
+        for cslot, eid in cells[slot].items():
             col_rows[cslot] &= keep
             cubes[eid] = None
             values[eid] = 0
             free.append(eid)
-        self.cells[slot] = {}
+        if self.row_pot is not None:
+            self.row_pot[slot] = 0
+            self._pot_dirty.update(cells[slot])
+        cells[slot] = {}
         self.row_cols[slot] = 0
         self.row_labels[slot] = None
         heappush(self._free_rows, slot)
@@ -684,8 +759,15 @@ class LiveBitIndex(_BitCells):
         cubes = self.entry_cubes
         values = self._values
         free = self._free_eids
+        pot = self.row_pot
+        if pot is not None:
+            shar1 = self._pot_sizes[slot] - 1
+            self._pot_sizes[slot] = 0
+            self._pot_dirty.discard(slot)
         for rslot in iter_bits(self.col_rows[slot]):
             eid = cells[rslot].pop(slot)
+            if pot is not None:
+                pot[rslot] -= shar1 * values[eid]
             cubes[eid] = None
             values[eid] = 0
             free.append(eid)
@@ -693,6 +775,11 @@ class LiveBitIndex(_BitCells):
         self.col_rows[slot] = 0
         self.col_labels[slot] = None
         heappush(self._free_cols, slot)
+
+    def relabel_row(self, old: int, new: int) -> None:
+        slot = self.row_pos.pop(old)
+        self.row_pos[new] = slot
+        self.row_labels[slot] = new
 
     def relabel_col(self, old: int, new: int) -> None:
         slot = self.col_pos.pop(old)

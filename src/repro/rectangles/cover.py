@@ -8,8 +8,9 @@ are parallelizations of exactly this loop.
 
 The matrix is built once per run and then patched: after each
 extraction only the rewritten nodes and the new node change, so only
-their rows are replaced (:class:`~repro.rectangles.kcmatrix.
-IncrementalKCMatrix`).  The patched matrix sorts exactly like a fresh
+their rows are patched, by each node's kernel diff
+(:class:`~repro.rectangles.kcmatrix.IncrementalKCMatrix`).  The patched
+matrix sorts exactly like a fresh
 :func:`~repro.rectangles.kcmatrix.build_kc_matrix` of the active nodes,
 so the extraction stream is the same as rebuilding every iteration.
 """
@@ -191,7 +192,9 @@ def kernel_extract(
     ``kernel-gen`` / ``kc-build`` / ``rect-search`` / ``extract-commit``
     spans whose virtual intervals are cumulative metered compute time
     under *model* — the sequential path's virtual clock.  An internal
-    meter is created for this when the caller passed none.
+    meter is created for this when the caller passed none.  The
+    ``kc-build`` span also counts the rows the patch kept, added and
+    removed (``kc_rows_kept`` / ``kc_rows_added`` / ``kc_rows_removed``).
     """
     tr = active_tracer()
     if tr is not None and meter is None:
@@ -231,6 +234,7 @@ def kernel_extract(
                 kc = IncrementalKCMatrix(fresh)
             else:
                 kc.replace_nodes(fresh)
+            sp.add_counters(**kc.churn)
             matrix = kc.matrix
             # The simulated clock prices the paper's per-iteration
             # rebuild: one kc_entry per entry of the current matrix.

@@ -184,6 +184,37 @@ class KCMatrix:
             _audit.audit_col_relabeled(self, old, new)
         self._dense = None
 
+    def relabel_row(self, old: int, new: int) -> None:
+        """Move row *old* — its info, entries and adjacency — to *new*.
+
+        O(row degree).  Used by :class:`IncrementalKCMatrix` when a kept
+        kernel's index within its node shifts and its order-preserving
+        label must move with it.
+        """
+        if new in self.rows:
+            raise ValueError(f"duplicate row label {new}")
+        info = self.rows.pop(old)
+        self.rows[new] = info
+        cols = self.by_row.pop(old)
+        self.by_row[new] = cols
+        entries = self.entries
+        by_col = self.by_col
+        for col in cols:
+            entries[(new, col)] = entries.pop((old, col))
+            rows = by_col[col]
+            rows.discard(old)
+            rows.add(new)
+        node_set = self.node_rows[info.node]
+        node_set.discard(old)
+        node_set.add(new)
+        if old in self.overlap_rows:
+            self.overlap_rows[new] = self.overlap_rows.pop(old)
+        if self._live is not None:
+            self._live.relabel_row(old, new)
+        if _audit.enabled():
+            _audit.audit_row_relabeled(self, old, new)
+        self._dense = None
+
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
@@ -424,11 +455,14 @@ class IncrementalKCMatrix:
     (re)added; the map may grow as nodes are added.
 
     Built from a ``{node: kernel list}`` map; :attr:`kernels` holds the
-    kernels behind the current rows.  :meth:`replace_nodes` removes the
-    rows of the given nodes and adds rows for their new kernels.  A name
-    longer than the encoding width triggers one rebuild at a wider
-    width.  The matrix's live bitset index (:meth:`KCMatrix.bitview`)
-    follows every patch.
+    kernels behind the current rows.  :meth:`replace_nodes` patches a
+    node by the difference between its old and new kernel lists: the
+    rows of dropped kernels go, the rows of kept kernels stay (moved to
+    their new index's label when it shifts), and only new kernels get
+    new rows.  :attr:`churn` counts the rows the last build or patch
+    kept, added and removed.  A name longer than the encoding width
+    triggers one rebuild at a wider width.  The matrix's live bitset
+    index (:meth:`KCMatrix.bitview`) follows every patch.
     """
 
     def __init__(
@@ -455,6 +489,11 @@ class IncrementalKCMatrix:
         self._occ: Dict[Cube, Set[int]] = {}
         for node in names:
             self._add_node(node, node_kernels[node])
+        self.churn: Dict[str, int] = {
+            "kc_rows_kept": 0,
+            "kc_rows_added": self.matrix.num_rows,
+            "kc_rows_removed": 0,
+        }
 
     def _name_key(self, node: str) -> int:
         got = self._name_keys.get(node)
@@ -466,21 +505,26 @@ class IncrementalKCMatrix:
         return got
 
     def _add_node(self, node: str, ks: List[Kernel]) -> None:
+        self.kernels[node] = ks
+        if self._owner is not None:
+            self._owners[self._name_key(node)] = self._owner[node]
+        self._add_rows(node, ks, range(len(ks)))
+
+    def _add_rows(self, node: str, ks: List[Kernel], indices: Iterable[int]) -> None:
+        """Add the rows of ``ks[kidx]`` for each *kidx* in *indices*."""
         if len(ks) >= _INDEX_LIMIT:
             raise OverflowError(f"node {node!r} has too many kernels to label")
-        self.kernels[node] = ks
         mat = self.matrix
         col_of_cube = mat.col_of_cube
         occ = self._occ
         key_mask = self._key_mask
         name_key = self._name_key(node)
-        owner = 0
-        if self._owner is not None:
-            owner = self._owners[name_key] = self._owner[node]
+        owner = self._owners.get(name_key, 0)
         row_prefix = owner << self._row_shift
         col_prefix = owner << self._col_shift
         base = name_key << INDEX_BITS
-        for kidx, kern in enumerate(ks):
+        for kidx in indices:
+            kern = ks[kidx]
             rk = base | kidx
             row = row_prefix | rk
             mat.add_row(row, node, kern.cokernel)
@@ -502,52 +546,152 @@ class IncrementalKCMatrix:
                         col = label
                 mat.add_entry(row, col)
 
-    def _remove_node(self, node: str, touched: Set[Cube]) -> None:
-        ks = self.kernels.pop(node, None)
-        if ks is None:
-            return
+    def _remove_rows(
+        self, node: str, ks: List[Kernel], indices: Iterable[int], touched: Set[Cube]
+    ) -> None:
+        """Remove the rows of ``ks[kidx]`` for each *kidx* in *indices*,
+        collecting their cubes in *touched*."""
         mat = self.matrix
         occ = self._occ
         name_key = self._name_key(node)
         row_prefix = self._owners.get(name_key, 0) << self._row_shift
         base = name_key << INDEX_BITS
-        for kidx, kern in enumerate(ks):
+        for kidx in indices:
             rk = base | kidx
             mat.remove_row(row_prefix | rk)
             rkey = rk << INDEX_BITS
-            for idx, kc in enumerate(kern.expression):
+            for idx, kc in enumerate(ks[kidx].expression):
                 occ[kc].discard(rkey | idx)
                 touched.add(kc)
 
-    def replace_nodes(self, node_kernels: Dict[str, List[Kernel]]) -> None:
-        """Replace the rows of the given nodes (changed or new) by rows
-        for their given kernels.
+    def _move_row(
+        self, base: int, row_prefix: int, kern: Kernel, old: int, new: int
+    ) -> Sop:
+        """Move a kept kernel's row from index *old* to *new*, with its
+        occurrence keys; return its cubes, whose columns' first
+        occurrences may have moved."""
+        self.matrix.relabel_row(row_prefix | base | old, row_prefix | base | new)
+        occ = self._occ
+        old_key = (base | old) << INDEX_BITS
+        new_key = (base | new) << INDEX_BITS
+        for idx, kc in enumerate(kern.expression):
+            keys = occ[kc]
+            keys.discard(old_key | idx)
+            keys.add(new_key | idx)
+        return kern.expression
 
-        Removals settle first — every touched column is dropped or
-        relabelled to its surviving first occurrence — so the labels the
-        additions meet are all live occurrence keys and never collide
-        with the keys of the re-added rows.
-        """
-        names = sorted(node_kernels)
-        if any(len(_utf8(n)) > self._width for n in names):
-            self._build({**self.kernels, **node_kernels}, 2 * self._width)
-            return
+    def _settle(self, cubes: Iterable[Cube]) -> None:
+        """Drop each column of *cubes* left without occurrences and
+        relabel the others to their current first occurrence."""
         mat = self.matrix
         occ = self._occ
-        touched: Set[Cube] = set()
-        for node in names:
-            self._remove_node(node, touched)
         key_mask = self._key_mask
-        for kc in touched:
+        for kc in cubes:
             keys = occ[kc]
             label = mat.col_of_cube[kc]
             if not keys:
                 del occ[kc]
                 mat.remove_col(label)
-            elif (label & key_mask) not in keys:
-                # The column's first occurrence was removed.
-                low = min(keys)
+                continue
+            low = min(keys)
+            if low != label & key_mask:
                 owner = self._owners.get(low >> 2 * INDEX_BITS, 0)
                 mat.relabel_col(label, (owner << self._col_shift) | low)
-        for node in names:
-            self._add_node(node, node_kernels[node])
+
+    def _diff(
+        self, node: str, ks: List[Kernel], touched: Set[Cube]
+    ) -> Tuple[List[Tuple[Kernel, int, int]], Optional[List[int]]]:
+        """Match *node*'s current kernels with *ks* and remove the rows
+        of the dropped ones.
+
+        Returns the kept rows whose index shifts, as ``(kernel, old,
+        new)`` in an order whose every target label is free when it is
+        reached, and the indices of the new kernels — ``None`` when the
+        whole node is (re)added: it is new, or its owner changed.
+        """
+        old = self.kernels.get(node)
+        if old is None:
+            return [], None
+        if self._owner is not None and self._owner[node] != self._owners[self._name_key(node)]:
+            self._remove_rows(node, old, range(len(old)), touched)
+            return [], None
+        self.kernels[node] = ks
+        # kernels() sorts each list by (cokernel, expression) and the
+        # pairs are unique, so kept kernels pair up in order.  The merge
+        # walk only pairs equal kernels, so any list stays correct.
+        old_keys = [(k.cokernel, k.expression) for k in old]
+        new_keys = [(k.cokernel, k.expression) for k in ks]
+        kept: List[Tuple[int, int]] = []
+        i = j = 0
+        while i < len(old_keys) and j < len(new_keys):
+            a = old_keys[i]
+            b = new_keys[j]
+            if a == b:
+                kept.append((i, j))
+                i += 1
+                j += 1
+            elif a < b:
+                i += 1
+            else:
+                j += 1
+        kept_old = {o for o, _ in kept}
+        kept_new = {n for _, n in kept}
+        self._remove_rows(
+            node, old, [o for o in range(len(old)) if o not in kept_old], touched
+        )
+        # Rows shifting up move highest first and rows shifting down
+        # lowest first: the label a row moves to is then either free or
+        # vacated by a row already moved.
+        moves = [(ks[n], o, n) for o, n in reversed(kept) if n > o]
+        moves += [(ks[n], o, n) for o, n in kept if n < o]
+        return moves, [n for n in range(len(ks)) if n not in kept_new]
+
+    def replace_nodes(self, node_kernels: Dict[str, List[Kernel]]) -> None:
+        """Patch the rows of the given nodes (changed or new) to their
+        given kernels.
+
+        Each existing node is patched by its kernel diff; a new node, or
+        one whose owner changed, is added whole.  The steps run in an
+        order that never puts two columns on one label:
+
+        1. the dropped kernels' rows are removed, and every touched
+           column is dropped or relabelled to its surviving first
+           occurrence, so every column label is a live occurrence key;
+        2. the kept rows whose index shifts move, and the columns of
+           each moved row are rechecked right after that move — a
+           column still on the label of a row that moved away would
+           collide with one relabelled onto a row moving in;
+        3. rows are added for the new kernels.
+        """
+        names = sorted(node_kernels)
+        mat = self.matrix
+        if any(len(_utf8(n)) > self._width for n in names):
+            removed = mat.num_rows
+            self._build({**self.kernels, **node_kernels}, 2 * self._width)
+            self.churn["kc_rows_removed"] = removed
+            return
+        before = mat.num_rows
+        touched: Set[Cube] = set()
+        plans = [(node,) + self._diff(node, node_kernels[node], touched) for node in names]
+        self._settle(touched)
+        for node, moves, _ in plans:
+            if moves:
+                name_key = self._name_key(node)
+                base = name_key << INDEX_BITS
+                row_prefix = self._owners.get(name_key, 0) << self._row_shift
+                for kern, old, new in moves:
+                    self._settle(self._move_row(base, row_prefix, kern, old, new))
+        after_removal = mat.num_rows
+        kept = 0
+        for node, _, added in plans:
+            ks = node_kernels[node]
+            if added is None:
+                self._add_node(node, ks)
+            else:
+                kept += len(ks) - len(added)
+                self._add_rows(node, ks, added)
+        self.churn = {
+            "kc_rows_kept": kept,
+            "kc_rows_added": mat.num_rows - after_removal,
+            "kc_rows_removed": before - after_removal,
+        }

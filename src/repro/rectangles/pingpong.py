@@ -25,11 +25,11 @@ best rectangle.
 
 from __future__ import annotations
 
-from operator import itemgetter, mul
+from operator import itemgetter
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.obs.tracer import active_tracer, add_counters
-from repro.rectangles.bitview import popcount, resolve_core
+from repro.rectangles.bitview import popcount, resolve_core, seed_potentials
 from repro.rectangles.kcmatrix import KCMatrix
 from repro.rectangles.rectangle import (
     Rectangle,
@@ -244,12 +244,11 @@ def _ascents_bit(matrix, value_fn, min_cols, max_seeds, max_rounds, meter):
                     chosen.append(rpos)
         return tuple(chosen)
 
-    shar1 = [popcount(mask) - 1 for mask in col_rows]
-    getshar = shar1.__getitem__
-    potential: List[int] = [
-        sum(map(mul, map(getshar, rcells.keys()), map(getval, rcells.values())))
-        for rcells in cells
-    ]
+    if value_fn is default_value:
+        # Maintained by the index's mutators once built.
+        potential = view.potentials()
+    else:
+        potential = seed_potentials(cells, [popcount(mask) for mask in col_rows], values)
     # Seeds are the live slots only, most potential first, ties to the
     # smaller row label.
     seeds = [

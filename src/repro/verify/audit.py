@@ -21,9 +21,9 @@ lazily) or :func:`set_audits` from code.  When enabled:
   (O(delta), not O(matrix)),
 - splice-style bulk operations (``merge``, ``submatrix_columns``)
   validate the full structure,
-- every ``KCMatrix.bitview()`` call checks the patched live index, and
-  every sorted compilation checks itself, against the matrix dicts
-  (sparse/bitview parity),
+- every ``KCMatrix.bitview()`` call checks the patched live index (its
+  seed potentials included), and every sorted compilation checks
+  itself, against the matrix dicts (sparse/bitview parity),
 - every matrix the greedy loop patches instead of rebuilding is checked
   against a fresh build for order-isomorphism (:func:`audit_kc_order`),
 - every ``CubeStateStore`` operation validates the records it touched
@@ -170,6 +170,26 @@ def audit_col_relabeled(mat: "KCMatrix", old: int, new: int) -> None:
             _fail(f"relabel_col({old}, {new}): entry ({row}, {new}) cube wrong")
 
 
+def audit_row_relabeled(mat: "KCMatrix", old: int, new: int) -> None:
+    """Post-condition of ``relabel_row``: every index moved, O(degree)."""
+    if old in mat.rows or old in mat.by_row or old in mat.overlap_rows:
+        _fail(f"relabel_row({old}, {new}): old label survives in rows/by_row/overlap_rows")
+    info = mat.rows.get(new)
+    if info is None or new not in mat.by_row:
+        _fail(f"relabel_row({old}, {new}): row missing under the new label")
+    rows = mat.node_rows.get(info.node, ())
+    if old in rows or new not in rows:
+        _fail(f"relabel_row({old}, {new}): node_rows[{info.node!r}] not moved")
+    for col in mat.by_row[new]:
+        if (old, col) in mat.entries or old in mat.by_col[col]:
+            _fail(f"relabel_row({old}, {new}): column {col} still references old")
+        if new not in mat.by_col[col]:
+            _fail(f"relabel_row({old}, {new}): by_col[{col}] misses new label")
+        expect = cube_union(info.cokernel, mat.cols[col])
+        if mat.entries.get((new, col)) != expect:
+            _fail(f"relabel_row({old}, {new}): entry ({new}, {col}) cube wrong")
+
+
 # ----------------------------------------------------------------------
 # KCMatrix: full-structure check
 # ----------------------------------------------------------------------
@@ -273,12 +293,34 @@ def _audit_slots(kind: str, labels: list, pos: dict, want: dict, ordered: bool) 
             _fail(f"bitview {kind}_pos[{lab}] = {slot} disagrees with the slot's label")
 
 
+def _audit_potentials(view, values: list) -> None:
+    """A materialized ``row_pot``, with its unsettled columns settled on
+    a copy, must equal a full recompute; every other column's recorded
+    size must be its real size."""
+    sizes = [popcount(mask) for mask in view.col_rows]
+    for j, size in enumerate(sizes):
+        if j not in view._pot_dirty and view._pot_sizes[j] != size:
+            _fail(f"bitview row_pot: column slot {j} changed size but is not marked")
+    got = list(view.row_pot)
+    for i, rcells in enumerate(view.cells):
+        for j, eid in rcells.items():
+            got[i] += (sizes[j] - view._pot_sizes[j]) * values[eid]
+    expect = [
+        sum((sizes[j] - 1) * values[eid] for j, eid in rcells.items())
+        for rcells in view.cells
+    ]
+    if got != expect:
+        _fail("bitview row_pot disagrees with a full recompute")
+
+
 def audit_bitview(mat: "KCMatrix", view) -> None:
     """Sparse/bitview parity: the bitset form mirrors the matrix.
 
     Holds for both forms: the sorted compilation (positions must also be
     in sorted-label order) and the live slot index (free slots must be
-    empty, and the default value table must match every live cell).
+    empty, the default value table must match every live cell, and a
+    materialized ``row_pot`` must equal a full recompute of the seed
+    potentials).
     """
     _audit_slots("row", view.row_labels, view.row_pos, mat.rows, view.ORDERED)
     _audit_slots("col", view.col_labels, view.col_pos, mat.cols, view.ORDERED)
@@ -329,6 +371,8 @@ def audit_bitview(mat: "KCMatrix", view) -> None:
         for eid in eids:
             if values[eid] != len(view.entry_cubes[eid]):
                 _fail(f"bitview default value of entry id {eid} is stale")
+        if view.row_pot is not None:
+            _audit_potentials(view, values)
 
 
 # ----------------------------------------------------------------------

@@ -16,6 +16,10 @@ relabelled.  Two contracts follow:
 The mutant tests show the whole-run comparison catches the two ways a
 slot-addressed walk can go wrong: a tie-break by slot, and seeds drawn
 from freed slots.
+
+The index's patched seed potentials (``row_pot``) must equal a full
+recompute after any mutation sequence, and L-shaped, which searches
+under its own value function, must never build them.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from repro.machine.costmodel import CostMeter
 from repro.network.eqn import write_eqn
 from repro.parallel import lshaped
 from repro.rectangles import pingpong
-from repro.rectangles.bitview import BitKCView, iter_bits
+from repro.rectangles.bitview import BitKCView, iter_bits, popcount
 from repro.rectangles.cover import apply_rectangle, kernel_extract, make_searcher
 from repro.rectangles.kcmatrix import KCMatrix, build_kc_matrix
 from repro.rectangles.rectangle import Rectangle
@@ -67,16 +71,27 @@ def label_form(view) -> Dict[str, object]:
             "entries": view.num_entries}
 
 
+def recomputed_potentials(view) -> List[int]:
+    """Every slot's seed potential, recomputed from scratch."""
+    values = view.value_table()
+    shar1 = [popcount(mask) - 1 for mask in view.col_rows]
+    return [
+        sum(shar1[c] * values[eid] for c, eid in rcells.items())
+        for rcells in view.cells
+    ]
+
+
 # ----------------------------------------------------------------------
 # Random mutation sequences
 # ----------------------------------------------------------------------
 
-def _mutate(mat: KCMatrix, rng: random.Random, next_label: List[int]) -> str:
+OPS = ["add_row", "add_row", "add_col", "add_entry", "add_entry",
+       "remove_row", "remove_col", "relabel_col"]
+
+
+def _mutate(mat: KCMatrix, rng: random.Random, next_label: List[int], ops=OPS) -> str:
     """Apply one random mutation; return its name."""
-    op = rng.choice(
-        ["add_row", "add_row", "add_col", "add_entry", "add_entry",
-         "remove_row", "remove_col", "relabel_col"]
-    )
+    op = rng.choice(ops)
     if op == "add_row":
         next_label[0] += 1
         node = f"n{rng.randint(0, 3)}"
@@ -102,6 +117,10 @@ def _mutate(mat: KCMatrix, rng: random.Random, next_label: List[int]) -> str:
         next_label[0] += 1
         new = rng.choice([next_label[0], -next_label[0]])
         mat.relabel_col(rng.choice(list(mat.cols)), new)
+    elif op == "relabel_row" and mat.rows:
+        next_label[0] += 1
+        new = rng.choice([next_label[0], -next_label[0]])
+        mat.relabel_row(rng.choice(list(mat.rows)), new)
     return op
 
 
@@ -127,6 +146,70 @@ def test_mutation_sequences_match_a_fresh_compile(seed):
         # by the largest live count.
         assert len(view.row_labels) <= peak_rows
         assert len(view.col_labels) <= peak_cols
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_patched_potentials_match_a_recompute(seed):
+    # Row relabels and slot reuse included: row_pot is per slot, so
+    # neither may disturb it.
+    rng = random.Random(seed)
+    mat = KCMatrix()
+    next_label = [0]
+    for _ in range(6):
+        _mutate(mat, rng, next_label)
+    view = mat.bitview()
+    assert view.row_pot is None
+    pot = view.potentials()
+    assert pot == recomputed_potentials(view)
+    seen = set()
+    for _ in range(40):
+        # Several mutations between two reads: a column touched more
+        # than once is settled once.
+        for _ in range(rng.randint(1, 3)):
+            seen.add(_mutate(mat, rng, next_label, OPS + ["relabel_row"] * 2))
+            audit.audit_bitview(mat, view)
+        assert view.potentials() is pot
+        assert pot == recomputed_potentials(view)
+        assert label_form(view) == label_form(BitKCView(mat))
+        audit.audit_kcmatrix(mat)
+    assert {"relabel_row", "remove_row", "add_row"} <= seen
+
+
+def test_audit_catches_a_stale_potential():
+    mat = random_kc_matrix(1)
+    view = mat.bitview()
+    view.potentials()
+    audit.audit_bitview(mat, view)
+    view.row_pot[view.row_pos[min(mat.rows)]] += 1
+    with pytest.raises(audit.InvariantViolation):
+        audit.audit_bitview(mat, view)
+    # A column whose size changed must be marked for settling.
+    view.row_pot[view.row_pos[min(mat.rows)]] -= 1
+    mat.remove_row(max(mat.rows))
+    audit.audit_bitview(mat, view)
+    view._pot_dirty.clear()
+    with pytest.raises(audit.InvariantViolation):
+        audit.audit_bitview(mat, view)
+
+
+def test_relabel_row_moves_every_index():
+    mat = random_kc_matrix(2)
+    view = mat.bitview()
+    old = min(mat.rows)
+    slot = view.row_pos[old]
+    info = mat.rows[old]
+    cols = set(mat.by_row[old])
+    mat.relabel_row(old, old + 10_000)
+    assert mat.rows[old + 10_000] == info
+    assert mat.by_row[old + 10_000] == cols
+    assert all((old + 10_000, c) in mat.entries for c in cols)
+    assert all(old not in mat.by_col[c] for c in cols)
+    assert old + 10_000 in mat.node_rows[info.node]
+    assert view.row_pos[old + 10_000] == slot and old not in view.row_pos
+    audit.audit_kcmatrix(mat)
+    audit.audit_bitview(mat, view)
+    with pytest.raises(ValueError):
+        mat.relabel_row(old + 10_000, max(mat.rows))
 
 
 def test_freed_slot_is_reused_lowest_first():
@@ -280,6 +363,42 @@ def test_lshaped_matches_dense_walk_and_set_core(nprocs):
     assert live == _with_dense_walk(_lshaped_run, net, nprocs)
     assert live[:2] == _lshaped_run(net, nprocs, "set")[:2]
     assert len(live[0]) >= nprocs
+
+
+def test_lshaped_never_materializes_potentials():
+    # L-shaped searches under its speculative cube-state values, so
+    # its per-cycle indexes never build the default-value potentials.
+    searched = []
+    real = lshaped.best_rectangle_pingpong
+
+    def recording(mat, value_fn=None, **kw):
+        got = real(mat, value_fn=value_fn, **kw)
+        searched.append(value_fn)
+        assert mat._live is not None and mat._live.row_pot is None
+        return got
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lshaped, "best_rectangle_pingpong", recording)
+        lshaped.lshaped_kernel_extract(make_circuit("dalu", scale=0.1), nprocs=2)
+    assert searched and all(
+        vf is not None and vf is not pingpong.default_value for vf in searched
+    )
+
+
+def test_sequential_runs_read_patched_potentials():
+    # The default-value search builds row_pot once; every later search
+    # of the run reads the same, patched table.
+    search = make_searcher("pingpong", max_seeds=64)
+    tables = []
+
+    def recording(matrix):
+        got = search(matrix)
+        tables.append(matrix.bitview().row_pot)
+        return got
+
+    kernel_extract(make_circuit("misex3", scale=0.1), searcher=recording)
+    assert len(tables) >= 4
+    assert all(t is tables[0] for t in tables)
 
 
 def test_audited_run_checks_the_patched_index():
