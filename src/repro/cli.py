@@ -435,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fuzz = sub.add_parser(
         "fuzz",
-        help="differential fuzz of every factorization path x rectangle core",
+        help="differential fuzz of every factorization path",
     )
     p_fuzz.add_argument("--runs", type=int, default=25,
                         help="number of random networks to generate")
@@ -443,8 +443,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="base seed (run i uses seed+i)")
     p_fuzz.add_argument("--paths",
                         help="comma-separated path names (default: all)")
-    p_fuzz.add_argument("--cores",
-                        help="comma-separated rectangle cores (default: bit,set)")
     p_fuzz.add_argument("--family",
                         help="pin one generator family (default: rotate all)")
     p_fuzz.add_argument("--shrink", action="store_true",
@@ -466,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fuzz.add_argument(
         "--trace",
         help="record a span trace of the campaign (.jsonl → span-per-line, "
-             "otherwise Chrome-trace JSON); spans carry run/seed/path/core",
+             "otherwise Chrome-trace JSON); spans carry run/seed/path",
     )
     p_fuzz.set_defaults(fn=_cmd_fuzz)
 
@@ -731,7 +729,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         runs=args.runs,
         seed=args.seed,
         paths=split(args.paths),
-        cores=split(args.cores),
         family=args.family,
         shrink=args.shrink or bool(args.repro_dir),
         repro_dir=args.repro_dir,
@@ -744,7 +741,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     try:
         with _trace_to_file(args.trace):
             report = run_fuzz(config)
-    except ValueError as exc:  # unknown path/core/family name
+    except ValueError as exc:  # unknown path/family name
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(report.render())

@@ -1,17 +1,19 @@
-"""Old-vs-new rectangle-search timing: the repo's perf trajectory.
+"""Rectangle-search timing: the repo's perf trajectory.
 
 This module is the shared engine behind ``scripts/perf_check.py`` (the
 CLI / CI perf-smoke runner) and ``benchmarks/bench_bitview_search.py``
-(the pytest-benchmark wrapper).  It times the legacy sparse-set search
-core against the dense bitmask core (:mod:`repro.rectangles.bitview`)
-on a fixed workload suite — the MCNC stand-in circuits plus the paper's
-worked examples — and reports per-workload wall time, search nodes/sec
-and speedup, plus the suite geomean, as the JSON written to
-``benchmarks/results/BENCH_rectsearch.json``.
+(the pytest-benchmark wrapper).  It runs a fixed workload suite — the
+MCNC stand-in circuits plus the paper's worked examples — and writes
+the JSON of ``benchmarks/results/BENCH_rectsearch.json``:
 
-Every timed pair is also cross-checked: a workload whose two cores
-disagree on the result is reported as a failure, so the perf harness
-doubles as an end-to-end differential test on real matrices.
+- exhaustive rows time the v1 full enumeration (``prune=False``)
+  against the default v2 branch-and-bound search and report both
+  times, both node counts, the v2 speedup and the suite's v2 geomean;
+- ping-pong rows report one time and the rounds per second.
+
+Every exhaustive pair is also cross-checked: a workload where v2 is
+not equal-or-better than v1 is reported as a failure, so the perf
+harness doubles as an end-to-end differential test on real matrices.
 
 The harness also polices the observability layer itself: every run
 measures the per-call cost of the *disabled* tracing fast path and
@@ -44,10 +46,10 @@ from repro.rectangles.search import (
 )
 
 #: JSON schema version for BENCH_rectsearch.json.
-SCHEMA = "rectsearch/3"
+SCHEMA = "rectsearch/4"
 
-#: The --check floor for the v2 pruned core's geomean speedup over the
-#: v1 bitview core on the suite's exhaustive workloads.
+#: The --check floor for the v2 pruned search's geomean speedup over
+#: v1 full enumeration on the suite's exhaustive workloads.
 MIN_V2_SPEEDUP = 1.4
 
 #: Ceiling on the estimated fraction of a workload's wall time spent in
@@ -140,81 +142,70 @@ def _build_network(wl: Workload) -> BooleanNetwork:
 
 
 def _run_searcher(
-    wl: Workload, matrix: KCMatrix, core: str,
-    meter: Optional[CostMeter] = None, prune: bool = False,
+    wl: Workload, matrix: KCMatrix,
+    meter: Optional[CostMeter] = None, prune: bool = True,
 ):
-    """One full search under *core*; returns a comparable result object.
+    """One full search; returns a comparable result object.
 
-    *prune* selects the v2 branch-and-bound/dominance search for
-    exhaustive workloads (the memo is always off here: a timing repeat
-    must measure the search, not a table hit).
+    *prune* selects between the v2 branch-and-bound/dominance search
+    (the default) and v1 full enumeration for exhaustive workloads (the
+    memo is always off here: a timing repeat must measure the search,
+    not a table hit).
     """
     if wl.searcher == "exhaustive":
         budget = SearchBudget(wl.budget) if wl.budget is not None else None
         try:
             return ("done", best_rectangle_exhaustive(
-                matrix, budget=budget, meter=meter, core=core,
-                prune=prune, memo=False,
+                matrix, budget=budget, meter=meter, prune=prune, memo=False,
             ))
         except BudgetExceeded:
             return ("dnf", budget.used)
     if wl.searcher == "pingpong":
         return ("done", best_rectangle_pingpong(
-            matrix, max_seeds=wl.max_seeds, meter=meter, core=core
+            matrix, max_seeds=wl.max_seeds, meter=meter
         ))
     if wl.searcher == "pingpong-all":
         return ("done", pingpong_candidates(
-            matrix, max_seeds=wl.max_seeds, meter=meter, core=core
+            matrix, max_seeds=wl.max_seeds, meter=meter
         ))
     raise ValueError(f"unknown searcher {wl.searcher!r}")
 
 
-def _time_core(
-    wl: Workload, matrix: KCMatrix, core: str, prune: bool = False,
+def _time_search(
+    wl: Workload, matrix: KCMatrix, prune: bool = True,
 ) -> Tuple[float, object, float]:
-    """Best-of-repeats wall time; returns (seconds, result, search_nodes).
+    """Best-of-repeats wall time; returns (seconds, result, work units).
 
-    The bitset view is dropped before every repeat so each timing pays
-    the full compile-plus-search cost — the comparison stays honest for
-    single-shot callers like the greedy extraction loop, which rebuilds
-    the matrix (and hence the view) every iteration.
+    Work units are search nodes for exhaustive workloads and ping-pong
+    rounds otherwise.  Both bitset forms are dropped before every repeat
+    so each timing pays the full compile-plus-search cost.
     """
     meter = CostMeter()
-    result = _run_searcher(wl, matrix, core, meter=meter, prune=prune)
-    nodes = meter.counts.get("search_node", 0.0) or meter.counts.get(
+    result = _run_searcher(wl, matrix, meter=meter, prune=prune)
+    units = meter.counts.get("search_node", 0.0) or meter.counts.get(
         "pingpong_round", 0.0
     )
     best = math.inf
     for _ in range(wl.repeats):
-        matrix._touch()  # drop any cached view: time compile + search
+        matrix._touch()  # drop the bitset forms: time compile + search
         t0 = time.perf_counter()
-        _run_searcher(wl, matrix, core, prune=prune)
+        _run_searcher(wl, matrix, prune=prune)
         best = min(best, time.perf_counter() - t0)
-    return best, result, nodes
+    return best, result, units
 
 
 def run_workload(wl: Workload) -> Dict:
-    """Time both cores on one workload; cross-check their results.
+    """Time one workload (v1 against v2 when exhaustive).
 
     When tracing is enabled the timings above ran *traced* (that is the
     point of profiling a perf run), and the row gains a ``phases`` /
-    ``counters`` pair taken from one traced search, so the persisted
-    report says both how fast and where the time went.
+    ``counters`` pair taken from one traced default search, so the
+    persisted report says both how fast and where the time went.
     """
     from repro import obs
 
     net = _build_network(wl)
     matrix = build_kc_matrix(net)
-    t_set, res_set, nodes = _time_core(wl, matrix, "set")
-    t_bit, res_bit, _ = _time_core(wl, matrix, "bit")
-    phases = counters = None
-    if obs.enabled():
-        tracer = obs.Tracer(name=wl.name)
-        with obs.use_tracer(tracer), obs.span(wl.name, cat="perfcheck"):
-            matrix._touch()
-            _run_searcher(wl, matrix, "bit")
-        phases = tracer.phase_breakdown()
-        counters = tracer.counter_totals()
     row = {
         "name": wl.name,
         "circuit": wl.circuit,
@@ -223,35 +214,40 @@ def run_workload(wl: Workload) -> Dict:
         "rows": matrix.num_rows,
         "cols": matrix.num_cols,
         "entries": matrix.num_entries,
-        "search_nodes": nodes,
-        "t_set_s": t_set,
-        "t_bit_s": t_bit,
-        "nodes_per_sec_set": nodes / t_set if t_set else None,
-        "nodes_per_sec_bit": nodes / t_bit if t_bit else None,
-        "speedup": t_set / t_bit if t_bit else None,
-        "results_match": res_set == res_bit,
     }
     if wl.searcher == "exhaustive":
-        # Third timing lane: the v2 branch-and-bound + dominance core
-        # against the v1 bitview baseline it replaced as the default.
-        # "Equal or better" here means: identical best rectangle, or v1
-        # hit the node budget (DNF) where v2 either also hit it or —
+        # "Equal or better" means: identical best rectangle, or v1 hit
+        # the node budget (DNF) where v2 either also hit it or —
         # strictly better — finished inside it.
-        t_v2, res_v2, nodes_v2 = _time_core(wl, matrix, "bit", prune=True)
+        t_v1, res_v1, nodes_v1 = _time_search(wl, matrix, prune=False)
+        t_v2, res_v2, nodes_v2 = _time_search(wl, matrix, prune=True)
         v2_ok = (
-            res_v2 == res_bit
-            or (res_bit[0] == "dnf" and res_v2[0] in ("dnf", "done"))
+            res_v2 == res_v1
+            or (res_v1[0] == "dnf" and res_v2[0] in ("dnf", "done"))
         )
         row.update({
-            "t_v2_s": t_v2,
-            "speedup_v2": t_bit / t_v2 if t_v2 else None,
+            "nodes_v1": nodes_v1,
             "nodes_v2": nodes_v2,
-            "node_reduction": nodes / nodes_v2 if nodes_v2 else None,
+            "t_v1_s": t_v1,
+            "t_v2_s": t_v2,
+            "speedup_v2": t_v1 / t_v2 if t_v2 else None,
+            "node_reduction": nodes_v1 / nodes_v2 if nodes_v2 else None,
             "v2_results_ok": v2_ok,
         })
-    if phases is not None:
-        row["phases"] = phases
-        row["counters"] = counters
+    else:
+        t, _, rounds = _time_search(wl, matrix)
+        row.update({
+            "pingpong_rounds": rounds,
+            "t_s": t,
+            "rounds_per_sec": rounds / t if t else None,
+        })
+    if obs.enabled():
+        tracer = obs.Tracer(name=wl.name)
+        with obs.use_tracer(tracer), obs.span(wl.name, cat="perfcheck"):
+            matrix._touch()
+            _run_searcher(wl, matrix)
+        row["phases"] = tracer.phase_breakdown()
+        row["counters"] = tracer.counter_totals()
     return row
 
 
@@ -285,12 +281,12 @@ def measure_trace_overhead(wl: Optional[Workload] = None) -> Dict:
 
         net = _build_network(wl)
         matrix = build_kc_matrix(net)
-        t_off, _, _ = _time_core(wl, matrix, "bit")
+        t_off, _, _ = _time_search(wl, matrix)
 
     tracer = obs.Tracer(name="overhead")
     with obs.use_tracer(tracer), obs.span(wl.name, cat="perfcheck"):
         matrix._touch()
-        _run_searcher(wl, matrix, "bit")
+        _run_searcher(wl, matrix)
     spans = tracer.finished()
     # Each span is one enter/exit pair; each counter key is one hot-loop
     # attachment.  Counter *values* (e.g. thousands of node visits) cost
@@ -454,12 +450,12 @@ def measure_flight_overhead(wl: Optional[Workload] = None) -> Dict:
     net = _build_network(wl)
     matrix = build_kc_matrix(net)
     with obs.use_tracer(None):
-        t_plain, _, _ = _time_core(wl, matrix, "bit")
+        t_plain, _, _ = _time_search(wl, matrix)
 
     tracer = obs.Tracer(name="flight-overhead")
     with obs.use_tracer(tracer), obs.span(wl.name, cat="perfcheck"):
         matrix._touch()
-        _run_searcher(wl, matrix, "bit")
+        _run_searcher(wl, matrix)
     spans = tracer.finished()
     events = len(spans) + sum(len(sp.counters) for sp in spans)
     overhead = (events * record_ns) / (t_plain * 1e9) if t_plain else 0.0
@@ -493,8 +489,6 @@ def run_perf_check(quick: bool = False) -> Dict:
         "python": platform.python_version(),
         "tracing_enabled": obs.enabled(),
         "workloads": rows,
-        "geomean_speedup": geomean([r["speedup"] for r in rows]),
-        "all_results_match": all(r["results_match"] for r in rows),
         "geomean_speedup_v2": geomean(
             [r["speedup_v2"] for r in rows if r.get("speedup_v2")]
         ),
@@ -512,32 +506,36 @@ def render_report(report: Dict) -> str:
     lines = [
         "rectangle-search perf check "
         f"({report['suite']} suite, python {report['python']})",
-        f"{'workload':<28} {'RxC':>11} {'entries':>8} "
-        f"{'t_set':>9} {'t_bit':>9} {'speedup':>8} {'match':>6} "
-        f"{'t_v2':>9} {'v2 spd':>7} {'node red':>8}",
+        f"{'exhaustive':<28} {'RxC':>11} {'entries':>8} "
+        f"{'t_v1':>9} {'t_v2':>9} {'v2 spd':>7} {'node red':>8} {'ok':>5}",
     ]
     for r in report["workloads"]:
-        if r.get("t_v2_s") is not None:
-            red = r.get("node_reduction")
-            v2_cols = (
-                f" {r['t_v2_s']:>8.4f}s {r['speedup_v2']:>6.2f}x "
-                f"{(f'{red:.2f}x' if red else '-'):>8}"
-            )
-        else:
-            v2_cols = f" {'-':>9} {'-':>7} {'-':>8}"
+        if r["searcher"] != "exhaustive":
+            continue
+        red = r.get("node_reduction")
         lines.append(
             f"{r['name']:<28} {r['rows']:>5}x{r['cols']:<5} {r['entries']:>8} "
-            f"{r['t_set_s']:>8.4f}s {r['t_bit_s']:>8.4f}s "
-            f"{r['speedup']:>7.2f}x {str(r['results_match']):>6}"
-            + v2_cols
+            f"{r['t_v1_s']:>8.4f}s {r['t_v2_s']:>8.4f}s "
+            f"{r['speedup_v2']:>6.2f}x {(f'{red:.2f}x' if red else '-'):>8} "
+            f"{str(r['v2_results_ok']):>5}"
         )
-    lines.append(f"geomean speedup: {report['geomean_speedup']:.2f}x")
-    if report.get("geomean_speedup_v2"):
+    lines.append(
+        f"{'ping-pong':<28} {'RxC':>11} {'entries':>8} "
+        f"{'t':>9} {'rounds':>9} {'rounds/s':>10}"
+    )
+    for r in report["workloads"]:
+        if r["searcher"] == "exhaustive":
+            continue
         lines.append(
-            f"geomean v2 speedup (exhaustive rows, vs bitview): "
-            f"{report['geomean_speedup_v2']:.2f}x "
-            f"(results {'OK' if report.get('all_v2_match') else 'MISMATCH'})"
+            f"{r['name']:<28} {r['rows']:>5}x{r['cols']:<5} {r['entries']:>8} "
+            f"{r['t_s']:>8.4f}s {r['pingpong_rounds']:>9.0f} "
+            f"{r['rounds_per_sec']:>10.0f}"
         )
+    lines.append(
+        f"geomean v2 speedup (exhaustive rows, vs v1): "
+        f"{report['geomean_speedup_v2']:.2f}x "
+        f"(results {'OK' if report['all_v2_match'] else 'MISMATCH'})"
+    )
     oh = report.get("trace_overhead")
     if oh:
         lines.append(

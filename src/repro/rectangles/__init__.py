@@ -17,8 +17,8 @@ Sub-modules:
 - :mod:`~repro.rectangles.kcmatrix` — the sparse matrix with the global
   offset labeling used by the parallel algorithms,
 - :mod:`~repro.rectangles.bitview` — the bitset forms of the matrix
-  that the default ("bit") search core runs on: the live index patched
-  with the matrix (ping-pong) and the sorted compilation (exhaustive),
+  that the searches run on: the live index patched with the matrix
+  (ping-pong) and the sorted compilation (exhaustive),
 - :mod:`~repro.rectangles.rectangle` — rectangles and the literal-savings
   gain model,
 - :mod:`~repro.rectangles.search` — exhaustive column-anchored
@@ -29,7 +29,7 @@ Sub-modules:
   sequential kernel-extraction baseline) and network rewriting.
 """
 
-from repro.rectangles.bitview import BitKCView, LiveBitIndex, default_core, resolve_core
+from repro.rectangles.bitview import BitKCView, LiveBitIndex
 from repro.rectangles.kcmatrix import KCMatrix, build_kc_matrix
 from repro.rectangles.rectangle import Rectangle, rectangle_gain
 from repro.rectangles.search import (
@@ -48,8 +48,6 @@ from repro.rectangles.cover import (
 __all__ = [
     "BitKCView",
     "LiveBitIndex",
-    "default_core",
-    "resolve_core",
     "KCMatrix",
     "build_kc_matrix",
     "Rectangle",

@@ -41,13 +41,12 @@ rounds) is evaluated freshly per search — still once per cell instead of
 once per (row, col, visit).
 
 The labels stay the external interface: every rectangle leaving a
-bit-core search carries the original offset labels, so the parallel
-algorithms' exchange/splice protocol is untouched.
+search carries the original offset labels, so the parallel algorithms'
+exchange/splice protocol is untouched.
 """
 
 from __future__ import annotations
 
-import os
 from heapq import heappop, heappush
 from operator import mul
 from typing import AbstractSet, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
@@ -56,30 +55,6 @@ from repro.algebra.cube import Cube
 from repro.rectangles.rectangle import ValueFn, default_value
 
 CubeRef = Tuple[str, Cube]
-
-#: The two rectangle-search cores. "bit" is the default; "set" is the
-#: legacy sparse-set implementation kept for differential testing.
-CORES = ("bit", "set")
-
-ENV_VAR = "REPRO_RECT_CORE"
-
-
-def default_core() -> str:
-    """The process-wide default core (``REPRO_RECT_CORE``, default bit)."""
-    got = os.environ.get(ENV_VAR, "bit")
-    if got not in CORES:
-        raise ValueError(f"{ENV_VAR}={got!r}: expected one of {CORES}")
-    return got
-
-
-def resolve_core(core: Optional[str]) -> str:
-    """Resolve an explicit ``core=`` argument (``None`` → the default)."""
-    if core is None:
-        return default_core()
-    if core not in CORES:
-        raise ValueError(f"unknown rectangle core {core!r}; expected one of {CORES}")
-    return core
-
 
 if hasattr(int, "bit_count"):  # Python ≥ 3.10
     popcount = int.bit_count
@@ -498,8 +473,8 @@ class BitKCView(_BitCells):
         call because its answers may legitimately change between calls
         (the L-shaped cube-state protocol does exactly that).  Cells of
         one node naming the same original cube always receive equal
-        values, so marginal sums and gains match the sparse core's
-        ``value_fn``-per-ref arithmetic exactly.
+        values, so marginal sums and gains match ``value_fn``-per-cell
+        arithmetic exactly.
         """
         if value_fn is default_value:
             vals = self._default_values

@@ -12,16 +12,10 @@ rows are kept iff positive.  (When several rows of one node cover the
 same original cube the reported gain is corrected by exact distinct
 counting afterwards.)
 
-Two interchangeable cores drive the traversal (``core=`` / the
-``REPRO_RECT_CORE`` environment variable):
-
-- ``"bit"`` (default) — the dense bitmask core of
-  :mod:`repro.rectangles.bitview`: row sets are int bitmasks, candidate
-  scans are bit iterations, the column dominance test is one mask
-  equality, and cell values are table lookups;
-- ``"set"`` — the legacy sparse-set implementation, retained for
-  differential testing.  Both cores visit the identical tree, spend the
-  identical budget and yield the identical (rectangle, gain) stream.
+The traversal runs on the sorted bitset compilation of
+:mod:`repro.rectangles.bitview`: row sets are int bitmasks, candidate
+scans are bit iterations, the column dominance test is one mask
+equality, and cell values are table lookups.
 
 Enumeration is exponential in the worst case; :class:`SearchBudget`
 bounds the number of visited tree nodes and raises
@@ -31,13 +25,11 @@ bounds the number of visited tree nodes and raises
 
 from __future__ import annotations
 
-import os
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.obs.tracer import active_tracer, add_counters
-from repro.rectangles.bitview import resolve_core
 from repro.rectangles.kcmatrix import KCMatrix
 from repro.rectangles.memo import (
     GLOBAL_SEARCH_STATS,
@@ -48,22 +40,7 @@ from repro.rectangles.rectangle import (
     Rectangle,
     ValueFn,
     default_value,
-    rectangle_gain,
 )
-
-#: Environment toggle for the v2 pruned best-rectangle search
-#: (branch-and-bound + dominance); "0" falls back to full enumeration.
-ENV_PRUNE = "REPRO_RECT_PRUNE"
-
-
-def prune_enabled() -> bool:
-    """Process-wide default for v2 pruning (``REPRO_RECT_PRUNE``)."""
-    return os.environ.get(ENV_PRUNE, "1") not in ("0", "off", "false")
-
-
-def resolve_prune(prune: Optional[bool]) -> bool:
-    """Resolve an explicit ``prune=`` argument (``None`` → the default)."""
-    return prune_enabled() if prune is None else bool(prune)
 
 
 class BudgetExceeded(Exception):
@@ -86,127 +63,6 @@ class SearchBudget:
             )
 
 
-def _row_marginal(
-    matrix: KCMatrix, row: int, cols: Sequence[int], value_fn: ValueFn
-) -> int:
-    info = matrix.rows[row]
-    total = 0
-    for c in cols:
-        total += value_fn(info.node, matrix.entries[(row, c)])
-    return total - len(info.cokernel) - 1
-
-
-def _best_rows_for_cols(
-    matrix: KCMatrix,
-    cols: Sequence[int],
-    candidate_rows: Set[int],
-    value_fn: ValueFn,
-) -> Tuple[Tuple[int, ...], int]:
-    """Keep rows with positive marginal; return (rows, Σ marginals)."""
-    chosen: List[int] = []
-    total = 0
-    for r in sorted(candidate_rows):
-        m = _row_marginal(matrix, r, cols, value_fn)
-        if m > 0:
-            chosen.append(r)
-            total += m
-    return tuple(chosen), total
-
-
-def _memoized(value_fn: ValueFn) -> ValueFn:
-    """Per-search memo of (node, cube) → value.
-
-    One search call values each distinct cell many times — once per row
-    marginal at every tree node it survives to, and once more in
-    :func:`rectangle_gain` for every yielded rectangle.  The value
-    function is stable for the duration of a single search (even the
-    L-shaped cube-state values only change *between* searches), so a
-    search-scoped cache is exact.
-    """
-    cache: Dict[Tuple[str, tuple], int] = {}
-
-    def cached(node, cube):
-        key = (node, cube)
-        got = cache.get(key)
-        if got is None:
-            got = value_fn(node, cube)
-            cache[key] = got
-        return got
-
-    return cached
-
-
-def _enumerate_rectangles_set(
-    matrix: KCMatrix,
-    value_fn: ValueFn,
-    min_cols: int,
-    anchor_filter: Optional[Callable[[int], bool]],
-    budget: Optional[SearchBudget],
-    meter,
-    prime_only: bool,
-) -> Iterator[Tuple[Rectangle, int]]:
-    """The legacy sparse-set core (kept behind ``core="set"``)."""
-    col_labels = sorted(matrix.cols)
-    value_fn = _memoized(value_fn)
-    tracing = active_tracer() is not None
-    n_visits = [0]
-    n_forced = [0]
-
-    def explore(
-        cols: List[int], rows: Set[int], last_col: int
-    ) -> Iterator[Tuple[Rectangle, int]]:
-        if budget is not None:
-            budget.spend()
-        if meter is not None:
-            meter.charge("search_node", 1)
-        if tracing:
-            n_visits[0] += 1
-        # Only columns co-occurring with the current rows can extend the
-        # rectangle; scanning anything else would intersect to empty.
-        in_cols = set(cols)
-        candidates: Set[int] = set()
-        for r in rows:
-            for c2 in matrix.by_row[r]:
-                if c2 > last_col and c2 not in in_cols:
-                    candidates.add(c2)
-        branch: List[int] = []
-        forced: List[int] = []
-        for c2 in sorted(candidates):
-            rows2 = rows & matrix.by_col[c2]
-            if not rows2:
-                continue
-            if prime_only and len(rows2) == len(rows):
-                forced.append(c2)
-            else:
-                branch.append(c2)
-        if tracing:
-            n_forced[0] += len(forced)
-        cols.extend(forced)
-        if len(cols) >= min_cols:
-            chosen, _ = _best_rows_for_cols(matrix, cols, rows, value_fn)
-            if chosen:
-                rect = Rectangle(rows=chosen, cols=tuple(cols))
-                gain = rectangle_gain(matrix, rect, value_fn)
-                if gain > 0:
-                    yield rect, gain
-        for c2 in branch:
-            rows2 = rows & matrix.by_col[c2]
-            cols.append(c2)
-            yield from explore(cols, rows2, c2)
-            cols.pop()
-        del cols[len(cols) - len(forced):]
-
-    for c in col_labels:
-        if anchor_filter is not None and not anchor_filter(c):
-            continue
-        rows0 = set(matrix.by_col[c])
-        if not rows0:
-            continue
-        yield from explore([c], rows0, c)
-    if tracing:
-        add_counters(search_node_visit=n_visits[0], dominance_prune=n_forced[0])
-
-
 def _enumerate_rectangles_bit(
     matrix: KCMatrix,
     value_fn: ValueFn,
@@ -216,7 +72,7 @@ def _enumerate_rectangles_bit(
     meter,
     prime_only: bool,
 ) -> Iterator[Tuple[Rectangle, int]]:
-    """The dense bitmask core: same tree, same stream, table lookups."""
+    """v1: the full (prime) enumeration over the sorted compilation."""
     view = matrix.dense_view()
     values = view.value_table(value_fn)
     row_cols = view.row_cols
@@ -234,8 +90,9 @@ def _enumerate_rectangles_bit(
     # The column-subset tree is walked iteratively in exactly the
     # recursive preorder (anchors in label order; at each node, forced
     # columns first, then branch children left to right) so the yield
-    # stream, the budget spend sequence and the meter charges are
-    # byte-identical to the legacy core's recursion.
+    # stream, the budget spend sequence and the meter charges are those
+    # of the recursive walk (kept as the oracle in
+    # tests/rectangles/set_walk.py).
     #
     # A stack frame is (cols, cols_mask, rows_mask, last_pos,
     # parent_sums, add_cpos): the node's exact row mask (computed when
@@ -435,7 +292,6 @@ def enumerate_rectangles(
     budget: Optional[SearchBudget] = None,
     meter=None,
     prime_only: bool = True,
-    core: Optional[str] = None,
 ) -> Iterator[Tuple[Rectangle, int]]:
     """Yield (rectangle, gain) for every profitable column subset.
 
@@ -451,16 +307,10 @@ def enumerate_rectangles(
     value function a dominated column never decreases the gain, so the
     best rectangle is preserved; pass ``prime_only=False`` for arbitrary
     value functions.
-
-    *core* selects the search core ("bit"/"set"; ``None`` → the
-    ``REPRO_RECT_CORE`` default).  Both cores yield identical streams.
     """
-    impl = (
-        _enumerate_rectangles_bit
-        if resolve_core(core) == "bit"
-        else _enumerate_rectangles_set
+    return _enumerate_rectangles_bit(
+        matrix, value_fn, min_cols, anchor_filter, budget, meter, prime_only
     )
-    return impl(matrix, value_fn, min_cols, anchor_filter, budget, meter, prime_only)
 
 
 def _best_rectangle_bit_v2(
@@ -470,11 +320,11 @@ def _best_rectangle_bit_v2(
     budget: Optional[SearchBudget],
     meter,
 ) -> Tuple[Optional[Tuple[Rectangle, int]], Dict[str, int]]:
-    """Bit-core v2: v1's traversal plus branch-and-bound + dominance.
+    """v2: v1's traversal plus branch-and-bound + dominance.
 
-    Walks the identical column-subset tree as the v1 bit core (prime
-    closure, same frame layout, same spend-at-entry accounting) but cuts
-    two kinds of subtree:
+    Walks the identical column-subset tree as v1 (prime closure, same
+    frame layout, same spend-at-entry accounting) but cuts two kinds of
+    subtree:
 
     - **bound cut** — at node entry an admissible upper bound on any
       descendant's corrected gain is computed in the same row loop that
@@ -491,9 +341,7 @@ def _best_rectangle_bit_v2(
       smaller column tuple, so the incumbent (value *and* tie-winner) is
       preserved.
 
-    Returns the best rectangle plus a stats dict; identical decisions —
-    and hence identical budget spends and meter charges — to the set
-    core's v2 twin.
+    Returns the best rectangle plus a stats dict.
     """
     view = matrix.dense_view()
     values = view.value_table(default_value)
@@ -727,152 +575,6 @@ def _best_rectangle_bit_v2(
     }
 
 
-def _best_rectangle_set_v2(
-    matrix: KCMatrix,
-    min_cols: int,
-    anchor_filter: Optional[Callable[[int], bool]],
-    budget: Optional[SearchBudget],
-    meter,
-) -> Tuple[Optional[Tuple[Rectangle, int]], Dict[str, int]]:
-    """Set-core v2 twin of :func:`_best_rectangle_bit_v2`.
-
-    Computes the identical bound, dominance set and incumbent updates
-    from the sparse structures, so both cores visit the same pruned
-    tree, spend the same budget and return the same rectangle — the
-    differential property every cross-core test leans on.
-    """
-    col_labels = sorted(matrix.cols)
-    value_fn = _memoized(default_value)
-    rows_map = matrix.rows
-    entries = matrix.entries
-    by_row = matrix.by_row
-    by_col = matrix.by_col
-    node_of = {r: rows_map[r].node for r in rows_map}
-    row_cost = {r: len(rows_map[r].cokernel) + 1 for r in rows_map}
-    col_cost = {c: len(kc) for c, kc in matrix.cols.items()}
-
-    suf_cols: Dict[int, List[int]] = {}
-    suf_sums: Dict[int, List[int]] = {}
-    for r in rows_map:
-        cs = sorted(by_row[r])
-        suf = [0] * (len(cs) + 1)
-        for i in range(len(cs) - 1, -1, -1):
-            suf[i] = suf[i + 1] + value_fn(node_of[r], entries[(r, cs[i])])
-        suf_cols[r] = cs
-        suf_sums[r] = suf
-
-    node_rows: Dict[str, List[int]] = {}
-    for r in rows_map:
-        node_rows.setdefault(node_of[r], []).append(r)
-    clean_rows: Set[int] = set()
-    for node, rws in node_rows.items():
-        seen_cubes: Set = set()
-        clean = True
-        for r in rws:
-            for c in by_row[r]:
-                cube = entries[(r, c)]
-                if cube in seen_cubes:
-                    clean = False
-                    break
-                seen_cubes.add(cube)
-            if not clean:
-                break
-        if clean:
-            clean_rows.update(rws)
-    dominated: Set[int] = set()
-    for c in col_labels:
-        rows = by_col[c]
-        if not rows or not rows <= clean_rows:
-            continue
-        r0 = min(rows)
-        for c2 in sorted(by_row[r0]):
-            if c2 >= c:
-                break
-            if rows <= by_col[c2]:
-                dominated.add(c)
-                break
-
-    stats = {
-        "nodes": 0, "pruned": 0, "dominance_skips": 0,
-        "forced": 0, "evaluated": 0,
-    }
-    best: List[Optional[Tuple[Rectangle, int]]] = [None]
-    cut = [1]
-
-    def explore(cols: List[int], rows: Set[int], last_col: int, ccost: int) -> None:
-        if budget is not None:
-            budget.spend()
-        if meter is not None:
-            meter.charge("search_node", 1)
-        stats["nodes"] += 1
-        in_cols = set(cols)
-        ub = -ccost
-        candidates: Set[int] = set()
-        for r in rows:
-            s = 0
-            node = node_of[r]
-            for c in cols:
-                s += value_fn(node, entries[(r, c)])
-            t = s - row_cost[r] + suf_sums[r][
-                bisect_right(suf_cols[r], last_col)
-            ]
-            if t > 0:
-                ub += t
-            for c2 in by_row[r]:
-                if c2 > last_col and c2 not in in_cols:
-                    candidates.add(c2)
-        if ub < cut[0]:
-            stats["pruned"] += 1
-            return
-        branch: List[int] = []
-        forced: List[int] = []
-        for c2 in sorted(candidates):
-            rows2 = rows & by_col[c2]
-            if not rows2:
-                continue
-            if len(rows2) == len(rows):
-                forced.append(c2)
-            else:
-                branch.append(c2)
-        stats["forced"] += len(forced)
-        cols.extend(forced)
-        ccost += sum(col_cost[c2] for c2 in forced)
-        if len(cols) >= min_cols:
-            chosen, _ = _best_rows_for_cols(matrix, cols, rows, value_fn)
-            if chosen:
-                rect = Rectangle(rows=chosen, cols=tuple(cols))
-                gain = rectangle_gain(matrix, rect, value_fn)
-                if gain > 0:
-                    stats["evaluated"] += 1
-                    b = best[0]
-                    if (
-                        b is None
-                        or gain > b[1]
-                        or (gain == b[1]
-                            and (rect.cols, rect.rows) < (b[0].cols, b[0].rows))
-                    ):
-                        best[0] = (rect, gain)
-                        cut[0] = gain
-        for c2 in branch:
-            rows2 = rows & by_col[c2]
-            cols.append(c2)
-            explore(cols, rows2, c2, ccost + col_cost[c2])
-            cols.pop()
-        del cols[len(cols) - len(forced):]
-
-    for c in col_labels:
-        if anchor_filter is not None and not anchor_filter(c):
-            continue
-        rows0 = set(by_col[c])
-        if not rows0:
-            continue
-        if c in dominated:
-            stats["dominance_skips"] += 1
-            continue
-        explore([c], rows0, c, col_cost[c])
-    return best[0], stats
-
-
 def best_rectangle_exhaustive(
     matrix: KCMatrix,
     value_fn: ValueFn = default_value,
@@ -880,8 +582,7 @@ def best_rectangle_exhaustive(
     anchor_filter: Optional[Callable[[int], bool]] = None,
     budget: Optional[SearchBudget] = None,
     meter=None,
-    core: Optional[str] = None,
-    prune: Optional[bool] = None,
+    prune: bool = True,
     memo=None,
 ) -> Optional[Tuple[Rectangle, int]]:
     """Maximum-gain rectangle (deterministic ties).
@@ -890,9 +591,8 @@ def best_rectangle_exhaustive(
     admissible remaining-gain bound, dominance-based anchor skipping and
     the cross-job canonical memo of :mod:`repro.rectangles.memo` — which
     returns the exact rectangle (value *and* tie-break) full enumeration
-    would, while visiting a fraction of the tree.  ``prune=False`` (or
-    ``REPRO_RECT_PRUNE=0``) falls back to consuming the v1
-    :func:`enumerate_rectangles` stream; non-default value functions
+    would, while visiting a fraction of the tree.  ``prune=False`` falls
+    back to consuming the v1 :func:`enumerate_rectangles` stream; non-default value functions
     always take that fallback because the bound and dominance arguments
     assume the default value structure.
 
@@ -904,7 +604,7 @@ def best_rectangle_exhaustive(
     the search had run.
     """
     tracing = active_tracer() is not None
-    if resolve_prune(prune) and value_fn is default_value:
+    if prune and value_fn is default_value:
         memo_obj = resolve_memo(memo) if anchor_filter is None else None
         view = None
         key = None
@@ -932,12 +632,9 @@ def best_rectangle_exhaustive(
                     cols=tuple([col_labels[c] for c in hit["cols"]]),
                 )
                 return rect, hit["gain"]
-        impl = (
-            _best_rectangle_bit_v2
-            if resolve_core(core) == "bit"
-            else _best_rectangle_set_v2
+        best, stats = _best_rectangle_bit_v2(
+            matrix, min_cols, anchor_filter, budget, meter
         )
-        best, stats = impl(matrix, min_cols, anchor_filter, budget, meter)
         GLOBAL_SEARCH_STATS.record(stats["pruned"], stats["dominance_skips"])
         if tracing:
             add_counters(
@@ -979,7 +676,6 @@ def best_rectangle_exhaustive(
         anchor_filter=anchor_filter,
         budget=budget,
         meter=meter,
-        core=core,
     ):
         if tracing:
             n_yield += 1

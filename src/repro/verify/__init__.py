@@ -7,10 +7,10 @@ oracle:
 
 - :mod:`~repro.verify.generator` — seeded random-network families
   (dense, sparse, duplicate-cube, shared-kernel, degenerate),
-- :mod:`~repro.verify.paths` — the registry of factorization paths ×
-  rectangle cores driven differentially,
-- :mod:`~repro.verify.fuzz` — the fuzz driver (equivalence, literal-
-  count bounds, cross-core determinism),
+- :mod:`~repro.verify.paths` — the registry of factorization paths
+  driven differentially,
+- :mod:`~repro.verify.fuzz` — the fuzz driver (structure, equivalence,
+  literal-count bounds),
 - :mod:`~repro.verify.shrink` — the greedy failure minimizer,
 - :mod:`~repro.verify.corpus` — minimal-repro persistence and replay
   (``tests/fuzz_corpus/``),
@@ -18,7 +18,7 @@ oracle:
   invariant audits wired into :class:`KCMatrix`/:class:`CubeStateStore`.
 
 Only :mod:`~repro.verify.audit` is imported eagerly — it is a dependency
-of the rectangle core itself; everything else loads lazily so importing
+of the rectangle search itself; everything else loads lazily so importing
 :mod:`repro.rectangles` does not drag in the parallel algorithms.
 """
 
@@ -31,7 +31,6 @@ _LAZY = {
     "FactorPath": "repro.verify.paths",
     "all_paths": "repro.verify.paths",
     "get_path": "repro.verify.paths",
-    "rect_core": "repro.verify.paths",
     "FuzzConfig": "repro.verify.fuzz",
     "FuzzFailure": "repro.verify.fuzz",
     "FuzzReport": "repro.verify.fuzz",

@@ -1,6 +1,6 @@
 """Opt-in invariant audits (sanitizer-style, ``REPRO_CHECK=1``).
 
-The rectangle cores and the speculative cube-state protocol maintain
+The rectangle searches and the speculative cube-state protocol maintain
 redundant indexes for speed: ``KCMatrix`` keeps ``entries``/``by_row``/
 ``by_col``/``node_rows``/``col_of_cube``/``overlap_rows`` in lockstep,
 patches a live bitset index of the whole structure

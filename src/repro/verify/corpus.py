@@ -5,13 +5,15 @@ repository keeps one under ``tests/fuzz_corpus/``):
 
 - ``<stem>.eqn`` — the minimal network in equation format,
 - ``<stem>.json`` — replay coordinates: family, generator seed, path,
-  core, failure kind, a human-readable detail string, and — for chaos
+  failure kind, a human-readable detail string, and — for chaos
   findings — the fault plan spec and injector seed.
 
 The tier-1 suite replays the whole corpus on every run
 (``tests/verify/test_corpus_replay.py``), so a repro added once is a
-permanent regression test: the recorded path × core must pass all fuzz
-oracles on the recorded network forever after the fix.
+permanent regression test: the recorded path must pass all fuzz oracles
+on the recorded network forever after the fix.  Older entries may carry
+a ``core`` key, from when the fuzzer crossed every path with two
+rectangle-search cores; :func:`load_corpus` ignores it.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ class CorpusEntry:
     stem: str
     network: BooleanNetwork
     path: str
-    core: Optional[str]
     family: str = ""
     seed: int = 0
     kind: str = ""
@@ -45,14 +46,12 @@ class CorpusEntry:
     fault_seed: int = 0
 
     def describe(self) -> str:
-        core = f"/{self.core}" if self.core else ""
         chaos = f" faults=[{self.fault_plan}]" if self.fault_plan else ""
-        return f"{self.stem}: {self.path}{core}{chaos} ({self.kind or 'regression'})"
+        return f"{self.stem}: {self.path}{chaos} ({self.kind or 'regression'})"
 
 
 def _stem_for(failure: "FuzzFailure") -> str:
-    raw = f"{failure.family}_s{failure.seed}_{failure.path}_" \
-          f"{failure.core or 'any'}_{failure.kind}"
+    raw = f"{failure.family}_s{failure.seed}_{failure.path}_{failure.kind}"
     if failure.fault_plan:
         raw += f"_chaos{failure.fault_seed}"
     return re.sub(r"[^A-Za-z0-9_.-]", "-", raw)
@@ -69,7 +68,6 @@ def save_repro(directory: str, failure: "FuzzFailure") -> str:
         "family": failure.family,
         "seed": failure.seed,
         "path": failure.path,
-        "core": failure.core,
         "kind": failure.kind,
         "detail": failure.detail,
         "shrunk": failure.shrunk,
@@ -104,7 +102,6 @@ def load_corpus(directory: str) -> List[CorpusEntry]:
                 stem=stem,
                 network=network,
                 path=meta.get("path", "seq-pingpong"),
-                core=meta.get("core"),
                 family=meta.get("family", ""),
                 seed=int(meta.get("seed", 0)),
                 kind=meta.get("kind", ""),
@@ -117,22 +114,15 @@ def load_corpus(directory: str) -> List[CorpusEntry]:
 
 
 def replay_entry(entry: CorpusEntry, vectors: int = 256) -> "CheckOutcome":
-    """Re-run the recorded path × core; ``None`` means all oracles pass.
+    """Re-run the recorded path; ``None`` means all oracles pass.
 
-    When the entry records no core (cross-core findings), both cores are
-    replayed and the first failing outcome is returned.  Entries that
-    record a fault plan replay it with the recorded seed, so a chaos
-    repro exercises the exact recovery path that once failed.
+    Entries that record a fault plan replay it with the recorded seed, so
+    a chaos repro exercises the exact recovery path that once failed.
     """
     from repro.verify.fuzz import check_path
-    from repro.verify.paths import all_cores, get_path
+    from repro.verify.paths import get_path
 
-    path = get_path(entry.path)
-    cores = [entry.core] if entry.core else all_cores()
-    for core in cores:
-        outcome, _ = check_path(entry.network, path, core, vectors=vectors,
-                                faults=entry.fault_plan,
-                                fault_seed=entry.fault_seed)
-        if outcome is not None:
-            return outcome
-    return None
+    outcome, _ = check_path(entry.network, get_path(entry.path),
+                            vectors=vectors, faults=entry.fault_plan,
+                            fault_seed=entry.fault_seed)
+    return outcome

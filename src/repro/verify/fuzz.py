@@ -1,8 +1,8 @@
 """The differential fuzz driver.
 
 One fuzz *run* generates a seeded random network and pushes it through
-every registered factorization path × rectangle core, holding each
-result against four oracles:
+every registered factorization path, holding each result against three
+oracles:
 
 1. **Structure** — the result network still validates (acyclic, closed
    signal references) and preserves the interface: same primary inputs,
@@ -12,20 +12,17 @@ result against four oracles:
    loaded from elsewhere fall back to the Monte-Carlo check).
 3. **Literal-count bounds** — factorization must never *increase* the
    SOP literal count, and must not erase a non-trivial network.
-4. **Cross-core determinism** — the bit and set rectangle cores promise
-   byte-identical search streams, so a deterministic path must reach the
-   same final literal count under both cores.
 
 With ``faults=True`` every machine-backed path is additionally re-run
 under a seeded random crash+drop schedule
 (:meth:`repro.faults.FaultPlan.random_single`), adding two oracles:
 every injected fault must carry a paired recovery record, and the
 post-recovery literal count must stay within 5% of the fault-free
-result for the same path × core.
+result for the same path.
 
 Failures are captured as :class:`FuzzFailure` records carrying the
 ``.eqn`` text of the offending network and everything needed to replay:
-family, seed, path, core — plus the fault plan and its seed for chaos
+family, seed, path — plus the fault plan and its seed for chaos
 findings.  With ``shrink=True`` each failure is first minimized
 (:mod:`repro.verify.shrink`) and written as a corpus entry
 (:mod:`repro.verify.corpus`).
@@ -45,7 +42,7 @@ from repro.network.simulate import (
 )
 from repro.verify import audit
 from repro.verify.generator import MAX_INPUTS, family_for_run, random_network
-from repro.verify.paths import FactorPath, all_cores, all_paths, get_path
+from repro.verify.paths import FactorPath, all_paths, get_path
 
 #: (kind, detail) — ``None`` means the check passed.
 CheckOutcome = Optional[Tuple[str, str]]
@@ -54,20 +51,19 @@ CheckOutcome = Optional[Tuple[str, str]]
 def check_path(
     network: BooleanNetwork,
     path: FactorPath,
-    core: Optional[str] = None,
     vectors: int = 256,
     faults=None,
     fault_seed: int = 0,
 ) -> Tuple[CheckOutcome, Optional[int]]:
-    """Run one path × core over *network* and apply the per-path oracles.
+    """Run one path over *network* and apply the per-path oracles.
 
     Returns ``(failure, final_literal_count)``; the count is ``None``
-    when the run itself failed and is used by the caller's cross-core
+    when the run itself failed and is used by the caller's fault-quality
     comparison.
 
     With *faults* (a :class:`~repro.faults.plan.FaultPlan` or its spec
     string) the path runs under a fresh injector seeded with
-    *fault_seed*, and a fifth oracle applies: every injected crash /
+    *fault_seed*, and one more oracle applies: every injected crash /
     drop / corrupt / dup fault must have a paired ``recovery:*`` record
     once the run completes ("fault-recovery" failures).
     """
@@ -80,7 +76,7 @@ def check_path(
             injector = FaultInjector(plan, seed=fault_seed)
     initial = network.literal_count()
     try:
-        result = path.run(network, core, faults=injector)
+        result = path.run(network, faults=injector)
         result.validate()
     except Exception as exc:  # noqa: BLE001 - any escape is a finding
         return ("exception", f"{type(exc).__name__}: {exc}"), None
@@ -126,7 +122,6 @@ class FuzzFailure:
     seed: int
     family: str
     path: str
-    core: Optional[str]
     kind: str
     detail: str
     eqn: str
@@ -136,13 +131,12 @@ class FuzzFailure:
     fault_seed: int = 0
 
     def describe(self) -> str:
-        core = f"/{self.core}" if self.core else ""
         chaos = (f" under faults [{self.fault_plan} seed={self.fault_seed}]"
                  if self.fault_plan else "")
         tail = f" [repro: {self.repro_file}]" if self.repro_file else ""
         return (
             f"run {self.run} (family={self.family}, seed={self.seed}) "
-            f"{self.path}{core}{chaos}: {self.kind} — {self.detail}{tail}"
+            f"{self.path}{chaos}: {self.kind} — {self.detail}{tail}"
         )
 
 
@@ -153,7 +147,6 @@ class FuzzConfig:
     runs: int = 25
     seed: int = 0
     paths: Optional[Sequence[str]] = None   # None → every registered path
-    cores: Optional[Sequence[str]] = None   # None → ("bit", "set")
     family: Optional[str] = None            # None → rotate all families
     shrink: bool = False
     repro_dir: Optional[str] = None         # where shrunk repros land
@@ -179,7 +172,7 @@ class FuzzReport:
 
     def render(self) -> str:
         lines = [
-            f"fuzz: {self.runs} runs, {self.checks} path×core checks, "
+            f"fuzz: {self.runs} runs, {self.checks} path checks, "
             f"{len(self.failures)} failure(s)"
         ]
         for f in self.failures:
@@ -190,7 +183,6 @@ class FuzzReport:
 def _shrink_failure(
     network: BooleanNetwork,
     path: FactorPath,
-    core: Optional[str],
     kind: str,
     vectors: int,
     faults=None,
@@ -199,7 +191,7 @@ def _shrink_failure(
     from repro.verify.shrink import shrink_network
 
     def still_fails(candidate: BooleanNetwork) -> bool:
-        outcome, _ = check_path(candidate, path, core, vectors=vectors,
+        outcome, _ = check_path(candidate, path, vectors=vectors,
                                 faults=faults, fault_seed=fault_seed)
         return outcome is not None and outcome[0] == kind
 
@@ -209,7 +201,6 @@ def _shrink_failure(
 def run_fuzz(config: FuzzConfig) -> FuzzReport:
     """Execute a fuzz campaign; never raises on findings, only reports."""
     paths = [get_path(n) for n in config.paths] if config.paths else all_paths()
-    cores = list(config.cores) if config.cores else all_cores()
     report = FuzzReport()
     say = config.progress or (lambda _msg: None)
 
@@ -224,57 +215,35 @@ def run_fuzz(config: FuzzConfig) -> FuzzReport:
             say(f"run {run}: family={family} seed={seed} "
                 f"({len(net.inputs)} in / {len(net.nodes)} nodes / "
                 f"LC {net.literal_count()})")
-            lc_by_core: Dict[Tuple[str, str], int] = {}
+            lc_by_path: Dict[str, int] = {}
             for path in paths:
-                for core in cores:
-                    # Trace context: a traced campaign tags every span
-                    # with (run, seed, family, path, core) so a failing
-                    # check ships with its exact trace slice.
-                    with _obs.context(
-                        track=f"fuzz:{run}", run=run, seed=seed,
-                        family=family, path=path.name, core=core,
-                    ), _obs.span("fuzz-check", cat="verify"):
-                        outcome, final = check_path(
-                            net, path, core, vectors=config.vectors
-                        )
-                    report.checks += 1
-                    if final is not None:
-                        lc_by_core[(path.name, core)] = final
-                        report.lc_by_path[path.name] = final
-                    if outcome is None:
-                        continue
-                    kind, detail = outcome
-                    failure = FuzzFailure(
-                        run=run, seed=seed, family=family,
-                        path=path.name, core=core,
-                        kind=kind, detail=detail, eqn=write_eqn(net),
+                # Trace context: a traced campaign tags every span with
+                # (run, seed, family, path) so a failing check ships
+                # with its exact trace slice.
+                with _obs.context(
+                    track=f"fuzz:{run}", run=run, seed=seed,
+                    family=family, path=path.name,
+                ), _obs.span("fuzz-check", cat="verify"):
+                    outcome, final = check_path(
+                        net, path, vectors=config.vectors
                     )
-                    _finalize_failure(failure, net, path, core, config)
-                    report.failures.append(failure)
-                    say("  " + failure.describe())
-            # Cross-core determinism: a deterministic path must land on
-            # the same literal count under every core.
-            for path in paths:
-                if not path.deterministic:
+                report.checks += 1
+                if final is not None:
+                    lc_by_path[path.name] = final
+                    report.lc_by_path[path.name] = final
+                if outcome is None:
                     continue
-                finals = {
-                    core: lc_by_core[(path.name, core)]
-                    for core in cores
-                    if (path.name, core) in lc_by_core
-                }
-                if len(set(finals.values())) > 1:
-                    failure = FuzzFailure(
-                        run=run, seed=seed, family=family,
-                        path=path.name, core=None,
-                        kind="core-mismatch",
-                        detail=f"final literal counts diverge: {finals}",
-                        eqn=write_eqn(net),
-                    )
-                    report.failures.append(failure)
-                    say("  " + failure.describe())
+                kind, detail = outcome
+                failure = FuzzFailure(
+                    run=run, seed=seed, family=family, path=path.name,
+                    kind=kind, detail=detail, eqn=write_eqn(net),
+                )
+                _finalize_failure(failure, net, path, config)
+                report.failures.append(failure)
+                say("  " + failure.describe())
             if config.faults:
                 _chaos_sweep(report, config, run, seed, family, net,
-                             paths, cores, lc_by_core, say)
+                             paths, lc_by_path, say)
             report.runs += 1
     finally:
         audit.set_audits(prev_audits)
@@ -289,19 +258,17 @@ def _chaos_sweep(
     family: str,
     net: BooleanNetwork,
     paths: Sequence[FactorPath],
-    cores: Sequence[str],
-    lc_by_core: Dict[Tuple[str, str], int],
+    lc_by_path: Dict[str, int],
     say: Callable[[str], None],
 ) -> None:
     """Re-run the machine-backed paths under a random single-crash plan.
 
     One :meth:`FaultPlan.random_single` schedule per (run, path) —
-    deterministic in ``config.fault_seed + run`` — and two extra oracles
-    on top of the usual five: recovery must leave the final literal
-    count within 5% of the fault-free result for the same path × core
-    (crash recovery re-deals work, so exact equality is not promised,
-    but near-misses bound how much quality a failure may cost), and
-    deterministic paths must agree across cores under the same plan.
+    deterministic in ``config.fault_seed + run`` — and one extra oracle
+    on top of the usual ones: recovery must leave the final literal
+    count within 5% of the fault-free result for the same path (crash
+    recovery re-deals work, so exact equality is not promised, but
+    near-misses bound how much quality a failure may cost).
     """
     from repro.faults import FaultPlan
 
@@ -311,64 +278,51 @@ def _chaos_sweep(
         fseed = config.fault_seed + run
         plan = FaultPlan.random_single(fseed, path.nprocs)
         spec = plan.render()
-        chaos_lc: Dict[str, int] = {}
-        for core in cores:
-            with _obs.context(
-                track=f"fuzz:{run}", run=run, seed=seed, family=family,
-                path=path.name, core=core, faults=spec,
-            ), _obs.span("fuzz-chaos-check", cat="verify"):
-                outcome, final = check_path(
-                    net, path, core, vectors=config.vectors,
-                    faults=plan, fault_seed=fseed,
-                )
-            report.checks += 1
-            if outcome is None and final is not None:
-                chaos_lc[core] = final
-                fault_free = lc_by_core.get((path.name, core))
-                # 5% relative, with an absolute floor of one small
-                # rectangle: on tiny fuzz networks a single diverged
-                # greedy choice costs a handful of literals, which is
-                # recovery working as designed; the relative bound is
-                # what matters on real circuits.
-                if fault_free is not None and fault_free > 0 \
-                        and final - fault_free > max(fault_free * 0.05, 5):
-                    outcome = ("fault-quality",
-                               f"post-recovery LC {final} exceeds "
-                               f"fault-free {fault_free} by more than 5%")
-            if outcome is None:
-                continue
-            kind, detail = outcome
-            failure = FuzzFailure(
-                run=run, seed=seed, family=family,
-                path=path.name, core=core, kind=kind, detail=detail,
-                eqn=write_eqn(net), fault_plan=spec, fault_seed=fseed,
+        with _obs.context(
+            track=f"fuzz:{run}", run=run, seed=seed, family=family,
+            path=path.name, faults=spec,
+        ), _obs.span("fuzz-chaos-check", cat="verify"):
+            outcome, final = check_path(
+                net, path, vectors=config.vectors,
+                faults=plan, fault_seed=fseed,
             )
-            _finalize_failure(failure, net, path, core, config)
-            report.failures.append(failure)
-            say("  " + failure.describe())
-        if path.deterministic and len(set(chaos_lc.values())) > 1:
-            failure = FuzzFailure(
-                run=run, seed=seed, family=family,
-                path=path.name, core=None, kind="core-mismatch",
-                detail=f"literal counts diverge under faults: {chaos_lc}",
-                eqn=write_eqn(net), fault_plan=spec, fault_seed=fseed,
-            )
-            report.failures.append(failure)
-            say("  " + failure.describe())
+        report.checks += 1
+        if outcome is None and final is not None:
+            fault_free = lc_by_path.get(path.name)
+            # 5% relative, with an absolute floor of one small
+            # rectangle: on tiny fuzz networks a single diverged greedy
+            # choice costs a handful of literals, which is recovery
+            # working as designed; the relative bound is what matters
+            # on real circuits.
+            if fault_free is not None and fault_free > 0 \
+                    and final - fault_free > max(fault_free * 0.05, 5):
+                outcome = ("fault-quality",
+                           f"post-recovery LC {final} exceeds "
+                           f"fault-free {fault_free} by more than 5%")
+        if outcome is None:
+            continue
+        kind, detail = outcome
+        failure = FuzzFailure(
+            run=run, seed=seed, family=family, path=path.name,
+            kind=kind, detail=detail, eqn=write_eqn(net),
+            fault_plan=spec, fault_seed=fseed,
+        )
+        _finalize_failure(failure, net, path, config)
+        report.failures.append(failure)
+        say("  " + failure.describe())
 
 
 def _finalize_failure(
     failure: FuzzFailure,
     net: BooleanNetwork,
     path: FactorPath,
-    core: Optional[str],
     config: FuzzConfig,
 ) -> None:
     """Optionally shrink the failing network and persist a repro entry."""
     if not config.shrink:
         return
     try:
-        small = _shrink_failure(net, path, core, failure.kind, config.vectors,
+        small = _shrink_failure(net, path, failure.kind, config.vectors,
                                 faults=failure.fault_plan,
                                 fault_seed=failure.fault_seed)
     except Exception:  # noqa: BLE001 - shrinking must never mask the find

@@ -1,44 +1,17 @@
 """Registry of the factorization paths the fuzzer drives differentially.
 
 Every entry takes a :class:`BooleanNetwork` and returns a *new* network
-(the input is never mutated).  The rectangle core ("bit" vs "set") is
-orthogonal: sequential paths thread an explicit ``core=`` argument, the
-parallel algorithms resolve :func:`repro.rectangles.bitview.default_core`
-internally, so :func:`rect_core` pins the process default for the
-duration of one run — both mechanisms see the same choice.
-
-Paths marked ``deterministic`` promise a reproducible result network for
-a fixed input *regardless of core*: the bit core is byte-identical to
-the sparse core by construction, so differing final literal counts
-between cores is itself a failure the fuzzer reports.  The threaded
-L-shaped path races real threads and only promises functional
-equivalence.
+(the input is never mutated).  The threaded L-shaped path races real
+threads, so only it may return a different (still equivalent) network
+on a rerun.
 """
 
 from __future__ import annotations
 
-import contextlib
-import os
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
 from repro.network.boolean_network import BooleanNetwork
-from repro.rectangles.bitview import CORES, ENV_VAR, resolve_core
-
-
-@contextlib.contextmanager
-def rect_core(core: Optional[str]):
-    """Pin the process-wide rectangle-core default (``REPRO_RECT_CORE``)."""
-    core = resolve_core(core)
-    prev = os.environ.get(ENV_VAR)
-    os.environ[ENV_VAR] = core
-    try:
-        yield core
-    finally:
-        if prev is None:
-            os.environ.pop(ENV_VAR, None)
-        else:
-            os.environ[ENV_VAR] = prev
 
 
 @dataclass(frozen=True)
@@ -51,7 +24,6 @@ class FactorPath:
     """
 
     name: str
-    deterministic: bool
     _run: Callable[..., BooleanNetwork]
     nprocs: int = 0  # simulated processors; 0 = sequential path
 
@@ -59,66 +31,60 @@ class FactorPath:
     def supports_faults(self) -> bool:
         return self.nprocs > 0
 
-    def run(
-        self,
-        network: BooleanNetwork,
-        core: Optional[str] = None,
-        faults=None,
-    ) -> BooleanNetwork:
-        """Factor a copy of *network* under *core*; return the result."""
-        with rect_core(core) as resolved:
-            if faults is None:
-                return self._run(network, resolved)
-            if not self.supports_faults:
-                raise ValueError(
-                    f"path {self.name!r} does not run on the simulated "
-                    f"machine and cannot take a fault plan"
-                )
-            return self._run(network, resolved, faults)
+    def run(self, network: BooleanNetwork, faults=None) -> BooleanNetwork:
+        """Factor a copy of *network*; return the result."""
+        if faults is None:
+            return self._run(network)
+        if not self.supports_faults:
+            raise ValueError(
+                f"path {self.name!r} does not run on the simulated "
+                f"machine and cannot take a fault plan"
+            )
+        return self._run(network, faults)
 
 
 def _seq(searcher: str):
-    def run(network: BooleanNetwork, core: str) -> BooleanNetwork:
+    def run(network: BooleanNetwork) -> BooleanNetwork:
         from repro.rectangles.cover import kernel_extract
 
         work = network.copy()
-        kernel_extract(work, searcher=searcher, core=core)
+        kernel_extract(work, searcher=searcher)
         return work
 
     return run
 
 
-def _replicated(network: BooleanNetwork, core: str, faults=None) -> BooleanNetwork:
+def _replicated(network: BooleanNetwork, faults=None) -> BooleanNetwork:
     from repro.parallel.replicated import replicated_kernel_extract
 
     return replicated_kernel_extract(network, nprocs=3, faults=faults).network
 
 
-def _independent(network: BooleanNetwork, core: str, faults=None) -> BooleanNetwork:
+def _independent(network: BooleanNetwork, faults=None) -> BooleanNetwork:
     from repro.parallel.independent import independent_kernel_extract
 
     return independent_kernel_extract(network, nprocs=2, faults=faults).network
 
 
-def _lshaped(network: BooleanNetwork, core: str, faults=None) -> BooleanNetwork:
+def _lshaped(network: BooleanNetwork, faults=None) -> BooleanNetwork:
     from repro.parallel.lshaped import lshaped_kernel_extract
 
     return lshaped_kernel_extract(network, nprocs=2, faults=faults).network
 
 
-def _lshaped_threaded(network: BooleanNetwork, core: str) -> BooleanNetwork:
+def _lshaped_threaded(network: BooleanNetwork) -> BooleanNetwork:
     from repro.parallel.lshaped_threaded import lshaped_kernel_extract_threaded
 
     return lshaped_kernel_extract_threaded(network, nprocs=2)
 
 
 _PATHS: List[FactorPath] = [
-    FactorPath("seq-exhaustive", True, _seq("exhaustive")),
-    FactorPath("seq-pingpong", True, _seq("pingpong")),
-    FactorPath("replicated", True, _replicated, nprocs=3),
-    FactorPath("independent", True, _independent, nprocs=2),
-    FactorPath("lshaped", True, _lshaped, nprocs=2),
-    FactorPath("lshaped-threaded", False, _lshaped_threaded),
+    FactorPath("seq-exhaustive", _seq("exhaustive")),
+    FactorPath("seq-pingpong", _seq("pingpong")),
+    FactorPath("replicated", _replicated, nprocs=3),
+    FactorPath("independent", _independent, nprocs=2),
+    FactorPath("lshaped", _lshaped, nprocs=2),
+    FactorPath("lshaped-threaded", _lshaped_threaded),
 ]
 
 _BY_NAME: Dict[str, FactorPath] = {p.name: p for p in _PATHS}
@@ -136,8 +102,3 @@ def get_path(name: str) -> FactorPath:
         valid = ", ".join(sorted(_BY_NAME))
         raise ValueError(f"unknown factorization path {name!r}; expected one of: {valid}")
     return got
-
-
-def all_cores() -> List[str]:
-    """The rectangle cores the fuzzer crosses every path with."""
-    return list(CORES)

@@ -1,8 +1,7 @@
 """The determinism contract and the fault-free byte-identity guarantee.
 
 Two runs under the same ``(plan, seed)`` must produce byte-identical
-event logs, result networks, and virtual clocks — on either rectangle
-core.  And attaching ``FaultPlan.none()`` (or no plan at all) must be
+event logs, result networks, and virtual clocks.  And attaching ``FaultPlan.none()`` (or no plan at all) must be
 *exactly* the fault-free path: same network bytes, same clocks.
 """
 
@@ -14,7 +13,6 @@ from repro.parallel.independent import independent_kernel_extract
 from repro.parallel.lshaped import lshaped_kernel_extract
 from repro.parallel.replicated import replicated_kernel_extract
 from repro.verify.generator import random_network
-from repro.verify.paths import rect_core
 
 RUNNERS = {
     "lshaped": lambda net, faults: lshaped_kernel_extract(net, 3, faults=faults),
@@ -35,35 +33,15 @@ def _fingerprint(result):
 
 
 @pytest.mark.parametrize("algorithm", sorted(RUNNERS))
-@pytest.mark.parametrize("core", ["bit", "set"])
-def test_same_plan_seed_is_byte_identical(algorithm, core):
+def test_same_plan_seed_is_byte_identical(algorithm):
     net = random_network(11, family="shared")
     plan = FaultPlan.parse(PLAN)
-    with rect_core(core):
-        runs = []
-        for _ in range(2):
-            inj = FaultInjector(plan, seed=3)
-            runs.append((_fingerprint(RUNNERS[algorithm](net, inj)),
-                         inj.serialized_log()))
+    runs = []
+    for _ in range(2):
+        inj = FaultInjector(plan, seed=3)
+        runs.append((_fingerprint(RUNNERS[algorithm](net, inj)),
+                     inj.serialized_log()))
     assert runs[0] == runs[1]
-
-
-@pytest.mark.parametrize("algorithm", sorted(RUNNERS))
-def test_bit_and_set_cores_agree_under_faults(algorithm):
-    # The cores promise identical search *results*, so the recovered
-    # networks and the fault/recovery structure must match; virtual
-    # clocks legitimately differ (the cores meter different op counts).
-    net = random_network(12, family="dense")
-    plan = FaultPlan.parse(PLAN)
-    logs, nets = [], []
-    for core in ("bit", "set"):
-        with rect_core(core):
-            inj = FaultInjector(plan, seed=0)
-            nets.append(write_eqn(RUNNERS[algorithm](net, inj).network))
-            logs.append([(r.phase, r.kind, r.pid, r.paired_with)
-                         for r in inj.records])
-    assert nets[0] == nets[1]
-    assert logs[0] == logs[1]
 
 
 @pytest.mark.parametrize("algorithm", sorted(RUNNERS))

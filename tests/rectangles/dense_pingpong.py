@@ -143,8 +143,8 @@ def dense_ascents(matrix, value_fn, min_cols, max_seeds, max_rounds, meter):
     # the candidate list dedupes at the end), and both half-steps and
     # the gain are pure functions of the state for the duration of one
     # search — so memoize them per state tuple.  The round loop itself
-    # still runs per seed, keeping the meter's pingpong_round charges
-    # identical to the legacy core's.
+    # still runs per seed, so the meter charges one pingpong_round per
+    # round of every seed.
     memo_cfr: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
     memo_rfc: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
     # Fixpoint state → the finished (Rectangle, gain), or () when the

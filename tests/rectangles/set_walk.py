@@ -1,0 +1,116 @@
+"""The recursive sparse-set walk, kept as the differential oracle.
+
+Before the bitset compilation, the exhaustive search walked the tree of
+column subsets recursively over the matrix's label-keyed sets.  This
+module keeps that walk: it visits the same tree in the same preorder,
+spends the budget and charges the ``search_node`` meter at the same
+nodes and yields the same ``(rectangle, gain)`` stream as
+:func:`repro.rectangles.search.enumerate_rectangles`, from nothing but
+``KCMatrix.by_row`` / ``by_col`` / ``entries`` and
+:func:`~repro.rectangles.rectangle.rectangle_gain`.
+"""
+
+from __future__ import annotations
+
+from typing import Callable, Iterator, List, Optional, Sequence, Set, Tuple
+
+from repro.rectangles.kcmatrix import KCMatrix
+from repro.rectangles.rectangle import (
+    Rectangle,
+    ValueFn,
+    default_value,
+    rectangle_gain,
+)
+
+
+def _row_marginal(
+    matrix: KCMatrix, row: int, cols: Sequence[int], value_fn: ValueFn
+) -> int:
+    info = matrix.rows[row]
+    total = 0
+    for c in cols:
+        total += value_fn(info.node, matrix.entries[(row, c)])
+    return total - len(info.cokernel) - 1
+
+
+def _best_rows_for_cols(
+    matrix: KCMatrix, cols: Sequence[int], candidate_rows: Set[int],
+    value_fn: ValueFn,
+) -> Tuple[int, ...]:
+    """Keep the rows with positive marginal, in label order."""
+    return tuple(
+        r for r in sorted(candidate_rows)
+        if _row_marginal(matrix, r, cols, value_fn) > 0
+    )
+
+
+def set_walk(
+    matrix: KCMatrix,
+    value_fn: ValueFn = default_value,
+    min_cols: int = 2,
+    anchor_filter: Optional[Callable[[int], bool]] = None,
+    budget=None,
+    meter=None,
+    prime_only: bool = True,
+) -> Iterator[Tuple[Rectangle, int]]:
+    """Yield (rectangle, gain) for every profitable column subset."""
+
+    def explore(
+        cols: List[int], rows: Set[int], last_col: int
+    ) -> Iterator[Tuple[Rectangle, int]]:
+        if budget is not None:
+            budget.spend()
+        if meter is not None:
+            meter.charge("search_node", 1)
+        # Only columns co-occurring with the current rows can extend the
+        # rectangle; scanning anything else would intersect to empty.
+        in_cols = set(cols)
+        candidates: Set[int] = set()
+        for r in rows:
+            for c2 in matrix.by_row[r]:
+                if c2 > last_col and c2 not in in_cols:
+                    candidates.add(c2)
+        branch: List[int] = []
+        forced: List[int] = []
+        for c2 in sorted(candidates):
+            rows2 = rows & matrix.by_col[c2]
+            if prime_only and len(rows2) == len(rows):
+                forced.append(c2)
+            else:
+                branch.append(c2)
+        cols.extend(forced)
+        if len(cols) >= min_cols:
+            chosen = _best_rows_for_cols(matrix, cols, rows, value_fn)
+            if chosen:
+                rect = Rectangle(rows=chosen, cols=tuple(cols))
+                gain = rectangle_gain(matrix, rect, value_fn)
+                if gain > 0:
+                    yield rect, gain
+        for c2 in branch:
+            cols.append(c2)
+            yield from explore(cols, rows & matrix.by_col[c2], c2)
+            cols.pop()
+        del cols[len(cols) - len(forced):]
+
+    for c in sorted(matrix.cols):
+        if anchor_filter is not None and not anchor_filter(c):
+            continue
+        rows0 = set(matrix.by_col[c])
+        if rows0:
+            yield from explore([c], rows0, c)
+
+
+def set_walk_best(
+    matrix: KCMatrix, **kw
+) -> Optional[Tuple[Rectangle, int]]:
+    """The stream's maximum-gain rectangle, ties to smaller (cols, rows)."""
+    best = None
+    for rect, gain in set_walk(matrix, **kw):
+        if (
+            best is None
+            or gain > best[1]
+            or (gain == best[1]
+                and (rect.cols, rect.rows) < (best[0].cols, best[0].rows))
+        ):
+            best = (rect, gain)
+    return best

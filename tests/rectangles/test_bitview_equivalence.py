@@ -1,16 +1,21 @@
-"""Differential tests: the bitmask core must replicate the set core exactly.
+"""Differential tests: the exhaustive search against the recursive set walk.
 
-The contract (see :mod:`repro.rectangles.bitview`) is byte-level
-equivalence, not merely same-best: identical (rectangle, gain) streams
-in identical order, identical budget consumption at the point of
-exhaustion, identical meter charges, and byte-identical factorization
-results end to end.  These tests exercise it on seeded random KC
-matrices (which hit degenerate shapes the circuit suites may not) and
-on the repo's example circuits.
+The search in :mod:`repro.rectangles.search` walks the column-subset
+tree over the sorted bitset compilation.  Its contract against the
+recursive sparse-set walk kept in :mod:`tests.rectangles.set_walk` is
+byte-level equivalence, not merely same-best: identical (rectangle,
+gain) streams in identical order, identical budget consumption at the
+point of exhaustion, identical meter charges, and byte-identical
+factorization results end to end.  Ping-pong is held the same way
+against the dense walk kept in :mod:`tests.rectangles.dense_pingpong`.
+These tests exercise both on seeded random KC matrices (which hit
+degenerate shapes the circuit suites may not), on the fuzz families'
+KC matrices and on the repo's example circuits.
 """
 
 from __future__ import annotations
 
+import inspect
 import random
 
 import pytest
@@ -23,13 +28,7 @@ from repro.circuits.examples import (
 )
 from repro.circuits.mcnc import make_circuit
 from repro.machine.costmodel import CostMeter
-from repro.rectangles.bitview import (
-    BitKCView,
-    CORES,
-    ENV_VAR,
-    default_core,
-    resolve_core,
-)
+from repro.rectangles import pingpong, search
 from repro.rectangles.cover import kernel_extract
 from repro.rectangles.kcmatrix import KCMatrix, build_kc_matrix
 from repro.rectangles.pingpong import (
@@ -42,6 +41,9 @@ from repro.rectangles.search import (
     best_rectangle_exhaustive,
     enumerate_rectangles,
 )
+from repro.verify.generator import FAMILIES, random_network
+from tests.rectangles.dense_pingpong import dense_ascents
+from tests.rectangles.set_walk import set_walk, set_walk_best
 
 
 def random_kc_matrix(seed: int, n_rows: int = 14, n_cols: int = 10) -> KCMatrix:
@@ -83,79 +85,93 @@ def random_kc_matrix(seed: int, n_rows: int = 14, n_cols: int = 10) -> KCMatrix:
 SEEDS = range(12)
 
 
+def with_dense_walk(fn, *args, **kw):
+    """Run *fn* with ping-pong swapped for the dense reference walk."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pingpong, "_ascents_bit", dense_ascents)
+        return fn(*args, **kw)
+
+
+def metered(walk, mat, **kw):
+    """(stream, search_node charges) of one walk over *mat*."""
+    meter = CostMeter()
+    stream = list(walk(mat, meter=meter, **kw))
+    return stream, meter.counts.get("search_node")
+
+
 class TestStreamEquivalence:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_random_matrices_identical_stream(self, seed):
         mat = random_kc_matrix(seed)
-        stream_set = list(enumerate_rectangles(mat, core="set"))
-        stream_bit = list(enumerate_rectangles(mat, core="bit"))
-        assert stream_set == stream_bit
+        assert metered(enumerate_rectangles, mat) == metered(set_walk, mat)
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_random_matrices_nonprime_stream(self, seed):
         mat = random_kc_matrix(seed)
-        stream_set = list(enumerate_rectangles(mat, core="set", prime_only=False))
-        stream_bit = list(enumerate_rectangles(mat, core="bit", prime_only=False))
-        assert stream_set == stream_bit
+        assert metered(enumerate_rectangles, mat, prime_only=False) == metered(
+            set_walk, mat, prime_only=False
+        )
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_random_matrices_tie_broken_best(self, seed):
         mat = random_kc_matrix(seed)
-        assert best_rectangle_exhaustive(
-            mat, core="set"
-        ) == best_rectangle_exhaustive(mat, core="bit")
+        want = set_walk_best(mat)
+        assert best_rectangle_exhaustive(mat, prune=False) == want
+        assert best_rectangle_exhaustive(mat, memo=False) == want
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_random_matrices_pingpong(self, seed):
         mat = random_kc_matrix(seed)
-        assert pingpong_candidates(mat, core="set") == pingpong_candidates(
-            mat, core="bit"
+        assert pingpong_candidates(mat) == with_dense_walk(pingpong_candidates, mat)
+        assert best_rectangle_pingpong(mat, max_seeds=5) == with_dense_walk(
+            best_rectangle_pingpong, mat, max_seeds=5
         )
-        assert best_rectangle_pingpong(
-            mat, max_seeds=5, core="set"
-        ) == best_rectangle_pingpong(mat, max_seeds=5, core="bit")
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_fuzz_family_streams(self, family):
+        rects = 0
+        for seed in range(10):
+            mat = build_kc_matrix(random_network(seed, family))
+            got = metered(enumerate_rectangles, mat)
+            assert got == metered(set_walk, mat)
+            assert metered(enumerate_rectangles, mat, prime_only=False) == (
+                metered(set_walk, mat, prime_only=False)
+            )
+            rects += len(got[0])
+        assert rects > 0
 
     def test_eq1_stream(self, eq1_network):
         mat = build_kc_matrix(eq1_network)
-        assert list(enumerate_rectangles(mat, core="set")) == list(
-            enumerate_rectangles(mat, core="bit")
-        )
+        assert list(enumerate_rectangles(mat)) == list(set_walk(mat))
 
     def test_mcnc_circuit_stream_and_meter(self):
         mat = build_kc_matrix(make_circuit("misex3", scale=0.1))
-        meters = {}
-        streams = {}
-        for core in CORES:
-            meters[core] = CostMeter()
-            streams[core] = list(
-                enumerate_rectangles(mat, meter=meters[core], core=core)
-            )
-        assert streams["bit"] == streams["set"]
-        assert meters["bit"].counts.get("search_node") == meters["set"].counts.get(
-            "search_node"
-        )
+        got = metered(enumerate_rectangles, mat)
+        assert got == metered(set_walk, mat)
+        assert got[1]
 
     def test_mcnc_circuit_pingpong_meter(self):
         mat = build_kc_matrix(make_circuit("dalu", scale=0.2))
-        meters = {c: CostMeter() for c in CORES}
-        got = {
-            c: pingpong_candidates(mat, meter=meters[c], core=c) for c in CORES
-        }
-        assert got["bit"] == got["set"]
-        assert meters["bit"].counts.get("pingpong_round") == meters[
-            "set"
-        ].counts.get("pingpong_round")
+
+        def run():
+            meter = CostMeter()
+            got = pingpong_candidates(mat, meter=meter)
+            return got, meter.counts.get("pingpong_round")
+
+        live = run()
+        assert live == with_dense_walk(run)
+        assert live[1]
 
 
 class TestBudgetParity:
-    """Both cores must spend the budget at identical tree nodes."""
+    """The search and the set walk spend the budget at identical nodes."""
 
-    def run_core(self, mat, core, max_nodes):
+    def run_walk(self, walk, mat, max_nodes):
         budget = SearchBudget(max_nodes)
         out = []
         raised = False
         try:
-            for rg in enumerate_rectangles(mat, budget=budget, core=core):
+            for rg in walk(mat, budget=budget):
                 out.append(rg)
         except BudgetExceeded:
             raised = True
@@ -165,45 +181,71 @@ class TestBudgetParity:
     @pytest.mark.parametrize("max_nodes", [1, 5, 17, 60])
     def test_exhaustion_parity(self, seed, max_nodes):
         mat = random_kc_matrix(seed)
-        got_set = self.run_core(mat, "set", max_nodes)
-        got_bit = self.run_core(mat, "bit", max_nodes)
-        assert got_set == got_bit
+        assert self.run_walk(enumerate_rectangles, mat, max_nodes) == (
+            self.run_walk(set_walk, mat, max_nodes)
+        )
 
     def test_mcnc_truncated_prefix(self):
         # seq@0.05 needs ~800 nodes to finish; 300 truncates mid-tree.
         mat = build_kc_matrix(make_circuit("seq", scale=0.05))
-        got_set = self.run_core(mat, "set", 300)
-        got_bit = self.run_core(mat, "bit", 300)
-        assert got_set == got_bit
-        assert got_set[1]  # the budget genuinely truncated the search
+        got = self.run_walk(enumerate_rectangles, mat, 300)
+        assert got == self.run_walk(set_walk, mat, 300)
+        assert got[1]  # the budget genuinely truncated the search
+
+
+def _reversed_children_mutant():
+    """v1 with branch children pushed in the wrong order."""
+    old = "for cpos, rows2 in reversed(branch):"
+    src = inspect.getsource(search._enumerate_rectangles_bit)
+    assert src.count(old) == 1, "mutation site not found"
+    namespace = dict(vars(search))
+    exec(compile(src.replace(old, "for cpos, rows2 in branch:"),
+                 "<mutant>", "exec"), namespace)
+    return namespace["_enumerate_rectangles_bit"]
+
+
+def test_child_order_mutant_is_caught():
+    # Popping children in reverse preorder yields the same rectangles in
+    # another order: the stream comparison must see it.
+    mutant = _reversed_children_mutant()
+    caught = False
+    for seed in SEEDS:
+        mat = random_kc_matrix(seed)
+        got = list(mutant(mat, search.default_value, 2, None, None, None, True))
+        want = list(set_walk(mat))
+        assert sorted(got, key=repr) == sorted(want, key=repr)
+        caught = caught or got != want
+    assert caught, "reversed child order survived the set-walk comparison"
 
 
 class TestEndToEnd:
-    """Byte-identical factorization on every example circuit."""
+    """Byte-identical factorization against the reference walks."""
 
     FACTORIES = [paper_example_network, two_kernel_network, chain_network]
 
     @pytest.mark.parametrize("factory", FACTORIES, ids=lambda f: f.__name__)
     @pytest.mark.parametrize("searcher", ["exhaustive", "pingpong"])
     def test_kernel_extract_identical(self, factory, searcher):
-        results = {}
-        nets = {}
-        for core in CORES:
-            net = factory()
-            results[core] = kernel_extract(net, searcher=searcher, core=core)
-            nets[core] = net
-        assert nets["bit"].nodes == nets["set"].nodes
-        assert results["bit"].final_lc == results["set"].final_lc
-        assert [s.rectangle for s in results["bit"].steps] == [
-            s.rectangle for s in results["set"].steps
+        net = factory()
+        got = kernel_extract(net, searcher=searcher)
+        ref_net = factory()
+        if searcher == "exhaustive":
+            ref = kernel_extract(ref_net, searcher=set_walk_best)
+        else:
+            ref = with_dense_walk(kernel_extract, ref_net, searcher=searcher)
+        assert net.nodes == ref_net.nodes
+        assert got.final_lc == ref.final_lc
+        assert [s.rectangle for s in got.steps] == [
+            s.rectangle for s in ref.steps
         ]
 
     def test_eq1_quality_identical_on_both_cores(self):
-        # Eq. 1 starts at LC 33; greedy extraction lands both cores on
-        # the same optimized network (LC 21 with this repo's searchers).
-        for core in CORES:
+        # Eq. 1 starts at LC 33; greedy extraction with the exhaustive
+        # search and with the set walk lands on the same optimized
+        # network (LC 21 with this repo's searchers).
+        for searcher in ("exhaustive", set_walk_best):
             net = paper_example_network()
-            kernel_extract(net, searcher="exhaustive", core=core)
+            kernel_extract(net, searcher=searcher)
             assert net.literal_count() == 21
 
 
@@ -249,26 +291,3 @@ class TestViewStructure:
         assert view.value_table() is view.value_table()
         custom = view.value_table(lambda node, cube_: 1)
         assert custom == [1] * view.num_entries
-
-
-class TestCoreSelection:
-    def test_default_is_bit(self, monkeypatch):
-        monkeypatch.delenv(ENV_VAR, raising=False)
-        assert default_core() == "bit"
-        assert resolve_core(None) == "bit"
-
-    def test_env_var_selects_legacy(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "set")
-        assert default_core() == "set"
-        assert resolve_core(None) == "set"
-
-    def test_explicit_argument_wins(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "set")
-        assert resolve_core("bit") == "bit"
-
-    def test_bad_values_rejected(self, monkeypatch):
-        with pytest.raises(ValueError):
-            resolve_core("simd")
-        monkeypatch.setenv(ENV_VAR, "numpy")
-        with pytest.raises(ValueError):
-            default_core()

@@ -9,9 +9,9 @@ relabelled.  Two contracts follow:
   a fresh sorted compilation (:class:`BitKCView`) of the same matrix;
 - the ping-pong walk on it takes every tie-break from labels, so every
   search returns what the old dense walk over a fresh compilation
-  returned (kept as the oracle in :mod:`tests.rectangles.dense_pingpong`)
-  and what the set core returns: the same ``(rect, gain)``, the same
-  ``pingpong_round`` meter count and the same final network.
+  returned (kept as the oracle in :mod:`tests.rectangles.dense_pingpong`):
+  the same ``(rect, gain)``, the same ``pingpong_round`` meter count and
+  the same final network.
 
 The mutant tests show the whole-run comparison catches the two ways a
 slot-addressed walk can go wrong: a tie-break by slot, and seeds drawn
@@ -284,7 +284,7 @@ def test_apply_rectangle_after_relabel_and_slot_reuse(mutate):
 
 
 # ----------------------------------------------------------------------
-# Whole runs: live walk vs the dense walk vs the set core
+# Whole runs: live walk vs the dense walk
 # ----------------------------------------------------------------------
 
 @pytest.fixture(autouse=True)
@@ -292,11 +292,11 @@ def _no_rect_memo(monkeypatch):
     monkeypatch.setenv("REPRO_RECT_MEMO", "0")
 
 
-def _seq_run(network, core=None):
+def _seq_run(network):
     """kernel_extract, recording every search's answer."""
     net = network.copy()
     meter = CostMeter()
-    search = make_searcher("pingpong", meter=meter, max_seeds=64, core=core)
+    search = make_searcher("pingpong", meter=meter, max_seeds=64)
     answers = []
 
     def recording(matrix):
@@ -308,14 +308,14 @@ def _seq_run(network, core=None):
     return answers, meter.counts.get("pingpong_round"), write_eqn(net)
 
 
-def _lshaped_run(network, nprocs, core=None):
+def _lshaped_run(network, nprocs):
     """L-shaped, recording every search's answer and round charges."""
     answers = []
     real = lshaped.best_rectangle_pingpong
 
     def recording(mat, meter=None, **kw):
         before = meter.counts.get("pingpong_round", 0)
-        got = real(mat, meter=meter, core=core, **kw)
+        got = real(mat, meter=meter, **kw)
         answers.append((got, meter.counts.get("pingpong_round", 0) - before))
         return got
 
@@ -331,37 +331,37 @@ def _with_dense_walk(fn, *args, **kw):
         return fn(*args, **kw)
 
 
-def _assert_three_way(fn, *args):
+def _assert_matches_dense_walk(fn, *args):
     live = fn(*args)
     assert live == _with_dense_walk(fn, *args)
-    assert live == fn(*args, "set")
     return live
 
 
 @pytest.mark.parametrize("family", FAMILIES)
-def test_fuzz_families_match_dense_walk_and_set_core(family):
+def test_fuzz_families_match_dense_walk(family):
     searches = 0
     for seed in range(20):
-        answers, _, _ = _assert_three_way(_seq_run, random_network(seed, family))
+        answers, _, _ = _assert_matches_dense_walk(
+            _seq_run, random_network(seed, family)
+        )
         searches += len(answers)
     assert searches >= 20
 
 
 @pytest.mark.parametrize("name,scale", [("misex3", 0.15), ("dalu", 0.1)])
-def test_mcnc_recipes_match_dense_walk_and_set_core(name, scale):
-    answers, rounds, _ = _assert_three_way(_seq_run, make_circuit(name, scale=scale))
+def test_mcnc_recipes_match_dense_walk(name, scale):
+    answers, rounds, _ = _assert_matches_dense_walk(
+        _seq_run, make_circuit(name, scale=scale)
+    )
     assert len(answers) >= 4 and rounds
 
 
 @pytest.mark.parametrize("nprocs", [2, 4])
-def test_lshaped_matches_dense_walk_and_set_core(nprocs):
-    net = make_circuit("dalu", scale=0.1)
-    live = _lshaped_run(net, nprocs)
-    # The dense walk also matches the simulated clock.  The set core
-    # calls the cube-state value function per visit rather than per
-    # cell, which the clock prices, so only its answers and eqn match.
-    assert live == _with_dense_walk(_lshaped_run, net, nprocs)
-    assert live[:2] == _lshaped_run(net, nprocs, "set")[:2]
+def test_lshaped_matches_dense_walk(nprocs):
+    # Answers, eqn and the simulated clock all match.
+    live = _assert_matches_dense_walk(
+        _lshaped_run, make_circuit("dalu", scale=0.1), nprocs
+    )
     assert len(live[0]) >= nprocs
 
 
@@ -473,7 +473,6 @@ def test_fallback_tie_follows_labels_not_slots():
     args = (mat, lambda node, cb: 3, 2, None, 8, None)
     live = list(pingpong._ascents_bit(*args))
     assert live == list(dense_ascents(*args))
-    assert live == list(pingpong._ascents_set(*args))
     assert live == [(Rectangle(rows=(1, 2), cols=(40, 50)), 3)]
     mutant = _mutant("fallback tie-broken by slot")
     assert list(mutant(*args)) != live

@@ -1,13 +1,15 @@
 """Differential tests for the v2 pruned search and the canonical memo.
 
-The v2 exhaustive core (branch-and-bound with an admissible
+The v2 exhaustive search (branch-and-bound with an admissible
 remaining-gain bound plus column-dominance reduction; see the "Search
 pruning & memoization" section of docs/algorithms.md) must return the
 *identical* best rectangle — value and identity, including lexicographic
-tie-breaks — as the unpruned v1 stream on every matrix, on both cores,
-with both cores spending budgets identically.  The cross-job memo must
-be budget/meter-exact on hits, invalidate itself across matrix version
-bumps, and persist through a DiskCache backing.
+tie-breaks — as the unpruned v1 stream and as the recursive set walk
+(:mod:`tests.rectangles.set_walk`) on every matrix.  Its node spend and
+budget-exhaustion points are pinned to golden values, so a change to
+the pruning shows up even where the answer stays the same.  The
+cross-job memo must be budget/meter-exact on hits, invalidate itself
+across matrix version bumps, and persist through a DiskCache backing.
 """
 
 from __future__ import annotations
@@ -31,14 +33,39 @@ from repro.rectangles.search import (
     BudgetExceeded,
     SearchBudget,
     best_rectangle_exhaustive,
-    prune_enabled,
-    resolve_prune,
+    enumerate_rectangles,
 )
 from repro.serve.diskcache import DiskCache
+from tests.rectangles.set_walk import set_walk_best
 from tests.rectangles.test_bitview_equivalence import random_kc_matrix
 
-CORES = ("set", "bit")
 SEEDS = range(10)
+
+#: What v2 is checked against: the recursive set walk's best ("set") and
+#: v1's unpruned stream through ``prune=False`` ("bit").
+REFERENCES = ("set", "bit")
+
+#: v2's ``search_node`` spend, pinned: random_kc_matrix(seed) → nodes.
+V2_NODES_RANDOM = {
+    0: 76, 1: 128, 2: 154, 3: 80, 4: 73,
+    5: 106, 6: 109, 7: 92, 8: 147, 9: 77,
+}
+#: The same for dup_rows_matrix(seed).
+V2_NODES_DUP_ROWS = {
+    0: 79, 1: 111, 2: 142, 3: 75, 4: 73,
+    5: 117, 6: 82, 7: 82, 8: 136, 9: 64,
+}
+#: The same for misex3@0.1.
+V2_NODES_MISEX3 = 258
+#: v2 on dup_rows_matrix(seed) under a cap: (seed, cap) → (raised, used).
+#: Every cap here truncates; each matrix needs 75-82 nodes to finish.
+V2_EXHAUSTION = {
+    (seed, cap): (True, cap + 1)
+    for seed in (0, 3, 7) for cap in (1, 5, 17, 60)
+}
+#: v1 (``prune=False``) on seq@0.05 under a cap of 300: (raised, used,
+#: rectangles yielded before the budget ran out).
+V1_SEQ_TRUNCATION = (True, 301, 95)
 
 
 def dup_rows_matrix(seed: int) -> KCMatrix:
@@ -69,43 +96,51 @@ def no_default_memo():
     install_default_memo(previous)
 
 
+def reference_best(mat, reference):
+    if reference == "set":
+        return set_walk_best(mat)
+    return best_rectangle_exhaustive(mat, prune=False)
+
+
+def v2_nodes(mat) -> int:
+    meter = CostMeter()
+    best_rectangle_exhaustive(mat, prune=True, memo=False, meter=meter)
+    return int(meter.counts["search_node"])
+
+
 class TestPrunedEqualsUnpruned:
     @pytest.mark.parametrize("seed", SEEDS)
-    @pytest.mark.parametrize("core", CORES)
-    def test_random_matrices(self, seed, core):
+    @pytest.mark.parametrize("reference", REFERENCES)
+    def test_random_matrices(self, seed, reference):
         mat = random_kc_matrix(seed)
         assert best_rectangle_exhaustive(
-            mat, core=core, prune=True, memo=False
-        ) == best_rectangle_exhaustive(mat, core=core, prune=False)
+            mat, prune=True, memo=False
+        ) == reference_best(mat, reference)
 
     @pytest.mark.parametrize("seed", SEEDS)
-    @pytest.mark.parametrize("core", CORES)
-    def test_dup_rows_matrices(self, seed, core):
+    @pytest.mark.parametrize("reference", REFERENCES)
+    def test_dup_rows_matrices(self, seed, reference):
         mat = dup_rows_matrix(seed)
         assert best_rectangle_exhaustive(
-            mat, core=core, prune=True, memo=False
-        ) == best_rectangle_exhaustive(mat, core=core, prune=False)
+            mat, prune=True, memo=False
+        ) == reference_best(mat, reference)
 
-    @pytest.mark.parametrize("core", CORES)
-    def test_mcnc_circuit(self, core):
+    @pytest.mark.parametrize("reference", REFERENCES)
+    def test_mcnc_circuit(self, reference):
         mat = build_kc_matrix(make_circuit("misex3", scale=0.1))
         assert best_rectangle_exhaustive(
-            mat, core=core, prune=True, memo=False
-        ) == best_rectangle_exhaustive(mat, core=core, prune=False)
+            mat, prune=True, memo=False
+        ) == reference_best(mat, reference)
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_cross_core_v2_parity(self, seed):
+        # v2 on the bitset compilation against the sparse-set walk: the
+        # same best rectangle, at the pinned node spend.
         mat = dup_rows_matrix(seed)
-        got = {}
-        for core in CORES:
-            meter = CostMeter()
-            got[core] = (
-                best_rectangle_exhaustive(
-                    mat, core=core, prune=True, memo=False, meter=meter
-                ),
-                meter.counts.get("search_node"),
-            )
-        assert got["set"] == got["bit"]
+        meter = CostMeter()
+        got = best_rectangle_exhaustive(mat, prune=True, memo=False, meter=meter)
+        assert got == set_walk_best(mat)
+        assert meter.counts["search_node"] == V2_NODES_DUP_ROWS[seed]
 
     def test_custom_value_fn_falls_back_to_v1(self):
         # v2's bound/dominance proofs only hold for the default value
@@ -118,25 +153,47 @@ class TestPrunedEqualsUnpruned:
 
 
 class TestBudgetParity:
-    """Both v2 cores spend the budget at identical tree nodes."""
+    """Node spend and budget exhaustion match the pinned values."""
 
-    def run_core(self, mat, core, max_nodes):
+    def run_v2(self, mat, max_nodes):
         budget = SearchBudget(max_nodes)
         try:
-            res = best_rectangle_exhaustive(
-                mat, core=core, prune=True, memo=False, budget=budget
+            best_rectangle_exhaustive(
+                mat, prune=True, memo=False, budget=budget
             )
-            return ("done", res, budget.used)
+            return (False, budget.used)
         except BudgetExceeded:
-            return ("dnf", None, budget.used)
+            return (True, budget.used)
 
     @pytest.mark.parametrize("seed", [0, 3, 7])
     @pytest.mark.parametrize("max_nodes", [1, 5, 17, 60])
     def test_exhaustion_parity(self, seed, max_nodes):
         mat = dup_rows_matrix(seed)
-        assert self.run_core(mat, "set", max_nodes) == self.run_core(
-            mat, "bit", max_nodes
-        )
+        assert self.run_v2(mat, max_nodes) == V2_EXHAUSTION[(seed, max_nodes)]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_v2_node_count_pinned(self, seed):
+        nodes = V2_NODES_RANDOM[seed]
+        assert v2_nodes(random_kc_matrix(seed)) == nodes
+        # The budget edge sits exactly at the pinned count.
+        assert self.run_v2(random_kc_matrix(seed), nodes) == (False, nodes)
+        assert self.run_v2(random_kc_matrix(seed), nodes - 1) == (True, nodes)
+
+    def test_mcnc_v2_node_count_pinned(self):
+        mat = build_kc_matrix(make_circuit("misex3", scale=0.1))
+        assert v2_nodes(mat) == V2_NODES_MISEX3
+
+    def test_v1_truncation_pinned(self):
+        mat = build_kc_matrix(make_circuit("seq", scale=0.05))
+        budget = SearchBudget(300)
+        yielded = 0
+        raised = False
+        try:
+            for _ in enumerate_rectangles(mat, budget=budget):
+                yielded += 1
+        except BudgetExceeded:
+            raised = True
+        assert (raised, budget.used, yielded) == V1_SEQ_TRUNCATION
 
     def test_v2_never_spends_more_than_v1(self):
         for seed in SEEDS:
@@ -268,13 +325,6 @@ class TestMemo:
 
 
 class TestDefaultsAndCounters:
-    def test_prune_env_gate(self, monkeypatch):
-        monkeypatch.delenv("REPRO_RECT_PRUNE", raising=False)
-        assert prune_enabled() and resolve_prune(None)
-        monkeypatch.setenv("REPRO_RECT_PRUNE", "0")
-        assert not prune_enabled() and not resolve_prune(None)
-        assert resolve_prune(True)
-
     def test_memo_env_gate(self, monkeypatch, no_default_memo):
         monkeypatch.setenv("REPRO_RECT_MEMO", "0")
         assert not memo_enabled()

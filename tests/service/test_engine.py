@@ -210,7 +210,10 @@ class TestBatch:
         json.dumps(report.to_dict())
 
     def test_metrics_snapshot_contents(self):
-        engine = make_engine()
+        # One worker runs the two identical jobs in turn, so the second
+        # is answered by the first's cache entry; on two workers both
+        # can miss while the first is still computing.
+        engine = make_engine(workers=1)
         engine.run_batch([
             FactorizationJob(circuit="example"),
             FactorizationJob(circuit="example"),

@@ -238,13 +238,13 @@ class TestFuzzCommand:
     def test_filters_and_check(self, capsys):
         assert main([
             "fuzz", "--runs", "2", "--seed", "1", "--quiet", "--check",
-            "--paths", "seq-pingpong", "--cores", "bit",
+            "--paths", "seq-pingpong",
         ]) == 0
-        assert "2 path×core checks" in capsys.readouterr().out
+        assert "2 path checks" in capsys.readouterr().out
 
     def test_progress_lines_by_default(self, capsys):
         assert main(["fuzz", "--runs", "1",
-                     "--paths", "seq-pingpong", "--cores", "bit"]) == 0
+                     "--paths", "seq-pingpong"]) == 0
         assert "family=" in capsys.readouterr().out
 
     def test_unknown_path_exits_2(self, capsys):

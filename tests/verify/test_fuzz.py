@@ -5,7 +5,7 @@ import pytest
 from repro.network.boolean_network import BooleanNetwork
 from repro.verify import audit
 from repro.verify.fuzz import FuzzConfig, check_path, run_fuzz
-from repro.verify.paths import FactorPath, all_cores, all_paths, get_path
+from repro.verify.paths import FactorPath, all_paths, get_path
 
 
 def _tiny_network():
@@ -18,56 +18,55 @@ def _tiny_network():
 
 class TestCheckPath:
     @pytest.mark.parametrize("path", all_paths(), ids=lambda p: p.name)
-    @pytest.mark.parametrize("core", all_cores())
-    def test_all_real_paths_pass(self, path, core):
-        outcome, final = check_path(_tiny_network(), path, core)
+    def test_all_real_paths_pass(self, path):
+        outcome, final = check_path(_tiny_network(), path)
         assert outcome is None
         assert final is not None and final <= 8
 
     def test_exception_is_a_finding(self):
-        def boom(network, core):
+        def boom(network):
             raise RuntimeError("kaput")
 
         outcome, final = check_path(
-            _tiny_network(), FactorPath("boom", True, boom)
+            _tiny_network(), FactorPath("boom", boom)
         )
         assert final is None
         assert outcome[0] == "exception" and "kaput" in outcome[1]
 
     def test_nonequivalent_result_is_a_finding(self):
-        def drop_cube(network, core):
+        def drop_cube(network):
             out = network.copy()
             out.nodes["F"] = out.nodes["F"][:1]
             return out
 
         outcome, _ = check_path(
-            _tiny_network(), FactorPath("dropper", True, drop_cube)
+            _tiny_network(), FactorPath("dropper", drop_cube)
         )
         assert outcome[0] == "equivalence"
 
     def test_literal_growth_is_a_finding(self):
-        def bloat(network, core):
+        def bloat(network):
             out = network.copy()
             # F + F is functionally identical but strictly bigger.
             out.nodes["F"] = out.nodes["F"] + out.nodes["F"][:1]
             return out
 
         outcome, _ = check_path(
-            _tiny_network(), FactorPath("bloat", True, bloat)
+            _tiny_network(), FactorPath("bloat", bloat)
         )
         # Either the SOP dedupes (no finding is impossible: nodes[] is
         # raw cube list here) — the grown literal count must be flagged.
         assert outcome[0] == "lc-bound"
 
     def test_lost_output_is_a_finding(self):
-        def lose_output(network, core):
+        def lose_output(network):
             out = network.copy()
             del out.nodes["F"]
             out.outputs.remove("F")
             return out
 
         outcome, _ = check_path(
-            _tiny_network(), FactorPath("loser", True, lose_output)
+            _tiny_network(), FactorPath("loser", lose_output)
         )
         assert outcome[0] in ("exception", "interface")
 
@@ -78,12 +77,11 @@ class TestRunFuzz:
         report = run_fuzz(config)
         assert report.ok
         assert report.runs == 3
-        assert report.checks == 3 * len(all_paths()) * len(all_cores())
+        # One check per run per path: no other axis multiplies them.
+        assert report.checks == 3 * len(all_paths())
 
-    def test_path_and_core_filters(self):
-        report = run_fuzz(
-            FuzzConfig(runs=2, seed=5, paths=["seq-pingpong"], cores=["bit"])
-        )
+    def test_path_filter(self):
+        report = run_fuzz(FuzzConfig(runs=2, seed=5, paths=["seq-pingpong"]))
         assert report.ok and report.checks == 2
 
     def test_unknown_path_raises(self):
@@ -106,7 +104,7 @@ class TestRunFuzz:
     def test_progress_callback_sees_runs(self):
         lines = []
         run_fuzz(FuzzConfig(runs=2, seed=0, paths=["seq-pingpong"],
-                            cores=["bit"], progress=lines.append))
+                            progress=lines.append))
         assert len(lines) == 2 and "family=" in lines[0]
 
     def test_report_render_mentions_counts(self):

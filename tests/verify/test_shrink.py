@@ -60,13 +60,13 @@ class TestBrokenTransform:
         # cube of the fattest node — the shape of a real rectangle-cover
         # bookkeeping bug.  The shrinker must reduce the generated
         # network to a minimal case on which the oracle still trips.
-        def buggy(network, core):
+        def buggy(network):
             out = network.copy()
             fat = max(out.nodes, key=lambda n: len(out.nodes[n]))
             out.nodes[fat] = out.nodes[fat][:-1]
             return out
 
-        path = FactorPath("buggy", True, buggy)
+        path = FactorPath("buggy", buggy)
 
         def still_fails(candidate):
             outcome, _ = check_path(candidate, path)
