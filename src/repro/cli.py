@@ -530,40 +530,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="emit the JSON report instead of the table")
     p_fsck.set_defaults(fn=_cmd_fsck)
 
-    p_port = sub.add_parser(
-        "portfolio",
-        help="race the strategy portfolio (sequential, truncated, "
-             "parallel lanes) on one circuit under a shared node budget",
-    )
-    p_port.add_argument("circuit")
-    p_port.add_argument(
-        "--class", dest="klass", choices=["latency", "quality"],
-        default="latency",
-        help="latency: first finisher wins, losers cancelled; "
-             "quality: best final literal count wins",
-    )
-    p_port.add_argument("--procs", default="2,4",
-                        help="comma-separated processor counts for the "
-                             "machine lanes (default: 2,4)")
-    p_port.add_argument("--scale", type=float, default=1.0)
-    p_port.add_argument("--budget", type=int, default=5_000_000,
-                        help="shared search-node pool for the race")
-    p_port.add_argument("--deadline", type=float,
-                        help="race deadline in seconds (quality class "
-                             "returns the best lane finished so far)")
-    p_port.add_argument("--vectors", type=int, default=256,
-                        help="Monte-Carlo equivalence vectors")
-    p_port.add_argument("--memo-dir",
-                        help="persist selector decisions in this DiskCache "
-                             "directory (recognized families skip the race)")
-    p_port.add_argument("--no-memo", action="store_true",
-                        help="always race; ignore the selector memo")
-    p_port.add_argument("--json", action="store_true",
-                        help="emit a JSON report instead of the table")
-    p_port.add_argument("--trace",
-                        help="record a span trace (per-lane lane:* spans)")
-    p_port.set_defaults(fn=_cmd_portfolio)
-
     p_serve = sub.add_parser(
         "serve",
         help="run the sharded HTTP serving tier (asyncio gateway in front "
@@ -865,96 +831,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     ok = equivalent and within and not unrecovered
     print(f"verdict      : {'ok' if ok else 'FAILED'}")
     return 0 if ok else 1
-
-
-def _cmd_portfolio(args: argparse.Namespace) -> int:
-    """Race the strategy portfolio on one circuit and report the lanes.
-
-    Exit code 0 means a winner was produced and its network is
-    functionally equivalent to the input; 3 means no lane finished.
-    """
-    from repro.harness.tables import Table
-    from repro.network.simulate import random_equivalence_check
-    from repro.portfolio import PortfolioError, StrategySelector, run_portfolio
-
-    net = _load_circuit(args.circuit, args.scale)
-    if args.memo_dir:
-        from repro.portfolio.selector import SELECTOR_SCHEMA
-        from repro.serve.diskcache import DiskCache
-
-        selector = StrategySelector(
-            backing=DiskCache(args.memo_dir, schema=SELECTOR_SCHEMA)
-        )
-    elif args.no_memo:
-        selector = False
-    else:
-        selector = None  # the process default
-    try:
-        procs = tuple(
-            int(p) for p in str(args.procs).split(",") if p.strip()
-        )
-    except ValueError:
-        print(f"error: bad --procs {args.procs!r}: expected e.g. 2,4",
-              file=sys.stderr)
-        return 2
-    try:
-        with _trace_to_file(args.trace):
-            res = run_portfolio(
-                net, klass=args.klass, procs=procs,
-                node_budget=args.budget, deadline=args.deadline,
-                selector=selector,
-            )
-    except PortfolioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    equivalent = random_equivalence_check(
-        net, res.network, vectors=args.vectors, outputs=net.outputs,
-    )
-    if args.json:
-        import json
-
-        doc = {
-            "circuit": net.name,
-            "class": res.klass,
-            "winner": res.winner,
-            "memoized": res.memoized,
-            "initial_lc": res.initial_lc,
-            "final_lc": res.final_lc,
-            "host_ms": round(res.host_ms, 3),
-            "cancelled": res.cancelled,
-            "budget_used": res.budget_used,
-            "budget_max": res.budget_max,
-            "family": res.family,
-            "equivalent": equivalent,
-            "lanes": [r.as_dict() for r in res.lanes],
-        }
-        print(json.dumps(doc, indent=2))
-        return 0 if equivalent else 1
-    table = Table(
-        title=f"Portfolio race — {net.name} ({res.klass} class)",
-        columns=["lane", "kind", "status", "final LC", "host ms", "nodes"],
-    )
-    for rep in res.lanes:
-        table.add_row(
-            rep.lane, rep.kind, rep.status,
-            "—" if rep.final_lc is None else rep.final_lc,
-            f"{rep.host_ms:.0f}",
-            rep.nodes_spent or "—",
-        )
-    if res.memoized:
-        table.add_note("selector memo hit: race skipped "
-                       f"(family {res.family})")
-    print(table.render())
-    print(f"winner       : {res.winner}"
-          + (" (memoized)" if res.memoized else ""))
-    print(f"literal count: {res.initial_lc} -> {res.final_lc}")
-    print(f"race time    : {res.host_ms:.0f} ms"
-          f" ({res.cancelled} lane(s) cancelled)")
-    budget_max = res.budget_max if res.budget_max is not None else "∞"
-    print(f"node budget  : {res.budget_used} / {budget_max}")
-    print(f"equivalence  : {'ok' if equivalent else 'FAILED'}")
-    print(f"verdict      : {'ok' if equivalent else 'FAILED'}")
-    return 0 if equivalent else 1
 
 
 def _cmd_fsck(args: argparse.Namespace) -> int:

@@ -105,7 +105,7 @@ def replicated_kernel_extract(
     network: BooleanNetwork,
     nprocs: int,
     model: CostModel = DEFAULT_COST_MODEL,
-    search_budget: "Optional[int | SearchBudget]" = 5_000_000,
+    search_budget: Optional[int] = 5_000_000,
     min_gain: int = 1,
     max_iterations: Optional[int] = None,
     tracer: Optional["Tracer"] = None,
@@ -127,15 +127,7 @@ def replicated_kernel_extract(
     machine = SimulatedMachine(
         nprocs, model, tracer=tracer, faults=resolve_fault_injector(faults)
     )
-    # An int is wrapped in a fresh budget; a SearchBudget instance is
-    # used as-is so callers (the portfolio racer) can share one pool
-    # across several concurrent runs.
-    if isinstance(search_budget, SearchBudget):
-        budget = search_budget
-    elif search_budget is not None:
-        budget = SearchBudget(search_budget)
-    else:
-        budget = None
+    budget = SearchBudget(search_budget) if search_budget is not None else None
     pending = sorted(work_net.nodes)
     node_owner = {n: i % nprocs for i, n in enumerate(pending)}
     initial_lc = work_net.literal_count()

@@ -48,8 +48,8 @@ fsck
 ----
 :func:`fsck_scan` walks **every** schema directory under a cache root —
 the result cache (``repro-servecache/1``), the rectangle memo
-(``repro-rectmemo/1``), the portfolio selector (``repro-portfolio/1``),
-any future DiskCache tenant (they share one on-disk shape), and the job
+(``repro-rectmemo/1``), any other DiskCache tenant (they share one
+on-disk shape), and the job
 journal — reporting corrupt entries, schema/key mismatches, orphaned
 temp files, and torn journal records.  With ``repair=True`` it
 quarantines corrupt entries under ``<schema-dir>/quarantine/``, deletes
@@ -469,7 +469,7 @@ def fsck_scan(root: os.PathLike, repair: bool = False) -> Dict[str, Any]:
 
     Discovers schema directories structurally — a child directory with a
     ``VERSION`` file — so every DiskCache tenant (result cache, rect
-    memo, portfolio selector, future schemas) is covered without a
+    memo, future schemas) is covered without a
     hard-coded list; the job journal's line-record format is handled
     specially.  Returns a report document; ``ok`` is True when the scan
     found no issues (pre-repair state — rerun after a repair to

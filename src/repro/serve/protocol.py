@@ -50,11 +50,21 @@ __all__ = [
     "answers",
     "response_document",
     "estimate_kc_footprint",
+    "CLASSES",
     "SEARCHERS",
 ]
 
 #: Rectangle searchers a request may name (mirrors the CLI choices).
 SEARCHERS = ("pingpong", "exhaustive")
+
+#: Request classes: ``class`` is sugar for one (algorithm, searcher)
+#: pair, so a class request is the same job, with the same cache key, as
+#: its explicit spelling.  A quality job that overruns its node budget
+#: or deadline degrades to ping-pong like any exhaustive job.
+CLASSES = {
+    "latency": ("sequential", "pingpong"),
+    "quality": ("sequential", "exhaustive"),
+}
 
 #: Hard ceiling on inline ``eqn`` payloads (bytes of text) — admission
 #: control for request *size*, independent of queue depth.
@@ -96,27 +106,28 @@ def parse_job_request(doc: Any) -> Dict[str, Any]:
                 f"'eqn' exceeds the {MAX_EQN_BYTES // (1024 * 1024)} MiB limit"
             )
     algorithm = doc.get("algorithm", "sequential")
+    searcher = doc.get("searcher", "pingpong")
     klass = doc.get("class")
     if klass is not None:
-        # 'class' is SLO sugar for the portfolio algorithms: latency
-        # races for the first finisher, quality for the best literal
-        # count.  It may restate — but not contradict — 'algorithm'.
-        if klass not in ("latency", "quality"):
+        # 'class' is fixed sugar for one explicit spelling (see
+        # CLASSES).  It may restate — but not contradict — 'algorithm'
+        # or 'searcher'.
+        if not isinstance(klass, str) or klass not in CLASSES:
             raise BadRequest(
                 f"unknown class {klass!r}; expected latency or quality"
             )
-        if "algorithm" in doc and algorithm != f"portfolio:{klass}":
-            raise BadRequest(
-                f"'class': {klass!r} conflicts with explicit "
-                f"algorithm {algorithm!r}"
-            )
-        algorithm = f"portfolio:{klass}"
+        algorithm, searcher = CLASSES[klass]
+        for field, value in (("algorithm", algorithm), ("searcher", searcher)):
+            if field in doc and doc[field] != value:
+                raise BadRequest(
+                    f"'class': {klass!r} conflicts with explicit "
+                    f"{field} {doc[field]!r}"
+                )
     if algorithm not in ALGORITHMS:
         raise BadRequest(
             f"unknown algorithm {algorithm!r}; expected one of "
             f"{', '.join(ALGORITHMS)}"
         )
-    searcher = doc.get("searcher", "pingpong")
     if searcher not in SEARCHERS:
         raise BadRequest(
             f"unknown searcher {searcher!r}; expected one of "

@@ -96,21 +96,6 @@ def worker_main(
             install_default_memo(
                 RectMemo(backing=DiskCache(cache_dir, schema=MEMO_SCHEMA))
             )
-        # Same treatment for the portfolio's per-family lane decisions:
-        # one worker's race teaches every worker generation.
-        from repro.portfolio.selector import (
-            SELECTOR_SCHEMA,
-            StrategySelector,
-            install_default_selector,
-            selector_enabled,
-        )
-
-        if selector_enabled():
-            install_default_selector(
-                StrategySelector(
-                    backing=DiskCache(cache_dir, schema=SELECTOR_SCHEMA)
-                )
-            )
     engine = FactorizationEngine(workers=1, **(engine_opts or {}))
     send_lock = threading.Lock()
     jobs_done = 0

@@ -28,10 +28,6 @@ DOC = {
         "1": {"alive": False, "generation": 3, "crashes": 2},
     },
     "rect_search": {"rect_search_nodes": 100, "rect_memo_hits": 4},
-    "portfolio": {
-        "portfolio_races": 3,
-        "portfolio_lane_wins": {"pingpong": 2, "exhaustive": 1},
-    },
     "slo": {
         "paths": {
             "default/sequential": {
@@ -60,7 +56,6 @@ def test_render_families_and_naming():
     assert "repro_empty_seconds" not in text  # zero-count stays silent
     assert 'repro_worker_alive{worker="1"} 0' in text
     assert 'repro_worker_crashes_detected_total{worker="1"} 2' in text
-    assert 'repro_portfolio_lane_wins_total{lane="pingpong"} 2' in text
     assert ('repro_slo_latency_burn{algorithm="sequential",'
             'tenant="default",window="60s"} 0.5') in text
     assert "repro_cluster_jobs_total 10" in text

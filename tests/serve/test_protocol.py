@@ -75,35 +75,49 @@ def test_job_cache_key_ignores_serving_only_fields():
 
 
 class TestClassField:
-    """'class' is SLO sugar for the portfolio algorithms."""
+    """'class' is fixed sugar for one explicit (algorithm, searcher)."""
 
-    @pytest.mark.parametrize("klass", ["latency", "quality"])
-    def test_class_selects_portfolio_algorithm(self, klass):
+    @pytest.mark.parametrize("klass,searcher", [
+        ("latency", "pingpong"), ("quality", "exhaustive"),
+    ])
+    def test_class_maps_to_explicit_spelling(self, klass, searcher):
         spec = parse_job_request({"circuit": "example", "class": klass})
-        assert spec["algorithm"] == f"portfolio:{klass}"
+        explicit = parse_job_request({
+            "circuit": "example", "algorithm": "sequential",
+            "searcher": searcher,
+        })
+        assert spec == explicit
+        network = load_circuit("example")
+        assert job_cache_key(spec, network) == job_cache_key(explicit, network)
 
     def test_consistent_restatement_is_allowed(self):
         spec = parse_job_request({
             "circuit": "example",
-            "class": "latency",
-            "algorithm": "portfolio:latency",
+            "class": "quality",
+            "algorithm": "sequential",
+            "searcher": "exhaustive",
         })
-        assert spec["algorithm"] == "portfolio:latency"
+        assert (spec["algorithm"], spec["searcher"]) == ("sequential", "exhaustive")
 
     def test_unknown_class_rejected(self):
         with pytest.raises(BadRequest, match="unknown class 'cheapest'"):
             parse_job_request({"circuit": "example", "class": "cheapest"})
+        with pytest.raises(BadRequest, match="unknown class"):
+            parse_job_request({"circuit": "example", "class": ["latency"]})
 
     def test_conflicting_algorithm_rejected(self):
-        with pytest.raises(BadRequest, match="conflicts with explicit"):
+        with pytest.raises(BadRequest, match="conflicts with explicit algorithm"):
             parse_job_request({
-                "circuit": "example",
-                "class": "quality",
-                "algorithm": "lshaped",
+                "circuit": "example", "class": "quality", "algorithm": "lshaped",
             })
 
-    def test_explicit_portfolio_algorithm_without_class(self):
-        spec = parse_job_request({
-            "circuit": "example", "algorithm": "portfolio:quality",
-        })
-        assert spec["algorithm"] == "portfolio:quality"
+    def test_conflicting_searcher_rejected(self):
+        with pytest.raises(BadRequest, match="conflicts with explicit searcher"):
+            parse_job_request({
+                "circuit": "example", "class": "quality", "searcher": "pingpong",
+            })
+
+    @pytest.mark.parametrize("algorithm", ["portfolio:latency", "portfolio:quality"])
+    def test_explicit_portfolio_algorithm_rejected(self, algorithm):
+        with pytest.raises(BadRequest, match="unknown algorithm"):
+            parse_job_request({"circuit": "example", "algorithm": algorithm})
