@@ -6,8 +6,10 @@ CLI / CI perf-smoke runner) and ``benchmarks/bench_bitview_search.py``
 MCNC stand-in circuits plus the paper's worked examples — and writes
 the JSON of ``benchmarks/results/BENCH_rectsearch.json``:
 
-- exhaustive rows time the v1 full enumeration (``prune=False``)
-  against the default v2 branch-and-bound search and report both
+- exhaustive rows time the v1 full enumeration (the
+  :func:`~repro.rectangles.search.enumerate_rectangles` stream, folded
+  to its best rectangle) against the v2 branch-and-bound search of
+  :func:`~repro.rectangles.search.best_rectangle_exhaustive` and report both
   times, both node counts, the v2 speedup and the suite's v2 geomean;
 - ping-pong rows report one time and the rounds per second.
 
@@ -43,6 +45,7 @@ from repro.rectangles.search import (
     BudgetExceeded,
     SearchBudget,
     best_rectangle_exhaustive,
+    enumerate_rectangles,
 )
 
 #: JSON schema version for BENCH_rectsearch.json.
@@ -143,20 +146,25 @@ def _build_network(wl: Workload) -> BooleanNetwork:
 
 def _run_searcher(
     wl: Workload, matrix: KCMatrix,
-    meter: Optional[CostMeter] = None, prune: bool = True,
+    meter: Optional[CostMeter] = None, v1: bool = False,
 ):
     """One full search; returns a comparable result object.
 
-    *prune* selects between the v2 branch-and-bound/dominance search
-    (the default) and v1 full enumeration for exhaustive workloads (the
-    memo is always off here: a timing repeat must measure the search,
-    not a table hit).
+    Exhaustive workloads run the v2 search, or with *v1* the full
+    enumeration stream, folded to its highest gain with ties to the
+    smallest ``(cols, rows)`` — the rectangle v2 must return.
     """
     if wl.searcher == "exhaustive":
         budget = SearchBudget(wl.budget) if wl.budget is not None else None
         try:
+            if v1:
+                return ("done", min(
+                    enumerate_rectangles(matrix, budget=budget, meter=meter),
+                    key=lambda rg: (-rg[1], rg[0].cols, rg[0].rows),
+                    default=None,
+                ))
             return ("done", best_rectangle_exhaustive(
-                matrix, budget=budget, meter=meter, prune=prune, memo=False,
+                matrix, budget=budget, meter=meter,
             ))
         except BudgetExceeded:
             return ("dnf", budget.used)
@@ -172,7 +180,7 @@ def _run_searcher(
 
 
 def _time_search(
-    wl: Workload, matrix: KCMatrix, prune: bool = True,
+    wl: Workload, matrix: KCMatrix, v1: bool = False,
 ) -> Tuple[float, object, float]:
     """Best-of-repeats wall time; returns (seconds, result, work units).
 
@@ -181,7 +189,7 @@ def _time_search(
     so each timing pays the full compile-plus-search cost.
     """
     meter = CostMeter()
-    result = _run_searcher(wl, matrix, meter=meter, prune=prune)
+    result = _run_searcher(wl, matrix, meter=meter, v1=v1)
     units = meter.counts.get("search_node", 0.0) or meter.counts.get(
         "pingpong_round", 0.0
     )
@@ -189,7 +197,7 @@ def _time_search(
     for _ in range(wl.repeats):
         matrix._touch()  # drop the bitset forms: time compile + search
         t0 = time.perf_counter()
-        _run_searcher(wl, matrix, prune=prune)
+        _run_searcher(wl, matrix, v1=v1)
         best = min(best, time.perf_counter() - t0)
     return best, result, units
 
@@ -219,8 +227,8 @@ def run_workload(wl: Workload) -> Dict:
         # "Equal or better" means: identical best rectangle, or v1 hit
         # the node budget (DNF) where v2 either also hit it or —
         # strictly better — finished inside it.
-        t_v1, res_v1, nodes_v1 = _time_search(wl, matrix, prune=False)
-        t_v2, res_v2, nodes_v2 = _time_search(wl, matrix, prune=True)
+        t_v1, res_v1, nodes_v1 = _time_search(wl, matrix, v1=True)
+        t_v2, res_v2, nodes_v2 = _time_search(wl, matrix)
         v2_ok = (
             res_v2 == res_v1
             or (res_v1[0] == "dnf" and res_v2[0] in ("dnf", "done"))

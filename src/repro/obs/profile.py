@@ -167,9 +167,8 @@ class ProfileResult:
         for name, total in self.counter_rows():
             counters.add_row(name, int(total))
         counters.add_note(
-            "search pruning (rect_search_*) and canonical-memo "
-            "(rect_memo_*) counters are per-search span attachments; "
-            "zero rows mean the feature never fired on this run."
+            "search pruning (rect_search_*) counters are per-search span "
+            "attachments; zero rows mean pruning never fired on this run."
         )
         return (
             phases.render() + "\n\n" + procs.render()
@@ -177,7 +176,7 @@ class ProfileResult:
         )
 
     def counter_rows(self) -> List[tuple]:
-        """Counter totals, with the v2 search/memo counters always
+        """Counter totals, with the v2 search pruning counters always
         present (zero-filled) so profiles are comparable across runs."""
         from repro.rectangles.memo import COUNTER_NAMES
 

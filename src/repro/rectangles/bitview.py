@@ -29,9 +29,9 @@ that runs on it takes every tie-break from the labels.
 :class:`BitKCView` (``KCMatrix.dense_view()``) is the sorted
 compilation: dense positions ``0..R-1`` / ``0..C-1`` in sorted-label
 order, so position order *is* label order.  The exhaustive search walks
-label-ordered column subsets by position (``neg_above``) and the memo
-signature hashes positions, so they keep this form, compiled once per
-matrix version and dropped by every mutation.
+label-ordered column subsets by position (``neg_above``), so it keeps
+this form, compiled once per matrix version and dropped by every
+mutation.
 
 The value table for the pure :func:`~repro.rectangles.rectangle.
 default_value` is kept with the structure, and so are the live index's
@@ -219,7 +219,6 @@ class BitKCView(_BitCells):
         "_clean_rows",
         "_dominated_anchors",
         "_suffix_pot",
-        "_signature",
     )
 
     def __init__(self, matrix) -> None:
@@ -278,7 +277,6 @@ class BitKCView(_BitCells):
         self._clean_rows: Optional[int] = None
         self._dominated_anchors: Optional[int] = None
         self._suffix_pot: Optional[Tuple[List[List[int]], List[List[int]]]] = None
-        self._signature: Optional[str] = None
 
     # ------------------------------------------------------------------
     @property
@@ -423,46 +421,6 @@ class BitKCView(_BitCells):
                 sums_tbl.append(suf)
             got = (cols_tbl, sums_tbl)
             self._suffix_pot = got
-        return got
-
-    def signature(self) -> str:
-        """Canonical content hash of this matrix snapshot.
-
-        Two matrices whose sorted-label compilations are structurally
-        identical — same shape, same incidence, same row/column costs,
-        same node partition of the rows and same cube-identity pattern
-        among cells (captured as dense first-occurrence ids per
-        ``(node, cube)``) — hash equally, regardless of what offset
-        labels the jobs used.  Everything the exhaustive search's result
-        depends on is in the payload, so the hash is a sound memo key
-        for :mod:`repro.rectangles.memo`.  Cached with the view: any
-        matrix mutation drops the view and hence the signature.
-        """
-        got = self._signature
-        if got is None:
-            import hashlib
-
-            values = self.value_table(default_value)
-            cube_ids: Dict[Tuple[int, Cube], int] = {}
-            items: List[Tuple[int, int, int, int]] = []
-            for rpos, rcells in enumerate(self.cells):
-                nid = self.row_node[rpos]
-                for cpos in sorted(rcells):
-                    eid = rcells[cpos]
-                    key = (nid, self.entry_cubes[eid])
-                    cid = cube_ids.setdefault(key, len(cube_ids))
-                    items.append((rpos, cpos, cid, values[eid]))
-            payload = repr((
-                "rectsig/1",
-                len(self.row_labels),
-                len(self.col_labels),
-                tuple(self.row_cost),
-                tuple(self.col_cost),
-                tuple(self.row_node),
-                tuple(items),
-            )).encode()
-            got = hashlib.sha256(payload).hexdigest()
-            self._signature = got
         return got
 
     def value_table(self, value_fn: ValueFn = default_value) -> List[int]:

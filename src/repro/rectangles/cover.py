@@ -29,12 +29,7 @@ from repro.network.boolean_network import BooleanNetwork
 from repro.obs.tracer import NULL_SPAN, active_tracer
 from repro.rectangles.kcmatrix import IncrementalKCMatrix, KCMatrix, build_kc_matrix
 from repro.rectangles.pingpong import best_rectangle_pingpong
-from repro.rectangles.rectangle import (
-    Rectangle,
-    ValueFn,
-    default_value,
-    rectangle_kernel,
-)
+from repro.rectangles.rectangle import Rectangle, rectangle_kernel
 from repro.rectangles.search import SearchBudget, best_rectangle_exhaustive
 from repro.verify import audit as _audit
 
@@ -141,7 +136,6 @@ def apply_rectangle(
 
 def make_searcher(
     kind: str,
-    value_fn: ValueFn = default_value,
     budget: Optional[SearchBudget] = None,
     meter=None,
     max_seeds: Optional[int] = None,
@@ -149,11 +143,11 @@ def make_searcher(
     """Build a searcher callable from a name ("pingpong"/"exhaustive")."""
     if kind == "pingpong":
         return lambda m: best_rectangle_pingpong(
-            m, value_fn=value_fn, meter=meter, max_seeds=max_seeds
+            m, meter=meter, max_seeds=max_seeds
         )
     if kind == "exhaustive":
         return lambda m: best_rectangle_exhaustive(
-            m, value_fn=value_fn, budget=budget, meter=meter
+            m, budget=budget, meter=meter
         )
     raise ValueError(f"unknown searcher {kind!r}")
 

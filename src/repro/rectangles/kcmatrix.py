@@ -267,7 +267,7 @@ class KCMatrix:
         """The cached sorted-label compilation (:class:`BitKCView`).
 
         Positions are ranks in sorted-label order, which the exhaustive
-        search's column-subset walk and the memo signature rely on.
+        search's column-subset walk relies on.
         Compiled lazily and dropped by every mutation, so it is built
         at most once per matrix version.
         """

@@ -31,11 +31,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.obs.tracer import active_tracer, add_counters
 from repro.rectangles.kcmatrix import KCMatrix
-from repro.rectangles.memo import (
-    GLOBAL_SEARCH_STATS,
-    memo_key,
-    resolve_memo,
-)
+from repro.rectangles.memo import GLOBAL_SEARCH_STATS
 from repro.rectangles.rectangle import (
     Rectangle,
     ValueFn,
@@ -577,116 +573,31 @@ def _best_rectangle_bit_v2(
 
 def best_rectangle_exhaustive(
     matrix: KCMatrix,
-    value_fn: ValueFn = default_value,
     min_cols: int = 2,
     anchor_filter: Optional[Callable[[int], bool]] = None,
     budget: Optional[SearchBudget] = None,
     meter=None,
-    prune: bool = True,
-    memo=None,
 ) -> Optional[Tuple[Rectangle, int]]:
     """Maximum-gain rectangle (deterministic ties).
 
-    By default this runs the v2 pruned search — branch-and-bound with an
-    admissible remaining-gain bound, dominance-based anchor skipping and
-    the cross-job canonical memo of :mod:`repro.rectangles.memo` — which
-    returns the exact rectangle (value *and* tie-break) full enumeration
-    would, while visiting a fraction of the tree.  ``prune=False`` falls
-    back to consuming the v1 :func:`enumerate_rectangles` stream; non-default value functions
-    always take that fallback because the bound and dominance arguments
-    assume the default value structure.
-
-    ``memo=`` is ``None`` (the process-default memo), ``False``
-    (disabled) or an explicit :class:`~repro.rectangles.memo.RectMemo`.
-    Memoization applies only to unfiltered default-value searches; hits
-    replay the recorded node count as one lump budget spend / meter
-    charge, so budgets raise and simulated clocks advance exactly as if
-    the search had run.
+    Runs the v2 pruned search — branch-and-bound with an admissible
+    remaining-gain bound and dominance-based anchor skipping — which
+    returns the exact rectangle (value *and* tie-break) the v1
+    :func:`enumerate_rectangles` stream would, while visiting a fraction
+    of the tree.
     """
-    tracing = active_tracer() is not None
-    if prune and value_fn is default_value:
-        memo_obj = resolve_memo(memo) if anchor_filter is None else None
-        view = None
-        key = None
-        if memo_obj is not None:
-            view = matrix.dense_view()
-            key = memo_key(view.signature(), min_cols)
-            hit = memo_obj.lookup(key)
-            if hit is not None:
-                nodes = hit["nodes"]
-                if budget is not None:
-                    budget.spend(nodes)
-                if meter is not None:
-                    meter.charge("search_node", nodes)
-                if tracing:
-                    # A hit stands in for the recorded search: the nodes
-                    # it charged the meter/budget are attributed to the
-                    # span so traced profiles keep adding up.
-                    add_counters(search_node_visit=nodes, rect_memo_hits=1)
-                if not hit["found"]:
-                    return None
-                row_labels = view.row_labels
-                col_labels = view.col_labels
-                rect = Rectangle(
-                    rows=tuple([row_labels[r] for r in hit["rows"]]),
-                    cols=tuple([col_labels[c] for c in hit["cols"]]),
-                )
-                return rect, hit["gain"]
-        best, stats = _best_rectangle_bit_v2(
-            matrix, min_cols, anchor_filter, budget, meter
+    best, stats = _best_rectangle_bit_v2(
+        matrix, min_cols, anchor_filter, budget, meter
+    )
+    GLOBAL_SEARCH_STATS.record(stats["pruned"], stats["dominance_skips"])
+    if active_tracer() is not None:
+        add_counters(
+            search_node_visit=stats["nodes"],
+            dominance_prune=stats["forced"],
+            rect_yield=stats["evaluated"],
+            rect_search_pruned_subtrees=stats["pruned"],
+            rect_search_dominance_skips=stats["dominance_skips"],
         )
-        GLOBAL_SEARCH_STATS.record(stats["pruned"], stats["dominance_skips"])
-        if tracing:
-            add_counters(
-                search_node_visit=stats["nodes"],
-                dominance_prune=stats["forced"],
-                rect_yield=stats["evaluated"],
-                rect_search_pruned_subtrees=stats["pruned"],
-                rect_search_dominance_skips=stats["dominance_skips"],
-            )
-            if memo_obj is not None:
-                add_counters(rect_memo_misses=1)
-        if key is not None:
-            if best is None:
-                entry = {
-                    "found": False, "gain": 0, "rows": [], "cols": [],
-                    "nodes": stats["nodes"],
-                }
-            else:
-                rect, gain = best
-                row_pos = view.row_pos
-                col_pos = view.col_pos
-                entry = {
-                    "found": True,
-                    "gain": gain,
-                    "rows": [row_pos[r] for r in rect.rows],
-                    "cols": [col_pos[c] for c in rect.cols],
-                    "nodes": stats["nodes"],
-                }
-            evicted = memo_obj.store(key, entry)
-            if evicted and tracing:
-                add_counters(rect_memo_evictions=1)
-        return best
-    n_yield = 0
-    best: Optional[Tuple[Rectangle, int]] = None
-    for rect, gain in enumerate_rectangles(
-        matrix,
-        value_fn=value_fn,
-        min_cols=min_cols,
-        anchor_filter=anchor_filter,
-        budget=budget,
-        meter=meter,
-    ):
-        if tracing:
-            n_yield += 1
-        if (
-            best is None
-            or gain > best[1]
-            or (gain == best[1] and (rect.cols, rect.rows) < (best[0].cols, best[0].rows))
-        ):
-            best = (rect, gain)
-    if tracing:
-        add_counters(rect_yield=n_yield)
     return best
 
 

@@ -47,9 +47,8 @@ small active segment no matter how long it has run.
 fsck
 ----
 :func:`fsck_scan` walks **every** schema directory under a cache root —
-the result cache (``repro-servecache/1``), the rectangle memo
-(``repro-rectmemo/1``), any other DiskCache tenant (they share one
-on-disk shape), and the job
+the result cache (``repro-servecache/1``), any other DiskCache tenant
+(they share one on-disk shape), and the job
 journal — reporting corrupt entries, schema/key mismatches, orphaned
 temp files, and torn journal records.  With ``repair=True`` it
 quarantines corrupt entries under ``<schema-dir>/quarantine/``, deletes
@@ -468,8 +467,8 @@ def fsck_scan(root: os.PathLike, repair: bool = False) -> Dict[str, Any]:
     """Scan (and optionally repair) every cache schema under *root*.
 
     Discovers schema directories structurally — a child directory with a
-    ``VERSION`` file — so every DiskCache tenant (result cache, rect
-    memo, future schemas) is covered without a
+    ``VERSION`` file — so every DiskCache tenant (result cache, future
+    schemas, leftovers of retired ones) is covered without a
     hard-coded list; the job journal's line-record format is handled
     specially.  Returns a report document; ``ok`` is True when the scan
     found no issues (pre-repair state — rerun after a repair to

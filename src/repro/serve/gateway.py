@@ -335,6 +335,7 @@ class Gateway:
                 on_eof=self._on_worker_eof_threadsafe,
                 engine_opts=self.config.engine_opts,
                 flight_dir=self.flight_dir,
+                cache_max_bytes=self.config.cache_max_bytes,
             )
             self._handles.append(handle)
             self._outstanding[worker_id] = {}
@@ -1056,15 +1057,11 @@ class Gateway:
             doc["disk_cache"] = self.disk.stats()
         if self.journal is not None:
             doc["journal"] = self.journal.stats()
-        # Rectangle-search v2 counters (pruning + canonical memo),
-        # summed over the workers' latest health reports.
-        rect: Dict[str, int] = {
-            "rect_search_pruned_subtrees": 0,
-            "rect_search_dominance_skips": 0,
-            "rect_memo_hits": 0,
-            "rect_memo_misses": 0,
-            "rect_memo_evictions": 0,
-        }
+        # Rectangle-search v2 pruning counters, summed over the
+        # workers' latest health reports.
+        from repro.rectangles.memo import COUNTER_NAMES
+
+        rect: Dict[str, int] = dict.fromkeys(COUNTER_NAMES, 0)
         for handle in self._handles:
             engine = (handle.last_health or {}).get("engine") or {}
             for name, value in (engine.get("rect_search") or {}).items():

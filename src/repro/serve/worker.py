@@ -34,7 +34,7 @@ import queue
 import signal
 import threading
 import time
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, Optional, Set
 
 from repro.obs.flight import auto_dump, flight_recorder, set_flight_dir
 from repro.obs.tracer import Tracer, use_tracer
@@ -60,6 +60,7 @@ def worker_main(
     cache_dir: Optional[str] = None,
     engine_opts: Optional[Dict[str, Any]] = None,
     flight_dir: Optional[str] = None,
+    cache_max_bytes: Optional[int] = None,
 ) -> None:
     """Entry point of one worker process (also callable in-process by
     tests that want the protocol without a fork)."""
@@ -81,21 +82,7 @@ def worker_main(
         for _ev in _serve_plan.serve_events("worker-slow"):
             if _ev.pid == worker_id:
                 slow_factor = max(slow_factor, _ev.factor)
-    disk = DiskCache(cache_dir) if cache_dir else None
-    if cache_dir:
-        # Persist best-rectangle memo entries next to the result cache
-        # (own schema namespace), shared by every worker generation.
-        from repro.rectangles.memo import (
-            MEMO_SCHEMA,
-            RectMemo,
-            install_default_memo,
-            memo_enabled,
-        )
-
-        if memo_enabled():
-            install_default_memo(
-                RectMemo(backing=DiskCache(cache_dir, schema=MEMO_SCHEMA))
-            )
+    disk = DiskCache(cache_dir, max_bytes=cache_max_bytes) if cache_dir else None
     engine = FactorizationEngine(workers=1, **(engine_opts or {}))
     send_lock = threading.Lock()
     jobs_done = 0
@@ -234,6 +221,20 @@ def worker_main(
         pass
 
 
+#: The gateway-side ends of every worker pipe this process holds open.
+#: A forked worker inherits a copy of each; it closes them first thing
+#: (:func:`_worker_process_main`) so that the gateway holds the only
+#: copies, and its death — even by SIGKILL — gives every worker EOF.
+_GATEWAY_ENDS: Set[Any] = set()
+
+
+def _worker_process_main(*args: Any) -> None:
+    for end in list(_GATEWAY_ENDS):
+        end.close()
+    _GATEWAY_ENDS.clear()
+    worker_main(*args)
+
+
 def _mp_context():
     """Prefer fork (fast, Linux CI) and fall back to the default."""
     methods = multiprocessing.get_all_start_methods()
@@ -257,11 +258,13 @@ class WorkerHandle:
         on_eof: Callable[["WorkerHandle", int], None],
         engine_opts: Optional[Dict[str, Any]] = None,
         flight_dir: Optional[str] = None,
+        cache_max_bytes: Optional[int] = None,
     ):
         self.worker_id = worker_id
         self.cache_dir = cache_dir
         self.engine_opts = engine_opts
         self.flight_dir = flight_dir
+        self.cache_max_bytes = cache_max_bytes
         self.generation = 0
         self.crashes = 0
         #: crash-loop breaker state, owned by the gateway's event loop:
@@ -290,11 +293,14 @@ class WorkerHandle:
         self.respawn_pending = False
         self.spawned_at = time.monotonic()
         self.pid = None
-        self._conn = parent_conn
+        with self._send_lock:
+            self._close_conn()  # a dead incarnation's end, if any
+            self._conn = parent_conn
+            _GATEWAY_ENDS.add(parent_conn)
         self.process = ctx.Process(
-            target=worker_main,
+            target=_worker_process_main,
             args=(self.worker_id, child_conn, self.cache_dir,
-                  self.engine_opts, self.flight_dir),
+                  self.engine_opts, self.flight_dir, self.cache_max_bytes),
             name=f"repro-serve-worker-{self.worker_id}",
             daemon=True,
         )
@@ -343,12 +349,17 @@ class WorkerHandle:
             proc.kill()
             proc.join(timeout)
         with self._send_lock:
-            if self._conn is not None:
-                try:
-                    self._conn.close()
-                except OSError:
-                    pass
-                self._conn = None
+            self._close_conn()
+
+    def _close_conn(self) -> None:
+        """Close the gateway's pipe end (caller holds ``_send_lock``)."""
+        if self._conn is not None:
+            _GATEWAY_ENDS.discard(self._conn)
+            try:
+                self._conn.close()
+            except OSError:
+                pass
+            self._conn = None
 
     def snapshot(self) -> Dict[str, Any]:
         return {

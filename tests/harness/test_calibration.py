@@ -40,3 +40,13 @@ def test_derive_weights_requires_base():
         derive_weights(
             [ProfilePoint(name="x", seconds=1.0, counts={"search_node": 10})]
         )
+
+
+def test_every_repeat_runs_a_real_exhaustive_search():
+    """The search_node weight is derived from the repeats' mean time, so
+    each repeat must walk the search tree, not replay a cached answer."""
+    from repro.rectangles.memo import GLOBAL_SEARCH_STATS
+
+    before = GLOBAL_SEARCH_STATS.snapshot()["searches"]
+    profile_workloads(repeats=3)
+    assert GLOBAL_SEARCH_STATS.snapshot()["searches"] == before + 3

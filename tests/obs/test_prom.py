@@ -27,7 +27,7 @@ DOC = {
         "0": {"alive": True, "generation": 1, "crashes": 0},
         "1": {"alive": False, "generation": 3, "crashes": 2},
     },
-    "rect_search": {"rect_search_nodes": 100, "rect_memo_hits": 4},
+    "rect_search": {"rect_search_nodes": 100},
     "slo": {
         "paths": {
             "default/sequential": {

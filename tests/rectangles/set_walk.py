@@ -12,7 +12,7 @@ nodes and yields the same ``(rectangle, gain)`` stream as
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.rectangles.kcmatrix import KCMatrix
 from repro.rectangles.rectangle import (
@@ -100,12 +100,13 @@ def set_walk(
             yield from explore([c], rows0, c)
 
 
-def set_walk_best(
-    matrix: KCMatrix, **kw
+def best_of(
+    stream: Iterable[Tuple[Rectangle, int]],
 ) -> Optional[Tuple[Rectangle, int]]:
-    """The stream's maximum-gain rectangle, ties to smaller (cols, rows)."""
+    """A rectangle stream's maximum-gain rectangle, ties to smaller
+    (cols, rows): the rectangle the exhaustive search must return."""
     best = None
-    for rect, gain in set_walk(matrix, **kw):
+    for rect, gain in stream:
         if (
             best is None
             or gain > best[1]
@@ -114,3 +115,10 @@ def set_walk_best(
         ):
             best = (rect, gain)
     return best
+
+
+def set_walk_best(
+    matrix: KCMatrix, **kw
+) -> Optional[Tuple[Rectangle, int]]:
+    """The set walk's best rectangle (see :func:`best_of`)."""
+    return best_of(set_walk(matrix, **kw))

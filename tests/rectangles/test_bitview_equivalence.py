@@ -43,7 +43,7 @@ from repro.rectangles.search import (
 )
 from repro.verify.generator import FAMILIES, random_network
 from tests.rectangles.dense_pingpong import dense_ascents
-from tests.rectangles.set_walk import set_walk, set_walk_best
+from tests.rectangles.set_walk import best_of, set_walk, set_walk_best
 
 
 def random_kc_matrix(seed: int, n_rows: int = 14, n_cols: int = 10) -> KCMatrix:
@@ -116,8 +116,8 @@ class TestStreamEquivalence:
     def test_random_matrices_tie_broken_best(self, seed):
         mat = random_kc_matrix(seed)
         want = set_walk_best(mat)
-        assert best_rectangle_exhaustive(mat, prune=False) == want
-        assert best_rectangle_exhaustive(mat, memo=False) == want
+        assert best_of(enumerate_rectangles(mat)) == want
+        assert best_rectangle_exhaustive(mat) == want
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_random_matrices_pingpong(self, seed):

@@ -46,13 +46,6 @@ from tests.rectangles.test_live_bitview import label_form, recomputed_potentials
 SEEDS = range(20)
 
 
-@pytest.fixture(autouse=True)
-def _no_rect_memo(monkeypatch):
-    # The second of two identical runs would otherwise be answered from
-    # the process-wide rectangle memo instead of searched.
-    monkeypatch.setenv("REPRO_RECT_MEMO", "0")
-
-
 def reference_extract(
     network, nodes=None, searcher="pingpong", budget=None, meter=None,
     name_prefix="[k", max_seeds=64,

@@ -287,11 +287,6 @@ def test_apply_rectangle_after_relabel_and_slot_reuse(mutate):
 # Whole runs: live walk vs the dense walk
 # ----------------------------------------------------------------------
 
-@pytest.fixture(autouse=True)
-def _no_rect_memo(monkeypatch):
-    monkeypatch.setenv("REPRO_RECT_MEMO", "0")
-
-
 def _seq_run(network):
     """kernel_extract, recording every search's answer."""
     net = network.copy()

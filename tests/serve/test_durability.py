@@ -11,7 +11,15 @@ bodies run under ``asyncio.run``.
 
 import asyncio
 import json
+import os
+import re
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
+import repro
 from repro.serve import Gateway, GatewayConfig
 from repro.serve.bench import _probe_circuit_eqn
 from repro.serve.durability import (
@@ -20,7 +28,7 @@ from repro.serve.durability import (
     fsck_scan,
     render_fsck_report,
 )
-from repro.serve.diskcache import DiskCache
+from repro.serve.diskcache import CACHE_SCHEMA, DiskCache
 from repro.serve.httpio import http_json, http_json_lines
 
 KEY = "0" * 64
@@ -415,3 +423,85 @@ def test_journal_records_are_versioned_json_lines(tmp_path):
     assert all(r["schema"] == JOURNAL_SCHEMA for r in records)
     assert (tmp_path / "journal" / "VERSION").read_text().strip() \
         == JOURNAL_SCHEMA
+
+
+# ----------------------------------------------------------------------
+# worker lifetime and the disk budget under a live gateway
+# ----------------------------------------------------------------------
+
+
+def test_cache_budget_holds_while_serving(tmp_path):
+    # Workers write every result, so the budget must reach their
+    # DiskCache, not only the gateway's read-side one.
+    budget = 1000  # about three entries
+
+    async def main():
+        gw = await _started(cache_dir=str(tmp_path), workers=1,
+                            cache_max_bytes=budget)
+        try:
+            for seed in range(8):
+                status, doc = await http_json(
+                    "POST", gw.url + "/v1/factor",
+                    {"eqn": _probe_circuit_eqn(100 + seed),
+                     "algorithm": "sequential"}, timeout=60)
+                assert status == 200 and doc["status"] == "done"
+        finally:
+            await gw.stop()
+
+    asyncio.run(main())
+    objects = tmp_path / CACHE_SCHEMA.replace("/", "-") / "objects"
+    sizes = [p.stat().st_size for p in objects.rglob("*.json")]
+    assert 0 < len(sizes) < 8
+    assert sum(sizes) <= budget + max(sizes)
+
+
+def _gone(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    try:  # exited, but its new parent has not reaped it yet
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except OSError:
+        return True
+
+
+def test_workers_exit_when_gateway_is_killed():
+    env = dict(os.environ)
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--port", "0",
+         "--workers", "2"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+        text=True,
+    )
+    pids = []
+    try:
+        url = re.search(r"http://\S+", proc.stdout.readline()).group(0)
+
+        async def worker_pids():
+            deadline = time.monotonic() + 15
+            while time.monotonic() < deadline:
+                _, doc = await http_json("GET", url + "/healthz")
+                got = [w.get("pid") for w in doc["workers"].values()]
+                if len(got) == 2 and all(got):
+                    return got
+                await asyncio.sleep(0.1)
+            raise AssertionError("workers never said hello")
+
+        pids = asyncio.run(worker_pids())
+        proc.kill()  # SIGKILL: no shutdown message reaches the workers
+        proc.wait()
+        deadline = time.monotonic() + 5
+        while time.monotonic() < deadline and not all(map(_gone, pids)):
+            time.sleep(0.05)
+        assert all(map(_gone, pids)), "workers outlived their gateway"
+    finally:
+        proc.kill()
+        proc.wait()
+        for pid in pids:
+            if not _gone(pid):
+                os.kill(pid, signal.SIGKILL)
