@@ -14,9 +14,9 @@ Usage:
 geomean speedup over v1 full enumeration falls below
 ``--min-v2-speedup`` (default 1.4) or its results are not
 equal-or-better on any exhaustive workload, when
-disabled tracing, the disabled fault-injection gates, or the always-on
-flight recorder are estimated to cost more than their budgets (2%
-each), or when
+disabled tracing, the disabled fault-injection or journal gates, or the
+always-on flight recorder are estimated to cost more than their budgets
+(2% each), or when
 ``benchmarks/results/BENCH_serving.json`` is missing or violates the
 serving-tier behavioral gate (failed requests, broken coalescing,
 malformed percentiles — see
@@ -43,6 +43,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.harness.perfcheck import (
     MIN_V2_SPEEDUP,
+    OVERHEAD_GATES,
     render_report,
     run_perf_check,
     write_report,
@@ -179,42 +180,16 @@ def main(argv=None) -> int:
                 file=sys.stderr,
             )
             return 1
-        overhead = report["trace_overhead"]
-        if not overhead["ok"]:
-            print(
-                f"FAIL: disabled-tracing overhead "
-                f"{100 * overhead['estimated_overhead']:.3f}% exceeds "
-                f"{100 * overhead['max_overhead']:.0f}%",
-                file=sys.stderr,
-            )
-            return 1
-        faults = report["fault_overhead"]
-        if not faults["ok"]:
-            print(
-                f"FAIL: disabled-faults overhead "
-                f"{100 * faults['estimated_overhead']:.3f}% exceeds "
-                f"{100 * faults['max_overhead']:.0f}%",
-                file=sys.stderr,
-            )
-            return 1
-        flight = report["flight_overhead"]
-        if not flight["ok"]:
-            print(
-                f"FAIL: flight-recorder overhead "
-                f"{100 * flight['estimated_overhead']:.3f}% exceeds "
-                f"{100 * flight['max_overhead']:.0f}%",
-                file=sys.stderr,
-            )
-            return 1
-        journal = report.get("journal_overhead")
-        if journal and not journal["ok"]:
-            print(
-                f"FAIL: disabled-journal overhead "
-                f"{100 * journal['estimated_overhead']:.3f}% exceeds "
-                f"{100 * journal['max_overhead']:.0f}%",
-                file=sys.stderr,
-            )
-            return 1
+        for key, *_ in OVERHEAD_GATES:
+            overhead = report[key]
+            if not overhead["ok"]:
+                print(
+                    f"FAIL: {overhead['label']} overhead "
+                    f"{100 * overhead['estimated_overhead']:.3f}% exceeds "
+                    f"{100 * overhead['max_overhead']:.0f}%",
+                    file=sys.stderr,
+                )
+                return 1
     return 0
 
 

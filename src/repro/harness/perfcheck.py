@@ -17,13 +17,13 @@ Every exhaustive pair is also cross-checked: a workload where v2 is
 not equal-or-better than v1 is reported as a failure, so the perf
 harness doubles as an end-to-end differential test on real matrices.
 
-The harness also polices the observability layer itself: every run
-measures the per-call cost of the *disabled* tracing fast path and
-bounds the estimated overhead it adds to the hot search loops
-(:data:`MAX_TRACE_OVERHEAD`, gated under ``--check``).  With tracing
-enabled (``REPRO_TRACE=1``) each workload row additionally carries its
-phase breakdown and hot-loop counters, so the persisted JSON pairs every
-speedup with where the time went.
+The harness also polices its always-present instrumentation: every run
+prices the disabled tracing, fault-injection and journal gates and the
+live flight recorder, and bounds the estimated share of a workload's
+wall time each costs (:data:`OVERHEAD_GATES`, 2% each, gated under
+``--check``).  With tracing enabled (``REPRO_TRACE=1``) each workload
+row additionally carries its phase breakdown and hot-loop counters, so
+the persisted JSON pairs every speedup with where the time went.
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ import json
 import math
 import platform
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 from repro.circuits.examples import paper_example_network
 from repro.circuits.mcnc import make_circuit
@@ -49,7 +49,7 @@ from repro.rectangles.search import (
 )
 
 #: JSON schema version for BENCH_rectsearch.json.
-SCHEMA = "rectsearch/4"
+SCHEMA = "rectsearch/5"
 
 #: The --check floor for the v2 pruned search's geomean speedup over
 #: v1 full enumeration on the suite's exhaustive workloads.
@@ -259,141 +259,72 @@ def run_workload(wl: Workload) -> Dict:
     return row
 
 
-def measure_trace_overhead(wl: Optional[Workload] = None) -> Dict:
-    """Bound what disabled tracing costs the hot loops, empirically.
+#: The overhead gates, one row each: report key, label, the per-call
+#: price, the workload timed, how many priced calls it makes, and the
+#: budget.  Every estimate is ``calls * price / workload wall time``.
+OVERHEAD_GATES: Tuple[Tuple[str, str, str, str, str, float], ...] = (
+    ("trace_overhead", "disabled-tracing", "span_ns", "search",
+     "trace_events", MAX_TRACE_OVERHEAD),
+    ("flight_overhead", "flight-recorder", "record_ns", "search",
+     "trace_events", MAX_FLIGHT_OVERHEAD),
+    ("fault_overhead", "disabled-faults", "gate_ns", "lshaped",
+     "fault_gates", MAX_FAULT_OVERHEAD),
+    ("journal_overhead", "disabled-journal", "gate_ns", "lshaped",
+     "journal_gates", MAX_JOURNAL_OVERHEAD),
+)
 
-    Two per-call prices are measured directly: the ``active_tracer()``
-    gate the search loops hoist once per call, and a full disabled
-    ``span()`` enter/exit (the heavier shape used at phase boundaries).
-    One workload is then run *traced* to count how many trace-API events
-    it would emit; the estimated disabled overhead is that event count
-    priced at the heavier per-call cost, over the workload's untraced
-    wall time.  Deliberately pessimistic — the real disabled path pays
-    the cheap gate for most of those events.
+#: The journal's ``self.journal is not None`` sites on the gateway
+#: request path (accepted, dispatched, done, replay probe), priced double.
+JOURNAL_GATES = 8
+
+
+def _per_call_prices() -> Dict[str, float]:
+    """Nanoseconds per call of each priced site, over many reps.
+
+    - ``span_ns``: a full disabled ``span()`` enter/exit, the heavier of
+      the two disabled tracing shapes (hot loops only pay the hoisted
+      ``active_tracer()`` gate);
+    - ``record_ns``: a live flight-recorder ``record()`` append — the
+      recorder is always on in the serving tier, so it is priced enabled;
+    - ``gate_ns``: one attribute fetch plus ``is None`` test, the shape of
+      the simulator's ``self.faults`` and the gateway's ``self.journal``
+      gates;
+    - ``append_ns``: one enabled journal append (JSON encode, ``O_APPEND``
+      write, fsync amortized over the batch) in a temp directory.
     """
-    from repro import obs
-    from repro.obs.tracer import active_tracer, span
+    import shutil
+    import tempfile
 
-    wl = wl or QUICK_SUITE[-1]
+    from repro import obs
+    from repro.obs.flight import FlightRecorder
+    from repro.obs.tracer import span
+    from repro.serve.durability import JobJournal
+
     reps = 200_000
+    prices: Dict[str, float] = {}
     with obs.use_tracer(None):
-        t0 = time.perf_counter()
-        for _ in range(reps):
-            active_tracer()
-        gate_ns = (time.perf_counter() - t0) / reps * 1e9
         t0 = time.perf_counter()
         for _ in range(reps):
             with span("overhead-probe"):
                 pass
-        span_ns = (time.perf_counter() - t0) / reps * 1e9
+        prices["span_ns"] = (time.perf_counter() - t0) / reps * 1e9
 
-        net = _build_network(wl)
-        matrix = build_kc_matrix(net)
-        t_off, _, _ = _time_search(wl, matrix)
-
-    tracer = obs.Tracer(name="overhead")
-    with obs.use_tracer(tracer), obs.span(wl.name, cat="perfcheck"):
-        matrix._touch()
-        _run_searcher(wl, matrix)
-    spans = tracer.finished()
-    # Each span is one enter/exit pair; each counter key is one hot-loop
-    # attachment.  Counter *values* (e.g. thousands of node visits) cost
-    # nothing when disabled — the loops only pay the hoisted gate.
-    events = len(spans) + sum(len(sp.counters) for sp in spans)
-    overhead = (events * span_ns) / (t_off * 1e9) if t_off else 0.0
-    return {
-        "workload": wl.name,
-        "gate_ns_per_call": gate_ns,
-        "span_ns_per_call": span_ns,
-        "trace_events": events,
-        "t_untraced_s": t_off,
-        "estimated_overhead": overhead,
-        "max_overhead": MAX_TRACE_OVERHEAD,
-        "ok": overhead <= MAX_TRACE_OVERHEAD,
-    }
-
-
-def measure_fault_overhead() -> Dict:
-    """Bound what the disabled fault-injection gates cost, empirically.
-
-    The simulated machine consults ``self.faults`` (one attribute fetch
-    plus an ``is None`` test) in every primitive — top-level operations,
-    message sends, backend map calls.  That per-call gate is priced
-    directly; one parallel workload is then run fault-free for its wall
-    time and once more under an *idle* injector (a plan whose single
-    event can never fire) purely to count how many operation indices the
-    run consumes.  The estimated disabled overhead prices every counted
-    index at three gate calls — deliberately pessimistic, since most
-    primitives test the attribute once.
-    """
-    from repro.faults import FaultInjector, FaultPlan
-    from repro.parallel.lshaped import lshaped_kernel_extract
+    recorder = FlightRecorder(proc="perfcheck")
+    t0 = time.perf_counter()
+    for i in range(reps):
+        recorder.record("probe", "overhead-probe", i=i)
+    prices["record_ns"] = (time.perf_counter() - t0) / reps * 1e9
 
     class _Gated:
         faults = None
 
     gated = _Gated()
     hits = 0
-    reps = 200_000
     t0 = time.perf_counter()
     for _ in range(reps):
         if gated.faults is not None:
             hits += 1  # pragma: no cover - the branch never fires
-    gate_ns = (time.perf_counter() - t0) / reps * 1e9
-
-    net = make_circuit("dalu", scale=0.2)
-    t0 = time.perf_counter()
-    lshaped_kernel_extract(net, nprocs=4)
-    t_off = time.perf_counter() - t0
-
-    # An event at an unreachable message index attaches the injector
-    # without ever firing; its counters say how often the gates ran.
-    idle = FaultInjector(FaultPlan.parse("drop:1000000000"))
-    lshaped_kernel_extract(net, nprocs=4, faults=idle)
-    sites = 3 * (idle.op_index + idle.msg_index + idle.backend_index)
-    overhead = (sites * gate_ns) / (t_off * 1e9) if t_off else 0.0
-    return {
-        "workload": "dalu@0.2/lshaped-4",
-        "gate_ns_per_call": gate_ns,
-        "gate_sites": sites,
-        "t_faultfree_s": t_off,
-        "estimated_overhead": overhead,
-        "max_overhead": MAX_FAULT_OVERHEAD,
-        "ok": overhead <= MAX_FAULT_OVERHEAD,
-    }
-
-
-def measure_journal_overhead() -> Dict:
-    """Bound what the job journal costs a request, empirically.
-
-    Two prices are measured.  The *disabled* gate — ``self.journal is
-    not None`` on the gateway request path (accepted, dispatched, done,
-    plus the replay probe: four sites per request, priced pessimistically
-    at eight) — is what ``--no-journal`` deployments pay, and is the
-    number gated against :data:`MAX_JOURNAL_OVERHEAD`.  The *enabled*
-    per-append cost (JSON encode + ``O_APPEND`` write, fsync amortized
-    over the batch) is measured against a real :class:`JobJournal` in a
-    temp directory and reported for context: two appends ride every
-    journaled request.  Both are priced over the wall time of a
-    representative small request's computation.
-    """
-    import shutil
-    import tempfile
-
-    from repro.parallel.lshaped import lshaped_kernel_extract
-    from repro.serve.durability import JobJournal
-
-    class _Gated:
-        journal = None
-
-    gated = _Gated()
-    hits = 0
-    reps = 200_000
-    t0 = time.perf_counter()
-    for _ in range(reps):
-        if gated.journal is not None:
-            hits += 1  # pragma: no cover - the branch never fires
-    gate_ns = (time.perf_counter() - t0) / reps * 1e9
+    prices["gate_ns"] = (time.perf_counter() - t0) / reps * 1e9
 
     tmp = tempfile.mkdtemp(prefix="repro-journal-overhead-")
     try:
@@ -405,77 +336,83 @@ def measure_journal_overhead() -> Dict:
                            key="k" * 64, tenant="perfcheck",
                            body={"circuit": "dalu", "scale": 0.2})
         journal.flush()
-        append_ns = (time.perf_counter() - t0) / appends * 1e9
+        prices["append_ns"] = (time.perf_counter() - t0) / appends * 1e9
         journal.close()
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
-
-    net = make_circuit("dalu", scale=0.2)
-    t0 = time.perf_counter()
-    lshaped_kernel_extract(net, nprocs=4)
-    t_request = time.perf_counter() - t0
-
-    sites = 8  # 4 real gate sites per request, priced double
-    overhead = (sites * gate_ns) / (t_request * 1e9) if t_request else 0.0
-    enabled = (2 * append_ns) / (t_request * 1e9) if t_request else 0.0
-    return {
-        "workload": "dalu@0.2/lshaped-4",
-        "gate_ns_per_call": gate_ns,
-        "gate_sites": sites,
-        "append_ns_per_call": append_ns,
-        "t_request_s": t_request,
-        "estimated_overhead": overhead,
-        "enabled_overhead": enabled,
-        "max_overhead": MAX_JOURNAL_OVERHEAD,
-        "ok": overhead <= MAX_JOURNAL_OVERHEAD,
-    }
+    return prices
 
 
-def measure_flight_overhead(wl: Optional[Workload] = None) -> Dict:
-    """Bound what the always-on flight recorder costs, empirically.
+def measure_overheads(wl: Optional[Workload] = None) -> Dict[str, Dict]:
+    """Bound what each gate in :data:`OVERHEAD_GATES` costs, empirically.
 
-    The flight recorder is *enabled* in production (that is its point:
-    the ring must already hold history when something crashes), so this
-    prices the live ``record()`` append — dict build, two clock reads,
-    deque push — over many reps.  One workload is then run traced to
-    count how many span/counter events it emits; the estimated overhead
-    assumes every one of those events were also flight-recorded, priced
-    at the measured per-call cost, over the workload's plain wall time.
-    Pessimistic on purpose: the serving tier records a handful of flight
-    events per request, nowhere near one per engine span.
+    Each workload is timed once, then run once more to count calls:
+
+    - ``search`` (*wl*, default the last quick-suite workload) is timed
+      untraced, then run traced; every span is one enter/exit and every
+      counter key one hot-loop attachment (counter *values* cost nothing
+      when disabled), and trace and flight both price those events;
+    - ``lshaped`` (``dalu@0.2``, 4 processors) is timed fault-free, then
+      run under an idle injector (one event at an unreachable message
+      index) whose counters say how often the fault gates ran, each
+      index priced at three gate calls.  The journal prices its fixed
+      :data:`JOURNAL_GATES` over the same request, and reports the
+      enabled cost of its two appends per request for context.
+
+    All estimates are deliberately pessimistic.
     """
     from repro import obs
-    from repro.obs.flight import FlightRecorder
+    from repro.faults import FaultInjector, FaultPlan
+    from repro.parallel.lshaped import lshaped_kernel_extract
+
+    prices = _per_call_prices()
 
     wl = wl or QUICK_SUITE[-1]
-    recorder = FlightRecorder(proc="perfcheck")
-    reps = 200_000
-    t0 = time.perf_counter()
-    for i in range(reps):
-        recorder.record("probe", "overhead-probe", i=i)
-    record_ns = (time.perf_counter() - t0) / reps * 1e9
-
-    net = _build_network(wl)
-    matrix = build_kc_matrix(net)
+    matrix = build_kc_matrix(_build_network(wl))
     with obs.use_tracer(None):
-        t_plain, _, _ = _time_search(wl, matrix)
-
-    tracer = obs.Tracer(name="flight-overhead")
+        t_search, _, _ = _time_search(wl, matrix)
+    tracer = obs.Tracer(name="overhead")
     with obs.use_tracer(tracer), obs.span(wl.name, cat="perfcheck"):
         matrix._touch()
         _run_searcher(wl, matrix)
     spans = tracer.finished()
-    events = len(spans) + sum(len(sp.counters) for sp in spans)
-    overhead = (events * record_ns) / (t_plain * 1e9) if t_plain else 0.0
-    return {
-        "workload": wl.name,
-        "record_ns_per_call": record_ns,
-        "flight_events": events,
-        "t_plain_s": t_plain,
-        "estimated_overhead": overhead,
-        "max_overhead": MAX_FLIGHT_OVERHEAD,
-        "ok": overhead <= MAX_FLIGHT_OVERHEAD,
+
+    net = make_circuit("dalu", scale=0.2)
+    t0 = time.perf_counter()
+    lshaped_kernel_extract(net, nprocs=4)
+    t_lshaped = time.perf_counter() - t0
+    idle = FaultInjector(FaultPlan.parse("drop:1000000000"))
+    lshaped_kernel_extract(net, nprocs=4, faults=idle)
+
+    workloads = {
+        "search": (wl.name, t_search),
+        "lshaped": ("dalu@0.2/lshaped-4", t_lshaped),
     }
+    calls = {
+        "trace_events": len(spans) + sum(len(sp.counters) for sp in spans),
+        "fault_gates": 3 * (idle.op_index + idle.msg_index + idle.backend_index),
+        "journal_gates": JOURNAL_GATES,
+    }
+    report: Dict[str, Dict] = {}
+    for key, label, price, workload, count, budget in OVERHEAD_GATES:
+        name, wall = workloads[workload]
+        overhead = calls[count] * prices[price] / (wall * 1e9) if wall else 0.0
+        report[key] = {
+            "label": label,
+            "workload": name,
+            "ns_per_call": prices[price],
+            "calls": calls[count],
+            "t_workload_s": wall,
+            "estimated_overhead": overhead,
+            "max_overhead": budget,
+            "ok": overhead <= budget,
+        }
+    journal = report["journal_overhead"]
+    journal["append_ns_per_call"] = prices["append_ns"]
+    journal["enabled_overhead"] = (
+        2 * prices["append_ns"] / (t_lshaped * 1e9) if t_lshaped else 0.0
+    )
+    return report
 
 
 def geomean(values: List[float]) -> float:
@@ -501,11 +438,8 @@ def run_perf_check(quick: bool = False) -> Dict:
             [r["speedup_v2"] for r in rows if r.get("speedup_v2")]
         ),
         "all_v2_match": all(r.get("v2_results_ok", True) for r in rows),
-        "trace_overhead": measure_trace_overhead(),
-        "fault_overhead": measure_fault_overhead(),
-        "flight_overhead": measure_flight_overhead(),
-        "journal_overhead": measure_journal_overhead(),
     }
+    report.update(measure_overheads())
     return report
 
 
@@ -544,43 +478,19 @@ def render_report(report: Dict) -> str:
         f"{report['geomean_speedup_v2']:.2f}x "
         f"(results {'OK' if report['all_v2_match'] else 'MISMATCH'})"
     )
-    oh = report.get("trace_overhead")
-    if oh:
+    for key, *_ in OVERHEAD_GATES:
+        oh = report[key]
+        enabled = (
+            f"enabled append {oh['append_ns_per_call'] / 1000:.1f} us -> "
+            f"{100 * oh['enabled_overhead']:.3f}%; "
+            if "enabled_overhead" in oh else ""
+        )
         lines.append(
-            f"disabled-tracing overhead: {100 * oh['estimated_overhead']:.3f}% "
-            f"of {oh['workload']} ({oh['trace_events']} events x "
-            f"{oh['span_ns_per_call']:.0f} ns; limit "
+            f"{oh['label']} overhead: {100 * oh['estimated_overhead']:.3f}% "
+            f"of {oh['workload']} ({oh['calls']} calls x "
+            f"{oh['ns_per_call']:.0f} ns; {enabled}limit "
             f"{100 * oh['max_overhead']:.0f}%) "
             f"{'OK' if oh['ok'] else 'FAIL'}"
-        )
-    fo = report.get("fault_overhead")
-    if fo:
-        lines.append(
-            f"disabled-faults overhead: {100 * fo['estimated_overhead']:.3f}% "
-            f"of {fo['workload']} ({fo['gate_sites']} gates x "
-            f"{fo['gate_ns_per_call']:.0f} ns; limit "
-            f"{100 * fo['max_overhead']:.0f}%) "
-            f"{'OK' if fo['ok'] else 'FAIL'}"
-        )
-    fl = report.get("flight_overhead")
-    if fl:
-        lines.append(
-            f"flight-recorder overhead: {100 * fl['estimated_overhead']:.3f}% "
-            f"of {fl['workload']} ({fl['flight_events']} events x "
-            f"{fl['record_ns_per_call']:.0f} ns; limit "
-            f"{100 * fl['max_overhead']:.0f}%) "
-            f"{'OK' if fl['ok'] else 'FAIL'}"
-        )
-    jo = report.get("journal_overhead")
-    if jo:
-        lines.append(
-            f"disabled-journal overhead: "
-            f"{100 * jo['estimated_overhead']:.3f}% of {jo['workload']} "
-            f"({jo['gate_sites']} gates x {jo['gate_ns_per_call']:.0f} ns; "
-            f"enabled append {jo['append_ns_per_call'] / 1000:.1f} us -> "
-            f"{100 * jo['enabled_overhead']:.3f}%; limit "
-            f"{100 * jo['max_overhead']:.0f}%) "
-            f"{'OK' if jo['ok'] else 'FAIL'}"
         )
     if report.get("tracing_enabled"):
         lines.append("tracing: enabled — workload rows carry phase breakdowns")

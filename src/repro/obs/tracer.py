@@ -13,8 +13,8 @@ A *span* is one named interval of work.  Every span carries two clocks:
 Spans nest per thread (a thread-local stack) and land on a *track*: the
 owning virtual processor id for machine phases, a job/run id for the
 service engine and fuzz driver, or the worker thread name as a fallback.
-Counters (search nodes visited, memo hits, words transferred, barrier
-stall…) attach to the innermost open span via :func:`add_counters`.
+Counters (search nodes visited, ping-pong rounds, words transferred,
+barrier stall…) attach to the innermost open span via :func:`add_counters`.
 
 Tracing is **off by default** and must cost nothing when off:
 

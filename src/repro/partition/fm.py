@@ -3,7 +3,8 @@
 Classic FM over the weighted circuit graph: every pass tentatively moves
 each free vertex once (highest gain first, balance permitting), records
 the running best prefix, and commits it.  Passes repeat until a pass
-yields no improvement.  Gains live in integer buckets for O(1) selection.
+yields no improvement.  Gains live in integer buckets; each selection
+scans the buckets from the highest gain down, names sorted within one.
 
 Determinism: ties break on vertex name, and the initial assignment is
 derived from a seeded shuffle — the same (graph, seed) always produces
@@ -15,7 +16,7 @@ from __future__ import annotations
 import random
 from typing import Dict, List, Mapping, Optional, Set, Tuple
 
-import networkx as nx
+from repro.partition.graphs import Graph
 
 
 class _GainBuckets:
@@ -56,17 +57,16 @@ class _GainBuckets:
         return len(self.gain_of)
 
 
-def _vertex_gain(graph: "nx.Graph", v: str, side: Mapping[str, int]) -> int:
+def _vertex_gain(graph: Graph, v: str, side: Mapping[str, int]) -> int:
     gain = 0
     sv = side[v]
-    for u in graph.neighbors(v):
-        w = graph[v][u].get("weight", 1)
+    for u, w in graph.adj[v].items():
         gain += w if side[u] != sv else -w
     return gain
 
 
 def fm_bipartition(
-    graph: "nx.Graph",
+    graph: Graph,
     balance: float = 0.45,
     seed: int = 0,
     max_passes: int = 12,
@@ -81,10 +81,10 @@ def fm_bipartition(
     at ``target_fraction`` of the weight; used by recursive bisection for
     non-power-of-two splits).  Returns the assignment mapping.
     """
-    nodes = sorted(graph.nodes)
+    nodes = sorted(graph.weight)
     if not nodes:
         return {}
-    weights = {v: graph.nodes[v].get("weight", 1) for v in nodes}
+    weights = graph.weight
     total_w = sum(weights.values())
     target0 = total_w * target_fraction
     slack = total_w * max(0.0, target_fraction - balance * target_fraction) + max(
@@ -139,7 +139,7 @@ def fm_bipartition(
             locked.add(v)
             moves.append((v, old))
             # Neighbor gains change by ±2w depending on relative sides.
-            for u in graph.neighbors(v):
+            for u in graph.adj[v]:
                 if u in locked:
                     continue
                 buckets.remove(u)

@@ -11,23 +11,42 @@ balance constraints track work, not node count.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Set, Tuple
-
-import networkx as nx
+from typing import Dict, Iterable, List, Mapping, Optional
 
 from repro.algebra.sop import sop_support
 from repro.network.boolean_network import BooleanNetwork, base_signal
 
 
-def circuit_graph(network: BooleanNetwork) -> "nx.Graph":
+class Graph:
+    """Undirected vertex- and edge-weighted graph on two plain dicts.
+
+    ``weight`` maps vertex → weight; ``adj`` maps vertex → {neighbour:
+    edge weight}, stored in both directions.
+    """
+
+    def __init__(self, weight: Optional[Mapping[str, int]] = None) -> None:
+        self.weight: Dict[str, int] = dict(weight or {})
+        self.adj: Dict[str, Dict[str, int]] = {v: {} for v in self.weight}
+
+    def add_edge(self, u: str, v: str, w: int) -> None:
+        """Add *w* to the weight of edge ``{u, v}`` (created at 0)."""
+        self.adj[u][v] = self.adj[v][u] = self.adj[u].get(v, 0) + w
+
+    def subgraph(self, vertices: Iterable[str]) -> "Graph":
+        """The induced subgraph on *vertices*."""
+        sub = Graph({v: self.weight[v] for v in vertices})
+        for v, nbrs in sub.adj.items():
+            nbrs.update((u, w) for u, w in self.adj[v].items() if u in sub.weight)
+        return sub
+
+
+def circuit_graph(network: BooleanNetwork) -> Graph:
     """Undirected weighted graph over internal nodes.
 
-    Vertex attribute ``weight`` = node literal count; edge attribute
-    ``weight`` = number of fanin literals realizing the connection.
+    Vertex weight = node literal count; edge weight = number of fanin
+    literals realizing the connection.
     """
-    g = nx.Graph()
-    for n in network.nodes:
-        g.add_node(n, weight=max(1, network.literal_count(n)))
+    g = Graph({n: max(1, network.literal_count(n)) for n in network.nodes})
     for n, f in network.nodes.items():
         refs: Dict[str, int] = {}
         for lit in sop_support(f):
@@ -35,19 +54,17 @@ def circuit_graph(network: BooleanNetwork) -> "nx.Graph":
             if s in network.nodes and s != n:
                 refs[s] = refs.get(s, 0) + 1
         for s, w in refs.items():
-            if g.has_edge(n, s):
-                g[n][s]["weight"] += w
-            else:
-                g.add_edge(n, s, weight=w)
+            g.add_edge(n, s, w)
     return g
 
 
-def cut_size(graph: "nx.Graph", assignment: Mapping[str, int]) -> int:
+def cut_size(graph: Graph, assignment: Mapping[str, int]) -> int:
     """Total weight of edges whose endpoints sit in different blocks."""
     total = 0
-    for u, v, data in graph.edges(data=True):
-        if assignment[u] != assignment[v]:
-            total += data.get("weight", 1)
+    for u, nbrs in graph.adj.items():
+        for v, w in nbrs.items():
+            if u < v and assignment[u] != assignment[v]:
+                total += w
     return total
 
 
@@ -61,9 +78,9 @@ def block_nodes(assignment: Mapping[str, int], nblocks: int) -> List[List[str]]:
     return out
 
 
-def block_weights(graph: "nx.Graph", assignment: Mapping[str, int], nblocks: int) -> List[int]:
+def block_weights(graph: Graph, assignment: Mapping[str, int], nblocks: int) -> List[int]:
     """Total vertex weight per block."""
     out = [0] * nblocks
     for n, b in assignment.items():
-        out[b] += graph.nodes[n].get("weight", 1)
+        out[b] += graph.weight[n]
     return out

@@ -13,14 +13,12 @@ from __future__ import annotations
 import random
 from typing import Dict, List, Mapping, Optional, Sequence
 
-import networkx as nx
-
 from repro.partition.fm import fm_bipartition
-from repro.partition.graphs import cut_size
+from repro.partition.graphs import Graph, cut_size
 
 
 def _bisect_range(
-    graph: "nx.Graph",
+    graph: Graph,
     vertices: Sequence[str],
     blocks: range,
     assignment: Dict[str, int],
@@ -48,7 +46,7 @@ def _bisect_range(
 
 
 def multiway_partition(
-    graph: "nx.Graph",
+    graph: Graph,
     nblocks: int,
     seed: int = 0,
     refine_rounds: int = 1,
@@ -61,7 +59,7 @@ def multiway_partition(
     """
     if nblocks < 1:
         raise ValueError("nblocks must be positive")
-    vertices = sorted(graph.nodes)
+    vertices = sorted(graph.weight)
     assignment: Dict[str, int] = {}
     if not vertices:
         return assignment
@@ -95,7 +93,7 @@ def multiway_partition(
 
 
 def _ensure_nonempty(
-    graph: "nx.Graph", assignment: Dict[str, int], nblocks: int
+    graph: Graph, assignment: Dict[str, int], nblocks: int
 ) -> None:
     """Move lightest vertices from the heaviest blocks into empty ones."""
     if len(assignment) < nblocks:
@@ -108,23 +106,23 @@ def _ensure_nonempty(
         donor = max(counts, key=lambda k: (len(counts[k]), -k))
         if len(counts[donor]) <= 1:
             continue
-        v = min(counts[donor], key=lambda x: (graph.nodes[x].get("weight", 1), x))
+        v = min(counts[donor], key=lambda x: (graph.weight[x], x))
         counts[donor].remove(v)
         counts[b].append(v)
         assignment[v] = b
 
 
 def random_partition(
-    graph: "nx.Graph", nblocks: int, seed: int = 0
+    graph: Graph, nblocks: int, seed: int = 0
 ) -> Dict[str, int]:
     """Weight-balanced random assignment (the ablation baseline)."""
     rng = random.Random(seed)
-    vertices = sorted(graph.nodes)
+    vertices = sorted(graph.weight)
     rng.shuffle(vertices)
     weights = [0.0] * nblocks
     assignment: Dict[str, int] = {}
     for v in vertices:
         b = min(range(nblocks), key=lambda k: (weights[k], k))
         assignment[v] = b
-        weights[b] += graph.nodes[v].get("weight", 1)
+        weights[b] += graph.weight[v]
     return assignment

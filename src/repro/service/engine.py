@@ -258,8 +258,8 @@ class FactorizationEngine:
             cache=self.cache.stats() if self.use_cache else None,
             pool={"size": self.workers, "busy": busy, "alive": True},
         )
-        # Hot-path effectiveness: the process-wide v2 search pruning and
-        # canonical-memo counters (PR 7), aggregated into /metrics.
+        # Hot-path effectiveness: the process-wide v2 search pruning
+        # counters, aggregated into /metrics.
         doc["rect_search"] = rect_search_snapshot()
         return doc
 

@@ -1,31 +1,34 @@
-import networkx as nx
 import pytest
 
 from repro.machine.costmodel import CostMeter
 from repro.partition.fm import fm_bipartition
-from repro.partition.graphs import block_nodes, block_weights, circuit_graph, cut_size
+from repro.partition.graphs import (
+    Graph,
+    block_nodes,
+    block_weights,
+    circuit_graph,
+    cut_size,
+)
 from repro.partition.multiway import multiway_partition, random_partition
 
 
 @pytest.fixture
 def two_cluster_graph():
     """Two dense 5-cliques joined by one light edge — obvious min cut."""
-    g = nx.Graph()
+    g = Graph({f"{base}{i}": 1 for base in "ab" for i in range(5)})
     for base in ("a", "b"):
         members = [f"{base}{i}" for i in range(5)]
-        for v in members:
-            g.add_node(v, weight=1)
         for i in range(5):
             for j in range(i + 1, 5):
-                g.add_edge(members[i], members[j], weight=3)
-    g.add_edge("a0", "b0", weight=1)
+                g.add_edge(members[i], members[j], 3)
+    g.add_edge("a0", "b0", 1)
     return g
 
 
 class TestCircuitGraph:
     def test_vertices_are_internal_nodes(self, eq1_network):
         g = circuit_graph(eq1_network)
-        assert set(g.nodes) == {"F", "G", "H"}
+        assert set(g.weight) == {"F", "G", "H"}
 
     def test_edges_from_fanin(self):
         from repro.network.boolean_network import BooleanNetwork
@@ -35,7 +38,7 @@ class TestCircuitGraph:
         net.add_node("x", "a")
         net.add_node("y", "x + a")
         g = circuit_graph(net)
-        assert g.has_edge("x", "y")
+        assert "y" in g.adj["x"] and "x" in g.adj["y"]
 
     def test_edge_weight_counts_references(self):
         from repro.network.boolean_network import BooleanNetwork
@@ -45,25 +48,43 @@ class TestCircuitGraph:
         net.add_node("x", "a + b")
         net.add_node("y", "xa + xb + x'")
         g = circuit_graph(net)
-        assert g["x"]["y"]["weight"] >= 2
+        assert g.adj["x"]["y"] == g.adj["y"]["x"] >= 2
 
     def test_vertex_weight_is_lc(self, eq1_network):
         g = circuit_graph(eq1_network)
-        assert g.nodes["F"]["weight"] == eq1_network.literal_count("F")
+        assert g.weight["F"] == eq1_network.literal_count("F")
 
     def test_no_pi_vertices(self, eq1_network):
         g = circuit_graph(eq1_network)
-        assert "a" not in g.nodes
+        assert "a" not in g.weight
+
+
+class TestGraph:
+    def test_add_edge_accumulates_symmetrically(self):
+        g = Graph({"x": 1, "y": 2})
+        g.add_edge("x", "y", 2)
+        g.add_edge("y", "x", 3)
+        assert g.adj == {"x": {"y": 5}, "y": {"x": 5}}
+
+    def test_subgraph_is_induced(self, two_cluster_graph):
+        sub = two_cluster_graph.subgraph(["a0", "a1", "b0"])
+        assert sub.weight == {"a0": 1, "a1": 1, "b0": 1}
+        assert sub.adj == {
+            "a0": {"a1": 3, "b0": 1},
+            "a1": {"a0": 3},
+            "b0": {"a0": 1},
+        }
+        assert len(two_cluster_graph.adj["a0"]) == 5
 
 
 class TestCutSize:
     def test_zero_when_together(self, two_cluster_graph):
-        assignment = {v: 0 for v in two_cluster_graph.nodes}
+        assignment = {v: 0 for v in two_cluster_graph.weight}
         assert cut_size(two_cluster_graph, assignment) == 0
 
     def test_counts_weights(self, two_cluster_graph):
         assignment = {
-            v: (0 if v.startswith("a") else 1) for v in two_cluster_graph.nodes
+            v: (0 if v.startswith("a") else 1) for v in two_cluster_graph.weight
         }
         assert cut_size(two_cluster_graph, assignment) == 1
 
@@ -84,11 +105,11 @@ class TestFM:
         )
 
     def test_empty_graph(self):
-        assert fm_bipartition(nx.Graph()) == {}
+        assert fm_bipartition(Graph()) == {}
 
     def test_initial_assignment_respected(self, two_cluster_graph):
         initial = {
-            v: (0 if v.startswith("a") else 1) for v in two_cluster_graph.nodes
+            v: (0 if v.startswith("a") else 1) for v in two_cluster_graph.weight
         }
         side = fm_bipartition(two_cluster_graph, initial=initial)
         assert cut_size(two_cluster_graph, side) <= 1
@@ -108,7 +129,7 @@ class TestMultiway:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
     def test_covers_all_vertices(self, two_cluster_graph, n):
         assignment = multiway_partition(two_cluster_graph, n)
-        assert set(assignment) == set(two_cluster_graph.nodes)
+        assert set(assignment) == set(two_cluster_graph.weight)
         assert set(assignment.values()) <= set(range(n))
 
     def test_all_blocks_nonempty(self, two_cluster_graph):
@@ -140,7 +161,7 @@ class TestMultiway:
         for n in (2, 4):
             assignment = multiway_partition(g, n)
             blocks = block_nodes(assignment, n)
-            assert sum(len(b) for b in blocks) == len(g.nodes)
+            assert sum(len(b) for b in blocks) == len(g.weight)
             assert all(blocks)
 
 

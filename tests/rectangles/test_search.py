@@ -33,16 +33,18 @@ class TestEnumerate:
         seen = [rect.cols for rect, _ in enumerate_rectangles(mat, prime_only=False)]
         assert len(seen) == len(set(seen))
 
-    def test_prime_only_is_subset(self, eq1_network):
-        mat = build_kc_matrix(eq1_network)
-        all_rects = {r.cols for r, _ in enumerate_rectangles(mat, prime_only=False)}
-        prime = {r.cols for r, _ in enumerate_rectangles(mat, prime_only=True)}
-        assert prime <= all_rects or prime  # prime sets may merge dominated cols
+    def test_prime_only_is_subset(self, eq1_network, small_circuit):
+        """Every prime (cols, gain) is also in the full stream, same gain."""
+        for net in (eq1_network, small_circuit):
+            mat = build_kc_matrix(net)
+            full = {(r.cols, g) for r, g in enumerate_rectangles(mat, prime_only=False)}
+            prime = {(r.cols, g) for r, g in enumerate_rectangles(mat, prime_only=True)}
+            assert prime
+            assert prime <= full
 
     def test_prime_only_preserves_best_gain(self, eq1_network, small_circuit):
         for net in (eq1_network, small_circuit):
             mat = build_kc_matrix(net)
-            full = best_rectangle_exhaustive(mat, prime_only=False) if False else None
             best_p = max(
                 (g for _, g in enumerate_rectangles(mat, prime_only=True)),
                 default=None,
