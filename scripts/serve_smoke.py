@@ -37,8 +37,13 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 from repro.obs.export import TRACE_SCHEMA
 from repro.obs.flight import load_flight
 from repro.obs.prom import validate_prometheus_text
-from repro.serve import Gateway, GatewayConfig, LoadgenConfig, run_loadgen
-from repro.serve.bench import _probe_circuit_eqn
+from repro.serve import (
+    Gateway,
+    GatewayConfig,
+    LoadgenConfig,
+    probe_circuit_eqn,
+    run_loadgen,
+)
 from repro.serve.httpio import http_json, http_text
 
 CHECKS = []
@@ -71,7 +76,7 @@ async def smoke(cache_dir: str) -> None:
         check("all requests answered", report.ok == report.sent)
 
         print("coalescing probe:")
-        body = {"eqn": _probe_circuit_eqn(21), "algorithm": "sequential"}
+        body = {"eqn": probe_circuit_eqn(21), "algorithm": "sequential"}
         results = await asyncio.gather(*[
             http_json("POST", gw.url + "/v1/factor", dict(body))
             for _ in range(6)
@@ -110,7 +115,7 @@ async def smoke(cache_dir: str) -> None:
               status == 200 and not problems, "; ".join(problems[:3]))
 
         print("crash recovery:")
-        body = {"eqn": _probe_circuit_eqn(22), "algorithm": "sequential"}
+        body = {"eqn": probe_circuit_eqn(22), "algorithm": "sequential"}
         task = asyncio.ensure_future(
             http_json("POST", gw.url + "/v1/factor", body, timeout=60)
         )

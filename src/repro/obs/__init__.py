@@ -5,8 +5,7 @@ One layer answers "where did the time go":
 - :mod:`repro.obs.tracer` — thread-safe dual-clock span tracer, off by
   default (``REPRO_TRACE=1`` or an explicit tracer enables it);
 - :mod:`repro.obs.metrics` — the counter/histogram/timer registry the
-  batch engine reports through (formerly ``repro.service.metrics``),
-  with bounded-memory histograms;
+  batch engine reports through, with bounded-memory histograms;
 - :mod:`repro.obs.export` — Chrome-trace (Perfetto) and JSONL dumps;
 - :mod:`repro.obs.profile` — the Table-1-style phase/percent breakdown
   behind ``repro profile``.

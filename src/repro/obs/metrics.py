@@ -1,9 +1,8 @@
 """Operational metrics: counters, bounded histograms, timers, registry.
 
-This is the engine/cache metrics layer that used to live at
-``repro.service.metrics`` (that path remains a thin alias), now part of
-:mod:`repro.obs` so span traces and engine metrics export through one
-:func:`repro.obs.snapshot` schema.
+This is the engine/cache metrics layer, part of :mod:`repro.obs` so span
+traces and engine metrics export through one :func:`repro.obs.snapshot`
+schema.
 
 The one behavioral change from the service-era module: :class:`Histogram`
 no longer keeps every sample.  It stores samples exactly up to a cap and
@@ -182,11 +181,10 @@ def health_snapshot(
     known path is open.  ``ready`` mirrors the usual readiness-probe
     semantics: the service still accepts work unless it is failing.
 
-    *cache* is a :meth:`ResultCache.stats` snapshot (hit rate included)
-    and *pool* a worker-pool liveness dict (size/busy/alive); both are
-    embedded verbatim when given, so the serving tier's ``/healthz``
-    aggregation can show per-worker cache effectiveness and pool state
-    without more plumbing.
+    *cache* is a :meth:`ResultCache.stats` snapshot (hit rate included),
+    reported as ``None`` for an engine without a result cache; *pool* is
+    a worker-pool liveness dict (size/busy/alive), embedded when given.
+    The serving tier's ``/healthz`` shows both per worker.
     """
     breakers = dict(breakers or {})
     open_paths = sorted(k for k, v in breakers.items() if v == "open")
@@ -204,9 +202,8 @@ def health_snapshot(
         "breakers": breakers,
         "open_paths": open_paths,
         "counters": registry.health_keys(),
+        "cache": cache,
     }
-    if cache is not None:
-        doc["cache"] = cache
     if pool is not None:
         doc["pool"] = pool
     return doc

@@ -8,7 +8,7 @@ substrate, using nothing beyond the stdlib:
   coalescing, per-tenant token-bucket rate limits, bounded in-flight
   admission control, job registry with streaming status, crash-detected
   worker respawn with re-dispatch;
-- :mod:`~repro.serve.worker` — N worker *processes* (one sharded
+- :mod:`~repro.serve.worker` — N worker *processes* (one
   :class:`~repro.service.engine.FactorizationEngine` each — real
   parallelism, not GIL-shared threads) speaking a small pipe protocol;
 - :mod:`~repro.serve.router` — content-hash shard routing and the
@@ -23,16 +23,13 @@ substrate, using nothing beyond the stdlib:
 - :mod:`~repro.serve.protocol` — request validation, canonical cache
   keys (reusing :func:`repro.service.cache.canonical_job_key`), result
   documents;
-- :mod:`~repro.serve.loadgen` / :mod:`~repro.serve.bench` — the
-  open-loop Poisson load generator and the saturation sweep behind
-  ``benchmarks/results/BENCH_serving.json`` and its perf gate.
+- :mod:`~repro.serve.loadgen` — the open-loop Poisson load generator.
 
 Entry points: ``python -m repro serve [--workers N --port P
 --cache-dir D]`` and ``python -m repro loadgen URL [--rate R
 --duration S --tenants K]``.
 """
 
-from repro.serve.bench import run_serving_bench, validate_serving_report
 from repro.serve.diskcache import CACHE_SCHEMA, DiskCache
 from repro.serve.durability import (
     JOURNAL_SCHEMA,
@@ -54,6 +51,7 @@ from repro.serve.loadgen import (
     LoadReport,
     load_workload_file,
     poisson_arrivals,
+    probe_circuit_eqn,
     run_loadgen,
 )
 from repro.serve.protocol import BadRequest, job_cache_key, parse_job_request
@@ -84,12 +82,11 @@ __all__ = [
     "load_workload_file",
     "parse_job_request",
     "poisson_arrivals",
+    "probe_circuit_eqn",
     "render_fsck_report",
     "render_top",
     "run_loadgen",
-    "run_serving_bench",
     "run_top",
     "shard_for",
-    "validate_serving_report",
     "worker_main",
 ]

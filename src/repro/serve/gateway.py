@@ -3,17 +3,16 @@
 One asyncio event loop fronts N worker *processes*
 (:mod:`repro.serve.worker`).  A factor request is normalized
 (:func:`repro.serve.protocol.parse_job_request`), content-hashed with
-the same canonical digest the engine caches use, and then travels the
-shortest path that can answer it:
+the same canonical digest the batch engine's cache uses, and then
+travels the shortest path that can answer it:
 
 1. the gateway's in-memory :class:`~repro.service.cache.ResultCache`
    of result documents (``cache: "gateway"``),
 2. an identical job already in flight — the request *coalesces* onto it
    and shares the one computation (``coalesced: true``),
 3. the content-hash shard's worker, which consults the shared
-   persistent :class:`~repro.serve.diskcache.DiskCache` (``"disk"``),
-   its engine's memory cache (``"memory"``), or computes
-   (``"computed"``).
+   persistent :class:`~repro.serve.diskcache.DiskCache` (``"disk"``)
+   or computes (``"computed"``).
 
 Admission control rejects before work is queued: a per-tenant token
 bucket (429 ``rate_limited``) and a bound on distinct in-flight
@@ -66,6 +65,21 @@ from repro.service.cache import ResultCache
 __all__ = ["GatewayConfig", "Gateway", "RateLimited", "Overloaded",
            "LoadShed", "ShardFailing"]
 
+#: capacity of the gateway-level result-document LRU.
+MEM_CACHE_CAPACITY = 512
+#: seconds a wait=true request blocks before answering 202 pending.
+REQUEST_TIMEOUT = 120.0
+#: seconds /healthz waits for a worker's live snapshot.
+HEALTH_TIMEOUT = 1.0
+#: seconds between liveness sweeps of the worker processes.
+MONITOR_INTERVAL = 0.25
+#: consecutive fast crashes before a shard's breaker opens.
+CRASH_LOOP_THRESHOLD = 5
+#: uptime that counts a worker as healthy again (resets the streak).
+CRASH_RESET_AFTER = 5.0
+#: seconds a tripped breaker waits before the half-open respawn.
+BREAKER_COOLDOWN = 1.0
+
 
 class RateLimited(Exception):
     """Tenant token bucket is empty."""
@@ -103,7 +117,8 @@ class ShardFailing(Exception):
 
 @dataclass
 class GatewayConfig:
-    """Everything ``repro serve`` exposes as flags, plus test knobs."""
+    """Everything ``repro serve`` exposes as flags, plus the respawn
+    backoff and job-registry capacity that tests shrink."""
 
     host: str = "127.0.0.1"
     port: int = 8337
@@ -114,14 +129,6 @@ class GatewayConfig:
     #: per-tenant sustained requests/second (None disables limiting).
     rate_limit: Optional[float] = None
     burst: Optional[float] = None
-    #: capacity of the gateway-level result-document LRU.
-    mem_cache_capacity: int = 512
-    #: seconds a wait=true request blocks before answering 202 pending.
-    request_timeout: float = 120.0
-    #: seconds /healthz waits for a worker's live snapshot.
-    health_timeout: float = 1.0
-    monitor_interval: float = 0.25
-    respawn: bool = True
     #: write-ahead job journal under ``<cache_dir>/journal`` (requires a
     #: cache dir; accepted-but-unfinished jobs replay on restart).
     journal: bool = True
@@ -131,16 +138,9 @@ class GatewayConfig:
     #: (jittered +/-50%), capped; the first respawn is immediate.
     respawn_backoff: float = 0.05
     respawn_backoff_max: float = 2.0
-    #: consecutive fast crashes before a shard's breaker opens.
-    crash_loop_threshold: int = 5
-    #: uptime that counts a worker as healthy again (resets the streak).
-    crash_reset_after: float = 5.0
-    #: seconds a tripped breaker waits before the half-open respawn.
-    breaker_cooldown: float = 1.0
     #: load-shed budget on summed estimated KC-matrix footprints of
     #: in-flight computations (None disables the tier).
     max_footprint: Optional[int] = None
-    engine_opts: Optional[Dict[str, Any]] = None
     #: finished jobs kept for /v1/jobs lookups.
     job_registry_capacity: int = 4096
     #: mint a trace per request and merge worker span batches into
@@ -271,8 +271,7 @@ class Gateway:
             raise ValueError("workers must be >= 1")
         self.metrics = MetricsRegistry()
         self.cache = ResultCache(
-            capacity=self.config.mem_cache_capacity, metrics=self.metrics
-        )
+            capacity=MEM_CACHE_CAPACITY, metrics=self.metrics)
         self.slo = SLOTracker()
         self.flight = flight_recorder(proc="gateway")
         self.disk: Optional[DiskCache] = None
@@ -333,7 +332,6 @@ class Gateway:
                 self.config.cache_dir,
                 on_message=self._on_worker_message_threadsafe,
                 on_eof=self._on_worker_eof_threadsafe,
-                engine_opts=self.config.engine_opts,
                 flight_dir=self.flight_dir,
                 cache_max_bytes=self.config.cache_max_bytes,
             )
@@ -457,7 +455,7 @@ class Gateway:
             time.monotonic() - handle.spawned_at
             if handle.spawned_at is not None else 0.0
         )
-        if uptime >= self.config.crash_reset_after:
+        if uptime >= CRASH_RESET_AFTER:
             handle.consecutive_crashes = 1
         else:
             handle.consecutive_crashes += 1
@@ -472,10 +470,7 @@ class Gateway:
             consecutive=handle.consecutive_crashes,
         )
         auto_dump(f"worker-{handle.worker_id}-crash", self.flight)
-        if not self.config.respawn:
-            self._fail_shard_pending(handle, "worker crashed")
-            return
-        if handle.consecutive_crashes >= self.config.crash_loop_threshold:
+        if handle.consecutive_crashes >= CRASH_LOOP_THRESHOLD:
             self._trip_breaker(handle)
             return
         delay = self._respawn_delay(handle.consecutive_crashes)
@@ -541,7 +536,7 @@ class Gateway:
             "crash", f"worker-{handle.worker_id}-crash-loop",
             worker=handle.worker_id,
             consecutive=handle.consecutive_crashes,
-            cooldown=self.config.breaker_cooldown,
+            cooldown=BREAKER_COOLDOWN,
         )
         auto_dump(f"worker-{handle.worker_id}-crash-loop", self.flight)
         fallback = self._fallback_worker(handle.worker_id)
@@ -551,7 +546,7 @@ class Gateway:
             self._reshard(handle.worker_id, fallback)
         assert self._loop is not None
         self._loop.call_later(
-            self.config.breaker_cooldown, self._breaker_probe, handle)
+            BREAKER_COOLDOWN, self._breaker_probe, handle)
 
     def _breaker_probe(self, handle: WorkerHandle) -> None:
         """Half-open: one fresh incarnation.  Its hello clears
@@ -583,7 +578,7 @@ class Gateway:
     async def _monitor(self) -> None:
         """Liveness sweep: catches deaths whose pipe EOF got lost."""
         while True:
-            await asyncio.sleep(self.config.monitor_interval)
+            await asyncio.sleep(MONITOR_INTERVAL)
             for handle in self._handles:
                 if handle.process is not None and not handle.alive():
                     self._on_worker_dead(handle, handle.generation)
@@ -805,8 +800,7 @@ class Gateway:
             fallback = self._fallback_worker(worker_id)
             if fallback is None:
                 self.metrics.inc("requests_shard_failing")
-                raise ShardFailing(
-                    worker_id, self.config.breaker_cooldown)
+                raise ShardFailing(worker_id, BREAKER_COOLDOWN)
             self.metrics.inc("requests_resharded")
             worker_id = fallback
         wire_spec = {k: spec[k] for k in (
@@ -950,7 +944,7 @@ class Gateway:
             self._health_waiters.pop(hid, None)
             return None
         try:
-            return await asyncio.wait_for(future, self.config.health_timeout)
+            return await asyncio.wait_for(future, HEALTH_TIMEOUT)
         except asyncio.TimeoutError:
             self._health_waiters.pop(hid, None)
             return None
@@ -1214,7 +1208,7 @@ class Gateway:
             return True
         try:
             await asyncio.wait_for(
-                job.done.wait(), self.config.request_timeout
+                job.done.wait(), REQUEST_TIMEOUT
             )
         except asyncio.TimeoutError:
             await httpio.send_json(writer, 202, job.to_doc(with_result=False))
@@ -1246,7 +1240,7 @@ class Gateway:
                 if not job.done.is_set():
                     try:
                         await asyncio.wait_for(
-                            job.done.wait(), self.config.request_timeout
+                            job.done.wait(), REQUEST_TIMEOUT
                         )
                     except asyncio.TimeoutError:
                         pass

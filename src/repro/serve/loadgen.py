@@ -19,8 +19,8 @@ measures wall-clock latency, and classifies the outcome:
 The report carries p50/p95/p99 latency (nearest-rank over completed
 requests), achieved throughput, the per-source cache mix, and the
 gateway's coalesced-request delta read from ``/metrics`` before and
-after the run.  ``repro loadgen URL`` is the CLI wrapper;
-:mod:`repro.serve.bench` sweeps rates into ``BENCH_serving.json``.
+after the run.  ``repro loadgen URL`` is the CLI wrapper.
+:func:`probe_circuit_eqn` builds fresh circuits for coalescing probes.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ __all__ = [
     "load_workload_file",
     "percentile",
     "poisson_arrivals",
+    "probe_circuit_eqn",
     "run_loadgen",
 ]
 
@@ -52,6 +53,24 @@ def default_workload() -> List[Dict[str, Any]]:
         {"circuit": "example", "algorithm": "lshaped", "procs": 2},
         {"circuit": "example", "algorithm": "independent", "procs": 2},
     ]
+
+
+def probe_circuit_eqn(seed: int) -> str:
+    """A deterministic, non-trivial circuit no cache has seen before.
+
+    Deliberately sized so one factorization takes tens of milliseconds:
+    long enough that K identical requests all arrive while the first is
+    still computing, which is what makes a coalescing assertion
+    deterministic rather than a race.
+    """
+    from repro.circuits.generators import GeneratorSpec, generate_circuit
+    from repro.network.eqn import write_eqn
+
+    spec = GeneratorSpec(
+        name=f"coalesce-probe-{seed}", seed=seed, n_inputs=12,
+        target_lc=300, two_level=False, pool_size=6,
+    )
+    return write_eqn(generate_circuit(spec))
 
 
 def load_workload_file(path: str) -> List[Dict[str, Any]]:

@@ -4,8 +4,8 @@ One normalized *job spec* flows through the whole tier: the gateway
 parses client JSON into it (:func:`parse_job_request`), hashes it into
 the canonical content key every layer shares
 (:func:`job_cache_key` — the same digest
-:func:`repro.service.cache.canonical_job_key` gives the in-process
-engine cache), ships it to a worker over a pipe, and the worker turns
+:func:`repro.service.cache.canonical_job_key` gives the batch engine's
+cache), ships it to a worker over a pipe, and the worker turns
 the engine's answer into a JSON-serializable *result document*
 (:func:`result_document`) that is simultaneously the HTTP response
 body, the persistent-cache payload, and the coalesced answer every

@@ -4,10 +4,9 @@ Sharding: a job's canonical content digest
 (:func:`repro.service.cache.canonical_job_key`) already identifies the
 computation; :func:`shard_for` maps it to a worker index by taking the
 top 64 bits of the hex digest modulo the shard count.  Identical jobs
-therefore always land on the same worker — which is what makes the
-per-worker engine caches effective and keeps coalesced re-dispatches
-deterministic — while distinct jobs spread uniformly (SHA-256 output is
-uniform).
+therefore always land on the same worker, which keeps routing and
+coalesced re-dispatches deterministic, while distinct jobs spread
+uniformly (SHA-256 output is uniform).
 
 Admission: :class:`TokenBucket` is the classic rate limiter — capacity
 ``burst`` tokens, refilled at ``rate`` tokens/second, one token per

@@ -3,7 +3,7 @@
 Polls the gateway's JSON metrics document on an interval and renders a
 one-screen operational summary: request/answer *rates* (derived from
 counter deltas between polls, not lifetime totals), latency percentiles,
-the answer-tier mix (gateway / coalesced / disk / memory / computed),
+the answer-tier mix (gateway / coalesced / disk / computed),
 per-worker liveness, and any SLO paths with warm burn rates.
 
 The renderer is a pure function (``doc + previous doc + dt -> str``) so
@@ -22,7 +22,7 @@ from repro.serve.httpio import http_json
 __all__ = ["render_top", "run_top"]
 
 #: Answer tiers in cheapest-first order, as shown in the mix line.
-TIERS = ("gateway", "coalesced", "disk", "memory", "computed")
+TIERS = ("gateway", "coalesced", "disk", "computed")
 
 
 def _rate(now: Dict[str, Any], prev: Optional[Dict[str, Any]],
@@ -76,7 +76,6 @@ def render_top(
         "gateway": counters.get("results_from_gateway", 0),
         "coalesced": counters.get("requests_coalesced", 0),
         "disk": counters.get("results_from_disk", 0),
-        "memory": counters.get("results_from_memory", 0),
         "computed": counters.get("results_from_computed", 0),
     }
     answered = sum(tier_counts.values())

@@ -1,16 +1,16 @@
 """Worker processes: one sharded FactorizationEngine per OS process.
 
-Each worker owns a full :class:`~repro.service.engine.FactorizationEngine`
-(in-memory result cache, breakers, retry/degradation) plus a handle on
-the shared persistent :class:`~repro.serve.diskcache.DiskCache`, and
+Each worker owns a :class:`~repro.service.engine.FactorizationEngine`
+(breakers, retry/degradation; no result cache of its own) plus a handle
+on the shared persistent :class:`~repro.serve.diskcache.DiskCache`, and
 talks to the gateway over a duplex :mod:`multiprocessing` pipe using the
 little dict protocol documented in :mod:`repro.serve.protocol`.
 
 Being a real process is the point: the GIL stops threads in one
 interpreter from overlapping the pure-Python search loops, so the only
 way N concurrent factorizations actually run N-wide is N interpreters.
-The gateway shards by content hash, so a worker's engine cache only ever
-sees its own shard's keys — no cross-process invalidation to get wrong.
+Results are cached by the gateway's LRU and the shared disk cache, which
+the worker probes first and writes every computed document to.
 
 Inside the worker two threads split the work so the control plane stays
 responsive while a factorization runs:
@@ -58,7 +58,6 @@ def worker_main(
     worker_id: int,
     conn,
     cache_dir: Optional[str] = None,
-    engine_opts: Optional[Dict[str, Any]] = None,
     flight_dir: Optional[str] = None,
     cache_max_bytes: Optional[int] = None,
 ) -> None:
@@ -83,7 +82,7 @@ def worker_main(
             if _ev.pid == worker_id:
                 slow_factor = max(slow_factor, _ev.factor)
     disk = DiskCache(cache_dir, max_bytes=cache_max_bytes) if cache_dir else None
-    engine = FactorizationEngine(workers=1, **(engine_opts or {}))
+    engine = FactorizationEngine(workers=1, use_cache=False)
     send_lock = threading.Lock()
     jobs_done = 0
 
@@ -156,8 +155,7 @@ def worker_main(
         doc = result_document(spec, res, worker=worker_id)
         if disk is not None:
             disk.put(key, doc)
-        return {"ok": True, "result": doc,
-                "cache": "memory" if res.cache_hit else "computed"}
+        return {"ok": True, "result": doc, "cache": "computed"}
 
     while True:
         msg = work.get()
@@ -256,13 +254,11 @@ class WorkerHandle:
         cache_dir: Optional[str],
         on_message: Callable[["WorkerHandle", int, Dict[str, Any]], None],
         on_eof: Callable[["WorkerHandle", int], None],
-        engine_opts: Optional[Dict[str, Any]] = None,
         flight_dir: Optional[str] = None,
         cache_max_bytes: Optional[int] = None,
     ):
         self.worker_id = worker_id
         self.cache_dir = cache_dir
-        self.engine_opts = engine_opts
         self.flight_dir = flight_dir
         self.cache_max_bytes = cache_max_bytes
         self.generation = 0
@@ -300,7 +296,7 @@ class WorkerHandle:
         self.process = ctx.Process(
             target=_worker_process_main,
             args=(self.worker_id, child_conn, self.cache_dir,
-                  self.engine_opts, self.flight_dir, self.cache_max_bytes),
+                  self.flight_dir, self.cache_max_bytes),
             name=f"repro-serve-worker-{self.worker_id}",
             daemon=True,
         )

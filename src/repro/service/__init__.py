@@ -14,9 +14,9 @@ above the algorithm substrate.  This package provides it:
 - :mod:`~repro.service.breaker` — per-``algorithm:circuit`` circuit
   breakers; persistently failing paths are short-circuited straight to
   the sequential fallback instead of re-paying their timeouts;
-- :mod:`~repro.service.cache` — content-addressed LRU result cache;
-- :mod:`~repro.service.metrics` — counters/timers/histograms with one
-  snapshot export.
+- :mod:`~repro.service.cache` — content-addressed LRU result cache.
+
+Metrics (counters/timers/histograms) come from :mod:`repro.obs.metrics`.
 
 Entry points: ``python -m repro batch MANIFEST`` runs a manifest through
 the engine; ``python -m repro factor --cache`` routes one-shot calls
@@ -25,6 +25,7 @@ routes table runs through it so repeated circuit×algorithm cells are
 computed once.
 """
 
+from repro.obs.metrics import Counter, Histogram, MetricsRegistry, Timer
 from repro.service.breaker import BreakerBoard, BreakerState, CircuitBreaker
 from repro.service.cache import ResultCache, canonical_job_key, canonical_network_text
 from repro.service.engine import (
@@ -36,7 +37,6 @@ from repro.service.engine import (
     reset_default_engine,
 )
 from repro.service.jobs import FactorizationJob, JobQueue, JobResult, JobStatus
-from repro.service.metrics import Counter, Histogram, MetricsRegistry, Timer
 
 __all__ = [
     "BatchReport",

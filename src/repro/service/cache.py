@@ -20,7 +20,7 @@ from collections import OrderedDict
 from typing import Any, Dict, Optional
 
 from repro.network.boolean_network import BooleanNetwork
-from repro.service.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 
 __all__ = ["canonical_network_text", "canonical_job_key", "ResultCache"]
 

@@ -17,7 +17,7 @@ across the paper's tables and across batch manifests — are computed
 once.  A degradation memo remembers which requested configurations had
 to fall back, so re-submissions skip straight to the fallback instead of
 re-paying the timeout.  All activity feeds one
-:class:`~repro.service.metrics.MetricsRegistry`.
+:class:`~repro.obs.metrics.MetricsRegistry`.
 """
 
 from __future__ import annotations
@@ -32,13 +32,12 @@ from typing import Any, Callable, Dict, List, Optional
 from repro import obs as _obs
 from repro.machine.cancel import CancelToken, JobCancelled, cancel_scope
 from repro.network.boolean_network import BooleanNetwork
-from repro.obs.metrics import health_snapshot
+from repro.obs.metrics import MetricsRegistry, health_snapshot
 from repro.rectangles.cover import KernelExtractionResult, kernel_extract
 from repro.rectangles.search import BudgetExceeded, SearchBudget
 from repro.service.breaker import BreakerBoard, BreakerState
 from repro.service.cache import ResultCache, canonical_job_key
 from repro.service.jobs import FactorizationJob, JobQueue, JobResult, JobStatus
-from repro.service.metrics import MetricsRegistry
 
 __all__ = [
     "JobTimeout",
@@ -242,7 +241,8 @@ class FactorizationEngine:
         ``status`` is ``ok`` / ``degraded`` (some paths short-circuited)
         / ``failing`` (every known path's breaker open).  ``cache`` is
         the result cache's :meth:`~repro.service.cache.ResultCache.stats`
-        snapshot (hit rate included) and ``pool`` reports how many of
+        snapshot (hit rate included), ``None`` with ``use_cache=False``,
+        and ``pool`` reports how many of
         the engine's workers are currently executing a job — the fields
         the serving tier's ``/healthz`` aggregates per worker process.
         """

@@ -15,8 +15,7 @@ import signal
 
 from repro.obs.export import TRACE_SCHEMA
 from repro.obs.flight import load_flight, render_flight
-from repro.serve import Gateway, GatewayConfig
-from repro.serve.bench import _probe_circuit_eqn
+from repro.serve import Gateway, GatewayConfig, probe_circuit_eqn
 from repro.serve.httpio import http_json, http_json_lines
 
 
@@ -122,7 +121,7 @@ def test_coalesced_follower_gets_join_span_with_both_trace_ids():
     async def main():
         gw = await _started()
         try:
-            body = {"eqn": _probe_circuit_eqn(21), "algorithm": "sequential"}
+            body = {"eqn": probe_circuit_eqn(21), "algorithm": "sequential"}
             results = await asyncio.gather(*[
                 http_json("POST", gw.url + "/v1/factor", dict(body),
                           timeout=60)
@@ -163,7 +162,7 @@ def test_sigkill_mid_request_keeps_trace_id_and_dumps_flight(tmp_path):
     async def main():
         gw = await _started(flight_dir=flight_dir)
         try:
-            body = {"eqn": _probe_circuit_eqn(23), "algorithm": "sequential"}
+            body = {"eqn": probe_circuit_eqn(23), "algorithm": "sequential"}
             task = asyncio.ensure_future(
                 http_json("POST", gw.url + "/v1/factor", body, timeout=60)
             )

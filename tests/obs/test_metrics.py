@@ -66,17 +66,6 @@ class TestBoundedHistogram:
         assert reg.histogram("y").cap == 8
 
 
-class TestServiceAlias:
-    def test_old_import_path_still_works(self):
-        from repro.obs import metrics as new
-        from repro.service import metrics as old
-
-        assert old.MetricsRegistry is new.MetricsRegistry
-        assert old.Histogram is new.Histogram
-        assert old.Counter is new.Counter
-        assert old.Timer is new.Timer
-
-
 class TestSnapshot:
     def test_unified_schema(self):
         from repro.obs.tracer import Tracer

@@ -20,8 +20,7 @@ import time
 from pathlib import Path
 
 import repro
-from repro.serve import Gateway, GatewayConfig
-from repro.serve.bench import _probe_circuit_eqn
+from repro.serve import Gateway, GatewayConfig, probe_circuit_eqn
 from repro.serve.durability import (
     JOURNAL_SCHEMA,
     JobJournal,
@@ -331,7 +330,7 @@ def test_replay_coalesces_with_fresh_identical_request(tmp_path):
     # A replayed job and a fresh identical request must resolve to ONE
     # computation — the fresh request coalesces onto the replayed job
     # (or answers from its cached result), never a duplicate dispatch.
-    body = {"eqn": _probe_circuit_eqn(31), "algorithm": "sequential"}
+    body = {"eqn": probe_circuit_eqn(31), "algorithm": "sequential"}
     journal = JobJournal(tmp_path)
     _accept(journal, 3, body=dict(body))
     journal.close()
@@ -442,7 +441,7 @@ def test_cache_budget_holds_while_serving(tmp_path):
             for seed in range(8):
                 status, doc = await http_json(
                     "POST", gw.url + "/v1/factor",
-                    {"eqn": _probe_circuit_eqn(100 + seed),
+                    {"eqn": probe_circuit_eqn(100 + seed),
                      "algorithm": "sequential"}, timeout=60)
                 assert status == 200 and doc["status"] == "done"
         finally:

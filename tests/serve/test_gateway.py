@@ -13,8 +13,7 @@ import signal
 
 import pytest
 
-from repro.serve import Gateway, GatewayConfig
-from repro.serve.bench import _probe_circuit_eqn
+from repro.serve import Gateway, GatewayConfig, probe_circuit_eqn
 from repro.serve.httpio import http_json, http_json_lines
 
 
@@ -89,7 +88,7 @@ def test_identical_concurrent_requests_coalesce_to_one_computation():
     async def main():
         gw = await _started()
         try:
-            body = {"eqn": _probe_circuit_eqn(11), "algorithm": "sequential"}
+            body = {"eqn": probe_circuit_eqn(11), "algorithm": "sequential"}
             results = await asyncio.gather(*[
                 http_json("POST", gw.url + "/v1/factor", dict(body))
                 for _ in range(5)
@@ -137,7 +136,7 @@ def test_admission_control_rejects_when_inflight_is_full():
     async def main():
         gw = await _started(workers=1, max_inflight=1)
         try:
-            slow = {"eqn": _probe_circuit_eqn(12), "wait": False}
+            slow = {"eqn": probe_circuit_eqn(12), "wait": False}
             status, doc = await http_json("POST", gw.url + "/v1/factor", slow)
             assert status == 202
             job_id = doc["job_id"]
@@ -163,7 +162,7 @@ def test_worker_crash_respawns_and_request_still_completes():
     async def main():
         gw = await _started()
         try:
-            body = {"eqn": _probe_circuit_eqn(13), "algorithm": "sequential"}
+            body = {"eqn": probe_circuit_eqn(13), "algorithm": "sequential"}
             task = asyncio.ensure_future(
                 http_json("POST", gw.url + "/v1/factor", body, timeout=60)
             )
@@ -223,7 +222,7 @@ def test_health_ready_metrics_and_error_routes():
             worker = doc["workers"]["0"]
             assert worker["alive"] and not worker["stale"]
             assert worker["engine"]["pool"]["alive"] is True
-            assert "cache" in worker["engine"]
+            assert worker["engine"]["cache"] is None
 
             status, doc = await http_json("GET", gw.url + "/readyz")
             assert status == 200 and doc["ready"] is True

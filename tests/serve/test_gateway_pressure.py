@@ -15,8 +15,7 @@ Covers the crash-loop/pressure protections around the serving tier:
 
 import asyncio
 
-from repro.serve import Gateway, GatewayConfig
-from repro.serve.bench import _probe_circuit_eqn
+from repro.serve import Gateway, GatewayConfig, probe_circuit_eqn
 from repro.serve.durability import JobJournal
 from repro.serve.gateway import Job
 from repro.serve.httpio import http_json, http_json_lines
@@ -77,7 +76,7 @@ def test_watch_stream_survives_registry_churn(tmp_path):
         gw = await _started(job_registry_capacity=2,
                             cache_dir=str(tmp_path))
         try:
-            slow = {"eqn": _probe_circuit_eqn(41),
+            slow = {"eqn": probe_circuit_eqn(41),
                     "algorithm": "sequential", "wait": False}
             status, doc = await http_json(
                 "POST", gw.url + "/v1/factor", slow)
@@ -108,14 +107,14 @@ def test_footprint_budget_sheds_with_429_retry_after():
     async def main():
         gw = await _started(workers=1, max_footprint=1)
         try:
-            first = {"eqn": _probe_circuit_eqn(42),
+            first = {"eqn": probe_circuit_eqn(42),
                      "algorithm": "sequential", "wait": False}
             status, doc = await http_json(
                 "POST", gw.url + "/v1/factor", first)
             assert status == 202          # an idle gateway always admits
             job_id = doc["job_id"]
 
-            second = {"eqn": _probe_circuit_eqn(43),
+            second = {"eqn": probe_circuit_eqn(43),
                       "algorithm": "sequential", "wait": False}
             status, shed = await http_json(
                 "POST", gw.url + "/v1/factor", second)

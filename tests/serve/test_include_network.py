@@ -46,12 +46,16 @@ def test_cache_hit_after_plain_request_carries_network():
             assert status == 200 and first["cache"] == "computed"
             assert "eqn" not in first["result"]
 
-            # The cached plain document cannot answer: the worker
+            # The cached plain document cannot answer, and the worker
+            # keeps no result cache of its own: it recomputes and
             # renders the network for this request.
             status, second = await http_json("POST", gw.url + "/v1/factor", WITH_NET)
             assert status == 200
-            assert second["cache"] != "gateway"
+            assert second["cache"] == "computed"
             _assert_network(second["result"])
+            status, health = await http_json("GET", gw.url + "/healthz")
+            assert status == 200
+            assert health["workers"]["0"]["engine"]["cache"] is None
 
             # A later plain request answers from the document that now
             # carries the network, without it.

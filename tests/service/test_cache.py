@@ -1,12 +1,12 @@
 import pytest
 
 from repro.network.boolean_network import BooleanNetwork
+from repro.obs.metrics import MetricsRegistry
 from repro.service.cache import (
     ResultCache,
     canonical_job_key,
     canonical_network_text,
 )
-from repro.service.metrics import MetricsRegistry
 
 
 def _net(order=("F", "G")):

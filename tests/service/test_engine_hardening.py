@@ -133,9 +133,9 @@ class TestHealth:
         assert cache["size"] == 1
         assert 0.0 < cache["hit_rate"] <= 1.0
 
-    def test_health_omits_cache_when_disabled(self):
+    def test_health_reports_null_cache_when_disabled(self):
         engine = make_engine(use_cache=False)
-        assert "cache" not in engine.health()
+        assert engine.health()["cache"] is None
 
     def test_health_reports_pool_liveness(self):
         engine = make_engine()

@@ -1,6 +1,6 @@
 import threading
 
-from repro.service.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 
 
 class TestCounter:
