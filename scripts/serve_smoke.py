@@ -7,6 +7,8 @@ dir), then asserts, end to end over HTTP:
 - /readyz goes green and /healthz reports every worker ok;
 - a short open-loop loadgen burst completes with ZERO failed requests;
 - K identical concurrent requests coalesce onto exactly one computation;
+- two distinct concurrent cold requests run on two different workers
+  (least-loaded dispatch);
 - a worker killed with SIGKILL is respawned and the in-flight request
   still completes;
 - every completed request has a fetchable merged trace whose spans
@@ -88,6 +90,20 @@ async def smoke(cache_dir: str) -> None:
               f"coalesced={counters.get('requests_coalesced', 0)}")
         check("one answer for all waiters",
               len({d["result"]["final_lc"] for _, d in results}) == 1)
+
+        print("least-loaded routing:")
+        pair = await asyncio.gather(*[
+            http_json("POST", gw.url + "/v1/factor",
+                      {"eqn": probe_circuit_eqn(seed),
+                       "algorithm": "sequential"})
+            for seed in (23, 24)
+        ])
+        check("both cold requests ok",
+              all(s == 200 and d.get("cache") == "computed"
+                  for s, d in pair))
+        check("distinct cold requests on distinct workers",
+              len({d.get("worker") for _, d in pair}) == 2,
+              f"workers={[d.get('worker') for _, d in pair]}")
 
         print("distributed trace:")
         leader = next(d for _, d in results if not d.get("coalesced"))

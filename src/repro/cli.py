@@ -539,7 +539,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--port", type=int, default=8337,
                          help="listen port (0 = pick a free one)")
     p_serve.add_argument("--workers", type=int, default=2,
-                         help="worker processes (content-hash shards)")
+                         help="worker processes (each computation goes "
+                              "to the least-loaded one)")
     p_serve.add_argument("--cache-dir",
                          help="persistent result-cache directory shared by "
                               "all workers (omit for no persistence)")

@@ -1,18 +1,18 @@
-"""``repro.serve`` — the sharded async serving tier.
+"""``repro.serve`` — the multi-process async serving tier.
 
 The batch engine (:mod:`repro.service`) runs many jobs well inside one
 process; this package puts an actual serving stack in front of the same
 substrate, using nothing beyond the stdlib:
 
-- :mod:`~repro.serve.gateway` — asyncio HTTP/JSON gateway: request
-  coalescing, per-tenant token-bucket rate limits, bounded in-flight
-  admission control, job registry with streaming status, crash-detected
-  worker respawn with re-dispatch;
+- :mod:`~repro.serve.gateway` — asyncio HTTP/JSON gateway: dispatch
+  to the least-loaded worker, request coalescing, per-tenant
+  token-bucket rate limits, bounded in-flight admission control, job
+  registry with streaming status, crash-detected worker respawn with
+  re-dispatch;
 - :mod:`~repro.serve.worker` — N worker *processes* (one
   :class:`~repro.service.engine.FactorizationEngine` each — real
   parallelism, not GIL-shared threads) speaking a small pipe protocol;
-- :mod:`~repro.serve.router` — content-hash shard routing and the
-  token buckets;
+- :mod:`~repro.serve.router` — the per-tenant token buckets;
 - :mod:`~repro.serve.diskcache` — the versioned persistent result
   cache every worker shares (atomic-rename writers, warm restart, byte
   budget with LRU eviction, memory-only degradation on disk failure);
@@ -55,7 +55,7 @@ from repro.serve.loadgen import (
     run_loadgen,
 )
 from repro.serve.protocol import BadRequest, job_cache_key, parse_job_request
-from repro.serve.router import TenantRateLimiter, TokenBucket, shard_for
+from repro.serve.router import TenantRateLimiter, TokenBucket
 from repro.serve.top import render_top, run_top
 from repro.serve.worker import WorkerHandle, worker_main
 
@@ -87,6 +87,5 @@ __all__ = [
     "render_top",
     "run_loadgen",
     "run_top",
-    "shard_for",
     "worker_main",
 ]

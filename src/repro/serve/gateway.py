@@ -1,4 +1,4 @@
-"""The async HTTP gateway: sharded dispatch, coalescing, admission.
+"""The async HTTP gateway: least-loaded dispatch, coalescing, admission.
 
 One asyncio event loop fronts N worker *processes*
 (:mod:`repro.serve.worker`).  A factor request is normalized
@@ -10,9 +10,10 @@ travels the shortest path that can answer it:
    of result documents (``cache: "gateway"``),
 2. an identical job already in flight — the request *coalesces* onto it
    and shares the one computation (``coalesced: true``),
-3. the content-hash shard's worker, which consults the shared
-   persistent :class:`~repro.serve.diskcache.DiskCache` (``"disk"``)
-   or computes (``"computed"``).
+3. the least-loaded worker (:meth:`Gateway._pick_worker`), which
+   consults the shared persistent
+   :class:`~repro.serve.diskcache.DiskCache` (``"disk"``) or computes
+   (``"computed"``).
 
 Admission control rejects before work is queued: a per-tenant token
 bucket (429 ``rate_limited``) and a bound on distinct in-flight
@@ -58,7 +59,7 @@ from repro.serve.protocol import (
     parse_job_request,
     response_document,
 )
-from repro.serve.router import TenantRateLimiter, shard_for
+from repro.serve.router import TenantRateLimiter
 from repro.serve.worker import WorkerHandle
 from repro.service.cache import ResultCache
 
@@ -106,12 +107,10 @@ class LoadShed(Exception):
 
 
 class ShardFailing(Exception):
-    """The request's shard is circuit-broken and no fallback is alive
-    (503 with Retry-After)."""
+    """Every worker's crash-loop breaker is open (503 with Retry-After)."""
 
-    def __init__(self, worker_id: int, retry_after: float):
-        super().__init__(f"shard {worker_id} is failing")
-        self.worker_id = worker_id
+    def __init__(self, retry_after: float):
+        super().__init__("every shard is failing")
         self.retry_after = retry_after
 
 
@@ -528,7 +527,7 @@ class Gateway:
 
     def _trip_breaker(self, handle: WorkerHandle) -> None:
         """Crash loop: stop burning respawns, mark the shard failing,
-        move its queue to a surviving shard, retry after a cooldown."""
+        move its queue to the other shards, retry after a cooldown."""
         handle.failing = True
         handle.respawn_pending = True  # blocks monitor re-entry
         self.metrics.inc("worker_crash_loops")
@@ -539,11 +538,10 @@ class Gateway:
             cooldown=BREAKER_COOLDOWN,
         )
         auto_dump(f"worker-{handle.worker_id}-crash-loop", self.flight)
-        fallback = self._fallback_worker(handle.worker_id)
-        if fallback is None:
+        if self._pick_worker() is None:
             self._fail_shard_pending(handle, "shard failing")
         else:
-            self._reshard(handle.worker_id, fallback)
+            self._reshard(handle.worker_id)
         assert self._loop is not None
         self._loop.call_later(
             BREAKER_COOLDOWN, self._breaker_probe, handle)
@@ -556,23 +554,36 @@ class Gateway:
             return
         self._respawn_now(handle)
 
-    def _fallback_worker(self, worker_id: int) -> Optional[int]:
-        """The next shard that can absorb re-routed work, or None."""
-        n = len(self._handles)
-        for offset in range(1, n):
-            cand = (worker_id + offset) % n
-            handle = self._handles[cand]
-            if not handle.failing and handle.alive():
-                return cand
-        return None
+    def _pick_worker(self) -> Optional[int]:
+        """The worker that takes the next computation, or None when
+        every breaker is open.
 
-    def _reshard(self, from_id: int, to_id: int) -> None:
+        The non-failing worker with the fewest outstanding computations
+        wins, a live one before one awaiting respawn (whose queue is
+        re-sent when it comes back); ties go to the lowest id, so
+        routing stays deterministic for replay and tests.
+        """
+        candidates = [h for h in self._handles if not h.failing]
+        if not candidates:
+            return None
+        return min(candidates, key=lambda h: (
+            not h.alive(), len(self._outstanding[h.worker_id]),
+        )).worker_id
+
+    def _send_to(self, infl: _Inflight, worker_id: int) -> None:
+        infl.worker_id = worker_id
+        self._outstanding[worker_id][infl.req_id] = infl
+        # A send on a just-crashed pipe is fine: the request stays in
+        # _outstanding and the respawn path re-dispatches it.
+        self._handles[worker_id].send(infl.msg)
+
+    def _reshard(self, from_id: int) -> None:
         moved = list(self._outstanding[from_id].values())
         self._outstanding[from_id].clear()
         for infl in moved:
-            infl.worker_id = to_id
-            self._outstanding[to_id][infl.req_id] = infl
-            self._handles[to_id].send(infl.msg)
+            worker_id = self._pick_worker()
+            assert worker_id is not None
+            self._send_to(infl, worker_id)
             self.metrics.inc("requests_resharded")
 
     async def _monitor(self) -> None:
@@ -615,6 +626,8 @@ class Gateway:
         self._footprint_inflight = max(
             0, self._footprint_inflight - infl.footprint)
         batch = msg.get("trace")
+        self.metrics.histogram("worker_queue_seconds").observe(
+            msg["queued_s"])
         if msg.get("ok"):
             doc = msg["result"]
             source = msg.get("cache", "computed")
@@ -795,14 +808,10 @@ class Gateway:
                 )
             return
 
-        worker_id = shard_for(key, len(self._handles))
-        if self._handles[worker_id].failing:
-            fallback = self._fallback_worker(worker_id)
-            if fallback is None:
-                self.metrics.inc("requests_shard_failing")
-                raise ShardFailing(worker_id, BREAKER_COOLDOWN)
-            self.metrics.inc("requests_resharded")
-            worker_id = fallback
+        worker_id = self._pick_worker()
+        if worker_id is None:
+            self.metrics.inc("requests_shard_failing")
+            raise ShardFailing(BREAKER_COOLDOWN)
         wire_spec = {k: spec[k] for k in (
             "circuit", "eqn", "algorithm", "procs", "searcher", "scale",
             "node_budget", "params", "include_network",
@@ -826,15 +835,12 @@ class Gateway:
         )
         self._inflight[infl.slot] = infl
         self._footprint_inflight += footprint
-        self._outstanding[worker_id][job.job_id] = infl
         if self.journal is not None:
             self.journal.append("dispatched", job.job_id, worker=worker_id)
         self.metrics.inc("requests_dispatched")
         self.flight.record("dispatch", job.job_id, worker=worker_id,
                            tenant=job.tenant, algorithm=spec["algorithm"])
-        # A send on a just-crashed pipe is fine: the request stays in
-        # _outstanding and the respawn path re-dispatches it.
-        self._handles[worker_id].send(infl.msg)
+        self._send_to(infl, worker_id)
 
     # ------------------------------------------------------------------
     # journal replay
@@ -847,7 +853,7 @@ class Gateway:
         is idempotent: jobs re-key to the same canonical digest, so a
         computation that already landed in the disk cache answers
         immediately, identical requests coalesce, and anything else
-        re-dispatches to its shard.
+        re-dispatches to the least-loaded worker, like a fresh request.
         """
         assert self.journal is not None
         replay = self.journal.replay()
@@ -1197,8 +1203,7 @@ class Gateway:
         except ShardFailing as exc:
             await httpio.send_json(
                 writer, 503,
-                {"error": "shard_failing", "worker": exc.worker_id,
-                 "retry_after": exc.retry_after},
+                {"error": "shard_failing", "retry_after": exc.retry_after},
                 extra_headers={"Retry-After": f"{exc.retry_after:.3f}"},
             )
             return True

@@ -1,14 +1,6 @@
-"""Content-hash shard routing and per-tenant admission machinery.
+"""Per-tenant admission control for the serving gateway.
 
-Sharding: a job's canonical content digest
-(:func:`repro.service.cache.canonical_job_key`) already identifies the
-computation; :func:`shard_for` maps it to a worker index by taking the
-top 64 bits of the hex digest modulo the shard count.  Identical jobs
-therefore always land on the same worker, which keeps routing and
-coalesced re-dispatches deterministic, while distinct jobs spread
-uniformly (SHA-256 output is uniform).
-
-Admission: :class:`TokenBucket` is the classic rate limiter — capacity
+:class:`TokenBucket` is the classic rate limiter — capacity
 ``burst`` tokens, refilled at ``rate`` tokens/second, one token per
 request — and :class:`TenantRateLimiter` keeps one bucket per tenant so
 a single noisy tenant cannot starve the rest.  Both take an explicit
@@ -22,14 +14,7 @@ import threading
 import time
 from typing import Dict, Optional
 
-__all__ = ["shard_for", "TokenBucket", "TenantRateLimiter"]
-
-
-def shard_for(key: str, shards: int) -> int:
-    """Stable worker index for a canonical job key (hex digest)."""
-    if shards < 1:
-        raise ValueError("shards must be >= 1")
-    return int(key[:16], 16) % shards
+__all__ = ["TokenBucket", "TenantRateLimiter"]
 
 
 class TokenBucket:

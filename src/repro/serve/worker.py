@@ -1,4 +1,4 @@
-"""Worker processes: one sharded FactorizationEngine per OS process.
+"""Worker processes: one FactorizationEngine per OS process.
 
 Each worker owns a :class:`~repro.service.engine.FactorizationEngine`
 (breakers, retry/degradation; no result cache of its own) plus a handle
@@ -16,10 +16,11 @@ Inside the worker two threads split the work so the control plane stays
 responsive while a factorization runs:
 
 - the *control* thread blocks on ``conn.recv()``; ``ping``/``health``
-  are answered immediately, ``factor`` ops are queued;
+  are answered immediately, ``factor`` ops are stamped and queued;
 - the *compute* thread (the process main thread) drains the queue one
   job at a time: probe the disk cache, else run the engine, persist the
-  result, reply.
+  result, reply with the seconds the job waited in the queue
+  (``queued_s``).
 
 :class:`WorkerHandle` is the gateway-side counterpart: it spawns (and
 respawns) the process, pumps received messages to a callback from a
@@ -34,7 +35,7 @@ import queue
 import signal
 import threading
 import time
-from typing import Any, Callable, Dict, Optional, Set
+from typing import Any, Callable, Dict, Optional, Set, Tuple
 
 from repro.obs.flight import auto_dump, flight_recorder, set_flight_dir
 from repro.obs.tracer import Tracer, use_tracer
@@ -107,7 +108,8 @@ def worker_main(
             doc["disk_cache"] = disk.stats()
         return doc
 
-    work: "queue.Queue[Optional[Dict[str, Any]]]" = queue.Queue()
+    #: (perf_counter at enqueue, message) pairs; None stops the worker.
+    work: "queue.Queue[Optional[Tuple[float, Dict[str, Any]]]]" = queue.Queue()
 
     def control_loop() -> None:
         while True:
@@ -123,7 +125,7 @@ def worker_main(
             if op in ("ping", "health"):
                 send({"op": op, "id": msg.get("id"), **health_doc()})
             else:
-                work.put(msg)
+                work.put((time.perf_counter(), msg))
 
     threading.Thread(target=control_loop, daemon=True,
                      name=f"worker-{worker_id}-control").start()
@@ -158,15 +160,17 @@ def worker_main(
         return {"ok": True, "result": doc, "cache": "computed"}
 
     while True:
-        msg = work.get()
-        if msg is None:
+        item = work.get()
+        if item is None:
             break
+        queued_at, msg = item
         if msg.get("op") != "factor":
             send({"op": "error", "id": msg.get("id"),
                   "error": f"unknown op {msg.get('op')!r}"})
             continue
         req_id, key, spec = msg["id"], msg["key"], msg["job"]
         started = time.perf_counter()
+        queued_s = started - queued_at
         trace_req = msg.get("trace")
         # A fresh per-request tracer: the compute thread handles one
         # factor at a time, so its span stack nests cleanly, and a
@@ -183,7 +187,8 @@ def worker_main(
                         "worker-factor", cat="serve",
                         track=f"worker:{worker_id}",
                         attrs={"job": req_id,
-                               "trace_id": trace_req.get("trace_id")},
+                               "trace_id": trace_req.get("trace_id"),
+                               "queued_s": queued_s},
                     ) as root:
                         fields = process_factor(key, spec)
                         if not fields.get("ok"):
@@ -203,7 +208,8 @@ def worker_main(
         else:
             flight.record("error", "factor-failed", job=req_id,
                           error=fields.get("error"))
-        out = {"op": "result", "id": req_id, "worker": worker_id, **fields}
+        out = {"op": "result", "id": req_id, "worker": worker_id,
+               "queued_s": queued_s, **fields}
         if tracer is not None:
             out["trace"] = {
                 "trace_id": trace_req.get("trace_id"),
@@ -240,7 +246,7 @@ def _mp_context():
 
 
 class WorkerHandle:
-    """Gateway-side lifecycle manager for one sharded worker process.
+    """Gateway-side lifecycle manager for one worker process.
 
     *on_message*/*on_eof* are invoked **from the reader thread**; the
     gateway bridges them onto its event loop.  ``generation`` increments

@@ -13,8 +13,14 @@ import signal
 
 import pytest
 
-from repro.serve import Gateway, GatewayConfig, probe_circuit_eqn
-from repro.serve.httpio import http_json, http_json_lines
+from repro.serve import (
+    Gateway,
+    GatewayConfig,
+    job_cache_key,
+    parse_job_request,
+    probe_circuit_eqn,
+)
+from repro.serve.httpio import http_json, http_json_lines, http_text
 
 
 def _config(**kw):
@@ -101,6 +107,75 @@ def test_identical_concurrent_requests_coalesce_to_one_computation():
             assert counters["requests_dispatched"] == 1
             assert counters["requests_coalesced"] == 4
             assert sum(d["coalesced"] for _, d in results) == 4
+        finally:
+            await gw.stop()
+
+    asyncio.run(main())
+
+
+def _same_parity_bodies(gw, count):
+    """*count* distinct probe requests whose canonical keys share the
+    parity of their top 64 bits, so a ``key % 2`` content-hash router
+    would pin all of them to one of two workers."""
+    by_parity = {0: [], 1: []}
+    for seed in range(100, 140):
+        body = {"eqn": probe_circuit_eqn(seed), "algorithm": "sequential",
+                "wait": False}
+        spec = parse_job_request(body)
+        key = job_cache_key(spec, gw._resolve_network(spec))
+        bucket = by_parity[int(key[:16], 16) % 2]
+        bucket.append(body)
+        if len(bucket) == count:
+            return bucket
+    raise AssertionError("no colliding probe keys")
+
+
+def test_cold_requests_go_to_the_least_loaded_worker():
+    async def main():
+        gw = await _started()
+        try:
+            first, second, third = _same_parity_bodies(gw, 3)
+            # submit() dispatches synchronously, so no result can come
+            # back between these calls and the loads are exact.
+            jobs = [gw.submit(first), gw.submit(second)]
+            assert [len(gw._outstanding[w]) for w in (0, 1)] == [1, 1]
+            jobs.append(gw.submit(third))   # tie: the lower id wins
+            assert [len(gw._outstanding[w]) for w in (0, 1)] == [2, 1]
+            await asyncio.wait_for(
+                asyncio.gather(*[job.done.wait() for job in jobs]), 60)
+            assert [job.status for job in jobs] == ["done"] * 3
+            assert [job.worker for job in jobs] == [0, 1, 0]
+        finally:
+            await gw.stop()
+
+    asyncio.run(main())
+
+
+def test_worker_queue_wait_is_recorded_per_computation():
+    async def main():
+        gw = await _started()
+        try:
+            docs = []
+            for algorithm in ("sequential", "lshaped", "independent"):
+                status, doc = await http_json(
+                    "POST", gw.url + "/v1/factor",
+                    {"circuit": "example", "algorithm": algorithm})
+                assert status == 200 and doc["cache"] == "computed"
+                docs.append(doc)
+
+            status, metrics = await http_json("GET", gw.url + "/metrics")
+            assert status == 200
+            queue = metrics["gateway"]["histograms"]["worker_queue_seconds"]
+            assert queue["count"] == 3
+            assert queue["min"] >= 0.0
+            status, text = await http_text(
+                "GET", gw.url + "/metrics?format=prom")
+            assert status == 200 and "worker_queue_seconds" in text
+
+            trace = gw.job_trace(docs[0]["job_id"])
+            root = next(sp for sp in trace["spans"]
+                        if sp["name"] == "worker-factor")
+            assert root["attrs"]["queued_s"] >= 0.0
         finally:
             await gw.stop()
 

@@ -1,43 +1,8 @@
-"""Shard routing stability and token-bucket admission control."""
-
-import hashlib
+"""Token-bucket admission control."""
 
 import pytest
 
-from repro.serve.router import TenantRateLimiter, TokenBucket, shard_for
-
-
-def _digest(s):
-    return hashlib.sha256(s.encode()).hexdigest()
-
-
-class TestShardFor:
-    def test_deterministic_and_in_range(self):
-        for i in range(200):
-            key = _digest(f"job-{i}")
-            shard = shard_for(key, 4)
-            assert 0 <= shard < 4
-            assert shard == shard_for(key, 4)
-
-    def test_known_values_stay_stable(self):
-        # Shard placement is an on-disk/cross-restart contract: the same
-        # key must route to the same worker forever.  Golden values pin
-        # the top-64-bit-mod rule against accidental rewrites.
-        assert shard_for("0" * 64, 4) == 0
-        assert shard_for("f" * 64, 4) == (0xFFFFFFFFFFFFFFFF) % 4
-        assert shard_for(_digest("example|sequential|4"), 7) == \
-            int(_digest("example|sequential|4")[:16], 16) % 7
-
-    def test_loosely_uniform(self):
-        counts = [0] * 4
-        for i in range(2000):
-            counts[shard_for(_digest(f"k{i}"), 4)] += 1
-        assert min(counts) > 2000 / 4 * 0.7
-
-    def test_single_shard_and_errors(self):
-        assert shard_for(_digest("x"), 1) == 0
-        with pytest.raises(ValueError):
-            shard_for(_digest("x"), 0)
+from repro.serve.router import TenantRateLimiter, TokenBucket
 
 
 class TestTokenBucket:
