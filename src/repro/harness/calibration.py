@@ -75,6 +75,9 @@ def profile_workloads(repeats: int = 3) -> List[ProfilePoint]:
         best_rectangle_exhaustive(matrix, meter=meter)
 
     def w_pingpong(meter):
+        # Drop the live index, and the ascent records it keeps, so each
+        # repeat runs every seed's ascent instead of replaying the last.
+        matrix._touch()
         best_rectangle_pingpong(matrix, max_seeds=64, meter=meter)
 
     def w_divide(meter):

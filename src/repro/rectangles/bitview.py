@@ -35,7 +35,9 @@ mutation.
 
 The value table for the pure :func:`~repro.rectangles.rectangle.
 default_value` is kept with the structure, and so are the live index's
-ping-pong seed potentials under it (``row_pot``); any other ``value_fn`` (e.g.
+ping-pong seed potentials under it (``row_pot``) and its records of the
+last default-value search's seed ascents, with the row and column slots
+the mutators have dirtied since; any other ``value_fn`` (e.g.
 the L-shaped speculative cube-state values, which change between search
 rounds) is evaluated freshly per search — still once per cell instead of
 once per (row, col, visit).
@@ -480,6 +482,18 @@ class LiveBitIndex(_BitCells):
     mutations between two searches is settled once.  Relabels leave the
     table untouched.
 
+    The index also keeps what the last default-value ping-pong search
+    recorded per seed ascent (:meth:`ascent_records`, written back by
+    :meth:`keep_ascent_records`; see
+    :func:`repro.rectangles.pingpong._ascents_bit` for the reuse rule).
+    Once records exist, the mutators mark the slots they patch:
+    ``add_row``, ``add_entry``, ``remove_row`` and ``remove_col``'s rows
+    mark rows; ``add_col``, ``remove_row``'s columns, ``remove_col`` and
+    ``relabel_col`` mark columns, and the columns of every marked row
+    count as marked too (that covers ``add_entry``'s column without a
+    second set add per cell).  ``relabel_row`` marks nothing: an ascent
+    reads no row label.  Dropping the index drops the records with it.
+
     Slot order is *not* label order: callers that break ties must do so
     by ``row_labels`` / ``col_labels``.
     """
@@ -503,6 +517,10 @@ class LiveBitIndex(_BitCells):
         "row_pot",
         "_pot_sizes",
         "_pot_dirty",
+        "_ascents",
+        "_ascent_key",
+        "_dirty_rows",
+        "_dirty_cols",
         "_node_ids",
         "_values",
         "_overlap",
@@ -529,6 +547,13 @@ class LiveBitIndex(_BitCells):
         # whose size has changed since.
         self._pot_sizes: List[int] = []
         self._pot_dirty: Set[int] = set()
+        # Seed slot → its last recorded ascent, under the search
+        # parameters _ascent_key; None until a default-value search
+        # keeps records, and the mutators mark slots only from then on.
+        self._ascents: Optional[Dict[int, tuple]] = None
+        self._ascent_key: Optional[tuple] = None
+        self._dirty_rows: Set[int] = set()
+        self._dirty_cols: Set[int] = set()
         self._node_ids: Dict[str, int] = {}
         self._values: List[int] = []
         # The matrix's own overlap counts (row label → overlapping
@@ -592,6 +617,31 @@ class LiveBitIndex(_BitCells):
             self._pot_dirty.clear()
         return pot
 
+    def ascent_records(self, key: tuple) -> Tuple[Dict[int, tuple], int, AbstractSet[int]]:
+        """The last default-value search's ascent records, if it ran
+        with the parameters *key*, as ``(records, dirty row mask,
+        dirty column slots)``; the marks cover every patch since."""
+        records = self._ascents
+        if records is None or self._ascent_key != key:
+            return {}, 0, frozenset()
+        cells = self.cells
+        cols = self._dirty_cols
+        mask = 0
+        for slot in self._dirty_rows:
+            mask |= 1 << slot
+            # add_entry marks only its row: its column is among the
+            # row's cells now, or was marked when the row or the
+            # column went.
+            cols.update(cells[slot])
+        return records, mask, cols
+
+    def keep_ascent_records(self, key: tuple, records: Dict[int, tuple]) -> None:
+        """Store a finished search's ascent records and clear the marks."""
+        self._ascents = records
+        self._ascent_key = key
+        self._dirty_rows.clear()
+        self._dirty_cols.clear()
+
     def dup_rows(self) -> AbstractSet[int]:
         """Row slots whose cells repeat an original cube.
 
@@ -629,6 +679,8 @@ class LiveBitIndex(_BitCells):
             if self.row_pot is not None:
                 self.row_pot.append(0)
         self.row_pos[label] = slot
+        if self._ascents is not None:
+            self._dirty_rows.add(slot)
 
     def add_col(self, label: int, cube: Cube) -> None:
         if self._free_cols:
@@ -643,6 +695,8 @@ class LiveBitIndex(_BitCells):
             if self.row_pot is not None:
                 self._pot_sizes.append(0)
         self.col_pos[label] = slot
+        if self._ascents is not None:
+            self._dirty_cols.add(slot)
 
     def add_entry(self, row: int, col: int, cube: Cube) -> None:
         rslot = self.row_pos[row]
@@ -662,6 +716,8 @@ class LiveBitIndex(_BitCells):
         self.cells[rslot][cslot] = eid
         self.row_cols[rslot] |= 1 << cslot
         self.col_rows[cslot] |= 1 << rslot
+        if self._ascents is not None:
+            self._dirty_rows.add(rslot)
 
     def remove_row(self, label: int) -> None:
         slot = self.row_pos.pop(label)
@@ -679,6 +735,9 @@ class LiveBitIndex(_BitCells):
         if self.row_pot is not None:
             self.row_pot[slot] = 0
             self._pot_dirty.update(cells[slot])
+        if self._ascents is not None:
+            self._dirty_rows.add(slot)
+            self._dirty_cols.update(cells[slot])
         cells[slot] = {}
         self.row_cols[slot] = 0
         self.row_labels[slot] = None
@@ -697,7 +756,12 @@ class LiveBitIndex(_BitCells):
             shar1 = self._pot_sizes[slot] - 1
             self._pot_sizes[slot] = 0
             self._pot_dirty.discard(slot)
-        for rslot in iter_bits(self.col_rows[slot]):
+        rows = self.col_rows[slot]
+        if self._ascents is not None:
+            self._dirty_cols.add(slot)
+            if rows:  # the greedy loop only drops columns left empty
+                self._dirty_rows.update(iter_bits(rows))
+        for rslot in iter_bits(rows):
             eid = cells[rslot].pop(slot)
             if pot is not None:
                 pot[rslot] -= shar1 * values[eid]
@@ -718,6 +782,8 @@ class LiveBitIndex(_BitCells):
         slot = self.col_pos.pop(old)
         self.col_pos[new] = slot
         self.col_labels[slot] = new
+        if self._ascents is not None:
+            self._dirty_cols.add(slot)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

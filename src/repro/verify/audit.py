@@ -24,6 +24,9 @@ lazily) or :func:`set_audits` from code.  When enabled:
 - every ``KCMatrix.bitview()`` call checks the patched live index (its
   seed potentials included), and every sorted compilation checks
   itself, against the matrix dicts (sparse/bitview parity),
+- every ping-pong seed ascent replayed from the live index's records is
+  re-run from scratch and must reach the same fixpoint, gain and round
+  count (:func:`audit_ascent_replay`),
 - every matrix the greedy loop patches instead of rebuilding is checked
   against a fresh build for order-isomorphism (:func:`audit_kc_order`),
 - every ``CubeStateStore`` operation validates the records it touched
@@ -373,6 +376,22 @@ def audit_bitview(mat: "KCMatrix", view) -> None:
                 _fail(f"bitview default value of entry id {eid} is stale")
         if view.row_pot is not None:
             _audit_potentials(view, values)
+
+
+def audit_ascent_replay(seed: int, recorded, fresh) -> None:
+    """A replayed ping-pong ascent must match a re-run from scratch.
+
+    *recorded* and *fresh* are :class:`~repro.rectangles.pingpong.Ascent`
+    records, the second from the re-run; their fixpoint, gain and round
+    count must agree.  *seed* is the seed row's label.
+    """
+    got = tuple(recorded[:4])
+    want = tuple(fresh[:4])
+    if got != want:
+        _fail(
+            f"ping-pong seed {seed}: replayed ascent (rows, cols, gain, rounds) "
+            f"{got} disagrees with a re-run {want}"
+        )
 
 
 # ----------------------------------------------------------------------

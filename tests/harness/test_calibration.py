@@ -50,3 +50,28 @@ def test_every_repeat_runs_a_real_exhaustive_search():
     before = GLOBAL_SEARCH_STATS.snapshot()["searches"]
     profile_workloads(repeats=3)
     assert GLOBAL_SEARCH_STATS.snapshot()["searches"] == before + 3
+
+
+def test_every_repeat_runs_a_real_pingpong_search():
+    """The pingpong_round weight is derived the same way, so no repeat
+    may replay the previous search's recorded ascents."""
+    from repro.obs.tracer import Tracer, use_tracer
+    from repro.rectangles import pingpong
+
+    seen = []
+    real = pingpong.add_counters
+
+    def recording(**counters):
+        seen.append(counters)
+        real(**counters)
+
+    tracer = Tracer()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pingpong, "add_counters", recording)
+        with use_tracer(tracer), tracer.span("calibrate"):
+            profile_workloads(repeats=3)
+    # The pingpong workload's three 64-seed searches (the divide
+    # workload searches fresh matrices with 16 seeds).
+    repeats = [c for c in seen if c["ascent_seed"] == 64]
+    assert len(repeats) == 3
+    assert all(c["ascents_reused"] == 0 for c in repeats)
