@@ -6,16 +6,12 @@ CLI / CI perf-smoke runner) and ``benchmarks/bench_bitview_search.py``
 MCNC stand-in circuits plus the paper's worked examples — and writes
 the JSON of ``benchmarks/results/BENCH_rectsearch.json``:
 
-- exhaustive rows time the v1 full enumeration (the
-  :func:`~repro.rectangles.search.enumerate_rectangles` stream, folded
-  to its best rectangle) against the v2 branch-and-bound search of
-  :func:`~repro.rectangles.search.best_rectangle_exhaustive` and report both
-  times, both node counts, the v2 speedup and the suite's v2 geomean;
-- ping-pong rows report one time and the rounds per second.
-
-Every exhaustive pair is also cross-checked: a workload where v2 is
-not equal-or-better than v1 is reported as a failure, so the perf
-harness doubles as an end-to-end differential test on real matrices.
+every row reports the best-of-repeats wall time of one search, its
+work units — ``search_node`` visits for the exhaustive search of
+:func:`~repro.rectangles.search.best_rectangle_exhaustive`,
+``pingpong_round`` ascents for ping-pong — and the units per second.
+The exhaustive search's answers are held to the unpruned walk by the
+test suite (``tests/rectangles/test_search_v2.py``), not here.
 
 The harness also polices its always-present instrumentation: every run
 prices the disabled tracing, fault-injection and journal gates and the
@@ -23,7 +19,7 @@ live flight recorder, and bounds the estimated share of a workload's
 wall time each costs (:data:`OVERHEAD_GATES`, 2% each, gated under
 ``--check``).  With tracing enabled (``REPRO_TRACE=1``) each workload
 row additionally carries its phase breakdown and hot-loop counters, so
-the persisted JSON pairs every speedup with where the time went.
+the persisted JSON pairs every timing with where the time went.
 """
 
 from __future__ import annotations
@@ -45,15 +41,10 @@ from repro.rectangles.search import (
     BudgetExceeded,
     SearchBudget,
     best_rectangle_exhaustive,
-    enumerate_rectangles,
 )
 
 #: JSON schema version for BENCH_rectsearch.json.
-SCHEMA = "rectsearch/5"
-
-#: The --check floor for the v2 pruned search's geomean speedup over
-#: v1 full enumeration on the suite's exhaustive workloads.
-MIN_V2_SPEEDUP = 1.4
+SCHEMA = "rectsearch/6"
 
 #: Ceiling on the estimated fraction of a workload's wall time spent in
 #: disabled tracing gates — the price of observability when it is off.
@@ -145,65 +136,48 @@ def _build_network(wl: Workload) -> BooleanNetwork:
 
 
 def _run_searcher(
-    wl: Workload, matrix: KCMatrix,
-    meter: Optional[CostMeter] = None, v1: bool = False,
-):
-    """One full search; returns a comparable result object.
-
-    Exhaustive workloads run the v2 search, or with *v1* the full
-    enumeration stream, folded to its highest gain with ties to the
-    smallest ``(cols, rows)`` — the rectangle v2 must return.
-    """
+    wl: Workload, matrix: KCMatrix, meter: Optional[CostMeter] = None,
+) -> None:
+    """One full search; an exhaustive search may end at its node budget."""
     if wl.searcher == "exhaustive":
         budget = SearchBudget(wl.budget) if wl.budget is not None else None
         try:
-            if v1:
-                return ("done", min(
-                    enumerate_rectangles(matrix, budget=budget, meter=meter),
-                    key=lambda rg: (-rg[1], rg[0].cols, rg[0].rows),
-                    default=None,
-                ))
-            return ("done", best_rectangle_exhaustive(
-                matrix, budget=budget, meter=meter,
-            ))
+            best_rectangle_exhaustive(matrix, budget=budget, meter=meter)
         except BudgetExceeded:
-            return ("dnf", budget.used)
-    if wl.searcher == "pingpong":
-        return ("done", best_rectangle_pingpong(
-            matrix, max_seeds=wl.max_seeds, meter=meter
-        ))
-    if wl.searcher == "pingpong-all":
-        return ("done", pingpong_candidates(
-            matrix, max_seeds=wl.max_seeds, meter=meter
-        ))
-    raise ValueError(f"unknown searcher {wl.searcher!r}")
+            pass
+    elif wl.searcher == "pingpong":
+        best_rectangle_pingpong(matrix, max_seeds=wl.max_seeds, meter=meter)
+    elif wl.searcher == "pingpong-all":
+        pingpong_candidates(matrix, max_seeds=wl.max_seeds, meter=meter)
+    else:
+        raise ValueError(f"unknown searcher {wl.searcher!r}")
 
 
-def _time_search(
-    wl: Workload, matrix: KCMatrix, v1: bool = False,
-) -> Tuple[float, object, float]:
-    """Best-of-repeats wall time; returns (seconds, result, work units).
+def _work_unit(wl: Workload) -> str:
+    """The meter counter a workload's searcher charges per unit of work."""
+    return "search_node" if wl.searcher == "exhaustive" else "pingpong_round"
 
-    Work units are search nodes for exhaustive workloads and ping-pong
-    rounds otherwise.  Both bitset forms are dropped before every repeat
-    so each timing pays the full compile-plus-search cost.
+
+def _time_search(wl: Workload, matrix: KCMatrix) -> Tuple[float, float]:
+    """Best-of-repeats wall time; returns (seconds, work units).
+
+    Both bitset forms are dropped before every repeat so each timing
+    pays the full compile-plus-search cost.
     """
     meter = CostMeter()
-    result = _run_searcher(wl, matrix, meter=meter, v1=v1)
-    units = meter.counts.get("search_node", 0.0) or meter.counts.get(
-        "pingpong_round", 0.0
-    )
+    _run_searcher(wl, matrix, meter=meter)
+    units = meter.counts.get(_work_unit(wl), 0.0)
     best = math.inf
     for _ in range(wl.repeats):
         matrix._touch()  # drop the bitset forms: time compile + search
         t0 = time.perf_counter()
-        _run_searcher(wl, matrix, v1=v1)
+        _run_searcher(wl, matrix)
         best = min(best, time.perf_counter() - t0)
-    return best, result, units
+    return best, units
 
 
 def run_workload(wl: Workload) -> Dict:
-    """Time one workload (v1 against v2 when exhaustive).
+    """Time one workload's search.
 
     When tracing is enabled the timings above ran *traced* (that is the
     point of profiling a perf run), and the row gains a ``phases`` /
@@ -214,6 +188,7 @@ def run_workload(wl: Workload) -> Dict:
 
     net = _build_network(wl)
     matrix = build_kc_matrix(net)
+    t, units = _time_search(wl, matrix)
     row = {
         "name": wl.name,
         "circuit": wl.circuit,
@@ -222,33 +197,11 @@ def run_workload(wl: Workload) -> Dict:
         "rows": matrix.num_rows,
         "cols": matrix.num_cols,
         "entries": matrix.num_entries,
+        "t_s": t,
+        "unit": _work_unit(wl),
+        "units": units,
+        "units_per_sec": units / t if t else None,
     }
-    if wl.searcher == "exhaustive":
-        # "Equal or better" means: identical best rectangle, or v1 hit
-        # the node budget (DNF) where v2 either also hit it or —
-        # strictly better — finished inside it.
-        t_v1, res_v1, nodes_v1 = _time_search(wl, matrix, v1=True)
-        t_v2, res_v2, nodes_v2 = _time_search(wl, matrix)
-        v2_ok = (
-            res_v2 == res_v1
-            or (res_v1[0] == "dnf" and res_v2[0] in ("dnf", "done"))
-        )
-        row.update({
-            "nodes_v1": nodes_v1,
-            "nodes_v2": nodes_v2,
-            "t_v1_s": t_v1,
-            "t_v2_s": t_v2,
-            "speedup_v2": t_v1 / t_v2 if t_v2 else None,
-            "node_reduction": nodes_v1 / nodes_v2 if nodes_v2 else None,
-            "v2_results_ok": v2_ok,
-        })
-    else:
-        t, _, rounds = _time_search(wl, matrix)
-        row.update({
-            "pingpong_rounds": rounds,
-            "t_s": t,
-            "rounds_per_sec": rounds / t if t else None,
-        })
     if obs.enabled():
         tracer = obs.Tracer(name=wl.name)
         with obs.use_tracer(tracer), obs.span(wl.name, cat="perfcheck"):
@@ -370,7 +323,7 @@ def measure_overheads(wl: Optional[Workload] = None) -> Dict[str, Dict]:
     wl = wl or QUICK_SUITE[-1]
     matrix = build_kc_matrix(_build_network(wl))
     with obs.use_tracer(None):
-        t_search, _, _ = _time_search(wl, matrix)
+        t_search, _ = _time_search(wl, matrix)
     tracer = obs.Tracer(name="overhead")
     with obs.use_tracer(tracer), obs.span(wl.name, cat="perfcheck"):
         matrix._touch()
@@ -415,13 +368,6 @@ def measure_overheads(wl: Optional[Workload] = None) -> Dict[str, Dict]:
     return report
 
 
-def geomean(values: List[float]) -> float:
-    vals = [v for v in values if v and v > 0]
-    if not vals:
-        return 0.0
-    return math.exp(sum(math.log(v) for v in vals) / len(vals))
-
-
 def run_perf_check(quick: bool = False) -> Dict:
     """Run the suite; return the BENCH_rectsearch.json payload."""
     from repro import obs
@@ -434,10 +380,6 @@ def run_perf_check(quick: bool = False) -> Dict:
         "python": platform.python_version(),
         "tracing_enabled": obs.enabled(),
         "workloads": rows,
-        "geomean_speedup_v2": geomean(
-            [r["speedup_v2"] for r in rows if r.get("speedup_v2")]
-        ),
-        "all_v2_match": all(r.get("v2_results_ok", True) for r in rows),
     }
     report.update(measure_overheads())
     return report
@@ -448,36 +390,15 @@ def render_report(report: Dict) -> str:
     lines = [
         "rectangle-search perf check "
         f"({report['suite']} suite, python {report['python']})",
-        f"{'exhaustive':<28} {'RxC':>11} {'entries':>8} "
-        f"{'t_v1':>9} {'t_v2':>9} {'v2 spd':>7} {'node red':>8} {'ok':>5}",
+        f"{'workload':<28} {'RxC':>11} {'entries':>8} "
+        f"{'t':>9} {'units':>9} {'units/s':>10}  unit",
     ]
     for r in report["workloads"]:
-        if r["searcher"] != "exhaustive":
-            continue
-        red = r.get("node_reduction")
         lines.append(
             f"{r['name']:<28} {r['rows']:>5}x{r['cols']:<5} {r['entries']:>8} "
-            f"{r['t_v1_s']:>8.4f}s {r['t_v2_s']:>8.4f}s "
-            f"{r['speedup_v2']:>6.2f}x {(f'{red:.2f}x' if red else '-'):>8} "
-            f"{str(r['v2_results_ok']):>5}"
+            f"{r['t_s']:>8.4f}s {r['units']:>9.0f} "
+            f"{r['units_per_sec'] or 0:>10.0f}  {r['unit']}"
         )
-    lines.append(
-        f"{'ping-pong':<28} {'RxC':>11} {'entries':>8} "
-        f"{'t':>9} {'rounds':>9} {'rounds/s':>10}"
-    )
-    for r in report["workloads"]:
-        if r["searcher"] == "exhaustive":
-            continue
-        lines.append(
-            f"{r['name']:<28} {r['rows']:>5}x{r['cols']:<5} {r['entries']:>8} "
-            f"{r['t_s']:>8.4f}s {r['pingpong_rounds']:>9.0f} "
-            f"{r['rounds_per_sec']:>10.0f}"
-        )
-    lines.append(
-        f"geomean v2 speedup (exhaustive rows, vs v1): "
-        f"{report['geomean_speedup_v2']:.2f}x "
-        f"(results {'OK' if report['all_v2_match'] else 'MISMATCH'})"
-    )
     for key, *_ in OVERHEAD_GATES:
         oh = report[key]
         enabled = (

@@ -21,9 +21,10 @@ Sub-modules:
   (ping-pong) and the sorted compilation (exhaustive),
 - :mod:`~repro.rectangles.rectangle` — rectangles and the literal-savings
   gain model,
-- :mod:`~repro.rectangles.search` — exhaustive column-anchored
-  enumeration (with the search budget that reproduces the paper's DNF
-  rows) and the leftmost-column stripe decomposition of Figure 1,
+- :mod:`~repro.rectangles.search` — the pruned exhaustive column-anchored
+  search for the best rectangle (with the search budget that reproduces
+  the paper's DNF rows) and the leftmost-column stripe decomposition of
+  Figure 1,
 - :mod:`~repro.rectangles.pingpong` — the SIS-style greedy heuristic,
 - :mod:`~repro.rectangles.cover` — the greedy extract loop (the
   sequential kernel-extraction baseline) and network rewriting.
@@ -36,7 +37,6 @@ from repro.rectangles.search import (
     SearchBudget,
     BudgetExceeded,
     best_rectangle_exhaustive,
-    enumerate_rectangles,
 )
 from repro.rectangles.pingpong import best_rectangle_pingpong
 from repro.rectangles.cover import (
@@ -55,7 +55,6 @@ __all__ = [
     "SearchBudget",
     "BudgetExceeded",
     "best_rectangle_exhaustive",
-    "enumerate_rectangles",
     "best_rectangle_pingpong",
     "KernelExtractionResult",
     "apply_rectangle",

@@ -12,6 +12,12 @@ rows are kept iff positive.  (When several rows of one node cover the
 same original cube the reported gain is corrected by exact distinct
 counting afterwards.)
 
+The one search, :func:`best_rectangle_exhaustive`, is the "v2" walk:
+it visits that tree in the unpruned walk's preorder ("v1") but cuts
+subtrees by branch-and-bound and column dominance, and returns exactly
+the rectangle v1 would have picked.  v1 itself survives only as the
+differential oracle ``tests/rectangles/set_walk.py``.
+
 The traversal runs on the sorted bitset compilation of
 :mod:`repro.rectangles.bitview`: row sets are int bitmasks, candidate
 scans are bit iterations, the column dominance test is one mask
@@ -27,16 +33,12 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.obs.tracer import active_tracer, add_counters
 from repro.rectangles.kcmatrix import KCMatrix
 from repro.rectangles.memo import GLOBAL_SEARCH_STATS
-from repro.rectangles.rectangle import (
-    Rectangle,
-    ValueFn,
-    default_value,
-)
+from repro.rectangles.rectangle import Rectangle, default_value
 
 
 class BudgetExceeded(Exception):
@@ -57,256 +59,6 @@ class SearchBudget:
             raise BudgetExceeded(
                 f"rectangle search exceeded budget of {self.max_nodes} nodes"
             )
-
-
-def _enumerate_rectangles_bit(
-    matrix: KCMatrix,
-    value_fn: ValueFn,
-    min_cols: int,
-    anchor_filter: Optional[Callable[[int], bool]],
-    budget: Optional[SearchBudget],
-    meter,
-    prime_only: bool,
-) -> Iterator[Tuple[Rectangle, int]]:
-    """v1: the full (prime) enumeration over the sorted compilation."""
-    view = matrix.dense_view()
-    values = view.value_table(value_fn)
-    row_cols = view.row_cols
-    col_rows = view.col_rows
-    cells = view.cells
-    row_cost = view.row_cost
-    col_cost = view.col_cost
-    row_node = view.row_node
-    entry_cubes = view.entry_cubes
-    row_labels = view.row_labels
-    col_labels = view.col_labels
-    neg_above = view.neg_above()
-    dup_rows = view.dup_rows()  # empty for kernel-built matrices
-
-    # The column-subset tree is walked iteratively in exactly the
-    # recursive preorder (anchors in label order; at each node, forced
-    # columns first, then branch children left to right) so the yield
-    # stream, the budget spend sequence and the meter charges are those
-    # of the recursive walk (kept as the oracle in
-    # tests/rectangles/set_walk.py).
-    #
-    # A stack frame is (cols, cols_mask, rows_mask, last_pos,
-    # parent_sums, add_cpos): the node's exact row mask (computed when
-    # its parent branched) and the one column it adds.  On pop the node
-    # walks only its own surviving rows, building a rpos → running
-    # Σ_j value(cell_rj) dict from the parent's — rows the added column
-    # dropped cost nothing.  The OR of the surviving rows' column masks
-    # is the candidate superset, so no node ever rescans its column set.
-    spend = budget.spend if budget is not None else None
-    charge = meter.charge if meter is not None else None
-    # Tracing hoisted to one bool; counters are plain local ints and are
-    # attached to the active span once, when the traversal finishes.
-    tracing = active_tracer() is not None
-    n_visits = 0
-    n_forced = 0
-    stack: List[tuple] = []
-    push = stack.append
-    pop = stack.pop
-    for cpos in range(len(col_labels) - 1, -1, -1):
-        if anchor_filter is not None and not anchor_filter(col_labels[cpos]):
-            continue
-        rows0 = col_rows[cpos]
-        if not rows0:
-            continue
-        push(([cpos], 1 << cpos, rows0, cpos, None, cpos))
-
-    while stack:
-        cols, cols_mask, rows_mask, last_pos, psums, add_cpos = pop()
-        if spend is not None:
-            spend()
-        if charge is not None:
-            charge("search_node", 1)
-        if tracing:
-            n_visits += 1
-        sums: Dict[int, int] = {}
-        cand_all = 0
-        mm = rows_mask
-        if psums is None:
-            while mm:
-                lo = mm & -mm
-                rpos = lo.bit_length() - 1
-                mm ^= lo
-                sums[rpos] = values[cells[rpos][add_cpos]]
-                cand_all |= row_cols[rpos]
-        else:
-            while mm:
-                lo = mm & -mm
-                rpos = lo.bit_length() - 1
-                mm ^= lo
-                sums[rpos] = psums[rpos] + values[cells[rpos][add_cpos]]
-                cand_all |= row_cols[rpos]
-        # Columns ≤ the anchor path and columns already chosen are out.
-        cand_mask = cand_all & neg_above[last_pos] & ~cols_mask
-        if prime_only and len(sums) == 1:
-            # Single surviving row: every candidate column trivially
-            # dominates (its row set is exactly this row), so all are
-            # forced and the node has no branch children.  One row's
-            # cells are distinct original cubes except for rows the view
-            # flags in dup_rows (never for kernel-built matrices), which
-            # recompute their covered value with a seen-cube set.
-            (rpos, s), = sums.items()
-            rcells = cells[rpos]
-            m = cand_mask
-            while m:
-                low = m & -m
-                cpos = low.bit_length() - 1
-                m ^= low
-                cols.append(cpos)
-                s += values[rcells[cpos]]
-            if len(cols) >= min_cols:
-                if dup_rows and rpos in dup_rows:
-                    seen: Set = set()
-                    s = 0
-                    for cpos in cols:
-                        eid = rcells[cpos]
-                        cube = entry_cubes[eid]
-                        if cube not in seen:
-                            seen.add(cube)
-                            s += values[eid]
-                gain = s - row_cost[rpos]
-                if gain > 0:
-                    for cpos in cols:
-                        gain -= col_cost[cpos]
-                    if gain > 0:
-                        yield (
-                            Rectangle(
-                                rows=(row_labels[rpos],),
-                                cols=tuple([col_labels[c] for c in cols]),
-                            ),
-                            gain,
-                        )
-            continue
-        branch: List[Tuple[int, int]] = []
-        if prime_only:
-            # A column dominates (contains every current row) iff it is
-            # in every surviving row's column set, so the whole forced
-            # set is one mask intersection — no per-candidate row-set
-            # AND + equality test.  (Every candidate intersects the rows
-            # by construction: cand_all is the OR of their column sets.)
-            rows_it = iter(sums)
-            common = row_cols[next(rows_it)]
-            for rpos in rows_it:
-                common &= row_cols[rpos]
-            forced_mask = cand_mask & common
-            if forced_mask:
-                forced: List[int] = []
-                m = forced_mask
-                while m:
-                    low = m & -m
-                    forced.append(low.bit_length() - 1)
-                    m ^= low
-                if tracing:
-                    n_forced += len(forced)
-                cols.extend(forced)
-                cols_mask |= forced_mask
-                # Batched: one pass per row over all forced columns.
-                for rpos in sums:
-                    rcells = cells[rpos]
-                    s = sums[rpos]
-                    for cpos in forced:
-                        s += values[rcells[cpos]]
-                    sums[rpos] = s
-            m = cand_mask & ~common
-        else:
-            m = cand_mask
-        while m:
-            low = m & -m
-            cpos = low.bit_length() - 1
-            m ^= low
-            branch.append((cpos, rows_mask & col_rows[cpos]))
-        if len(cols) >= min_cols:
-            chosen: List[int] = []
-            gain = 0
-            for rpos, s in sums.items():
-                marg = s - row_cost[rpos]
-                if marg > 0:
-                    chosen.append(rpos)
-                    gain += marg
-            if chosen:
-                for cpos in cols:
-                    gain -= col_cost[cpos]
-                if len(chosen) > 1 or dup_rows:
-                    counts: Dict[int, int] = {}
-                    multi = False
-                    for rpos in chosen:
-                        nid = row_node[rpos]
-                        if nid in counts:
-                            counts[nid] += 1
-                            multi = True
-                        else:
-                            counts[nid] = 1
-                    need: Set[int] = set()
-                    if multi:
-                        need = {n for n, k in counts.items() if k > 1}
-                    if dup_rows:
-                        for rpos in chosen:
-                            if rpos in dup_rows:
-                                need.add(row_node[rpos])
-                    if need:
-                        # Distinct-cube correction: cells of one node
-                        # naming the same original cube count once —
-                        # several rows of the node, or one dup-flagged
-                        # row repeating a cube across its own cells.
-                        for nid in need:
-                            seen = set()
-                            for rpos in chosen:
-                                if row_node[rpos] != nid:
-                                    continue
-                                rcells = cells[rpos]
-                                for cpos in cols:
-                                    eid = rcells[cpos]
-                                    cube = entry_cubes[eid]
-                                    if cube in seen:
-                                        gain -= values[eid]
-                                    else:
-                                        seen.add(cube)
-                if gain > 0:
-                    rect = Rectangle(
-                        rows=tuple([row_labels[r] for r in chosen]),
-                        cols=tuple([col_labels[c] for c in cols]),
-                    )
-                    yield rect, gain
-        for cpos, rows2 in reversed(branch):
-            push((
-                cols + [cpos], cols_mask | (1 << cpos), rows2, cpos,
-                sums, cpos,
-            ))
-    if tracing:
-        add_counters(search_node_visit=n_visits, dominance_prune=n_forced)
-
-
-def enumerate_rectangles(
-    matrix: KCMatrix,
-    value_fn: ValueFn = default_value,
-    min_cols: int = 2,
-    anchor_filter: Optional[Callable[[int], bool]] = None,
-    budget: Optional[SearchBudget] = None,
-    meter=None,
-    prime_only: bool = True,
-) -> Iterator[Tuple[Rectangle, int]]:
-    """Yield (rectangle, gain) for every profitable column subset.
-
-    Rows are the optimal subset for each column set (see module
-    docstring); gains are exact (distinct-cube counted).  *anchor_filter*
-    restricts to rectangles whose leftmost column satisfies it — the
-    stripe decomposition of the parallel search.
-
-    ``prime_only`` (default) applies the classic dominance prune: a
-    candidate column whose row set contains the current rows is included
-    unconditionally instead of branched on, so only prime (column-
-    maximal for their rows) rectangles are enumerated.  Under the default
-    value function a dominated column never decreases the gain, so the
-    best rectangle is preserved; pass ``prime_only=False`` for arbitrary
-    value functions.
-    """
-    return _enumerate_rectangles_bit(
-        matrix, value_fn, min_cols, anchor_filter, budget, meter, prime_only
-    )
 
 
 def _best_rectangle_bit_v2(
@@ -582,9 +334,9 @@ def best_rectangle_exhaustive(
 
     Runs the v2 pruned search — branch-and-bound with an admissible
     remaining-gain bound and dominance-based anchor skipping — which
-    returns the exact rectangle (value *and* tie-break) the v1
-    :func:`enumerate_rectangles` stream would, while visiting a fraction
-    of the tree.
+    returns the exact rectangle (value *and* tie-break) the unpruned
+    column-subset walk would, highest gain with ties to the smallest
+    ``(cols, rows)``, while visiting a fraction of the tree.
     """
     best, stats = _best_rectangle_bit_v2(
         matrix, min_cols, anchor_filter, budget, meter

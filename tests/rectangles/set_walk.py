@@ -1,13 +1,16 @@
 """The recursive sparse-set walk, kept as the differential oracle.
 
 Before the bitset compilation, the exhaustive search walked the tree of
-column subsets recursively over the matrix's label-keyed sets.  This
-module keeps that walk: it visits the same tree in the same preorder,
-spends the budget and charges the ``search_node`` meter at the same
-nodes and yields the same ``(rectangle, gain)`` stream as
-:func:`repro.rectangles.search.enumerate_rectangles`, from nothing but
+column subsets recursively over the matrix's label-keyed sets, without
+pruning.  This module keeps that walk, the unpruned search ("v1") that
+:func:`repro.rectangles.search.best_rectangle_exhaustive` prunes: it
+visits the whole (prime) column-subset tree in preorder, spends the
+budget and charges the ``search_node`` meter once per node, and yields
+every profitable ``(rectangle, gain)``, from nothing but
 ``KCMatrix.by_row`` / ``by_col`` / ``entries`` and
-:func:`~repro.rectangles.rectangle.rectangle_gain`.
+:func:`~repro.rectangles.rectangle.rectangle_gain`.  It is the only
+definition of the exhaustive tree's stream; the pruned search must pick
+its :func:`best_of` and never spend more nodes.
 """
 
 from __future__ import annotations
@@ -53,7 +56,14 @@ def set_walk(
     meter=None,
     prime_only: bool = True,
 ) -> Iterator[Tuple[Rectangle, int]]:
-    """Yield (rectangle, gain) for every profitable column subset."""
+    """Yield (rectangle, gain) for every profitable column subset.
+
+    *anchor_filter* keeps only the subtrees whose leftmost column
+    satisfies it.  ``prime_only`` (default) includes a candidate column
+    whose rows contain the current rows instead of branching on it, so
+    only prime (column-maximal for their rows) rectangles are yielded;
+    under the default value function that keeps the best rectangle.
+    """
 
     def explore(
         cols: List[int], rows: Set[int], last_col: int

