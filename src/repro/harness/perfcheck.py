@@ -123,7 +123,7 @@ QUICK_SUITE: List[Workload] = [
     Workload("misex3@0.1/exhaustive", "misex3", 0.1, "exhaustive",
              budget=100_000, repeats=2),
     Workload("dalu@0.1/exhaustive-dnf", "dalu", 0.1, "exhaustive",
-             budget=20_000, repeats=2),
+             budget=100, repeats=2),
     Workload("dalu@0.2/pingpong", "dalu", 0.2, "pingpong", repeats=2),
     Workload("des@0.2/pingpong", "des", 0.2, "pingpong", repeats=2),
 ]

@@ -18,13 +18,19 @@ other processor receives zero (it cannot change the owner's best
 rectangle, so for its purposes the cube is as good as gone).  This makes
 each processor's search independent of the order in which rectangles are
 generated — the problem analyzed at the end of Section 5.3.
+
+A value changes only when the store covers, divides or releases a cube,
+so each processor's view can live as a table instead of being asked
+cell by cell: :class:`CubeStateValues` binds one processor's view to the
+live bitset index of its KC matrix, and the store pushes every value
+change its transitions make into the bound tables.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.algebra.cube import Cube
 from repro.verify import audit as _audit
@@ -49,16 +55,30 @@ class CubeRecord:
     owner: int = -1
 
 
+def _value_of(ref: CubeRef, rec: Optional[CubeRecord], pid: int) -> int:
+    """Table 5: the value *rec* gives processor *pid*."""
+    if rec is None or rec.status is CubeStatus.FREE:
+        return len(ref[1])
+    if rec.status is CubeStatus.DIVIDED:
+        return 0
+    # COVERED: owner sees the true value, everyone else sees zero.
+    return rec.trueval if rec.owner == pid else 0
+
+
 class CubeStateStore:
     """Shared-memory map from cube refs to their speculative state.
 
     Cubes never touched by any best rectangle have no record (implicit
     FREE).  ``meter``, when supplied to the operations, is charged
     ``cube_state_op`` per touch — the protocol's (small) runtime cost.
+    Every transition that changes a record also patches the bound
+    :class:`CubeStateValues` tables (uncharged: the searches charge
+    their reads).
     """
 
     def __init__(self) -> None:
         self._recs: Dict[CubeRef, CubeRecord] = {}
+        self._tables: List["CubeStateValues"] = []
 
     def record(self, ref: CubeRef) -> CubeRecord:
         """Fetch (or lazily create) the record for *ref*."""
@@ -77,13 +97,14 @@ class CubeStateStore:
         """The value the protocol returns to *asking_pid* (Table 5)."""
         if meter is not None:
             meter.charge("cube_state_op", 1)
-        rec = self._recs.get(ref)
-        if rec is None or rec.status is CubeStatus.FREE:
-            return len(ref[1])
-        if rec.status is CubeStatus.DIVIDED:
-            return 0
-        # COVERED: owner sees the true value, everyone else sees zero.
-        return rec.trueval if rec.owner == asking_pid else 0
+        return _value_of(ref, self._recs.get(ref), asking_pid)
+
+    def _changed(self, ref: CubeRef, rec: CubeRecord) -> None:
+        """Push *ref*'s new values into every bound table."""
+        for table in self._tables:
+            view = table.view
+            if view is not None:
+                view.set_ref_value(ref, _value_of(ref, rec, table.pid))
 
     def cover(self, refs: Iterable[CubeRef], pid: int, meter=None) -> None:
         """Speculatively claim *refs* for processor *pid*'s best rectangle."""
@@ -98,26 +119,13 @@ class CubeStateStore:
             elif rec.status is CubeStatus.COVERED and rec.owner != pid:
                 # Another processor speculated first; it keeps the claim.
                 pass
-            else:
+            elif rec.status is CubeStatus.FREE:
                 rec.status = CubeStatus.COVERED
                 rec.trueval = len(ref[1])
                 rec.owner = pid
+                self._changed(ref, rec)
             if auditing:
                 _audit.audit_cover_transition(ref, before, rec, pid)
-
-    def uncover(self, refs: Iterable[CubeRef], pid: int, meter=None) -> None:
-        """Release claims when the owner found a better rectangle."""
-        for ref in refs:
-            if meter is not None:
-                meter.charge("cube_state_op", 1)
-            rec = self._recs.get(ref)
-            if rec is None:
-                continue
-            if rec.status is CubeStatus.COVERED and rec.owner == pid:
-                rec.status = CubeStatus.FREE
-                rec.owner = -1
-            if _audit.enabled():
-                _audit.audit_cube_record(ref, rec)
 
     def release_owner(self, pid: int, meter=None) -> int:
         """Free every COVERED claim held by a crashed processor.
@@ -136,6 +144,7 @@ class CubeStateStore:
                 rec.status = CubeStatus.FREE
                 rec.owner = -1
                 freed += 1
+                self._changed(ref, rec)
                 if _audit.enabled():
                     _audit.audit_cube_record(ref, rec)
         return freed
@@ -146,10 +155,53 @@ class CubeStateStore:
             if meter is not None:
                 meter.charge("cube_state_op", 1)
             rec = self.record(ref)
-            rec.status = CubeStatus.DIVIDED
-            rec.trueval = 0
+            if rec.status is not CubeStatus.DIVIDED:
+                rec.status = CubeStatus.DIVIDED
+                rec.trueval = 0
+                self._changed(ref, rec)
             if _audit.enabled():
                 _audit.audit_cube_record(ref, rec)
 
+    def detach(self) -> None:
+        """Unbind every table.  A bound table and its index refer to
+        each other, so without this they (and the store) outlive their
+        cycle until the cyclic garbage collector finds them."""
+        for table in self._tables:
+            table.view = None
+        self._tables.clear()
+
     def __len__(self) -> int:
         return len(self._recs)
+
+
+class CubeStateValues:
+    """Processor *pid*'s Table 5 view of *store*, kept as a live table.
+
+    Called as a value function, ``(node, cube) -> value``, it asks the
+    store without charging.  :meth:`prepare` binds it to a KC matrix's
+    live bitset index (:meth:`~repro.rectangles.bitview.LiveBitIndex.
+    bind_values`), which values every cell once; from then on the
+    store's transitions patch the cells whose value they change, and a
+    ping-pong search given this object as ``value_fn`` reads the patched
+    table and keeps ascent records on it.
+    """
+
+    def __init__(self, store: CubeStateStore, pid: int) -> None:
+        self.store = store
+        self.pid = pid
+        self.view = None  # the bound LiveBitIndex
+        store._tables.append(self)
+
+    def __call__(self, node: str, cube: Cube) -> int:
+        return self.store.value((node, cube), self.pid)
+
+    def prepare(self, matrix, meter=None) -> None:
+        """Make *matrix*'s live index hold this view, then charge one
+        ``cube_state_op`` per live cell: the reads a search of the whole
+        matrix makes, as if it asked the store cell by cell."""
+        view = matrix.bitview()
+        if view is not self.view:
+            view.bind_values(self)
+            self.view = view
+        if meter is not None and view.num_entries:
+            meter.charge("cube_state_op", view.num_entries)

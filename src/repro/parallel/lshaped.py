@@ -45,7 +45,7 @@ from repro.machine.simulator import SimulatedMachine
 from repro.network.boolean_network import BooleanNetwork
 from repro.obs.tracer import Tracer
 from repro.parallel.common import ParallelRunResult, partition_network_nodes
-from repro.parallel.cubestate import CubeRef, CubeStateStore, CubeStatus
+from repro.parallel.cubestate import CubeRef, CubeStateStore, CubeStateValues
 from repro.rectangles.kcmatrix import KCMatrix, LabelAllocator
 from repro.rectangles.pingpong import best_rectangle_pingpong
 from repro.rectangles.rectangle import Rectangle
@@ -327,6 +327,9 @@ def lshaped_kernel_extract(
                 reduced.append(sub)
             matrices = reduced
         store = CubeStateStore()
+        # Each processor's view of the store, held as a value table on
+        # its matrix's live index and patched by the store's transitions.
+        views = [CubeStateValues(store, pid) for pid in range(nprocs)]
         mailbox: List[List[PartialRectangle]] = [[] for _ in range(nprocs)]
         journal = ExtractionJournal() if machine.faults is not None else None
         cycle_changed: Set[str] = set()
@@ -340,9 +343,8 @@ def lshaped_kernel_extract(
                 mat = matrices[proc.pid]
                 if not mat.rows:
                     return None
-                vf = lambda node, cube: store.value(
-                    (node, cube), proc.pid, meter=proc.meter
-                )
+                vf = views[proc.pid]
+                vf.prepare(mat, meter=proc.meter)
                 found = best_rectangle_pingpong(
                     mat, value_fn=vf, max_seeds=max_seeds, meter=proc.meter
                 )
@@ -454,6 +456,7 @@ def lshaped_kernel_extract(
         if machine.faults is not None:
             recovered = _recover_lshaped(machine, work_net, blocks, node_owner,
                                          store, mailbox, journal, cycle_changed)
+        store.detach()
         extractions += cycle_extractions
         # Drop extraction nodes nothing ended up using, and collapse
         # duplicate-kernel aliases ([Li] = [Lj]) the interleaving can

@@ -36,11 +36,14 @@ mutation.
 The value table for the pure :func:`~repro.rectangles.rectangle.
 default_value` is kept with the structure, and so are the live index's
 ping-pong seed potentials under it (``row_pot``) and its records of the
-last default-value search's seed ascents, with the row and column slots
-the mutators have dirtied since; any other ``value_fn`` (e.g.
-the L-shaped speculative cube-state values, which change between search
-rounds) is evaluated freshly per search — still once per cell instead of
-once per (row, col, visit).
+last search's seed ascents, with the row and column slots the mutators
+have dirtied since.  The live index can instead keep its table under a
+value function with an event source (:meth:`LiveBitIndex.bind_values`):
+the L-shaped cube-state values, which change only when the store
+covers, divides or releases a cube and which the store pushes into the
+table as it does.  Any other ``value_fn`` (power's activity values, the
+threaded L-shaped variant) is evaluated freshly per search — still once
+per cell instead of once per (row, col, visit).
 
 The labels stay the external interface: every rectangle leaving a
 search carries the original offset labels, so the parallel algorithms'
@@ -469,8 +472,12 @@ class LiveBitIndex(_BitCells):
     recycled the same way; a free id's cube is ``None`` and its default
     value 0.
 
+    The value table follows :attr:`value_source`: the default value
+    until :meth:`bind_values` binds a live source, whose changes then
+    arrive through :meth:`set_ref_value`.
+
     ``row_pot`` holds each row slot's ping-pong seed potential under the
-    default value, ``Σ_c (|col c| − 1) · value(cell)`` (0 for a free
+    maintained values, ``Σ_c (|col c| − 1) · value(cell)`` (0 for a free
     slot), as of the column sizes in ``_pot_sizes``.  It is ``None``
     until the first :meth:`potentials` call builds it in bulk.  From
     then on the mutators patch it: a new cell adds its value times its
@@ -482,17 +489,19 @@ class LiveBitIndex(_BitCells):
     mutations between two searches is settled once.  Relabels leave the
     table untouched.
 
-    The index also keeps what the last default-value ping-pong search
-    recorded per seed ascent (:meth:`ascent_records`, written back by
-    :meth:`keep_ascent_records`; see
+    The index also keeps what the last ping-pong search under the
+    maintained values recorded per seed ascent (:meth:`ascent_records`,
+    written back by :meth:`keep_ascent_records`; see
     :func:`repro.rectangles.pingpong._ascents_bit` for the reuse rule).
     Once records exist, the mutators mark the slots they patch:
     ``add_row``, ``add_entry``, ``remove_row`` and ``remove_col``'s rows
     mark rows; ``add_col``, ``remove_row``'s columns, ``remove_col`` and
     ``relabel_col`` mark columns, and the columns of every marked row
     count as marked too (that covers ``add_entry``'s column without a
-    second set add per cell).  ``relabel_row`` marks nothing: an ascent
-    reads no row label.  Dropping the index drops the records with it.
+    second set add per cell).  A :meth:`set_ref_value` that changes a
+    cell's value marks its row.  ``relabel_row`` marks nothing: an
+    ascent reads no row label.  Dropping the index drops the records
+    with it.
 
     Slot order is *not* label order: callers that break ties must do so
     by ``row_labels`` / ``col_labels``.
@@ -523,6 +532,8 @@ class LiveBitIndex(_BitCells):
         "_dirty_cols",
         "_node_ids",
         "_values",
+        "value_source",
+        "_ref_cells",
         "_overlap",
         "_free_rows",
         "_free_cols",
@@ -556,6 +567,10 @@ class LiveBitIndex(_BitCells):
         self._dirty_cols: Set[int] = set()
         self._node_ids: Dict[str, int] = {}
         self._values: List[int] = []
+        # The value function _values holds, and once a live source is
+        # bound, each cube ref's cells as (row slot, column slot).
+        self.value_source: ValueFn = default_value
+        self._ref_cells: Optional[Dict[CubeRef, List[Tuple[int, int]]]] = None
         # The matrix's own overlap counts (row label → overlapping
         # cells), kept current by its mutators.
         self._overlap: Dict[int, int] = matrix.overlap_rows
@@ -585,15 +600,75 @@ class LiveBitIndex(_BitCells):
     def value_table(self, value_fn: ValueFn = default_value) -> List[int]:
         """Per-entry-id values under *value_fn* (free ids read 0).
 
-        The default table is maintained with the cells and returned
-        as is; any other function is evaluated per call.
+        The table under :attr:`value_source` is maintained with the
+        cells and returned as is; any other function is evaluated per
+        call.
         """
-        if value_fn is default_value:
+        if value_fn is self.value_source:
             return self._values
         return self._values_for(value_fn)
 
+    def bind_values(self, source: ValueFn) -> None:
+        """Keep the value table under *source* from now on.
+
+        *source* values a cell as ``source(node, cube)`` without side
+        effects, and must report every later change of a cube ref's
+        value through :meth:`set_ref_value`.  Binding revalues every
+        live cell once and drops the seed potentials and ascent records,
+        which were kept under the previous values.
+        """
+        self.value_source = source
+        values = self._values
+        cubes = self.entry_cubes
+        names = self.node_names
+        row_node = self.row_node
+        refs: Dict[CubeRef, List[Tuple[int, int]]] = {}
+        for rslot, rcells in enumerate(self.cells):
+            if rcells:
+                name = names[row_node[rslot]]
+                for cslot, eid in rcells.items():
+                    cube = cubes[eid]
+                    values[eid] = source(name, cube)
+                    refs.setdefault((name, cube), []).append((rslot, cslot))
+        self._ref_cells = refs
+        self.row_pot = None
+        self._pot_dirty.clear()
+        self._ascents = None
+        self._ascent_key = None
+        self._dirty_rows.clear()
+        self._dirty_cols.clear()
+
+    def set_ref_value(self, ref: CubeRef, value: int) -> None:
+        """The bound source's value of *ref* is now *value*: patch its
+        cells, shift their rows' seed potentials by ``(column size − 1)
+        · δ`` as a cell edit does, and mark the rows."""
+        slots = self._ref_cells.get(ref)
+        if not slots:
+            return
+        values = self._values
+        cells = self.cells
+        pot = self.row_pot
+        recording = self._ascents is not None
+        for rslot, cslot in slots:
+            eid = cells[rslot][cslot]
+            delta = value - values[eid]
+            if delta:
+                values[eid] = value
+                if pot is not None:
+                    pot[rslot] += (self._pot_sizes[cslot] - 1) * delta
+                if recording:
+                    self._dirty_rows.add(rslot)
+
+    def _forget_cell(self, rslot: int, cslot: int, eid: int) -> None:
+        """Drop a removed cell from the bound source's ref map."""
+        ref = (self.node_names[self.row_node[rslot]], self.entry_cubes[eid])
+        slots = self._ref_cells[ref]
+        slots.remove((rslot, cslot))
+        if not slots:
+            del self._ref_cells[ref]
+
     def potentials(self) -> List[int]:
-        """Per-slot seed potentials under the default value (``row_pot``).
+        """Per-slot seed potentials under the maintained values (``row_pot``).
 
         Built in bulk on the first call; later calls settle only the
         columns whose size changed since the previous call.
@@ -618,7 +693,7 @@ class LiveBitIndex(_BitCells):
         return pot
 
     def ascent_records(self, key: tuple) -> Tuple[Dict[int, tuple], int, AbstractSet[int]]:
-        """The last default-value search's ascent records, if it ran
+        """The last maintained-value search's ascent records, if it ran
         with the parameters *key*, as ``(records, dirty row mask,
         dirty column slots)``; the marks cover every patch since."""
         records = self._ascents
@@ -701,17 +776,24 @@ class LiveBitIndex(_BitCells):
     def add_entry(self, row: int, col: int, cube: Cube) -> None:
         rslot = self.row_pos[row]
         cslot = self.col_pos[col]
+        refs = self._ref_cells
+        if refs is None:
+            value = len(cube)
+        else:
+            name = self.node_names[self.row_node[rslot]]
+            value = self.value_source(name, cube)
+            refs.setdefault((name, cube), []).append((rslot, cslot))
         if self._free_eids:
             eid = self._free_eids.pop()
             self.entry_cubes[eid] = cube
-            self._values[eid] = len(cube)
+            self._values[eid] = value
         else:
             eid = len(self.entry_cubes)
             self.entry_cubes.append(cube)
-            self._values.append(len(cube))
+            self._values.append(value)
         pot = self.row_pot
         if pot is not None:
-            pot[rslot] += (self._pot_sizes[cslot] - 1) * len(cube)
+            pot[rslot] += (self._pot_sizes[cslot] - 1) * value
             self._pot_dirty.add(cslot)
         self.cells[rslot][cslot] = eid
         self.row_cols[rslot] |= 1 << cslot
@@ -727,6 +809,9 @@ class LiveBitIndex(_BitCells):
         cubes = self.entry_cubes
         values = self._values
         free = self._free_eids
+        if self._ref_cells is not None:
+            for cslot, eid in cells[slot].items():
+                self._forget_cell(slot, cslot, eid)
         for cslot, eid in cells[slot].items():
             col_rows[cslot] &= keep
             cubes[eid] = None
@@ -763,6 +848,8 @@ class LiveBitIndex(_BitCells):
                 self._dirty_rows.update(iter_bits(rows))
         for rslot in iter_bits(rows):
             eid = cells[rslot].pop(slot)
+            if self._ref_cells is not None:
+                self._forget_cell(rslot, slot, eid)
             if pot is not None:
                 pot[rslot] -= shar1 * values[eid]
             cubes[eid] = None

@@ -18,10 +18,12 @@ The ascents run over the matrix's live bitset index
 recompiled per search): candidate sets are single ``&`` operations and
 cell values are table lookups.
 
-Under the default value the index also keeps each seed's last ascent
-(:class:`Ascent`: its fixpoint, gain and rounds, and what it read), and
-the next search on the same index replays every seed none of whose
-inputs the mutators have marked since; only the others climb again (see
+Under the value the index maintains — the default value, or a live
+table bound to it such as L-shaped's cube-state view — the index also
+keeps each seed's last ascent (:class:`Ascent`: its fixpoint, gain and
+rounds, and what it read), and the next search on the same index
+replays every seed none of whose inputs the mutators or value patches
+have marked since; only the others climb again (see
 :func:`_ascents_bit` for the rule).  Answers, yield order and meter
 charges are those of a search from scratch, so the virtual clock still
 prices the paper's full ``gkx`` search per extraction.
@@ -92,11 +94,12 @@ def _ascents_bit(
     Everything else — candidate intersections, the half-step memos,
     ``rect_gain`` — is order-free.
 
-    Under the default value the index keeps, per seed slot, what that
-    seed's ascent read and reached in the previous search
-    (:class:`Ascent`).  An ascent is a pure function of what it read:
-    the cells and costs of the seed and of every candidate row of each
-    cols→rows step (a clean row's cells, their values and their
+    Under the value the index maintains (``view.value_source``: the
+    default value, or a bound live table) the index keeps, per seed
+    slot, what that seed's ascent read and reached in the previous
+    search (:class:`Ascent`).  An ascent is a pure function of what it
+    read: the cells and costs of the seed and of every candidate row of
+    each cols→rows step (a clean row's cells, their values and their
     columns' costs cannot change without the row being marked), each
     step's candidate mask (a new row can join the intersection while
     every row read stays clean), and the labels of the columns a
@@ -121,7 +124,7 @@ def _ascents_bit(
     col_labels = view.col_labels
 
     getval = values.__getitem__
-    recording = value_fn is default_value
+    recording = value_fn is view.value_source
 
     def top_cols(scored: List[Tuple[int, int]]):
         # Fewer than min_cols columns contribute positively: keep the
@@ -251,7 +254,7 @@ def _ascents_bit(
             return Ascent(rows, cols, gain, rounds, read, tuple(steps), ranked), hits
         return (rows, cols, gain, rounds), hits
 
-    if value_fn is default_value:
+    if recording:
         # Maintained by the index's mutators once built.
         potential = view.potentials()
     else:

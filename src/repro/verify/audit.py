@@ -23,7 +23,10 @@ lazily) or :func:`set_audits` from code.  When enabled:
   validate the full structure,
 - every ``KCMatrix.bitview()`` call checks the patched live index (its
   seed potentials included), and every sorted compilation checks
-  itself, against the matrix dicts (sparse/bitview parity),
+  itself, against the matrix dicts (sparse/bitview parity); a live
+  index bound to a value source (the L-shaped cube-state view) has its
+  patched value table checked against an uncharged recompute of every
+  cell, so every L-shaped search checks the table it reads,
 - every ping-pong seed ascent replayed from the live index's records is
   re-run from scratch and must reach the same fixpoint, gain and round
   count (:func:`audit_ascent_replay`),
@@ -370,12 +373,39 @@ def audit_bitview(mat: "KCMatrix", view) -> None:
         if lab is not None and view.col_cost[j] != len(mat.cols[lab]):
             _fail(f"bitview col_cost[{lab}] disagrees with kernel-cube size")
     if not view.ORDERED:
-        values = view.value_table()
-        for eid in eids:
-            if values[eid] != len(view.entry_cubes[eid]):
-                _fail(f"bitview default value of entry id {eid} is stale")
+        values = view.value_table(view.value_source)
+        _audit_value_table(view, values)
         if view.row_pot is not None:
             _audit_potentials(view, values)
+
+
+def _audit_value_table(view, values: list) -> None:
+    """The live index's maintained table must equal a full recompute
+    under its value source; a bound source's ref map must list exactly
+    the live cells."""
+    source = view.value_source
+    bound = view._ref_cells is not None
+    names = view.node_names
+    refs: dict = {}
+    for i, rcells in enumerate(view.cells):
+        if not rcells:
+            continue
+        name = names[view.row_node[i]]
+        for j, eid in rcells.items():
+            cube = view.entry_cubes[eid]
+            want = source(name, cube)
+            if values[eid] != want:
+                _fail(
+                    f"bitview value of cell ({view.row_labels[i]}, "
+                    f"{view.col_labels[j]}) is {values[eid]}, a recompute "
+                    f"gives {want}"
+                )
+            if bound:
+                refs.setdefault((name, cube), set()).add((i, j))
+    if bound:
+        got = {ref: set(slots) for ref, slots in view._ref_cells.items()}
+        if got != refs or sum(map(len, view._ref_cells.values())) != view.num_entries:
+            _fail("bitview cube-ref map disagrees with the live cells")
 
 
 def audit_ascent_replay(seed: int, recorded, fresh) -> None:
@@ -404,9 +434,9 @@ def audit_cube_record(ref: "CubeRef", rec: "CubeRecord") -> None:
     FREE records carry no owner; COVERED records carry a claiming
     processor and the saved true value; DIVIDED records are worth zero
     forever.  ``cover`` must never reassign a COVERED cube to a second
-    owner without an intervening ``uncover`` — with this check at every
-    mutation, a double-cover shows up as an owner/status inconsistency
-    at the exact operation that caused it.
+    owner (only ``release_owner`` frees a claim) — with this check at
+    every mutation, a double-cover shows up as an owner/status
+    inconsistency at the exact operation that caused it.
     """
     from repro.parallel.cubestate import CubeStatus
 

@@ -47,28 +47,6 @@ class TestCoveredState:
         assert s.value(REF_A, asking_pid=0) == 3
 
 
-class TestUncover:
-    def test_owner_release_restores_value(self):
-        """Paper: 'if the owning processor finds a better rectangle, it
-        copies back the value of the cube from its trueval'."""
-        s = CubeStateStore()
-        s.cover([REF_A], pid=1)
-        s.uncover([REF_A], pid=1)
-        assert s.status(REF_A) is CubeStatus.FREE
-        assert s.value(REF_A, asking_pid=0) == 3
-
-    def test_non_owner_cannot_release(self):
-        s = CubeStateStore()
-        s.cover([REF_A], pid=1)
-        s.uncover([REF_A], pid=0)
-        assert s.status(REF_A) is CubeStatus.COVERED
-
-    def test_uncover_unknown_ref_is_noop(self):
-        s = CubeStateStore()
-        s.uncover([REF_A], pid=0)
-        assert s.status(REF_A) is CubeStatus.FREE
-
-
 class TestDividedState:
     def test_divided_is_zero_for_everyone(self):
         s = CubeStateStore()
@@ -83,7 +61,7 @@ class TestDividedState:
         s.divide([REF_A])
         s.cover([REF_A], pid=0)  # cannot resurrect
         assert s.status(REF_A) is CubeStatus.DIVIDED
-        s.uncover([REF_A], pid=0)
+        s.release_owner(0)
         assert s.status(REF_A) is CubeStatus.DIVIDED
 
     def test_divide_without_cover(self):

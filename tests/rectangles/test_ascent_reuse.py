@@ -31,8 +31,7 @@ import pytest
 from repro.circuits.mcnc import make_circuit
 from repro.machine.costmodel import CostMeter
 from repro.obs.tracer import Tracer, use_tracer
-from repro.parallel import lshaped
-from repro.rectangles import pingpong
+from repro.rectangles import pingpong, power
 from repro.rectangles.bitview import LiveBitIndex
 from repro.rectangles.cover import kernel_extract
 from repro.rectangles.kcmatrix import KCMatrix
@@ -189,9 +188,11 @@ def test_kernel_extract_counts_every_seed_once():
 
 
 def test_other_value_functions_keep_no_records():
-    # L-shaped searches under cube-state values: no records, no marks.
+    # Power's activity values have no event source, so its searches
+    # keep no records and leave no marks.  (L-shaped's cube-state view
+    # does: see tests/parallel/test_lshaped_live_values.py.)
     searched = []
-    real = lshaped.best_rectangle_pingpong
+    real = power.best_rectangle_pingpong
 
     def recording(mat, **kw):
         got = real(mat, **kw)
@@ -199,8 +200,10 @@ def test_other_value_functions_keep_no_records():
         return got
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(lshaped, "best_rectangle_pingpong", recording)
-        lshaped.lshaped_kernel_extract(make_circuit("dalu", scale=0.1), nprocs=2)
+        mp.setattr(power, "best_rectangle_pingpong", recording)
+        power.power_kernel_extract(
+            make_circuit("dalu", scale=0.1), vectors=256, max_iterations=3
+        )
     assert searched
     for view in searched:
         assert view._ascents is None

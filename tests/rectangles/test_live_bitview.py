@@ -72,8 +72,9 @@ def label_form(view) -> Dict[str, object]:
 
 
 def recomputed_potentials(view) -> List[int]:
-    """Every slot's seed potential, recomputed from scratch."""
-    values = view.value_table()
+    """Every slot's seed potential, recomputed from scratch under the
+    values the index maintains."""
+    values = view.value_table(view.value_source)
     shar1 = [popcount(mask) - 1 for mask in view.col_rows]
     return [
         sum(shar1[c] * values[eid] for c, eid in rcells.items())
@@ -360,16 +361,19 @@ def test_lshaped_matches_dense_walk(nprocs):
     assert len(live[0]) >= nprocs
 
 
-def test_lshaped_never_materializes_potentials():
-    # L-shaped searches under its speculative cube-state values, so
-    # its per-cycle indexes never build the default-value potentials.
+def test_lshaped_potentials_follow_its_cube_state_view():
+    # L-shaped searches under its processor's cube-state view, bound to
+    # the per-cycle index, so the potentials it reads are patched under
+    # those values — never the default ones — and match a recompute.
     searched = []
     real = lshaped.best_rectangle_pingpong
 
     def recording(mat, value_fn=None, **kw):
         got = real(mat, value_fn=value_fn, **kw)
         searched.append(value_fn)
-        assert mat._live is not None and mat._live.row_pot is None
+        view = mat._live
+        assert view is not None and view.value_source is value_fn
+        assert view.row_pot == recomputed_potentials(view)
         return got
 
     with pytest.MonkeyPatch.context() as mp:

@@ -122,7 +122,7 @@ class TestCubeStateAudits:
         store = CubeStateStore()
         refs = [("F", (1, 2)), ("F", (3,)), ("G", (4, 5, 6))]
         store.cover(refs, pid=0)
-        store.uncover(refs[:1], pid=0)
+        store.release_owner(0)
         store.cover(refs[:1], pid=1)
         store.divide(refs[1:])
         audit.audit_cubestate(store)
