@@ -2,7 +2,7 @@
 
 ``repro.faults`` turns the simulated multiprocessor into a crash-test
 rig: a frozen :class:`FaultPlan` schedules processor crashes, slowdowns,
-message drops/corruption/duplication and transient backend errors; the
+message drops, corruption and duplication; the
 :class:`FaultInjector` replays it deterministically while the machine
 and the three parallel algorithms detect and recover.  Everything is off
 by default — no plan (or an empty one) is byte-identical to the
@@ -24,11 +24,9 @@ the whole story in one command.
 """
 
 from repro.faults.injector import (
-    CommFault,
     FaultInjector,
     FaultRecord,
     note_control_resync,
-    payload_checksum,
 )
 from repro.faults.journal import ExtractionJournal, JournalEntry
 from repro.faults.plan import (
@@ -45,7 +43,6 @@ __all__ = [
     "ALL_FAULT_KINDS",
     "FAULT_KINDS",
     "SERVE_FAULT_KINDS",
-    "CommFault",
     "ExtractionJournal",
     "FaultEvent",
     "FaultInjector",
@@ -53,7 +50,6 @@ __all__ = [
     "FaultRecord",
     "JournalEntry",
     "note_control_resync",
-    "payload_checksum",
     "resolve_fault_injector",
     "serve_plan_from_env",
 ]

@@ -22,34 +22,10 @@ from __future__ import annotations
 
 import json
 import random
-import zlib
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set
 
 from repro.faults.plan import FaultEvent, FaultPlan
-
-
-@dataclass(frozen=True)
-class CommFault:
-    """A typed failed delivery surfaced by the SPMD communicator.
-
-    Receivers (and senders, for dead peers) get this *value* instead of
-    the payload — silent loss and hangs are never an outcome.  ``kind``
-    is one of ``drop``/``corrupt``/``peer-dead``/``root-dead``.
-    """
-
-    kind: str
-    src: int
-    dst: int
-    detail: str = ""
-
-    def __bool__(self) -> bool:  # a delivery failure is falsy payload
-        return False
-
-
-def payload_checksum(value) -> int:
-    """Stable content checksum used by the communicator's verify step."""
-    return zlib.crc32(repr(value).encode("utf-8", "backslashreplace"))
 
 
 @dataclass
@@ -102,7 +78,6 @@ class FaultInjector:
         self.dead: Set[int] = set()
         self.op_index = 0
         self.msg_index = 0
-        self.backend_index = 0
         self._detected: Set[int] = set()
         self._pending_crashes: List[FaultEvent] = [
             ev for ev in plan.events if ev.kind == "crash"]
@@ -114,8 +89,6 @@ class FaultInjector:
         for ev in plan.events:
             if ev.kind in ("drop", "corrupt", "dup"):
                 self._msg_events.setdefault(ev.at, ev)
-        self._backend_events: Set[int] = {
-            ev.at for ev in plan.events if ev.kind == "backend"}
         # fault kind -> FIFO of unanswered fault record seqs
         self._open: Dict[str, List[int]] = {}
 
@@ -163,12 +136,6 @@ class FaultInjector:
         idx = self.msg_index
         self.msg_index = idx + 1
         return self._msg_events.get(idx)
-
-    def backend_event(self) -> bool:
-        """Consume one backend map-call index; True when it must fail."""
-        idx = self.backend_index
-        self.backend_index = idx + 1
-        return idx in self._backend_events
 
     # ------------------------------------------------------------------
     # detection

@@ -1,8 +1,7 @@
 """Deterministic fault schedules for the simulated machine.
 
 A :class:`FaultPlan` is a frozen, seeded schedule of faults — processor
-crashes, slowdowns, message drops / corruption / duplication, and
-transient execution-backend errors — that the
+crashes, slowdowns, and message drops / corruption / duplication — that the
 :class:`~repro.faults.injector.FaultInjector` replays against a
 :class:`~repro.machine.simulator.SimulatedMachine`.  Two runs with the
 same ``(plan, seed)`` inject byte-identical fault sequences; an empty
@@ -15,8 +14,7 @@ Crash and slowdown events fire at **top-level machine operations** (each
 ``run_phase``/``barrier``/``broadcast``/``charge_all`` and each
 non-nested ``send``/``charge`` is one operation, counted from 0).
 Message events (drop/corrupt/dup) fire at **message operations** (each
-``send``/``broadcast`` consumes one index, counted from 0).  Backend
-events fire at **backend map calls** (counted from 0).  All three
+``send``/``broadcast`` consumes one index, counted from 0).  Both
 counters are deterministic properties of the algorithm being run.
 
 Crash events are normalized to ``at >= 1`` so operation 0 — always the
@@ -35,7 +33,6 @@ from the ``REPRO_FAULTS`` environment variable::
     drop:7*3             ... fails 3 times (permanent with max_retransmits=2)
     corrupt:4[*K]        checksum mismatch on message op 4 (K attempts)
     dup:9                message op 9 delivered twice (receiver dedupes)
-    backend:0            backend map call 0 raises TransientBackendError
 
 Serve-level faults
 ------------------
@@ -69,7 +66,7 @@ import random
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
-FAULT_KINDS = ("crash", "slow", "drop", "corrupt", "dup", "backend")
+FAULT_KINDS = ("crash", "slow", "drop", "corrupt", "dup")
 
 #: Process-level faults against the real serving stack, driven by
 #: ``repro chaos --serve`` (see module docstring).  The machine-level
@@ -94,11 +91,10 @@ ENV_SERVE_PLAN = "REPRO_SERVE_FAULTS"
 class FaultEvent:
     """One scheduled fault.
 
-    ``at`` is a top-level operation index for crash/slow events, a
-    message operation index for drop/corrupt/dup events, and a backend
-    map-call index for backend events.  ``until`` (exclusive) and
-    ``factor`` apply to slowdowns; ``attempts`` is the number of
-    consecutive failed transmissions for drop/corrupt events.
+    ``at`` is a top-level operation index for crash/slow events and a
+    message operation index for drop/corrupt/dup events.  ``until``
+    (exclusive) and ``factor`` apply to slowdowns; ``attempts`` is the
+    number of consecutive failed transmissions for drop/corrupt events.
     """
 
     kind: str
@@ -130,8 +126,6 @@ class FaultEvent:
             return f"crash:{self.pid}@{self.at}"
         if self.kind == "slow":
             return f"slow:{self.pid}x{self.factor:g}@{self.at}-{self.until}"
-        if self.kind == "backend":
-            return f"backend:{self.at}"
         if self.kind == "gw-restart":
             return f"gw-restart@{self.at}"
         if self.kind == "disk-full":
@@ -229,8 +223,6 @@ class FaultPlan:
                     events.append(FaultEvent(
                         kind, at=int(at_s),
                         attempts=int(attempts_s) if attempts_s else 1))
-                elif kind == "backend":
-                    events.append(FaultEvent("backend", at=int(rest)))
                 elif kind == "worker-kill":
                     pid_s, _, attempts_s = rest.partition("*")
                     events.append(FaultEvent(

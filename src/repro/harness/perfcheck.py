@@ -343,7 +343,7 @@ def measure_overheads(wl: Optional[Workload] = None) -> Dict[str, Dict]:
     }
     calls = {
         "trace_events": len(spans) + sum(len(sp.counters) for sp in spans),
-        "fault_gates": 3 * (idle.op_index + idle.msg_index + idle.backend_index),
+        "fault_gates": 3 * (idle.op_index + idle.msg_index),
         "journal_gates": JOURNAL_GATES,
     }
     report: Dict[str, Dict] = {}

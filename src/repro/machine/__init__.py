@@ -1,4 +1,4 @@
-"""Simulated shared-memory multiprocessor and real execution backends.
+"""Simulated shared-memory multiprocessor.
 
 The paper measured on a SUN SPARCserver 1000E.  This reproduction runs
 each parallel algorithm *faithfully* (every processor executes its real
@@ -13,16 +13,10 @@ per-processor operation counts of the actual execution — the shape of
 the paper's results (sync-bound replication, super-linear independent
 partitions, intermediate L-shaped) emerges from the algorithms, not from
 hard-coded constants.
-
-:mod:`repro.machine.backend` additionally provides real serial / thread /
-process executors for the embarrassingly parallel pieces, so the code
-also runs with true OS-level parallelism where the host allows it.
 """
 
 from repro.machine.costmodel import CostMeter, CostModel, DEFAULT_COST_MODEL
 from repro.machine.simulator import SimulatedMachine, VirtualProcessor, PhaseReport
-from repro.machine.backend import SerialBackend, ThreadBackend, ProcessBackend
-from repro.machine.comm import Comm, run_spmd
 
 __all__ = [
     "CostMeter",
@@ -31,9 +25,4 @@ __all__ = [
     "SimulatedMachine",
     "VirtualProcessor",
     "PhaseReport",
-    "SerialBackend",
-    "ThreadBackend",
-    "ProcessBackend",
-    "Comm",
-    "run_spmd",
 ]

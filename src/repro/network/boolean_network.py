@@ -11,7 +11,7 @@ the algebraic model).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set
 
 from repro.algebra.literals import LiteralTable
 from repro.algebra.sop import Sop, parse_sop, format_sop, sop, sop_literal_count, sop_support
@@ -271,63 +271,6 @@ class BooleanNetwork:
         dup.nodes = dict(self.nodes)
         dup._input_set = set(self._input_set)
         return dup
-
-    def subnetwork(self, node_names: Iterable[str], name: str = "part") -> "BooleanNetwork":
-        """Extract the induced sub-network over *node_names*.
-
-        Signals read from outside the selection become primary inputs of
-        the sub-network; shares the parent's literal table (by copy) so
-        ids remain comparable — partition-parallel algorithms rely on
-        this to merge results back.
-        """
-        chosen = set(node_names)
-        sub = BooleanNetwork(name)
-        sub.table = self.table.copy()
-        for n in chosen:
-            if n not in self.nodes:
-                raise KeyError(n)
-        boundary: Set[str] = set()
-        for n in chosen:
-            for s in self.fanin_signals(n):
-                if s not in chosen:
-                    boundary.add(s)
-        for s in sorted(boundary):
-            sub.add_input(s)
-        for n in self.topological_order():
-            if n in chosen:
-                sub.table.id_of(n)
-                sub.nodes[n] = self.nodes[n]
-        for o in self.outputs:
-            if o in chosen:
-                sub.add_output(o)
-        return sub
-
-    def merge_from(self, other: "BooleanNetwork", rename: Optional[Dict[str, str]] = None) -> None:
-        """Fold *other*'s nodes into this network (partition reassembly).
-
-        *rename* maps other-node names to fresh names here (used to avoid
-        collisions for extraction-created nodes).  Expressions are
-        re-interned against this network's literal table.
-        """
-        rename = rename or {}
-        for n in other.topological_order():
-            target = rename.get(n, n)
-            expr_names = [
-                [other.table.name_of(l) for l in c] for c in other.nodes[n]
-            ]
-            remapped = sop(
-                [[self.table.id_of(rename.get(base_signal(nm), base_signal(nm))
-                                   + ("'" if nm.endswith("'") else ""))
-                  for nm in cube_names]
-                 for cube_names in expr_names]
-            )
-            if target in self.nodes:
-                self.nodes[target] = remapped
-            else:
-                if target in self._input_set:
-                    raise ValueError(f"cannot merge node over input {target!r}")
-                self.table.id_of(target)
-                self.nodes[target] = remapped
 
     # ------------------------------------------------------------------
     # Rendering

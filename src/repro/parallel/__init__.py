@@ -25,10 +25,6 @@ from repro.parallel.lshaped import (
     lshaped_quality_single_processor,
 )
 from repro.parallel.lshaped_threaded import lshaped_kernel_extract_threaded
-from repro.parallel.extensions import (
-    independent_cube_extract,
-    parallel_factor_script,
-)
 
 __all__ = [
     "ParallelRunResult",
@@ -38,6 +34,4 @@ __all__ = [
     "lshaped_kernel_extract",
     "lshaped_quality_single_processor",
     "lshaped_kernel_extract_threaded",
-    "independent_cube_extract",
-    "parallel_factor_script",
 ]

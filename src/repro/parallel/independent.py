@@ -14,10 +14,6 @@ The benefit is that each block's matrix is far smaller and the rectangle
 search is super-linear in matrix size, which is where the paper's
 super-linear speedups (16.3× on ex1010) come from — reproduced here as
 measured per-processor work under the shared cost model.
-
-A real-parallel variant using OS processes is provided for demonstration
-(:func:`independent_kernel_extract_real`); the measured tables use the
-simulated machine.
 """
 
 from __future__ import annotations
@@ -25,7 +21,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.faults import note_control_resync, resolve_fault_injector
-from repro.machine.backend import SerialBackend
 from repro.machine.costmodel import CostModel, DEFAULT_COST_MODEL
 from repro.machine.simulator import SimulatedMachine
 from repro.network.boolean_network import BooleanNetwork
@@ -172,50 +167,3 @@ def independent_kernel_extract(
         details={"duplicate_kernels": float(duplicates)},
         proc_clocks=[p.clock for p in machine.procs],
     )
-
-
-# ----------------------------------------------------------------------
-# Real-parallel demonstration path (OS processes / threads)
-# ----------------------------------------------------------------------
-
-def _factor_block_task(eqn_text: str) -> str:
-    """Worker: factor a serialized sub-network, return it serialized."""
-    from repro.network.eqn import read_eqn, write_eqn
-
-    sub = read_eqn(eqn_text)
-    kernel_extract(sub, searcher="pingpong", name_prefix="[q")
-    return write_eqn(sub)
-
-
-def independent_kernel_extract_real(
-    network: BooleanNetwork,
-    nprocs: int,
-    backend=None,
-    seed: int = 0,
-) -> BooleanNetwork:
-    """The same algorithm executed with a real execution backend.
-
-    Blocks are cut out as sub-networks, serialized, factored by workers,
-    and merged back (extracted nodes renamed per block to stay unique).
-    Returns the merged optimized network.
-    """
-    backend = backend or SerialBackend()
-    work_net = network.copy()
-    blocks = partition_network_nodes(work_net, nprocs, seed=seed)
-    from repro.network.eqn import read_eqn, write_eqn
-
-    payloads = []
-    nonempty = [b for b in blocks if b]
-    for block in nonempty:
-        payloads.append(write_eqn(work_net.subnetwork(block, name="block")))
-    results = backend.map(_factor_block_task, payloads)
-    for pid, text in enumerate(results):
-        sub = read_eqn(text)
-        rename = {
-            n: f"[q{pid}_{i}]"
-            for i, n in enumerate(sorted(sub.nodes))
-            if n.startswith("[q")
-        }
-        work_net.merge_from(sub, rename=rename)
-    work_net.validate()
-    return work_net

@@ -7,7 +7,7 @@ from repro.faults.plan import ENV_PLAN, ENV_SEED
 
 
 def test_parse_render_roundtrip():
-    spec = "crash:1@3,slow:2x4@5-12,drop:7*3,corrupt:4,dup:9,backend:0"
+    spec = "crash:1@3,slow:2x4@5-12,drop:7*3,corrupt:4,dup:9"
     plan = FaultPlan.parse(spec)
     assert FaultPlan.parse(plan.render()).events == plan.events
 
@@ -26,6 +26,8 @@ def test_parse_rejects_garbage():
         FaultPlan.parse("explode:1@2")
     with pytest.raises(ValueError):
         FaultPlan.parse("crash:notanumber")
+    with pytest.raises(ValueError):
+        FaultPlan.parse("backend:0")
 
 
 def test_crash_normalized_to_op_one():

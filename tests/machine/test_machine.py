@@ -1,6 +1,5 @@
 import pytest
 
-from repro.machine.backend import ProcessBackend, SerialBackend, ThreadBackend
 from repro.machine.costmodel import CostMeter, CostModel, DEFAULT_COST_MODEL
 from repro.machine.simulator import SimulatedMachine, sequential_time_of
 
@@ -128,26 +127,3 @@ def test_sequential_time_of():
     m = CostMeter()
     m.charge("kc_entry", 4)
     assert sequential_time_of(m) == 4 * DEFAULT_COST_MODEL.weight("kc_entry")
-
-
-def _square(x):
-    return x * x
-
-
-class TestBackends:
-    @pytest.mark.parametrize(
-        "backend", [SerialBackend(), ThreadBackend(2), ProcessBackend(2)]
-    )
-    def test_map(self, backend):
-        assert backend.map(_square, [1, 2, 3]) == [1, 4, 9]
-
-    @pytest.mark.parametrize(
-        "backend", [SerialBackend(), ThreadBackend(2), ProcessBackend(2)]
-    )
-    def test_empty(self, backend):
-        assert backend.map(_square, []) == []
-
-    def test_order_preserved(self):
-        assert ThreadBackend(4).map(_square, list(range(20))) == [
-            x * x for x in range(20)
-        ]

@@ -126,44 +126,11 @@ class TestSweep:
         assert set(net.nodes) == {"x", "y"}
 
 
-class TestCopySubnetworkMerge:
+class TestCopy:
     def test_copy_independent(self, eq1_network):
         dup = eq1_network.copy()
         dup.add_node("new", "a + b")
         assert "new" not in eq1_network.nodes
-
-    def test_subnetwork_boundary_inputs(self, eq1_network):
-        sub = eq1_network.subnetwork(["F"])
-        assert set(sub.nodes) == {"F"}
-        assert set(sub.inputs) >= {"a", "b", "c"}
-        assert sub.literal_count() == eq1_network.literal_count("F")
-
-    def test_subnetwork_internal_edges(self):
-        net = BooleanNetwork()
-        net.add_inputs(["a"])
-        net.add_node("x", "a")
-        net.add_node("y", "x")
-        sub = net.subnetwork(["x", "y"])
-        assert set(sub.nodes) == {"x", "y"}
-        assert "x" not in sub.inputs
-
-    def test_subnetwork_node_output_preserved(self, eq1_network):
-        sub = eq1_network.subnetwork(["G", "H"])
-        assert set(sub.outputs) == {"G", "H"}
-
-    def test_merge_from_roundtrip(self, eq1_network):
-        sub = eq1_network.subnetwork(["F"])
-        merged = eq1_network.copy()
-        merged.merge_from(sub)
-        assert merged.nodes["F"] == eq1_network.nodes["F"]
-
-    def test_merge_with_rename(self, eq1_network):
-        sub = eq1_network.subnetwork(["F"])
-        sub.add_node("[q0]", "a + b")
-        merged = eq1_network.copy()
-        merged.merge_from(sub, rename={"[q0]": "[fresh]"})
-        assert "[fresh]" in merged.nodes
-        assert "[q0]" not in merged.nodes
 
 
 def test_base_signal():

@@ -54,19 +54,6 @@ def test_eliminate_preserves_function(seed, threshold):
 
 @settings(max_examples=15, deadline=None)
 @given(seed=st.integers(0, 10_000))
-def test_subnetwork_merge_roundtrip(seed):
-    net = tiny(seed)
-    nodes = sorted(net.nodes)
-    half = nodes[: len(nodes) // 2] or nodes
-    sub = net.subnetwork(half)
-    sub.validate()
-    merged = net.copy()
-    merged.merge_from(sub)
-    assert merged.nodes == net.nodes
-
-
-@settings(max_examples=15, deadline=None)
-@given(seed=st.integers(0, 10_000))
 def test_sweep_only_removes_dead(seed):
     net = tiny(seed)
     ref = net.copy()

@@ -1,12 +1,8 @@
 import pytest
 
-from repro.machine.backend import ProcessBackend, SerialBackend, ThreadBackend
 from repro.network.simulate import random_equivalence_check
 from repro.parallel.common import sequential_baseline
-from repro.parallel.independent import (
-    independent_kernel_extract,
-    independent_kernel_extract_real,
-)
+from repro.parallel.independent import independent_kernel_extract
 
 
 class TestIndependent:
@@ -69,23 +65,3 @@ class TestIndependent:
     def test_more_procs_than_nodes(self, eq1_network):
         r = independent_kernel_extract(eq1_network, 6)
         assert r.final_lc <= r.initial_lc
-
-
-class TestRealBackends:
-    @pytest.mark.parametrize(
-        "backend", [SerialBackend(), ThreadBackend(2), ProcessBackend(2)]
-    )
-    def test_real_parallel_matches_function(self, small_circuit, backend):
-        out = independent_kernel_extract_real(small_circuit, 2, backend=backend)
-        assert random_equivalence_check(
-            small_circuit, out, vectors=128, outputs=small_circuit.outputs
-        )
-        assert out.literal_count() <= small_circuit.literal_count()
-
-    def test_real_matches_simulated_quality(self, small_circuit):
-        sim = independent_kernel_extract(small_circuit, 2)
-        real = independent_kernel_extract_real(
-            small_circuit, 2, backend=SerialBackend()
-        )
-        # Same partitioning and searcher → same final literal count.
-        assert real.literal_count() == sim.final_lc
