@@ -11,7 +11,7 @@ from repro.harness.experiments import get_circuit
 from repro.harness.tables import Table
 from repro.machine.costmodel import CostMeter
 from repro.rectangles.kcmatrix import build_kc_matrix
-from repro.rectangles.search import best_rectangle_exhaustive, column_stripes
+from repro.rectangles.search import best_rectangle_exhaustive, column_stripe_bounds
 
 
 def split_report():
@@ -24,13 +24,15 @@ def split_report():
     )
     global_best = best_rectangle_exhaustive(matrix)
     for n in (1, 2, 3, 4, 6):
-        stripes = column_stripes(matrix, n)
         best = None
         sizes = []
-        for s in stripes:
+        for bounds in column_stripe_bounds(matrix, n):
+            if bounds is None:
+                sizes.append(0)
+                continue
             meter = CostMeter()
             got = best_rectangle_exhaustive(
-                matrix, anchor_filter=lambda c, s=s: c in s, meter=meter
+                matrix, anchor_range=bounds, meter=meter
             )
             sizes.append(meter.counts.get("search_node", 0))
             if got and (best is None or got[1] > best[1]):

@@ -14,10 +14,14 @@ split two ways:
    per-step rebuild on every processor.
 2. *Rectangle search*: the exhaustive search tree is decomposed by
    leftmost column (Figure 1); processor *p* explores rectangles anchored
-   in its column stripe.  The per-processor bests are reduced, the winner
-   broadcast, and **every** processor divides its own replica — that
-   division and the per-step barrier are the redundant, serializing work
-   the paper blames for the poor speedup.
+   in its column stripe.  On the host each stripe search replays the
+   anchors the last patch left unchanged
+   (:func:`~repro.rectangles.search.best_rectangle_exhaustive`), while
+   every clock is still charged each node of the full search.  The
+   per-processor bests are reduced, the winner broadcast, and **every**
+   processor divides its own replica — that division and the per-step
+   barrier are the redundant, serializing work the paper blames for the
+   poor speedup.
 
 The exhaustive search carries a global :class:`SearchBudget`;
 exceeding it raises :class:`BudgetExceeded`, reproducing the paper's
@@ -43,7 +47,7 @@ from repro.rectangles.search import (
     BudgetExceeded,
     SearchBudget,
     best_rectangle_exhaustive,
-    column_stripes,
+    column_stripe_bounds,
 )
 from repro.verify import audit as _audit
 
@@ -159,16 +163,16 @@ def replicated_kernel_extract(
                 build_kc_matrix(work_net, sorted(work_net.nodes), owner=node_owner),
             )
         alive = machine.alive_pids()
-        stripes = column_stripes(matrix, len(alive))
+        stripes = column_stripe_bounds(matrix, len(alive))
         stripe_of = {pid: stripes[i] for i, pid in enumerate(alive)}
 
         def search(proc):
             stripe = stripe_of.get(proc.pid)
-            if not stripe:
+            if stripe is None:
                 return None
             return best_rectangle_exhaustive(
                 matrix,
-                anchor_filter=stripe.__contains__,
+                anchor_range=stripe,
                 budget=budget,
                 meter=proc.meter,
             )

@@ -51,6 +51,16 @@ class KCMatrix:
     The bitset index (:meth:`bitview`) is patched by the mutators once
     built; the sorted compilation (:meth:`dense_view`) is dropped by
     every mutation.
+
+    The exhaustive search keeps one record per anchor column
+    (:meth:`anchor_records`).  Once records exist the mutators mark
+    what they change, by label: ``add_entry`` marks its row,
+    ``remove_row`` the row's columns, ``remove_col`` and
+    ``relabel_col`` the column's rows, and ``relabel_row`` the row
+    under its new label.  A marked row stands for all of its columns.
+    ``remove_col`` and ``relabel_col`` also mark the label that goes,
+    so its record goes with it.  ``add_row`` and ``ensure_col`` mark
+    nothing: a row or column without cells is in no anchor's subtree.
     """
 
     rows: Dict[int, RowInfo] = field(default_factory=dict)
@@ -63,14 +73,25 @@ class KCMatrix:
     overlap_rows: Dict[int, int] = field(default_factory=dict, repr=False, compare=False)
     _live: Optional[object] = field(default=None, repr=False, compare=False)
     _dense: Optional[object] = field(default=None, repr=False, compare=False)
+    # Anchor column label → its record, for the min_cols in
+    # _anchor_key; None until an exhaustive search keeps records, and
+    # the mutators mark labels only from then on.
+    _anchors: Optional[Dict[int, tuple]] = field(default=None, repr=False, compare=False)
+    _anchor_key: Optional[int] = field(default=None, repr=False, compare=False)
+    _dirty_rows: Set[int] = field(default_factory=set, repr=False, compare=False)
+    _dirty_cols: Set[int] = field(default_factory=set, repr=False, compare=False)
 
     # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------
     def _touch(self) -> None:
-        """Record a raw-dict mutation: drops both bitset forms."""
+        """Record a raw-dict mutation: drops both bitset forms and the
+        anchor records."""
         self._dense = None
         self._live = None
+        self._anchors = None
+        self._dirty_rows.clear()
+        self._dirty_cols.clear()
 
     def add_row(self, label: int, node: str, cokernel: Cube) -> None:
         if label in self.rows:
@@ -115,6 +136,8 @@ class KCMatrix:
                 self.overlap_rows[row] = self.overlap_rows.get(row, 0) + 1
             if self._live is not None:
                 self._live.add_entry(row, col, cube)
+            if self._anchors is not None:
+                self._dirty_rows.add(row)
         if _audit.enabled():
             _audit.audit_entry_added(self, row, col)
         self._dense = None
@@ -122,6 +145,8 @@ class KCMatrix:
     def remove_row(self, label: int) -> None:
         if self._live is not None and label in self.rows:
             self._live.remove_row(label)
+        if self._anchors is not None:
+            self._dirty_cols.update(self.by_row.get(label, ()))
         for col in self.by_row.pop(label, set()):
             self.by_col[col].discard(label)
             self.entries.pop((label, col), None)
@@ -141,6 +166,9 @@ class KCMatrix:
         cube = self.cols.get(label)
         if self._live is not None and cube is not None:
             self._live.remove_col(label)
+        if self._anchors is not None:
+            self._dirty_cols.add(label)
+            self._dirty_rows.update(self.by_col.get(label, ()))
         overlap = self.overlap_rows
         for row in self.by_col.pop(label, set()):
             self.by_row[row].discard(label)
@@ -180,6 +208,9 @@ class KCMatrix:
             cols.add(new)
         if self._live is not None:
             self._live.relabel_col(old, new)
+        if self._anchors is not None:
+            self._dirty_cols.add(old)
+            self._dirty_rows.update(rows)
         if _audit.enabled():
             _audit.audit_col_relabeled(self, old, new)
         self._dense = None
@@ -211,6 +242,8 @@ class KCMatrix:
             self.overlap_rows[new] = self.overlap_rows.pop(old)
         if self._live is not None:
             self._live.relabel_row(old, new)
+        if self._anchors is not None:
+            self._dirty_rows.add(new)
         if _audit.enabled():
             _audit.audit_row_relabeled(self, old, new)
         self._dense = None
@@ -280,6 +313,34 @@ class KCMatrix:
                 _audit.audit_bitview(self, view)
             self._dense = view
         return view
+
+    def anchor_records(self, min_cols: int) -> Dict[int, tuple]:
+        """The exhaustive search's per-anchor records, for *min_cols*.
+
+        Drops every record the mutators have marked since the last call
+        — the anchors a marked row has cells in, and each marked column
+        — and clears the marks, so every record returned is clean.  A
+        different *min_cols* starts an empty table.  The caller adds and
+        replaces records in the returned dict (see
+        :func:`repro.rectangles.search._best_rectangle_bit_v2`).
+        """
+        records = self._anchors
+        if records is None or self._anchor_key != min_cols:
+            records = self._anchors = {}
+            self._anchor_key = min_cols
+        else:
+            drop = records.pop
+            by_row = self.by_row
+            for row in self._dirty_rows:
+                # A row gone since it was marked had its columns
+                # marked when it went.
+                for col in by_row.get(row, ()):
+                    drop(col, None)
+            for col in self._dirty_cols:
+                drop(col, None)
+        self._dirty_rows.clear()
+        self._dirty_cols.clear()
+        return records
 
     def submatrix_columns(self, col_labels: Iterable[int]) -> "KCMatrix":
         """Restriction to a set of columns (all rows with entries kept).

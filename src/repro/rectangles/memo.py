@@ -2,9 +2,10 @@
 
 :data:`GLOBAL_SEARCH_STATS` tallies every
 :func:`~repro.rectangles.search.best_rectangle_exhaustive` run and the
-work its bound (``rect_search_pruned_subtrees``) and anchor dominance
-(``rect_search_dominance_skips``) saved; :func:`rect_search_snapshot` is
-the flat document ``/metrics`` and engine health expose.
+work its bound (``rect_search_pruned_subtrees``), anchor dominance
+(``rect_search_dominance_skips``) and anchor record replay
+(``rect_search_anchors_replayed``) saved; :func:`rect_search_snapshot`
+is the flat document ``/metrics`` and engine health expose.
 """
 
 from __future__ import annotations
@@ -16,29 +17,33 @@ from typing import Dict
 COUNTER_NAMES = (
     "rect_search_pruned_subtrees",
     "rect_search_dominance_skips",
+    "rect_search_anchors_replayed",
 )
 
 
 class SearchStats:
-    """Process-wide tally of the v2 search's pruning work."""
+    """Process-wide tally of the v2 search's pruning and replay work."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self.searches = 0
         self.pruned_subtrees = 0
         self.dominance_skips = 0
+        self.anchors_replayed = 0
 
-    def record(self, pruned: int, dominance: int) -> None:
+    def record(self, pruned: int, dominance: int, replayed: int) -> None:
         with self._lock:
             self.searches += 1
             self.pruned_subtrees += pruned
             self.dominance_skips += dominance
+            self.anchors_replayed += replayed
 
     def reset(self) -> None:
         with self._lock:
             self.searches = 0
             self.pruned_subtrees = 0
             self.dominance_skips = 0
+            self.anchors_replayed = 0
 
     def snapshot(self) -> Dict[str, int]:
         with self._lock:
@@ -46,6 +51,7 @@ class SearchStats:
                 "searches": self.searches,
                 "pruned_subtrees": self.pruned_subtrees,
                 "dominance_skips": self.dominance_skips,
+                "anchors_replayed": self.anchors_replayed,
             }
 
 
@@ -58,6 +64,7 @@ def rect_search_snapshot() -> Dict[str, int]:
     return {
         "rect_search_pruned_subtrees": stats["pruned_subtrees"],
         "rect_search_dominance_skips": stats["dominance_skips"],
+        "rect_search_anchors_replayed": stats["anchors_replayed"],
         # ``bench/inproc.py`` still subscripts these two keys; the
         # rectangle memo they counted is gone, so they stay 0.
         "rect_memo_hits": 0,

@@ -30,6 +30,10 @@ lazily) or :func:`set_audits` from code.  When enabled:
 - every ping-pong seed ascent replayed from the live index's records is
   re-run from scratch and must reach the same fixpoint, gain and round
   count (:func:`audit_ascent_replay`),
+- every exhaustive-search anchor replayed from the matrix's records is
+  re-walked from scratch and must spend the same nodes, count the same
+  prunes, forced columns and evaluations, and leave the same best
+  rectangle and cut (:func:`audit_anchor_replay`),
 - every matrix the greedy loop patches instead of rebuilding is checked
   against a fresh build for order-isomorphism (:func:`audit_kc_order`),
 - every ``CubeStateStore`` operation validates the records it touched
@@ -421,6 +425,23 @@ def audit_ascent_replay(seed: int, recorded, fresh) -> None:
         _fail(
             f"ping-pong seed {seed}: replayed ascent (rows, cols, gain, rounds) "
             f"{got} disagrees with a re-run {want}"
+        )
+
+
+def audit_anchor_replay(anchor: int, recorded: tuple, fresh: tuple) -> None:
+    """A replayed exhaustive-search anchor must match a re-walk.
+
+    Both are ``(entry, nodes, pruned, forced, evaluated, won)`` anchor
+    records (see :func:`repro.rectangles.search._best_rectangle_bit_v2`),
+    the second from a walk of the anchor alone from the same entry
+    incumbent; every field must agree, and with *entry* and *won* so
+    does the cut they leave.  *anchor* is the anchor column's label.
+    """
+    if tuple(recorded) != tuple(fresh):
+        _fail(
+            f"exhaustive anchor {anchor}: replayed (entry, nodes, pruned, "
+            f"forced, evaluated, won) {tuple(recorded)} disagrees with a "
+            f"re-walk {tuple(fresh)}"
         )
 
 

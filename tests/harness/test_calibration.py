@@ -47,9 +47,12 @@ def test_every_repeat_runs_a_real_exhaustive_search():
     each repeat must walk the search tree, not replay a cached answer."""
     from repro.rectangles.memo import GLOBAL_SEARCH_STATS
 
-    before = GLOBAL_SEARCH_STATS.snapshot()["searches"]
+    before = GLOBAL_SEARCH_STATS.snapshot()
     profile_workloads(repeats=3)
-    assert GLOBAL_SEARCH_STATS.snapshot()["searches"] == before + 3
+    after = GLOBAL_SEARCH_STATS.snapshot()
+    assert after["searches"] == before["searches"] + 3
+    # No repeat replays the anchors the previous one recorded.
+    assert after["anchors_replayed"] == before["anchors_replayed"]
 
 
 def test_every_repeat_runs_a_real_pingpong_search():

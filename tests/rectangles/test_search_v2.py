@@ -200,6 +200,7 @@ class TestDefaultsAndCounters:
         assert set(snap) == {
             "rect_search_pruned_subtrees",
             "rect_search_dominance_skips",
+            "rect_search_anchors_replayed",
             "rect_memo_hits",
             "rect_memo_misses",
         }
