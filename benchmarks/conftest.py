@@ -10,7 +10,6 @@ The committed EXPERIMENTS.md numbers use the default scale of 1.0 —
 the paper's full initial literal counts.
 """
 
-import json
 import os
 import pathlib
 
@@ -40,31 +39,6 @@ def emit(name: str, text: str) -> None:
 @pytest.fixture(scope="session")
 def scale() -> float:
     return bench_scale()
-
-
-def pytest_sessionfinish(session, exitstatus):
-    """Persist the observability snapshot next to the tables.
-
-    Table runs route through the shared batch engine
-    (:mod:`repro.service`), so after a benchmark session its metrics
-    hold the cache hit rates and job timings behind every reported
-    speedup; with ``REPRO_TRACE=1`` the snapshot also folds in the
-    session's span-trace phase breakdown (one ``repro.obs`` schema for
-    all three).  Written only when an engine was actually used.
-    """
-    try:
-        from repro import obs
-        from repro.service.engine import get_default_engine
-
-        engine = get_default_engine(create=False)
-    except Exception:  # pragma: no cover - service layer unavailable
-        return
-    if engine is None:
-        return
-    snap = obs.snapshot(registry=engine.metrics, cache=engine.cache.stats())
-    RESULTS_DIR.mkdir(exist_ok=True)
-    out = RESULTS_DIR / f"metrics@{bench_scale():g}.json"
-    out.write_text(json.dumps(snap, indent=2) + "\n")
 
 
 def run_once(benchmark, fn):

@@ -169,6 +169,11 @@ Context for reading the numbers:
   row; everything else is out-of-sample.
 - Every algorithm run in these tables is equivalence-checked against the
   original network in the test suite.
+- Table 1 (`table1_profile`), `bench_rectsearch` and
+  `phases_table6@*.json` carry host time and differ run to run; every
+  other file under `benchmarks/results/` comes from the virtual clock
+  and literal counts and is exact, and CI regenerates the scale-0.1
+  copies and fails on any byte difference.
 
 """
 

@@ -1,8 +1,8 @@
 """Command-line interface.
 
-    python -m repro factor CIRCUIT [--algorithm ALG] [--procs N] [--cache]
+    python -m repro factor CIRCUIT [--algorithm ALG] [--procs N]
     python -m repro profile CIRCUIT [--algorithm ALG] [--procs N] [--format F]
-    python -m repro batch MANIFEST [--workers N] [--repeat K] [--json OUT]
+    python -m repro batch MANIFEST [--workers N] [--json OUT]
     python -m repro run-table {table1,table2,table3,table4,table6,eq3} [--scale S]
     python -m repro info CIRCUIT [--scale S]
     python -m repro fuzz [--runs N] [--seed S] [--shrink] [--check] [--faults]
@@ -71,35 +71,7 @@ def _load_circuit(spec: str, scale: float) -> BooleanNetwork:
 def _cmd_factor(args: argparse.Namespace) -> int:
     net = _load_circuit(args.circuit, args.scale)
     initial = net.literal_count()
-    cache_note: Optional[str] = None
-    if args.cache:
-        from repro.service import FactorizationJob, get_default_engine
-
-        engine = get_default_engine()
-        job = FactorizationJob(
-            circuit=args.circuit, network=net, algorithm=args.algorithm,
-            procs=args.procs, searcher=args.searcher, scale=args.scale,
-        )
-        res = engine.execute(job)
-        if not res.ok:
-            if res.exception is not None:
-                raise res.exception
-            raise SystemExit(f"job failed: {res.error}")
-        cache_note = "hit" if res.cache_hit else "miss"
-        final = res.final_lc
-        if args.algorithm == "sequential":
-            work, speed = res.payload.network, None
-        else:
-            base = engine.execute(FactorizationJob(
-                circuit=args.circuit, network=net, algorithm="baseline",
-                scale=args.scale,
-            ))
-            work = res.payload.network
-            speed = (
-                base.payload.time / res.payload.parallel_time
-                if res.payload.parallel_time else None
-            )
-    elif args.algorithm == "sequential":
+    if args.algorithm == "sequential":
         from repro.rectangles import kernel_extract
 
         work = net.copy()
@@ -131,8 +103,6 @@ def _cmd_factor(args: argparse.Namespace) -> int:
           f"(ratio {final / initial:.3f})")
     if speed is not None:
         print(f"speedup      : {speed:.2f}x over the sequential baseline")
-    if cache_note is not None:
-        print(f"cache        : {cache_note}")
     if args.output:
         from repro.network.eqn import save_eqn
 
@@ -288,9 +258,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     if args.workers < 1:
         print("error: --workers must be >= 1", file=sys.stderr)
         return 2
-    if args.repeat < 1:
-        print("error: --repeat must be >= 1", file=sys.stderr)
-        return 2
     try:
         text = pathlib.Path(args.manifest).read_text()
     except OSError as exc:
@@ -300,27 +267,18 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     if not entries:
         print("error: manifest contains no jobs", file=sys.stderr)
         return 2
-    engine = FactorizationEngine(workers=args.workers, use_cache=args.cache)
-    reports = []
+    engine = FactorizationEngine(workers=args.workers)
     with _trace_to_file(args.trace):
-        for n in range(args.repeat):
-            report = engine.run_batch(_manifest_jobs(entries, args.scale))
-            reports.append(report)
-            if args.repeat > 1:
-                print(f"--- pass {n + 1}/{args.repeat} ---")
-            print(report.render())
-            print()
-    if args.repeat > 1:
-        times = ", ".join(f"{r.wall_time:.3f}s" for r in reports)
-        print(f"pass wall times: {times}")
+        report = engine.run_batch(_manifest_jobs(entries, args.scale))
+        print(report.render())
+        print()
     print("metrics:")
     print(engine.metrics.render())
     if args.json:
-        payload = {"passes": [r.to_dict() for r in reports]}
         with open(args.json, "w") as fh:
-            json.dump(payload, fh, indent=2)
+            json.dump(report.to_dict(), fh, indent=2)
         print(f"wrote {args.json}")
-    return 0 if all(r.ok for r in reports[-1].results) else 1
+    return 0 if all(r.ok for r in report.results) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -347,10 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_factor.add_argument("--procs", type=int, default=4)
     p_factor.add_argument("--scale", type=float, default=1.0)
     p_factor.add_argument("--output", help="write result as .eqn")
-    p_factor.add_argument(
-        "--cache", action=argparse.BooleanOptionalAction, default=False,
-        help="route through the shared result cache (repro.service)",
-    )
     p_factor.set_defaults(fn=_cmd_factor)
 
     p_batch = sub.add_parser(
@@ -358,14 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_batch.add_argument("manifest", help="JSON or line-format job manifest")
     p_batch.add_argument("--workers", type=int, default=4)
-    p_batch.add_argument("--repeat", type=int, default=1,
-                         help="run the manifest K times (cache warm-up demo)")
     p_batch.add_argument("--scale", type=float, default=1.0,
                          help="default scale for entries that omit one")
-    p_batch.add_argument(
-        "--cache", action=argparse.BooleanOptionalAction, default=True,
-        help="enable/disable the content-addressed result cache",
-    )
     p_batch.add_argument("--json", help="dump results + metrics as JSON")
     p_batch.add_argument(
         "--trace",

@@ -13,7 +13,7 @@ per (name, scale) within the process because generation is deterministic.
 from __future__ import annotations
 
 import functools
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.circuits.mcnc import (
     MCNC_SUITE,
@@ -25,6 +25,10 @@ from repro.harness.speedup_model import eq3_speedup
 from repro.harness.synthesis import run_synthesis_script
 from repro.harness.tables import Table
 from repro.network.boolean_network import BooleanNetwork
+from repro.parallel.common import ParallelRunResult, sequential_baseline
+from repro.parallel.independent import independent_kernel_extract
+from repro.parallel.lshaped import lshaped_kernel_extract
+from repro.parallel.replicated import replicated_kernel_extract
 from repro.rectangles.search import BudgetExceeded
 
 PROC_COUNTS: Tuple[int, ...] = (2, 4, 6)
@@ -68,46 +72,6 @@ def _circuit(name: str, scale: float) -> BooleanNetwork:
 def get_circuit(name: str, scale: float = 1.0) -> BooleanNetwork:
     """Cached deterministic circuit; callers must not mutate it."""
     return _circuit(name, scale)
-
-
-# ----------------------------------------------------------------------
-# engine routing — table cells share the process-wide result cache
-# ----------------------------------------------------------------------
-
-def table_engine():
-    """The shared batch engine every table run routes through.
-
-    Repeated circuit×algorithm cells (the sequential baseline appears in
-    Tables 3, 4 and 6; the L-shaped dalu runs appear in Table 6 and the
-    Eq. 3 sweep) are computed once and served from the content-addressed
-    cache afterwards.
-    """
-    from repro.service.engine import get_default_engine
-
-    return get_default_engine()
-
-
-def _engine_run(algorithm: str, net: BooleanNetwork, procs: int, **params):
-    """One table cell through the engine, preserving table semantics.
-
-    Table jobs never retry or degrade — Table 2's DNF rows *are* the
-    budget blow-up, so failures re-raise with their original type.
-    """
-    from repro.service.jobs import FactorizationJob
-
-    job = FactorizationJob(
-        circuit=net.name, network=net, algorithm=algorithm, procs=procs,
-        max_retries=0, allow_degrade=False, params=params,
-    )
-    res = table_engine().execute(job)
-    if not res.ok:
-        raise res.exception
-    return res.payload
-
-
-def _engine_baseline(net: BooleanNetwork):
-    """The metered sequential SIS baseline, cached per circuit."""
-    return _engine_run("baseline", net, 1)
 
 
 # ----------------------------------------------------------------------
@@ -170,9 +134,9 @@ def run_table2(
         paper = PAPER_TABLE2.get(name)
         row: List = [name, net.literal_count()]
         try:
-            base = _engine_run("replicated", net, 1, search_budget=search_budget)
+            base = replicated_kernel_extract(net, 1, search_budget=search_budget)
             for p in procs:
-                r = _engine_run("replicated", net, p, search_budget=search_budget)
+                r = replicated_kernel_extract(net, p, search_budget=search_budget)
                 row += [r.final_lc, base.parallel_time / r.parallel_time]
         except BudgetExceeded:
             row += [None] * (2 * len(procs))
@@ -184,7 +148,7 @@ def run_table2(
 
 def _speedup_table(
     title: str,
-    algorithm: str,
+    algorithm: Callable[..., ParallelRunResult],
     paper_ref: Dict,
     scale: float,
     circuits: Sequence[str],
@@ -200,11 +164,11 @@ def _speedup_table(
     speed_last: List[float] = []
     for name in circuits:
         net = get_circuit(name, scale)
-        base = _engine_baseline(net)
+        base = sequential_baseline(net)
         paper = paper_ref.get(name)
         row: List = [name, net.literal_count(), base.result.final_lc]
         for p in procs:
-            r = _engine_run(algorithm, net, p, **(params or {}))
+            r = algorithm(net, p, **(params or {}))
             s = base.time / r.parallel_time if r.parallel_time else float("inf")
             row += [r.final_lc, s]
             if p == procs[-1]:
@@ -229,7 +193,7 @@ def run_table3(
     """Independent partitions; S is vs the sequential SIS baseline."""
     return _speedup_table(
         "Table 3 — parallel kernel extraction, independent partitions",
-        "independent",
+        independent_kernel_extract,
         PAPER_TABLE3,
         scale,
         circuits,
@@ -246,7 +210,7 @@ def run_table6(
     """L-shaped algorithm; S is vs the sequential SIS baseline."""
     return _speedup_table(
         "Table 6 — parallel kernel extraction, L-shaped partitioning",
-        "lshaped",
+        lshaped_kernel_extract,
         PAPER_TABLE6,
         scale,
         circuits,
@@ -271,11 +235,11 @@ def run_table4(
     )
     for name in circuits:
         net = get_circuit(name, scale)
-        base = _engine_baseline(net)
+        base = sequential_baseline(net)
         paper = PAPER_TABLE4.get(name)
         row: List = [name, net.literal_count(), base.result.final_lc]
         for w in ways:
-            r = _engine_run("lshaped", net, w)
+            r = lshaped_kernel_extract(net, w)
             row.append(r.final_lc)
         row += [paper[0] if paper else None, paper[3] if paper else None]
         table.add_row(*row)
@@ -307,10 +271,10 @@ def run_eq3(
         columns=["p", "alpha", "gamma", "measured S", "model S (fitted)"],
     )
     net = get_circuit(circuit, scale)
-    base = _engine_baseline(net)
+    base = sequential_baseline(net)
     runs = []
     for p in procs:
-        r = _engine_run("lshaped", net, p)
+        r = lshaped_kernel_extract(net, p)
         measured = base.time / r.parallel_time if r.parallel_time else 0.0
         runs.append((p, r, measured))
     alpha = runs[0][1].details.get("alpha", 0.0) or 1e-6

@@ -10,10 +10,9 @@ One layer answers "where did the time go":
 - :mod:`repro.obs.profile` — the Table-1-style phase/percent breakdown
   behind ``repro profile``.
 
-:func:`snapshot` is the shared export schema: engine metrics, cache
-stats and span-trace summaries all land in one JSON-serializable dict,
-so ``benchmarks/results/metrics@SCALE.json`` and trace output agree on
-structure.
+:func:`snapshot` is the shared export schema: engine metrics and
+span-trace summaries land in one JSON-serializable dict, so metric and
+trace output agree on structure.
 """
 
 from __future__ import annotations
@@ -128,19 +127,16 @@ COMPAT_SCHEMAS = ("repro.obs/1", "repro.obs/2")
 def snapshot(
     registry: Optional[MetricsRegistry] = None,
     tracer: Optional[Tracer] = None,
-    cache: Optional[Dict[str, Any]] = None,
 ) -> Dict[str, Any]:
-    """One JSON-serializable dict for metrics + cache + trace summary.
+    """One JSON-serializable dict for metrics + trace summary.
 
     Any part may be omitted; ``tracer`` defaults to the active one, so
     ``obs.snapshot(registry=engine.metrics)`` inside a traced run
-    captures both views.  Benchmarks persist exactly this shape.
+    captures both views.
     """
     out: Dict[str, Any] = {"schema": SNAPSHOT_SCHEMA}
     if registry is not None:
         out["metrics"] = registry.snapshot()
-    if cache is not None:
-        out["cache"] = dict(cache)
     tr = tracer if tracer is not None else active_tracer()
     if tr is not None:
         out["trace"] = tr.snapshot()

@@ -169,7 +169,6 @@ def health_snapshot(
     breakers: Optional[Dict[str, str]] = None,
     queue_depth: int = 0,
     workers: int = 0,
-    cache: Optional[Dict[str, object]] = None,
     pool: Optional[Dict[str, object]] = None,
 ) -> Dict[str, object]:
     """Assemble a health/readiness document from live service state.
@@ -181,10 +180,8 @@ def health_snapshot(
     known path is open.  ``ready`` mirrors the usual readiness-probe
     semantics: the service still accepts work unless it is failing.
 
-    *cache* is a :meth:`ResultCache.stats` snapshot (hit rate included),
-    reported as ``None`` for an engine without a result cache; *pool* is
-    a worker-pool liveness dict (size/busy/alive), embedded when given.
-    The serving tier's ``/healthz`` shows both per worker.
+    *pool* is a worker-pool liveness dict (size/busy/alive), embedded
+    when given; the serving tier's ``/healthz`` shows it per worker.
     """
     breakers = dict(breakers or {})
     open_paths = sorted(k for k, v in breakers.items() if v == "open")
@@ -202,7 +199,6 @@ def health_snapshot(
         "breakers": breakers,
         "open_paths": open_paths,
         "counters": registry.health_keys(),
-        "cache": cache,
     }
     if pool is not None:
         doc["pool"] = pool

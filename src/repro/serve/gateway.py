@@ -3,8 +3,9 @@
 One asyncio event loop fronts N worker *processes*
 (:mod:`repro.serve.worker`).  A factor request is normalized
 (:func:`repro.serve.protocol.parse_job_request`), content-hashed with
-the same canonical digest the batch engine's cache uses, and then
-travels the shortest path that can answer it:
+the canonical job digest
+(:func:`repro.service.cache.canonical_job_key`), and then travels the
+shortest path that can answer it:
 
 1. the gateway's in-memory :class:`~repro.service.cache.ResultCache`
    of result documents (``cache: "gateway"``),

@@ -3,9 +3,9 @@
 One normalized *job spec* flows through the whole tier: the gateway
 parses client JSON into it (:func:`parse_job_request`), hashes it into
 the canonical content key every layer shares
-(:func:`job_cache_key` — the same digest
-:func:`repro.service.cache.canonical_job_key` gives the batch engine's
-cache), ships it to a worker over a pipe, and the worker turns
+(:func:`job_cache_key`, which is
+:func:`repro.service.cache.canonical_job_key`), ships it to a worker
+over a pipe, and the worker turns
 the engine's answer into a JSON-serializable *result document*
 (:func:`result_document`) that is simultaneously the HTTP response
 body, the persistent-cache payload, and the coalesced answer every
@@ -164,7 +164,7 @@ def parse_job_request(doc: Any) -> Dict[str, Any]:
 
 
 def job_cache_key(spec: Dict[str, Any], network) -> str:
-    """The canonical content digest shared with the engine cache."""
+    """The canonical content digest the gateway LRU and disk cache key on."""
     return canonical_job_key(
         network,
         spec["algorithm"],

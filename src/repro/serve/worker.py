@@ -1,7 +1,7 @@
 """Worker processes: one FactorizationEngine per OS process.
 
 Each worker owns a :class:`~repro.service.engine.FactorizationEngine`
-(breakers, retry/degradation; no result cache of its own) plus a handle
+(breakers, retry/degradation; it memoizes nothing) plus a handle
 on the shared persistent :class:`~repro.serve.diskcache.DiskCache`, and
 talks to the gateway over a duplex :mod:`multiprocessing` pipe using the
 little dict protocol documented in :mod:`repro.serve.protocol`.
@@ -83,7 +83,7 @@ def worker_main(
             if _ev.pid == worker_id:
                 slow_factor = max(slow_factor, _ev.factor)
     disk = DiskCache(cache_dir, max_bytes=cache_max_bytes) if cache_dir else None
-    engine = FactorizationEngine(workers=1, use_cache=False)
+    engine = FactorizationEngine(workers=1)
     send_lock = threading.Lock()
     jobs_done = 0
 

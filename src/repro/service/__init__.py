@@ -2,9 +2,9 @@
 
 The paper measures factorization as ~61% of synthesis runtime (Table 1)
 and its three parallel algorithms trade quality for speed differently
-per circuit — which makes a serving layer that schedules many circuits,
-reuses repeated work, and degrades gracefully the natural next tier
-above the algorithm substrate.  This package provides it:
+per circuit — which makes a serving layer that schedules many circuits
+and degrades gracefully the natural next tier above the algorithm
+substrate.  This package provides it:
 
 - :mod:`~repro.service.jobs` — job/result models, the
   PENDING/RUNNING/DONE/FAILED/RETRYING lifecycle, a priority queue;
@@ -14,15 +14,14 @@ above the algorithm substrate.  This package provides it:
 - :mod:`~repro.service.breaker` — per-``algorithm:circuit`` circuit
   breakers; persistently failing paths are short-circuited straight to
   the sequential fallback instead of re-paying their timeouts;
-- :mod:`~repro.service.cache` — content-addressed LRU result cache.
+- :mod:`~repro.service.cache` — the canonical job digest and the
+  content-addressed LRU that the serving tier's gateway answers
+  repeated requests from (the engine itself memoizes nothing).
 
 Metrics (counters/timers/histograms) come from :mod:`repro.obs.metrics`.
 
 Entry points: ``python -m repro batch MANIFEST`` runs a manifest through
-the engine; ``python -m repro factor --cache`` routes one-shot calls
-through the shared default engine; :mod:`repro.harness.experiments`
-routes table runs through it so repeated circuit×algorithm cells are
-computed once.
+the engine, and every ``repro serve`` worker process runs one engine.
 """
 
 from repro.obs.metrics import Counter, Histogram, MetricsRegistry, Timer
@@ -33,8 +32,6 @@ from repro.service.engine import (
     FactorizationEngine,
     JobTimeout,
     SequentialRun,
-    get_default_engine,
-    reset_default_engine,
 )
 from repro.service.jobs import FactorizationJob, JobQueue, JobResult, JobStatus
 
@@ -57,6 +54,4 @@ __all__ = [
     "Timer",
     "canonical_job_key",
     "canonical_network_text",
-    "get_default_engine",
-    "reset_default_engine",
 ]

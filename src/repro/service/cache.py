@@ -3,9 +3,10 @@
 Keys are a SHA-256 over the *canonical* form of everything that
 determines a result: the network's sorted equation text (so node
 insertion order and network name don't matter) plus a sorted-key JSON
-encoding of (algorithm, procs, search parameters).  Two jobs that would
-compute the same answer therefore share one cache entry, whether they
-arrived via the CLI, a batch manifest, or a harness table run.
+encoding of (algorithm, procs, search parameters).  Two requests that
+would compute the same answer therefore share one entry, in the serving
+gateway's in-memory LRU (:class:`ResultCache`) and in the durable
+:class:`~repro.serve.diskcache.DiskCache` alike.
 
 Deadlines, priorities and retry limits are deliberately *excluded* from
 the key — they shape how a result is computed, never what it is.

@@ -1,4 +1,4 @@
-"""The batch factorization engine: workers, retries, degradation, cache.
+"""The batch factorization engine: workers, retries, degradation.
 
 :class:`FactorizationEngine` is the serving layer on top of the
 algorithm substrate (:mod:`repro.rectangles`, :mod:`repro.parallel`).
@@ -10,19 +10,14 @@ instead of dying: a job whose exhaustive rectangle search blows its
 budget or deadline is retried with the ping-pong heuristic, trading
 quality for an answer.
 
-Results are memoized in a content-addressed LRU cache
-(:mod:`repro.service.cache`) keyed by the canonical network text and the
-computation parameters, so repeated circuit × algorithm cells — common
-across the paper's tables and across batch manifests — are computed
-once.  A degradation memo remembers which requested configurations had
-to fall back, so re-submissions skip straight to the fallback instead of
-re-paying the timeout.  All activity feeds one
+The engine memoizes nothing: every job is computed.  Repeated requests
+are answered in front of it, by the serving tier's gateway LRU and its
+durable disk cache (:mod:`repro.serve`).  All activity feeds one
 :class:`~repro.obs.metrics.MetricsRegistry`.
 """
 
 from __future__ import annotations
 
-import copy
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -36,7 +31,6 @@ from repro.obs.metrics import MetricsRegistry, health_snapshot
 from repro.rectangles.cover import KernelExtractionResult, kernel_extract
 from repro.rectangles.search import BudgetExceeded, SearchBudget
 from repro.service.breaker import BreakerBoard, BreakerState
-from repro.service.cache import ResultCache, canonical_job_key
 from repro.service.jobs import FactorizationJob, JobQueue, JobResult, JobStatus
 
 __all__ = [
@@ -44,9 +38,18 @@ __all__ = [
     "SequentialRun",
     "BatchReport",
     "FactorizationEngine",
-    "get_default_engine",
-    "reset_default_engine",
 ]
+
+#: Extra attempts after a job's first failure (total attempts =
+#: ``MAX_RETRIES + 1``); per-job override via ``job.max_retries``.
+MAX_RETRIES = 2
+#: Sleep ``BACKOFF * BACKOFF_FACTOR**(attempt-1)`` seconds between attempts.
+BACKOFF = 0.05
+BACKOFF_FACTOR = 2.0
+#: A path breaker opens after this many consecutive failures and lets a
+#: trial attempt through after ``BREAKER_COOLDOWN`` seconds.
+BREAKER_THRESHOLD = 3
+BREAKER_COOLDOWN = 30.0
 
 
 class JobTimeout(Exception):
@@ -76,7 +79,6 @@ class BatchReport:
     results: List[JobResult]
     wall_time: float
     metrics: Dict[str, Dict] = field(default_factory=dict)
-    cache_stats: Dict[str, float] = field(default_factory=dict)
 
     @property
     def done(self) -> int:
@@ -86,22 +88,17 @@ class BatchReport:
     def failed(self) -> int:
         return len(self.results) - self.done
 
-    @property
-    def cache_hits(self) -> int:
-        return sum(1 for r in self.results if r.cache_hit)
-
     def to_dict(self) -> Dict[str, Any]:
         return {
             "results": [r.to_dict() for r in self.results],
             "wall_time": self.wall_time,
             "metrics": self.metrics,
-            "cache": self.cache_stats,
         }
 
     def render(self) -> str:
         header = (
             f"{'job':<10} {'circuit':<12} {'algorithm':<12} {'procs':>5} "
-            f"{'status':<8} {'attempts':>8} {'cache':<5} {'lits':<14} {'time':>8}"
+            f"{'status':<8} {'attempts':>8} {'lits':<14} {'time':>8}"
         )
         lines = [header, "-" * len(header)]
         for r in self.results:
@@ -113,83 +110,44 @@ class BatchReport:
             status = str(r.status) + ("*" if r.degraded else "")
             lines.append(
                 f"{r.job_id:<10} {r.circuit:<12} {r.algorithm:<12} {r.procs:>5} "
-                f"{status:<8} {r.attempts:>8} {'hit' if r.cache_hit else 'miss':<5} "
+                f"{status:<8} {r.attempts:>8} "
                 f"{lits:<14} {r.elapsed:>7.3f}s"
             )
         lines.append(
-            f"{self.done}/{len(self.results)} done ({self.failed} failed, "
-            f"{self.cache_hits} cache hits) in {self.wall_time:.3f}s"
+            f"{self.done}/{len(self.results)} done ({self.failed} failed) "
+            f"in {self.wall_time:.3f}s"
         )
-        if self.cache_stats:
-            s = self.cache_stats
-            lines.append(
-                f"cache: {s['hits']} hits / {s['misses']} misses "
-                f"({100 * s['hit_rate']:.0f}% hit rate), "
-                f"size {s['size']}/{s['capacity']}, "
-                f"{s['evictions']} evictions"
-            )
         if any(r.degraded for r in self.results):
             lines.append("* = degraded to the ping-pong heuristic (budget/deadline)")
         return "\n".join(lines)
 
 
 class FactorizationEngine:
-    """Bounded-concurrency batch runner with caching and degradation.
+    """Bounded-concurrency batch runner with retries and degradation.
 
-    Parameters
-    ----------
-    workers:
-        Thread-pool size.  Defaults to 4 — enough to overlap jobs while
-        the GIL serializes the pure-Python inner loops.
-    cache:
-        A :class:`ResultCache`, or None to create one wired to this
-        engine's metrics.  Pass ``use_cache=False`` to disable lookups
-        entirely (results are still computed, never reused).
-    max_retries:
-        Extra attempts after the first failure (total attempts =
-        ``max_retries + 1``); per-job override via ``job.max_retries``.
-    backoff / backoff_factor:
-        Sleep ``backoff * backoff_factor**(attempt-1)`` seconds between
-        attempts.
+    *workers* is the thread-pool size.  It defaults to 4, enough to
+    overlap jobs while the GIL serializes the pure-Python inner loops.
+    Retries, backoff and the path breakers follow the module constants
+    (:data:`MAX_RETRIES`, :data:`BACKOFF`, :data:`BACKOFF_FACTOR`,
+    :data:`BREAKER_THRESHOLD`, :data:`BREAKER_COOLDOWN`).
     """
 
-    def __init__(
-        self,
-        workers: int = 4,
-        cache: Optional[ResultCache] = None,
-        metrics: Optional[MetricsRegistry] = None,
-        use_cache: bool = True,
-        max_retries: int = 2,
-        backoff: float = 0.05,
-        backoff_factor: float = 2.0,
-        default_deadline: Optional[float] = None,
-        breaker_threshold: int = 3,
-        breaker_cooldown: float = 30.0,
-    ):
+    def __init__(self, workers: int = 4):
         if workers < 1:
             raise ValueError("workers must be >= 1")
         self.workers = workers
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.cache = cache if cache is not None else ResultCache(metrics=self.metrics)
-        self.use_cache = use_cache
-        self.max_retries = max_retries
-        self.backoff = backoff
-        self.backoff_factor = backoff_factor
-        self.default_deadline = default_deadline
+        self.metrics = MetricsRegistry()
         self.queue = JobQueue()
         #: per-``algorithm:circuit`` breakers; a path that keeps failing
         #: trips open and is short-circuited to the sequential fallback.
         self.breakers = BreakerBoard(
-            failure_threshold=breaker_threshold, cooldown=breaker_cooldown
+            failure_threshold=BREAKER_THRESHOLD, cooldown=BREAKER_COOLDOWN
         )
         self._id_lock = threading.Lock()
         self._next_id = 0
         self._busy_lock = threading.Lock()
         #: jobs currently executing on the pool (worker-pool liveness).
         self._busy = 0
-        #: requested-key -> degraded job fields, so re-submissions of a
-        #: configuration that already proved infeasible skip the timeout.
-        self._degrade_memo: Dict[str, Dict[str, Any]] = {}
 
     # ------------------------------------------------------------------
     # submission API
@@ -221,7 +179,6 @@ class FactorizationEngine:
             results=results,
             wall_time=timer.elapsed or 0.0,
             metrics=self.metrics.snapshot(),
-            cache_stats=self.cache.stats(),
         )
 
     def execute(self, job: FactorizationJob) -> JobResult:
@@ -235,16 +192,14 @@ class FactorizationEngine:
     # ------------------------------------------------------------------
 
     def health(self) -> Dict[str, Any]:
-        """Live health document: breaker states, queue depth, counters,
-        cache effectiveness, and worker-pool liveness.
+        """Live health document: breaker states, queue depth, counters
+        and worker-pool liveness.
 
         ``status`` is ``ok`` / ``degraded`` (some paths short-circuited)
-        / ``failing`` (every known path's breaker open).  ``cache`` is
-        the result cache's :meth:`~repro.service.cache.ResultCache.stats`
-        snapshot (hit rate included), ``None`` with ``use_cache=False``,
-        and ``pool`` reports how many of
-        the engine's workers are currently executing a job — the fields
-        the serving tier's ``/healthz`` aggregates per worker process.
+        / ``failing`` (every known path's breaker open), and ``pool``
+        reports how many of the engine's workers are currently executing
+        a job — the fields the serving tier's ``/healthz`` aggregates per
+        worker process.
         """
         from repro.rectangles.memo import rect_search_snapshot
 
@@ -255,7 +210,6 @@ class FactorizationEngine:
             breakers=self.breakers.states(),
             queue_depth=len(self.queue),
             workers=self.workers,
-            cache=self.cache.stats() if self.use_cache else None,
             pool={"size": self.workers, "busy": busy, "alive": True},
         )
         # Hot-path effectiveness: the process-wide v2 search pruning
@@ -278,7 +232,7 @@ class FactorizationEngine:
                 self._next_id += 1
 
     def _retry_budget(self, job: FactorizationJob) -> int:
-        return self.max_retries if job.max_retries is None else job.max_retries
+        return MAX_RETRIES if job.max_retries is None else job.max_retries
 
     def _result_for(self, job: FactorizationJob, **kw) -> JobResult:
         return JobResult(
@@ -343,16 +297,6 @@ class FactorizationEngine:
             and not self.breakers.get(self._path_key(job)).allow()
         ):
             self._short_circuit(job)
-        if job.allow_degrade:
-            try:
-                memo = self._degrade_memo.get(self._job_key(job))
-            except Exception:  # unresolvable circuit: let the attempt fail it
-                memo = None
-            if memo is not None:
-                for k, v in memo.items():
-                    setattr(job, k, v)
-                job.degraded = True
-                self.metrics.inc("degrade_memo_hits")
         retries = self._retry_budget(job)
         while True:
             job.attempts += 1
@@ -360,7 +304,7 @@ class FactorizationEngine:
             job.transition(JobStatus.RUNNING)
             breaker = self.breakers.get(self._path_key(job))
             try:
-                payload, cache_hit = self._attempt(job)
+                payload = self._attempt(job)
             except Exception as exc:  # noqa: BLE001 - lifecycle boundary
                 was_open = breaker.state == BreakerState.OPEN
                 breaker.record_failure()
@@ -391,7 +335,7 @@ class FactorizationEngine:
                 job.transition(JobStatus.RETRYING)
                 self.metrics.inc("jobs_retries")
                 self._maybe_degrade(job, exc)
-                delay = self.backoff * self.backoff_factor ** (job.attempts - 1)
+                delay = BACKOFF * BACKOFF_FACTOR ** (job.attempts - 1)
                 if delay > 0:
                     time.sleep(delay)
                 continue
@@ -405,7 +349,6 @@ class FactorizationEngine:
             self.metrics.histogram("job_seconds").observe(elapsed)
             return self._result_for(
                 job,
-                cache_hit=cache_hit,
                 elapsed=elapsed,
                 initial_lc=getattr(payload, "initial_lc", None),
                 final_lc=getattr(payload, "final_lc", None),
@@ -423,7 +366,6 @@ class FactorizationEngine:
             return
         if not isinstance(exc, (JobTimeout, BudgetExceeded)):
             return
-        requested_key = self._job_key(job)
         fallback: Dict[str, Any] = {"deadline": None, "node_budget": None}
         if job.algorithm == "replicated":
             # The replicated algorithm *is* the exhaustive search; its
@@ -436,45 +378,20 @@ class FactorizationEngine:
         for k, v in fallback.items():
             setattr(job, k, v)
         job.degraded = True
-        self._degrade_memo[requested_key] = fallback
 
     # ------------------------------------------------------------------
     # one attempt
     # ------------------------------------------------------------------
 
-    def _job_key(self, job: FactorizationJob) -> str:
-        return canonical_job_key(
-            job.resolve_network(),
-            job.algorithm,
-            job.procs,
-            params=job.params,
-            searcher=job.searcher,
-            node_budget=job.node_budget,
-        )
-
     def _attempt(self, job: FactorizationJob):
-        """Run one attempt; returns (payload, cache_hit)."""
+        """Run one attempt under the job's deadline; returns the payload."""
         network = job.resolve_network()
-        key = self._job_key(job) if self.use_cache else None
-        if key is not None:
-            cached = self.cache.get(key)
-            if cached is not None:
-                # Shallow copy: callers may annotate the payload (e.g.
-                # set sequential_time) without touching the cached one.
-                return copy.copy(cached), True
-        deadline = job.deadline if job.deadline is not None else self.default_deadline
-
-        def compute():
+        if job.deadline is None:
             return self._dispatch(job, network)
-
-        payload = (
-            _call_with_deadline(compute, deadline, metrics=self.metrics)
-            if deadline is not None
-            else compute()
+        return _call_with_deadline(
+            lambda: self._dispatch(job, network), job.deadline,
+            metrics=self.metrics,
         )
-        if key is not None:
-            self.cache.put(key, payload)
-        return payload, False
 
     def _dispatch(self, job: FactorizationJob, network: BooleanNetwork):
         params = dict(job.params)
@@ -554,30 +471,3 @@ def _call_with_deadline(
         raise box["error"]
     return box["value"]
 
-
-# ----------------------------------------------------------------------
-# process-wide default engine (CLI --cache, harness table runs)
-# ----------------------------------------------------------------------
-
-_DEFAULT_ENGINE: Optional[FactorizationEngine] = None
-_DEFAULT_LOCK = threading.Lock()
-
-
-def get_default_engine(create: bool = True) -> Optional[FactorizationEngine]:
-    """The shared process-wide engine (CLI and harness use one cache).
-
-    With ``create=False`` returns None when no engine exists yet — used
-    by reporting hooks that must not fabricate empty metrics.
-    """
-    global _DEFAULT_ENGINE
-    with _DEFAULT_LOCK:
-        if _DEFAULT_ENGINE is None and create:
-            _DEFAULT_ENGINE = FactorizationEngine()
-        return _DEFAULT_ENGINE
-
-
-def reset_default_engine() -> None:
-    """Drop the shared engine (tests; also frees its cache)."""
-    global _DEFAULT_ENGINE
-    with _DEFAULT_LOCK:
-        _DEFAULT_ENGINE = None

@@ -31,8 +31,7 @@ from repro.network.boolean_network import BooleanNetwork
 __all__ = ["JobStatus", "FactorizationJob", "JobResult", "JobQueue"]
 
 #: Algorithms a job may request.  "baseline" is the metered sequential
-#: SIS run the speedup tables divide by — caching it is a large win
-#: because every table recomputes it per circuit.
+#: SIS run the speedup tables divide by.
 ALGORITHMS = (
     "sequential", "baseline", "replicated", "independent", "lshaped",
 )
@@ -69,7 +68,7 @@ class FactorizationJob:
     priority: int = 0
     deadline: Optional[float] = None
     node_budget: Optional[int] = None
-    max_retries: Optional[int] = None      # None -> engine default
+    max_retries: Optional[int] = None      # None -> engine.MAX_RETRIES
     allow_degrade: bool = True
     params: Dict[str, Any] = field(default_factory=dict)
     network: Optional[BooleanNetwork] = None
@@ -128,7 +127,6 @@ class JobResult:
     status: JobStatus
     attempts: int = 0
     degraded: bool = False
-    cache_hit: bool = False
     elapsed: float = 0.0
     initial_lc: Optional[int] = None
     final_lc: Optional[int] = None
@@ -151,7 +149,6 @@ class JobResult:
             "status": self.status.value,
             "attempts": self.attempts,
             "degraded": self.degraded,
-            "cache_hit": self.cache_hit,
             "elapsed": self.elapsed,
             "initial_lc": self.initial_lc,
             "final_lc": self.final_lc,

@@ -297,7 +297,7 @@ def test_health_ready_metrics_and_error_routes():
             worker = doc["workers"]["0"]
             assert worker["alive"] and not worker["stale"]
             assert worker["engine"]["pool"]["alive"] is True
-            assert worker["engine"]["cache"] is None
+            assert "cache" not in worker["engine"]
 
             status, doc = await http_json("GET", gw.url + "/readyz")
             assert status == 200 and doc["ready"] is True

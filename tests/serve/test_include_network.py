@@ -55,7 +55,7 @@ def test_cache_hit_after_plain_request_carries_network():
             _assert_network(second["result"])
             status, health = await http_json("GET", gw.url + "/healthz")
             assert status == 200
-            assert health["workers"]["0"]["engine"]["cache"] is None
+            assert "cache" not in health["workers"]["0"]["engine"]
 
             # A later plain request answers from the document that now
             # carries the network, without it.

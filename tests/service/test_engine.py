@@ -2,61 +2,53 @@ import json
 
 import pytest
 
-from repro.service import (
-    FactorizationEngine,
-    FactorizationJob,
-    JobStatus,
-    get_default_engine,
-    reset_default_engine,
-)
+from repro.service import FactorizationEngine, FactorizationJob, JobStatus
+from repro.service import engine as engine_mod
 
 
-def make_engine(**kw):
-    kw.setdefault("workers", 2)
-    kw.setdefault("backoff", 0.001)
-    return FactorizationEngine(**kw)
+@pytest.fixture(autouse=True)
+def fast_backoff(monkeypatch):
+    monkeypatch.setattr(engine_mod, "BACKOFF", 0.001)
 
 
-class TestCacheIntegration:
-    def test_second_execution_hits_cache(self):
-        engine = make_engine()
-        job1 = FactorizationJob(circuit="example")
-        job2 = FactorizationJob(circuit="example")
-        r1 = engine.execute(job1)
-        r2 = engine.execute(job2)
-        assert not r1.cache_hit and r2.cache_hit
-        assert r1.final_lc == r2.final_lc
-        assert engine.cache.hits == 1 and engine.cache.misses == 1
+def make_engine(workers=2):
+    return FactorizationEngine(workers=workers)
 
-    def test_different_params_do_not_collide(self):
+
+class TestNoMemo:
+    def test_repeated_job_is_recomputed(self):
         engine = make_engine()
         r1 = engine.execute(FactorizationJob(circuit="example"))
-        r2 = engine.execute(
-            FactorizationJob(circuit="example", searcher="exhaustive")
-        )
-        assert not r2.cache_hit
-        assert r1.final_lc is not None and r2.final_lc is not None
-
-    def test_use_cache_false_never_hits(self):
-        engine = make_engine(use_cache=False)
-        engine.execute(FactorizationJob(circuit="example"))
         r2 = engine.execute(FactorizationJob(circuit="example"))
-        assert not r2.cache_hit
-        assert engine.cache.hits == 0
+        assert r1.final_lc == r2.final_lc
+        assert r1.payload is not r2.payload
+        assert r1.payload.network is not r2.payload.network
+        assert engine.metrics.counter("jobs_attempts").value == 2
+        assert not hasattr(engine, "cache")
 
-    def test_cached_payload_is_copied(self):
+    def test_degradable_job_never_hashes_its_network(self, monkeypatch):
+        # Repeats are answered in front of the engine (gateway LRU, disk
+        # cache), which already hashed the request; the engine must not
+        # pay for a second canonical digest per job.
+        import repro.service.cache as cache_mod
+
+        calls = []
+
+        def no_digest(*args, **kwargs):
+            calls.append(args)
+            raise AssertionError("engine computed a canonical job key")
+
+        monkeypatch.setattr(cache_mod, "canonical_job_key", no_digest)
+        monkeypatch.setattr(engine_mod, "canonical_job_key", no_digest,
+                            raising=False)
         engine = make_engine()
-        r1 = engine.execute(
-            FactorizationJob(circuit="dalu", algorithm="lshaped",
-                             procs=2, scale=0.03)
+        job = FactorizationJob(
+            circuit="misex3", scale=0.2, searcher="exhaustive", node_budget=5,
         )
-        r2 = engine.execute(
-            FactorizationJob(circuit="dalu", algorithm="lshaped",
-                             procs=2, scale=0.03)
-        )
-        assert r2.cache_hit
-        r2.payload.sequential_time = 123.0
-        assert r1.payload.sequential_time != 123.0
+        assert job.allow_degrade
+        res = engine.execute(job)
+        assert calls == []
+        assert res.ok and res.degraded, res.error
 
 
 class TestDegradation:
@@ -97,21 +89,20 @@ class TestDegradation:
         assert res.ok and res.degraded
         assert res.algorithm == "sequential"
 
-    def test_degrade_memo_skips_second_failure(self):
+    def test_repeated_degrading_job_fails_over_again(self):
         engine = make_engine()
-        job = FactorizationJob(
+        first = engine.execute(FactorizationJob(
             circuit="misex3", scale=0.2, searcher="exhaustive", node_budget=5,
-        )
-        first = engine.execute(job)
-        again = FactorizationJob(
+        ))
+        second = engine.execute(FactorizationJob(
             circuit="misex3", scale=0.2, searcher="exhaustive", node_budget=5,
-        )
-        second = engine.execute(again)
+        ))
         assert second.ok and second.degraded
-        assert second.attempts == 1          # no failed attempt this time
-        assert second.cache_hit              # degraded result was cached
+        assert second.attempts == first.attempts == 2
         assert second.final_lc == first.final_lc
-        assert engine.metrics.counter("degrade_memo_hits").value == 1
+        counters = engine.metrics.snapshot()["counters"]
+        assert counters["jobs_budget_exceeded"] == 2
+        assert counters["jobs_degraded"] == 2
 
     def test_no_degrade_when_disallowed(self):
         engine = make_engine()
@@ -130,20 +121,22 @@ class TestDegradation:
 
 
 class TestFailures:
-    def test_unknown_circuit_fails_job_not_batch(self):
-        engine = make_engine(max_retries=0)
+    def test_unknown_circuit_fails_job_not_batch(self, monkeypatch):
+        monkeypatch.setattr(engine_mod, "MAX_RETRIES", 0)
+        engine = make_engine()
         report = engine.run_batch([
             FactorizationJob(circuit="nope"),
             FactorizationJob(circuit="example"),
         ])
         by_circuit = {r.circuit: r for r in report.results}
         assert by_circuit["nope"].status is JobStatus.FAILED
+        assert by_circuit["nope"].attempts == 1
         assert "unknown circuit" in by_circuit["nope"].error
         assert by_circuit["example"].ok
 
     def test_failed_result_serializes(self):
-        engine = make_engine(max_retries=0)
-        res = engine.execute(FactorizationJob(circuit="nope"))
+        engine = make_engine()
+        res = engine.execute(FactorizationJob(circuit="nope", max_retries=0))
         json.dumps(res.to_dict())
         assert res.to_dict()["status"] == "FAILED"
 
@@ -168,8 +161,8 @@ class TestBatch:
             ("dalu", "lshaped", 4),
         ]
 
-        def run(workers, use_cache):
-            engine = make_engine(workers=workers, use_cache=use_cache)
+        def run(workers):
+            engine = make_engine(workers=workers)
             jobs = [
                 FactorizationJob(circuit=c, algorithm=a, procs=p, scale=0.03)
                 for c, a, p in specs
@@ -179,28 +172,9 @@ class TestBatch:
             return [(r.circuit, r.algorithm, r.procs, r.final_lc)
                     for r in report.results]
 
-        serial = run(workers=1, use_cache=False)
-        concurrent = run(workers=4, use_cache=False)
-        cached = run(workers=4, use_cache=True)
-        assert serial == concurrent == cached
-
-    def test_second_batch_hits_cache_and_is_faster(self):
-        engine = make_engine()
-        jobs = lambda: [  # noqa: E731 - jobs are single-use
-            FactorizationJob(circuit="dalu", algorithm="lshaped",
-                             procs=2, scale=0.03),
-            FactorizationJob(circuit="dalu", algorithm="independent",
-                             procs=2, scale=0.03),
-            FactorizationJob(circuit="example"),
-        ]
-        first = engine.run_batch(jobs())
-        second = engine.run_batch(jobs())
-        assert first.cache_hits == 0
-        assert second.cache_hits == 3
-        assert second.wall_time < first.wall_time
-        assert [r.final_lc for r in first.results] == [
-            r.final_lc for r in second.results
-        ]
+        serial = run(workers=1)
+        concurrent = run(workers=4)
+        assert serial == concurrent
 
     def test_report_render_and_dict(self):
         engine = make_engine()
@@ -210,21 +184,27 @@ class TestBatch:
         json.dumps(report.to_dict())
 
     def test_metrics_snapshot_contents(self):
-        # One worker runs the two identical jobs in turn, so the second
-        # is answered by the first's cache entry; on two workers both
-        # can miss while the first is still computing.
-        engine = make_engine(workers=1)
+        # Two identical jobs and one that degrades: every job is
+        # attempted (nothing is memoized), and the degrading one pays
+        # its failed attempt before the ping-pong retry.
+        engine = make_engine()
         engine.run_batch([
             FactorizationJob(circuit="example"),
             FactorizationJob(circuit="example"),
+            FactorizationJob(circuit="misex3", scale=0.2,
+                             searcher="exhaustive", node_budget=5),
         ])
         snap = engine.metrics.snapshot()
-        counters = snap["counters"]
-        assert counters["jobs_submitted"] == 2
-        assert counters["jobs_completed"] == 2
-        assert counters["cache_hits"] == 1
-        assert counters["cache_misses"] == 1
-        assert snap["histograms"]["job_seconds"]["count"] == 2
+        assert snap["counters"] == {
+            "jobs_submitted": 3,
+            "jobs_attempts": 4,
+            "jobs_completed": 3,
+            "jobs_failed_attempts": 1,
+            "jobs_budget_exceeded": 1,
+            "jobs_retries": 1,
+            "jobs_degraded": 1,
+        }
+        assert snap["histograms"]["job_seconds"]["count"] == 3
         assert snap["histograms"]["batch_seconds"]["count"] == 1
 
 
@@ -257,13 +237,3 @@ class TestAlgorithms:
         assert random_equivalence_check(job.resolve_network(),
                                         res.payload.network)
 
-
-class TestDefaultEngine:
-    def test_singleton_and_reset(self):
-        reset_default_engine()
-        assert get_default_engine(create=False) is None
-        engine = get_default_engine()
-        assert get_default_engine() is engine
-        reset_default_engine()
-        assert get_default_engine(create=False) is None
-        # leave a fresh default for other tests

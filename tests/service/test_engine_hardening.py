@@ -10,14 +10,26 @@ not leaked as a daemon thread running to completion.
 import threading
 import time
 
+import pytest
+
 from repro.service import FactorizationEngine, FactorizationJob
+from repro.service import engine as engine_mod
 from repro.service.breaker import BreakerState
 
 
-def make_engine(**kw):
-    kw.setdefault("workers", 2)
-    kw.setdefault("backoff", 0.0)
-    return FactorizationEngine(**kw)
+@pytest.fixture(autouse=True)
+def no_backoff(monkeypatch):
+    monkeypatch.setattr(engine_mod, "BACKOFF", 0.0)
+
+
+@pytest.fixture
+def breaker_threshold(monkeypatch):
+    """Set ``BREAKER_THRESHOLD`` for engines made afterwards."""
+    return lambda n: monkeypatch.setattr(engine_mod, "BREAKER_THRESHOLD", n)
+
+
+def make_engine():
+    return FactorizationEngine(workers=2)
 
 
 def _failing_job(**kw):
@@ -47,8 +59,9 @@ def _drain_job_attempt_threads(timeout=15.0):
 
 
 class TestBreakers:
-    def test_repeated_failures_open_the_path_breaker(self):
-        engine = make_engine(breaker_threshold=2)
+    def test_repeated_failures_open_the_path_breaker(self, breaker_threshold):
+        breaker_threshold(2)
+        engine = make_engine()
         for _ in range(2):
             res = engine.execute(_failing_job())
             assert not res.ok
@@ -57,8 +70,9 @@ class TestBreakers:
         )
         assert engine.metrics.counter("breaker_opened").value == 1
 
-    def test_open_breaker_short_circuits_to_sequential(self):
-        engine = make_engine(breaker_threshold=2)
+    def test_open_breaker_short_circuits_to_sequential(self, breaker_threshold):
+        breaker_threshold(2)
+        engine = make_engine()
         for _ in range(2):
             engine.execute(_failing_job())
         res = engine.execute(
@@ -80,8 +94,9 @@ class TestBreakers:
         res = engine.execute(FactorizationJob(circuit="example"))
         assert res.ok and not res.degraded
 
-    def test_success_on_another_path_leaves_breaker_open(self):
-        engine = make_engine(breaker_threshold=1)
+    def test_success_on_another_path_leaves_breaker_open(self, breaker_threshold):
+        breaker_threshold(1)
+        engine = make_engine()
         engine.execute(_failing_job())
         res = engine.execute(FactorizationJob(circuit="example"))
         assert res.ok
@@ -98,8 +113,9 @@ class TestHealth:
         assert doc["queue_depth"] == 0
         assert engine.ready()
 
-    def test_one_open_path_reports_degraded_but_ready(self):
-        engine = make_engine(breaker_threshold=1)
+    def test_one_open_path_reports_degraded_but_ready(self, breaker_threshold):
+        breaker_threshold(1)
+        engine = make_engine()
         engine.execute(_failing_job())
         engine.execute(FactorizationJob(circuit="example"))
         doc = engine.health()
@@ -107,35 +123,28 @@ class TestHealth:
         assert doc["open_paths"] == ["lshaped:seq"]
         assert engine.ready()
 
-    def test_every_path_open_reports_failing_and_unready(self):
-        engine = make_engine(breaker_threshold=1)
+    def test_every_path_open_reports_failing_and_unready(self, breaker_threshold):
+        breaker_threshold(1)
+        engine = make_engine()
         engine.execute(_failing_job())
         doc = engine.health()
         assert doc["status"] == "failing"
         assert doc["ready"] is False
         assert not engine.ready()
 
-    def test_health_counters_surface_failures(self):
-        engine = make_engine(breaker_threshold=1)
+    def test_health_counters_surface_failures(self, breaker_threshold):
+        breaker_threshold(1)
+        engine = make_engine()
         engine.execute(_failing_job())
         counters = engine.health()["counters"]
         assert counters["jobs_failed"] == 1
         assert counters["jobs_timeouts"] == 1
         assert counters["breaker_opened"] == 1
 
-    def test_health_embeds_cache_stats(self):
+    def test_health_has_no_cache_block(self):
         engine = make_engine()
         engine.execute(FactorizationJob(circuit="example"))
-        engine.execute(FactorizationJob(circuit="example"))  # cache hit
-        cache = engine.health()["cache"]
-        assert cache["hits"] == 1
-        assert cache["misses"] == 1
-        assert cache["size"] == 1
-        assert 0.0 < cache["hit_rate"] <= 1.0
-
-    def test_health_reports_null_cache_when_disabled(self):
-        engine = make_engine(use_cache=False)
-        assert engine.health()["cache"] is None
+        assert "cache" not in engine.health()
 
     def test_health_reports_pool_liveness(self):
         engine = make_engine()

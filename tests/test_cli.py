@@ -13,7 +13,14 @@ class TestParser:
         args = build_parser().parse_args(["factor", "example"])
         assert args.algorithm == "sequential"
         assert args.procs == 4
-        assert args.cache is False
+        assert not hasattr(args, "cache")
+
+    def test_batch_has_no_cache_or_repeat_options(self, capsys):
+        for flag in ("--cache", "--no-cache", "--repeat"):
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args(["batch", "m.json", flag])
+            assert exc.value.code == 2
+        capsys.readouterr()
 
     def test_list_circuits(self, capsys):
         assert main(["--list"]) == 0
@@ -68,33 +75,6 @@ class TestFactorCommand:
         assert "not-a-circuit" in err
         assert "dalu" in err and "example" in err
 
-    def test_factor_cached_roundtrip(self, capsys):
-        from repro.service import get_default_engine, reset_default_engine
-
-        reset_default_engine()
-        try:
-            assert main(["factor", "example", "--cache"]) == 0
-            assert "cache        : miss" in capsys.readouterr().out
-            assert main(["factor", "example", "--cache"]) == 0
-            assert "cache        : hit" in capsys.readouterr().out
-            assert get_default_engine().cache.hits == 1
-        finally:
-            reset_default_engine()
-
-    def test_factor_cached_parallel_reports_speedup(self, capsys):
-        from repro.service import reset_default_engine
-
-        reset_default_engine()
-        try:
-            assert main([
-                "factor", "dalu", "--scale", "0.03",
-                "--algorithm", "lshaped", "--procs", "2", "--cache",
-            ]) == 0
-            out = capsys.readouterr().out
-            assert "speedup" in out and "cache" in out
-        finally:
-            reset_default_engine()
-
 
 class TestInfoCommand:
     def test_info_example(self, capsys):
@@ -145,24 +125,21 @@ class TestBatchCommand:
         ]
     }
 
-    def test_json_manifest_with_repeat(self, tmp_path, capsys):
+    def test_json_manifest(self, tmp_path, capsys):
         import json
 
         manifest = tmp_path / "batch.json"
         manifest.write_text(json.dumps(self.MANIFEST))
         out_json = tmp_path / "out.json"
-        assert main(["batch", str(manifest), "--repeat", "2",
-                     "--json", str(out_json)]) == 0
+        assert main(["batch", str(manifest), "--json", str(out_json)]) == 0
         out = capsys.readouterr().out
-        assert "pass wall times" in out
-        assert "cache_hits" in out
+        assert "5/5 done" in out
+        assert "jobs_completed" in out
         payload = json.loads(out_json.read_text())
-        assert len(payload["passes"]) == 2
-        first, second = payload["passes"]
-        assert all(r["status"] == "DONE" for r in second["results"])
-        assert sum(r["cache_hit"] for r in first["results"]) == 0
-        assert sum(r["cache_hit"] for r in second["results"]) == 5
-        assert second["wall_time"] < first["wall_time"]
+        assert set(payload) == {"results", "wall_time", "metrics"}
+        assert [r["status"] for r in payload["results"]] == ["DONE"] * 5
+        assert all("cache_hit" not in r for r in payload["results"])
+        assert payload["metrics"]["counters"]["jobs_completed"] == 5
 
     def test_line_manifest(self, tmp_path, capsys):
         manifest = tmp_path / "batch.txt"
