@@ -2,7 +2,7 @@
 
     python -m repro factor CIRCUIT [--algorithm ALG] [--procs N]
     python -m repro profile CIRCUIT [--algorithm ALG] [--procs N] [--format F]
-    python -m repro batch MANIFEST [--workers N] [--json OUT]
+    python -m repro batch MANIFEST [--json OUT]
     python -m repro run-table {table1,table2,table3,table4,table6,eq3} [--scale S]
     python -m repro info CIRCUIT [--scale S]
     python -m repro fuzz [--runs N] [--seed S] [--shrink] [--check] [--faults]
@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import os
 import sys
 from typing import List, Optional
 
@@ -236,7 +237,7 @@ def _manifest_jobs(entries: List[dict], default_scale: float) -> List:
     jobs = []
     known = {
         "circuit", "algorithm", "procs", "searcher", "scale", "priority",
-        "deadline", "node_budget", "max_retries", "allow_degrade",
+        "node_budget", "allow_degrade",
     }
     for entry in entries:
         kwargs = {k: v for k, v in entry.items() if k in known}
@@ -255,9 +256,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
 
     from repro.service import FactorizationEngine
 
-    if args.workers < 1:
-        print("error: --workers must be >= 1", file=sys.stderr)
-        return 2
     try:
         text = pathlib.Path(args.manifest).read_text()
     except OSError as exc:
@@ -267,7 +265,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     if not entries:
         print("error: manifest contains no jobs", file=sys.stderr)
         return 2
-    engine = FactorizationEngine(workers=args.workers)
+    engine = FactorizationEngine()
     with _trace_to_file(args.trace):
         report = engine.run_batch(_manifest_jobs(entries, args.scale))
         print(report.render())
@@ -311,7 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
         "batch", help="run a manifest of jobs through the batch engine"
     )
     p_batch.add_argument("manifest", help="JSON or line-format job manifest")
-    p_batch.add_argument("--workers", type=int, default=4)
     p_batch.add_argument("--scale", type=float, default=1.0,
                          help="default scale for entries that omit one")
     p_batch.add_argument("--json", help="dump results + metrics as JSON")
@@ -789,7 +786,6 @@ def _cmd_fsck(args: argparse.Namespace) -> int:
     1 means issues remain, 2 means the directory is not a cache root.
     """
     import json as _json
-    import os
 
     from repro.serve import fsck_scan, render_fsck_report
 
@@ -991,15 +987,27 @@ def main(argv: Optional[list] = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.list:
-        from repro.circuits import available_circuits
-
-        for name in available_circuits():
-            print(name)
-        return 0
-    if args.command is None:
+    if args.command is None and not args.list:
         parser.error("a command is required (or --list)")
-    return args.fn(args)
+    try:
+        if args.list:
+            from repro.circuits import available_circuits
+
+            for name in available_circuits():
+                print(name)
+            code = 0
+        else:
+            code = args.fn(args)
+        if sys.stdout is not None:  # None when started with fd 1 closed
+            sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader of stdout went away (e.g. `| head -1`): point stdout
+        # at devnull so the interpreter's final flush cannot raise again,
+        # and exit quietly.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -15,8 +15,6 @@ Dump triggers wired through the repo:
   requests dispatched to the dead shard;
 - **unhandled request error** — a worker dumps its ring when a factor
   request raises past the engine;
-- **breaker open** — :class:`repro.service.engine.FactorizationEngine`
-  dumps when a path breaker trips open;
 - **profile mismatch** — :mod:`repro.obs.profile` dumps when a trace
   disagrees with the simulator clocks.
 

@@ -164,45 +164,9 @@ class Histogram:
         return [samples[(i * (n - 1)) // (limit - 1)] for i in range(limit)]
 
 
-def health_snapshot(
-    registry: "MetricsRegistry",
-    breakers: Optional[Dict[str, str]] = None,
-    queue_depth: int = 0,
-    workers: int = 0,
-    pool: Optional[Dict[str, object]] = None,
-) -> Dict[str, object]:
-    """Assemble a health/readiness document from live service state.
-
-    *breakers* maps path keys to breaker states (see
-    :mod:`repro.service.breaker`).  ``status`` is ``ok`` when nothing is
-    tripped, ``degraded`` while some paths are open (their traffic is
-    being short-circuited to fallbacks), and ``failing`` when every
-    known path is open.  ``ready`` mirrors the usual readiness-probe
-    semantics: the service still accepts work unless it is failing.
-
-    *pool* is a worker-pool liveness dict (size/busy/alive), embedded
-    when given; the serving tier's ``/healthz`` shows it per worker.
-    """
-    breakers = dict(breakers or {})
-    open_paths = sorted(k for k, v in breakers.items() if v == "open")
-    if not open_paths:
-        status = "ok"
-    elif len(open_paths) < len(breakers):
-        status = "degraded"
-    else:
-        status = "failing"
-    doc: Dict[str, object] = {
-        "status": status,
-        "ready": status != "failing",
-        "workers": workers,
-        "queue_depth": queue_depth,
-        "breakers": breakers,
-        "open_paths": open_paths,
-        "counters": registry.health_keys(),
-    }
-    if pool is not None:
-        doc["pool"] = pool
-    return doc
+def health_snapshot(registry: "MetricsRegistry") -> Dict[str, object]:
+    """The engine's health document: its nonzero job counters."""
+    return {"counters": registry.health_keys()}
 
 
 def _pooled_samples(doc: Dict) -> List[tuple]:
@@ -364,14 +328,13 @@ class MetricsRegistry:
         }
 
     def health_keys(self) -> Dict[str, int]:
-        """The counter values health reporting cares about (failures,
-        timeouts, breaker activity); zero-valued keys are omitted."""
+        """The counter values health reporting cares about (job
+        outcomes); zero-valued keys are omitted."""
         with self._lock:
             counters = dict(self._counters)
         wanted = (
             "jobs_submitted", "jobs_completed", "jobs_failed",
-            "jobs_timeouts", "jobs_cancelled", "jobs_degraded",
-            "breaker_opened", "breaker_short_circuits",
+            "jobs_degraded",
         )
         return {k: counters[k].value for k in wanted
                 if k in counters and counters[k].value}

@@ -39,7 +39,6 @@ from repro.faults import (
     note_control_resync,
     resolve_fault_injector,
 )
-from repro.machine.cancel import check_cancelled
 from repro.machine.costmodel import CostMeter, CostModel, DEFAULT_COST_MODEL
 from repro.machine.simulator import SimulatedMachine
 from repro.network.boolean_network import BooleanNetwork
@@ -307,7 +306,6 @@ def lshaped_kernel_extract(
     alpha = gamma = 0.0
 
     for cycle in range(max_cycles):
-        check_cancelled()
         setup = build_lshaped_matrices(machine, work_net, blocks, kernel_cache)
         if cycle == 0:
             alpha, gamma = setup.alpha, setup.gamma

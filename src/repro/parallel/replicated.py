@@ -34,7 +34,6 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.algebra.kernels import Kernel, kernels
 from repro.faults import resolve_fault_injector
-from repro.machine.cancel import check_cancelled
 from repro.machine.costmodel import CostMeter, CostModel, DEFAULT_COST_MODEL
 from repro.machine.simulator import SimulatedMachine
 from repro.obs.tracer import Tracer
@@ -139,7 +138,6 @@ def replicated_kernel_extract(
     kc: Optional[IncrementalKCMatrix] = None
 
     while max_iterations is None or extractions < max_iterations:
-        check_cancelled()
         fresh: Dict[str, List[Kernel]] = {}
         _generate_kernels_partitioned(machine, work_net, pending, fresh)
         # Each replica is patched in the pending nodes' rows only, with

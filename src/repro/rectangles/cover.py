@@ -23,7 +23,6 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tupl
 from repro.algebra.cube import Cube, cube_union
 from repro.algebra.kernels import kernels
 from repro.algebra.sop import Sop
-from repro.machine.cancel import check_cancelled
 from repro.machine.costmodel import CostMeter, CostModel, DEFAULT_COST_MODEL
 from repro.network.boolean_network import BooleanNetwork
 from repro.obs.tracer import NULL_SPAN, active_tracer
@@ -213,7 +212,6 @@ def kernel_extract(
     kc: Optional[IncrementalKCMatrix] = None
     changed: Sequence[str] = sorted(active)
     while max_iterations is None or result.iterations < max_iterations:
-        check_cancelled()
         with _span("kernel-gen") as sp:
             fresh = {n: kernels(network.nodes[n], meter=meter) for n in changed}
             sp.set_virtual_end(_vnow())

@@ -173,7 +173,7 @@ def _reference_lc(body: Dict[str, Any]) -> Tuple[int, int]:
 
     spec = parse_job_request(dict(body))
     network = _resolve_spec_network(spec)
-    engine = FactorizationEngine(workers=1)
+    engine = FactorizationEngine()
     res = engine.execute(FactorizationJob(
         circuit=spec.get("circuit") or network.name,
         network=network,

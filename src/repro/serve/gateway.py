@@ -966,7 +966,6 @@ class Gateway:
     async def health(self) -> Dict[str, Any]:
         """The /healthz document: gateway stats + per-worker snapshots."""
         workers: Dict[str, Any] = {}
-        statuses = []
         for handle in self._handles:
             snap = handle.snapshot()
             reply = None
@@ -982,18 +981,12 @@ class Gateway:
                 snap["engine"] = reply.get("engine")
                 if "disk_cache" in reply:
                     snap["disk_cache"] = reply["disk_cache"]
-            if snap.get("failing"):
-                statuses.append("failing-shard")
-            elif not snap["alive"]:
-                statuses.append("dead")
-            else:
-                engine = snap.get("engine") or {}
-                statuses.append(engine.get("status", "ok"))
             workers[str(handle.worker_id)] = snap
+        # A worker's status is its liveness and its crash-loop breaker.
         alive = sum(1 for h in self._handles if h.alive())
         if alive == 0:
             status = "failing"
-        elif all(s == "ok" for s in statuses):
+        elif all(w["alive"] and not w.get("failing") for w in workers.values()):
             status = "ok"
         else:
             status = "degraded"

@@ -60,7 +60,7 @@ SEARCHERS = ("pingpong", "exhaustive")
 #: Request classes: ``class`` is sugar for one (algorithm, searcher)
 #: pair, so a class request is the same job, with the same cache key, as
 #: its explicit spelling.  A quality job that overruns its node budget
-#: or deadline degrades to ping-pong like any exhaustive job.
+#: degrades to ping-pong like any exhaustive job.
 CLASSES = {
     "latency": ("sequential", "pingpong"),
     "quality": ("sequential", "exhaustive"),

@@ -1,7 +1,8 @@
 """Worker processes: one FactorizationEngine per OS process.
 
 Each worker owns a :class:`~repro.service.engine.FactorizationEngine`
-(breakers, retry/degradation; it memoizes nothing) plus a handle
+(one attempt per job plus the node-budget degrade step; it memoizes
+nothing and keeps no state across jobs but its metrics) plus a handle
 on the shared persistent :class:`~repro.serve.diskcache.DiskCache`, and
 talks to the gateway over a duplex :mod:`multiprocessing` pipe using the
 little dict protocol documented in :mod:`repro.serve.protocol`.
@@ -83,7 +84,7 @@ def worker_main(
             if _ev.pid == worker_id:
                 slow_factor = max(slow_factor, _ev.factor)
     disk = DiskCache(cache_dir, max_bytes=cache_max_bytes) if cache_dir else None
-    engine = FactorizationEngine(workers=1)
+    engine = FactorizationEngine()
     send_lock = threading.Lock()
     jobs_done = 0
 

@@ -6,14 +6,11 @@ per circuit — which makes a serving layer that schedules many circuits
 and degrades gracefully the natural next tier above the algorithm
 substrate.  This package provides it:
 
-- :mod:`~repro.service.jobs` — job/result models, the
-  PENDING/RUNNING/DONE/FAILED/RETRYING lifecycle, a priority queue;
-- :mod:`~repro.service.engine` — :class:`FactorizationEngine`: bounded
-  worker pool, per-job deadlines and node budgets, retry with backoff,
-  exhaustive→ping-pong degradation (the paper's DNF rows, served);
-- :mod:`~repro.service.breaker` — per-``algorithm:circuit`` circuit
-  breakers; persistently failing paths are short-circuited straight to
-  the sequential fallback instead of re-paying their timeouts;
+- :mod:`~repro.service.jobs` — job/result models and the
+  PENDING/RUNNING/DONE/FAILED lifecycle;
+- :mod:`~repro.service.engine` — :class:`FactorizationEngine`: runs
+  jobs one after another under their node budgets, with one
+  exhaustive→ping-pong degrade step (the paper's DNF rows, served);
 - :mod:`~repro.service.cache` — the canonical job digest and the
   content-addressed LRU that the serving tier's gateway answers
   repeated requests from (the engine itself memoizes nothing).
@@ -25,29 +22,18 @@ the engine, and every ``repro serve`` worker process runs one engine.
 """
 
 from repro.obs.metrics import Counter, Histogram, MetricsRegistry, Timer
-from repro.service.breaker import BreakerBoard, BreakerState, CircuitBreaker
 from repro.service.cache import ResultCache, canonical_job_key, canonical_network_text
-from repro.service.engine import (
-    BatchReport,
-    FactorizationEngine,
-    JobTimeout,
-    SequentialRun,
-)
-from repro.service.jobs import FactorizationJob, JobQueue, JobResult, JobStatus
+from repro.service.engine import BatchReport, FactorizationEngine, SequentialRun
+from repro.service.jobs import FactorizationJob, JobResult, JobStatus
 
 __all__ = [
     "BatchReport",
-    "BreakerBoard",
-    "BreakerState",
-    "CircuitBreaker",
     "Counter",
     "FactorizationEngine",
     "FactorizationJob",
     "Histogram",
-    "JobQueue",
     "JobResult",
     "JobStatus",
-    "JobTimeout",
     "MetricsRegistry",
     "ResultCache",
     "SequentialRun",

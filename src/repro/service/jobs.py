@@ -1,34 +1,23 @@
 """Job and result models for the batch factorization engine.
 
 A :class:`FactorizationJob` describes one unit of serving work — factor
-this circuit with this algorithm under these limits — and carries its own
-lifecycle state machine::
-
-    PENDING -> RUNNING -> DONE
-                  |  \\
-                  v   (attempts left)
-               FAILED -> RETRYING -> RUNNING -> ...
-
-Every transition is appended to ``job.history`` so a batch report can
-show *how* a job finished (e.g. the FAILED → RETRYING → DONE path of a
-job that blew its deadline and degraded to the ping-pong heuristic,
-mirroring the paper's DNF rows).  :class:`JobQueue` is the thread-safe
-priority queue the engine drains; lower ``priority`` runs first and ties
-preserve submission order.
+this circuit with this algorithm under this node budget — plus the
+state the engine leaves on it: ``status`` (PENDING → RUNNING → DONE or
+FAILED), ``attempts`` and ``degraded``.  Those three say how a job
+ended: a job that blew its node budget and degraded to the ping-pong
+heuristic (the paper's DNF rows) is DONE with two attempts and
+``degraded`` set.
 """
 
 from __future__ import annotations
 
 import enum
-import heapq
-import itertools
-import threading
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 from repro.network.boolean_network import BooleanNetwork
 
-__all__ = ["JobStatus", "FactorizationJob", "JobResult", "JobQueue"]
+__all__ = ["JobStatus", "FactorizationJob", "JobResult"]
 
 #: Algorithms a job may request.  "baseline" is the metered sequential
 #: SIS run the speedup tables divide by.
@@ -42,7 +31,6 @@ class JobStatus(enum.Enum):
     RUNNING = "RUNNING"
     DONE = "DONE"
     FAILED = "FAILED"
-    RETRYING = "RETRYING"
 
     def __str__(self) -> str:
         return self.value
@@ -54,10 +42,12 @@ class FactorizationJob:
 
     Exactly one of *circuit* (a name/path resolvable by
     :func:`repro.circuits.load_circuit`) or *network* must be provided.
-    ``deadline`` is wall-clock seconds per attempt; ``node_budget`` caps
-    the rectangle-search tree (the paper's DNF mechanism).  When either
-    limit trips and ``allow_degrade`` is set, the retry falls back from
-    exhaustive rectangle search to the ping-pong heuristic.
+    ``node_budget`` caps the rectangle-search tree (the paper's DNF
+    mechanism).  When it trips and ``allow_degrade`` is set, the job
+    runs once more on the cheap fallback: exhaustive rectangle search →
+    ping-pong, replicated → sequential ping-pong.  ``priority`` orders
+    :meth:`~repro.service.engine.FactorizationEngine.run_batch` (lower
+    first).
     """
 
     circuit: str = ""
@@ -66,9 +56,7 @@ class FactorizationJob:
     searcher: str = "pingpong"
     scale: float = 1.0
     priority: int = 0
-    deadline: Optional[float] = None
     node_budget: Optional[int] = None
-    max_retries: Optional[int] = None      # None -> engine.MAX_RETRIES
     allow_degrade: bool = True
     params: Dict[str, Any] = field(default_factory=dict)
     network: Optional[BooleanNetwork] = None
@@ -79,7 +67,6 @@ class FactorizationJob:
     attempts: int = 0
     degraded: bool = False
     error: Optional[str] = None
-    history: List[JobStatus] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         if self.algorithm not in ALGORITHMS:
@@ -87,12 +74,6 @@ class FactorizationJob:
                 f"unknown algorithm {self.algorithm!r}; expected one of "
                 f"{', '.join(ALGORITHMS)}"
             )
-        if not self.history:
-            self.history.append(self.status)
-
-    def transition(self, status: JobStatus) -> None:
-        self.status = status
-        self.history.append(status)
 
     def resolve_network(self) -> BooleanNetwork:
         """The network to factor — the attached one or a loaded circuit."""
@@ -116,8 +97,8 @@ class JobResult:
     (:class:`~repro.parallel.common.ParallelRunResult`,
     :class:`~repro.rectangles.cover.KernelExtractionResult` or
     :class:`~repro.parallel.common.SequentialBaseline`); ``exception``
-    holds the last raised error of a FAILED job so synchronous callers
-    can re-raise it with the original type.
+    holds the error that failed a FAILED job so synchronous callers can
+    re-raise it with the original type.
     """
 
     job_id: str
@@ -131,7 +112,6 @@ class JobResult:
     initial_lc: Optional[int] = None
     final_lc: Optional[int] = None
     error: Optional[str] = None
-    history: List[JobStatus] = field(default_factory=list)
     payload: Any = None
     exception: Optional[BaseException] = None
 
@@ -153,41 +133,5 @@ class JobResult:
             "initial_lc": self.initial_lc,
             "final_lc": self.final_lc,
             "error": self.error,
-            "history": [s.value for s in self.history],
         }
 
-
-class JobQueue:
-    """Thread-safe priority queue (lower priority first, FIFO ties)."""
-
-    def __init__(self):
-        self._heap: List = []
-        self._seq = itertools.count()
-        self._cond = threading.Condition()
-
-    def put(self, job: FactorizationJob) -> None:
-        with self._cond:
-            heapq.heappush(self._heap, (job.priority, next(self._seq), job))
-            self._cond.notify()
-
-    def get(self, timeout: Optional[float] = None) -> Optional[FactorizationJob]:
-        """Pop the highest-priority job; None on timeout/empty-nonblocking."""
-        with self._cond:
-            if timeout is not None:
-                self._cond.wait_for(lambda: self._heap, timeout=timeout)
-            if not self._heap:
-                return None
-            return heapq.heappop(self._heap)[2]
-
-    def drain(self) -> List[FactorizationJob]:
-        """Pop everything, in priority order."""
-        with self._cond:
-            out = [heapq.heappop(self._heap)[2] for _ in range(len(self._heap))]
-        return out
-
-    def __len__(self) -> int:
-        with self._cond:
-            return len(self._heap)
-
-    def empty(self) -> bool:
-        return len(self) == 0

@@ -51,7 +51,7 @@ class TestTableRouting:
         # The engine's "baseline" job and the tables' direct call are the
         # same metered SIS run.
         net = experiments.get_circuit("dalu", 0.03)
-        via_engine = FactorizationEngine(workers=1).execute(
+        via_engine = FactorizationEngine().execute(
             FactorizationJob(circuit=net.name, network=net, algorithm="baseline")
         ).payload
         direct = sequential_baseline(net)

@@ -1,25 +1,15 @@
 import pytest
 
-from repro.service.jobs import FactorizationJob, JobQueue, JobStatus
+from repro.service.jobs import FactorizationJob, JobStatus
 
 
 class TestFactorizationJob:
-    def test_defaults_and_history(self):
+    def test_defaults(self):
         job = FactorizationJob(circuit="example")
         assert job.status is JobStatus.PENDING
-        assert job.history == [JobStatus.PENDING]
-
-    def test_transition_appends_history(self):
-        job = FactorizationJob(circuit="example")
-        job.transition(JobStatus.RUNNING)
-        job.transition(JobStatus.FAILED)
-        job.transition(JobStatus.RETRYING)
-        job.transition(JobStatus.RUNNING)
-        job.transition(JobStatus.DONE)
-        assert job.status is JobStatus.DONE
-        assert [s.value for s in job.history] == [
-            "PENDING", "RUNNING", "FAILED", "RETRYING", "RUNNING", "DONE",
-        ]
+        assert job.attempts == 0 and not job.degraded
+        for gone in ("deadline", "max_retries", "history", "transition"):
+            assert not hasattr(job, gone)
 
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(ValueError, match="unknown algorithm"):
@@ -42,33 +32,3 @@ class TestFactorizationJob:
         assert job.describe() == "dalu/lshaped@4p"
         assert FactorizationJob(circuit="dalu").describe() == "dalu/sequential"
 
-
-class TestJobQueue:
-    def test_priority_order(self):
-        q = JobQueue()
-        low = FactorizationJob(circuit="a.eqn", priority=5)
-        high = FactorizationJob(circuit="b.eqn", priority=-1)
-        mid = FactorizationJob(circuit="c.eqn", priority=0)
-        for j in (low, high, mid):
-            q.put(j)
-        assert q.get() is high
-        assert q.get() is mid
-        assert q.get() is low
-
-    def test_fifo_within_priority(self):
-        q = JobQueue()
-        jobs = [FactorizationJob(circuit=f"{i}.eqn") for i in range(5)]
-        for j in jobs:
-            q.put(j)
-        assert q.drain() == jobs
-
-    def test_get_empty_returns_none(self):
-        q = JobQueue()
-        assert q.get() is None
-        assert q.get(timeout=0.01) is None
-
-    def test_len_and_empty(self):
-        q = JobQueue()
-        assert q.empty()
-        q.put(FactorizationJob(circuit="x.eqn"))
-        assert len(q) == 1 and not q.empty()

@@ -22,6 +22,12 @@ class TestParser:
             assert exc.value.code == 2
         capsys.readouterr()
 
+    def test_batch_has_no_workers_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["batch", "m.json", "--workers", "2"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+
     def test_list_circuits(self, capsys):
         assert main(["--list"]) == 0
         out = capsys.readouterr().out.split()
@@ -185,6 +191,52 @@ class TestBatchCommand:
         with pytest.raises(SystemExit):
             main(["batch", str(manifest)])
 
+    #: (job_id, circuit, algorithm, status, attempts, degraded,
+    #: initial_lc, final_lc) per result of examples/batch_manifest.json,
+    #: in run order (priority first).  Only the budgeted ex1010 job
+    #: blows its node budget; it degrades to ping-pong on its second
+    #: and last attempt.
+    EXAMPLE_RESULTS = [
+        ("job-0005", "ex1010", "sequential", "DONE", 2, True, 482, 274),
+        ("job-0000", "dalu", "lshaped", "DONE", 1, False, 199, 128),
+        ("job-0001", "dalu", "independent", "DONE", 1, False, 199, 136),
+        ("job-0002", "seq", "lshaped", "DONE", 1, False, 420, 284),
+        ("job-0003", "misex3", "sequential", "DONE", 1, False, 358, 228),
+        ("job-0004", "example", "sequential", "DONE", 1, False, 33, 21),
+    ]
+
+    def test_example_manifest_results_pinned(self, tmp_path, capsys):
+        import json
+        import pathlib
+
+        path = pathlib.Path(__file__).parent.parent / "examples" / "batch_manifest.json"
+        out_json = tmp_path / "out.json"
+        assert main(["batch", str(path), "--json", str(out_json)]) == 0
+        capsys.readouterr()
+        results = json.loads(out_json.read_text())["results"]
+        assert [
+            (r["job_id"], r["circuit"], r["algorithm"], r["status"],
+             r["attempts"], r["degraded"], r["initial_lc"], r["final_lc"])
+            for r in results
+        ] == self.EXAMPLE_RESULTS
+
+    def test_undegradable_job_fails_after_one_attempt(self, tmp_path, capsys):
+        import json
+
+        manifest = tmp_path / "batch.json"
+        manifest.write_text(json.dumps({"jobs": [
+            {"circuit": "misex3", "scale": 0.1, "searcher": "exhaustive",
+             "node_budget": 5, "allow_degrade": False},
+        ]}))
+        out_json = tmp_path / "out.json"
+        assert main(["batch", str(manifest), "--json", str(out_json)]) == 1
+        capsys.readouterr()
+        [result] = json.loads(out_json.read_text())["results"]
+        assert result["status"] == "FAILED"
+        assert result["attempts"] == 1
+        assert not result["degraded"]
+        assert result["error"].startswith("BudgetExceeded")
+
     def test_example_manifest_parses(self):
         import json
         import pathlib
@@ -233,3 +285,33 @@ class TestFuzzCommand:
             ["fuzz", "--repro-dir", str(tmp_path)]
         )
         assert args.repro_dir == str(tmp_path) and not args.shrink
+
+
+class TestClosedStdout:
+    """A reader that closes stdout early (``| head -1``) ends the CLI
+    quietly, without a ``BrokenPipeError`` traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["--list"],
+        ["batch", "examples/batch_manifest.json"],
+    ])
+    def test_no_traceback(self, argv):
+        import os
+        import pathlib
+        import subprocess
+        import sys
+
+        root = pathlib.Path(__file__).resolve().parent.parent
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # every write to stdout now fails with EPIPE
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro", *argv],
+                stdout=write_end, stderr=subprocess.PIPE, text=True,
+                cwd=root, env=dict(os.environ, PYTHONPATH=str(root / "src")),
+                timeout=600,
+            )
+        finally:
+            os.close(write_end)
+        assert "Traceback" not in proc.stderr, proc.stderr
+        assert "BrokenPipeError" not in proc.stderr, proc.stderr
