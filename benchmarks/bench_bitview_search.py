@@ -3,7 +3,8 @@
 Times the BENCH_rectsearch workload suite: the pruned exhaustive search
 where the replicated algorithm finishes and budget-truncated exhaustive
 search in the paper's DNF regime (spla/ex1010), plus the ping-pong
-heuristic the sequential baseline and the timing-driven loop run.
+heuristic the sequential baseline and the timing-driven loop run, and
+the kc-build row: the KC store patched through one sequential run.
 
 The committed ``benchmarks/results/BENCH_rectsearch.json`` is the full
 suite at scale 1; runs with ``REPRO_SCALE < 1`` use the quick smoke

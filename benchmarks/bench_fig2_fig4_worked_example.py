@@ -34,7 +34,7 @@ def render_matrix(mat, names, title):
         info = mat.rows[r]
         ck = format_sop((info.cokernel,), names)
         cells = " ".join(
-            f"{'x':>4s}" if (r, c) in mat.entries else f"{'.':>4s}" for c in cols
+            f"{'x':>4s}" if mat.has_entry(r, c) else f"{'.':>4s}" for c in cols
         )
         lines.append(f"{r:>8d} {info.node:>5s} {ck:>9s} | {cells}")
     return "\n".join(lines)

@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Time the rectangle searches (exhaustive, ping-pong); write BENCH_rectsearch.json.
+"""Time the rectangle searches (exhaustive, ping-pong) and kc-build; write BENCH_rectsearch.json.
 
 Usage:
 
@@ -9,8 +9,9 @@ Usage:
 
 ``--check`` fails (exit 1) when disabled tracing, the disabled
 fault-injection or journal gates, or the always-on flight recorder are
-estimated to cost more than their budgets (2% each) — the CI
-perf-smoke gate.
+estimated to cost more than their budgets (2% each), or when the
+kc-build row's patch time exceeds half of rebuilding every matrix
+version from scratch — the CI perf-smoke gates.
 
 With ``REPRO_TRACE=1`` in the environment the timed runs are traced and
 every workload row in the JSON carries its phase breakdown and hot-loop
@@ -42,7 +43,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--check", action="store_true",
-        help="exit 1 if an overhead gate fails",
+        help="exit 1 if an overhead gate or the kc-build gate fails",
     )
     parser.add_argument(
         "--out", type=pathlib.Path,
@@ -58,6 +59,14 @@ def main(argv=None) -> int:
     print(f"wrote {args.out}")
 
     if args.check:
+        gate = report["kc_build"]
+        if not gate["ok"]:
+            print(
+                f"FAIL: {gate['label']} takes {gate['ratio']:.3f} of a "
+                f"rebuild of every version, limit {gate['max_ratio']:.2f}",
+                file=sys.stderr,
+            )
+            return 1
         for key, *_ in OVERHEAD_GATES:
             overhead = report[key]
             if not overhead["ok"]:

@@ -20,6 +20,12 @@ dir), then asserts, end to end over HTTP:
   from the disk tier, and the job journal is live;
 - fsck reports the cache tree clean, detects seeded corruption (a
   truncated object + an orphaned temp file), and --repair restores it;
+- a gateway started with a per-tenant rate limit (``--rate-limit`` /
+  ``--burst``) answers the request past the burst 429 ``rate_limited``,
+  and one with a KC footprint budget (``--max-footprint``) answers a
+  fresh computation arriving while another runs 429 ``load_shed``;
+  each refusal shows in its ``/metrics`` counter
+  (``requests_rate_limited``, ``requests_shed``);
 - shutdown leaks no worker processes.
 
 Exit status is non-zero on any failure.  Runtime is a few seconds.
@@ -212,9 +218,70 @@ async def smoke(cache_dir: str) -> None:
         check("tree clean after repair", fsck_scan(cache_dir)["ok"])
 
 
+async def admission() -> None:
+    """Rate limiting and load shedding, over HTTP and in /metrics."""
+    print("admission control (rate limit, footprint shedding):")
+    gw = Gateway(GatewayConfig(port=0, workers=1, rate_limit=0.5, burst=2,
+                               max_footprint=1))
+    await gw.start()
+    try:
+        check("admission gateway ready", await gw.wait_ready(20))
+        # A slow computation holds the footprint budget ...
+        slow = asyncio.ensure_future(http_json(
+            "POST", gw.url + "/v1/factor",
+            {"circuit": "spla", "scale": 0.3, "algorithm": "sequential",
+             "tenant": "shed"}, timeout=60,
+        ))
+        for _ in range(500):
+            await asyncio.sleep(0.01)
+            if gw._footprint_inflight:
+                break
+        # ... so a second fresh computation is shed.
+        status, doc = await http_json(
+            "POST", gw.url + "/v1/factor",
+            {"eqn": probe_circuit_eqn(31), "algorithm": "sequential",
+             "tenant": "shed"},
+        )
+        check("fresh request under a full footprint budget is shed",
+              status == 429 and doc.get("error") == "load_shed",
+              f"status={status} doc={doc}")
+        status, doc = await slow
+        check("the computation holding the budget completes",
+              status == 200 and doc.get("status") == "done")
+
+        # Burst 2 at 0.5 requests/s: the third back-to-back request of
+        # one tenant is refused.
+        answers = []
+        for _ in range(3):
+            answers.append(await http_json(
+                "POST", gw.url + "/v1/factor",
+                {"circuit": "example", "algorithm": "sequential",
+                 "tenant": "limited"},
+            ))
+        check("requests within the burst answered",
+              all(s == 200 for s, _ in answers[:2]))
+        status, doc = answers[2]
+        check("request past the burst is rate limited",
+              status == 429 and doc.get("error") == "rate_limited"
+              and doc.get("tenant") == "limited",
+              f"status={status} doc={doc}")
+
+        status, doc = await http_json("GET", gw.url + "/metrics")
+        counters = (doc.get("gateway") or {}).get("counters") or {}
+        check("/metrics counts the rate-limited request",
+              status == 200 and counters.get("requests_rate_limited", 0) >= 1,
+              f"requests_rate_limited={counters.get('requests_rate_limited')}")
+        check("/metrics counts the shed request",
+              status == 200 and counters.get("requests_shed", 0) >= 1,
+              f"requests_shed={counters.get('requests_shed')}")
+    finally:
+        await gw.stop()
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory(prefix="repro-serve-smoke-") as tmp:
         asyncio.run(smoke(tmp))
+    asyncio.run(admission())
     leaked = multiprocessing.active_children()
     check("no leaked worker processes", not leaked, f"leaked={leaked}")
     failed = CHECKS.count(False)

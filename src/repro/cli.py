@@ -231,8 +231,14 @@ def _parse_manifest_entries(text: str) -> List[dict]:
 
 
 def _manifest_jobs(entries: List[dict], default_scale: float) -> List:
-    """Fresh job objects from manifest entries (jobs are single-use)."""
+    """Fresh job objects from manifest entries (jobs are single-use).
+
+    A key that is neither a job field nor a keyword parameter of the
+    job's algorithm runner rejects the manifest here, naming the valid
+    keys, instead of failing the job when it runs.
+    """
     from repro.service import FactorizationJob
+    from repro.service.engine import runner_params
 
     jobs = []
     known = {
@@ -244,9 +250,18 @@ def _manifest_jobs(entries: List[dict], default_scale: float) -> List:
         kwargs.setdefault("scale", default_scale)
         params = {k: v for k, v in entry.items() if k not in known}
         try:
-            jobs.append(FactorizationJob(params=params, **kwargs))
+            job = FactorizationJob(params=params, **kwargs)
         except (TypeError, ValueError) as exc:
             raise SystemExit(f"bad manifest entry {entry!r}: {exc}") from None
+        accepted = runner_params(job.algorithm)
+        unknown = sorted(set(params) - set(accepted))
+        if unknown:
+            raise SystemExit(
+                f"bad manifest entry {entry!r}: unknown key(s) "
+                f"{', '.join(unknown)} for algorithm {job.algorithm}; "
+                f"valid keys: {', '.join(sorted(known | set(accepted)))}"
+            )
+        jobs.append(job)
     return jobs
 
 

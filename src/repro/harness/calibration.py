@@ -72,14 +72,15 @@ def profile_workloads(repeats: int = 3) -> List[ProfilePoint]:
         build_kc_matrix(net, meter=meter)
 
     def w_exhaustive(meter):
-        # Drop the anchor records too, so each repeat walks every
-        # anchor instead of replaying the last search.
+        # Drop the derived tables (the sorted compile and the anchor
+        # records), so each repeat compiles and walks every anchor
+        # instead of replaying the last search.
         matrix._touch()
         best_rectangle_exhaustive(matrix, meter=meter)
 
     def w_pingpong(meter):
-        # Drop the live index, and the ascent records it keeps, so each
-        # repeat runs every seed's ascent instead of replaying the last.
+        # Drop the seed potentials and ascent records, so each repeat
+        # runs every seed's ascent instead of replaying the last.
         matrix._touch()
         best_rectangle_pingpong(matrix, max_seeds=64, meter=meter)
 

@@ -13,6 +13,10 @@ work units — ``search_node`` visits for the exhaustive search of
 The exhaustive search's answers are held to the unpruned walk by the
 test suite (``tests/rectangles/test_search_v2.py``), not here.
 
+One more row times the kc-build layer alone (:func:`run_kc_build`); its
+``--check`` gate bounds the patch time against rebuilding every matrix
+version from scratch (:data:`MAX_KC_BUILD_RATIO`).
+
 The harness also polices its always-present instrumentation: every run
 prices the disabled tracing, fault-injection and journal gates and the
 live flight recorder, and bounds the estimated share of a workload's
@@ -31,11 +35,13 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from repro.algebra.kernels import Kernel, kernels
 from repro.circuits.examples import paper_example_network
 from repro.circuits.mcnc import make_circuit
 from repro.machine.costmodel import CostMeter
 from repro.network.boolean_network import BooleanNetwork
-from repro.rectangles.kcmatrix import KCMatrix, build_kc_matrix
+from repro.rectangles.cover import kernel_extract
+from repro.rectangles.kcmatrix import IncrementalKCMatrix, KCMatrix, build_kc_matrix
 from repro.rectangles.pingpong import best_rectangle_pingpong, pingpong_candidates
 from repro.rectangles.search import (
     BudgetExceeded,
@@ -44,7 +50,12 @@ from repro.rectangles.search import (
 )
 
 #: JSON schema version for BENCH_rectsearch.json.
-SCHEMA = "rectsearch/6"
+SCHEMA = "rectsearch/7"
+
+#: Ceiling on the kc-build row's patch time over a from-scratch rebuild
+#: of every matrix version it patches: patching must stay well under
+#: the per-iteration rebuild it replaces.
+MAX_KC_BUILD_RATIO = 0.5
 
 #: Ceiling on the estimated fraction of a workload's wall time spent in
 #: disabled tracing gates — the price of observability when it is off.
@@ -74,7 +85,7 @@ class Workload:
     name: str
     circuit: str
     scale: float
-    searcher: str  # "exhaustive" | "pingpong" | "pingpong-all"
+    searcher: str  # "exhaustive" | "pingpong" | "pingpong-all" | "kc-build"
     budget: Optional[int] = None  # exhaustive node cap (None = unbounded)
     max_seeds: Optional[int] = 64
     repeats: int = 3
@@ -129,6 +140,11 @@ QUICK_SUITE: List[Workload] = [
 ]
 
 
+#: The kc-build row, in both suites: the KC store through one sequential
+#: ping-pong ``kernel_extract`` of dalu@0.2 (30 matrix versions).
+KC_BUILD = Workload("dalu@0.2/kc-build", "dalu", 0.2, "kc-build", repeats=5)
+
+
 def _build_network(wl: Workload) -> BooleanNetwork:
     if wl.circuit == "eq1":
         return paper_example_network()
@@ -158,22 +174,33 @@ def _work_unit(wl: Workload) -> str:
     return "search_node" if wl.searcher == "exhaustive" else "pingpong_round"
 
 
+def _best_time(fn, repeats: int) -> float:
+    best = math.inf
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - t0)
+    return best
+
+
 def _time_search(wl: Workload, matrix: KCMatrix) -> Tuple[float, float]:
     """Best-of-repeats wall time; returns (seconds, work units).
 
-    Both bitset forms are dropped before every repeat so each timing
-    pays the full compile-plus-search cost.
+    Every table derived from the matrix's store — the sorted compile,
+    the seed potentials, the ascent and the anchor records — is dropped
+    before every repeat, so each timing pays for building them and for
+    a search from scratch (no replayed ascent or anchor); the store
+    itself stays.
     """
     meter = CostMeter()
     _run_searcher(wl, matrix, meter=meter)
     units = meter.counts.get(_work_unit(wl), 0.0)
-    best = math.inf
-    for _ in range(wl.repeats):
-        matrix._touch()  # drop the bitset forms: time compile + search
-        t0 = time.perf_counter()
+
+    def search() -> None:
+        matrix._touch()  # drop the derived tables: time them + search
         _run_searcher(wl, matrix)
-        best = min(best, time.perf_counter() - t0)
-    return best, units
+
+    return _best_time(search, wl.repeats), units
 
 
 def run_workload(wl: Workload) -> Dict:
@@ -210,6 +237,73 @@ def run_workload(wl: Workload) -> Dict:
         row["phases"] = tracer.phase_breakdown()
         row["counters"] = tracer.counter_totals()
     return row
+
+
+def _kc_build_versions(wl: Workload) -> List[Dict[str, List[Kernel]]]:
+    """The kernel map of every matrix version one sequential
+    ``kernel_extract`` of *wl*'s circuit searches, in order; a node no
+    extraction touched keeps the very same kernel list."""
+    net = _build_network(wl)
+    snapshots: List[Dict[str, tuple]] = []
+
+    def searcher(matrix: KCMatrix):
+        snapshots.append(dict(net.nodes))
+        return best_rectangle_pingpong(matrix, max_seeds=wl.max_seeds)
+
+    kernel_extract(net, searcher=searcher)
+    memo = {f: kernels(f) for f in {f for snap in snapshots for f in snap.values()}}
+    return [{n: memo[f] for n, f in snap.items()} for snap in snapshots]
+
+
+def run_kc_build(wl: Workload = KC_BUILD) -> Dict:
+    """Time the kc-build layer: the store made for the first matrix
+    version and patched (``replace_nodes``, with exactly the nodes each
+    extraction changed) to every later one, as the greedy loop does;
+    and, for the gate, every version built from scratch.  Kernels are
+    enumerated beforehand, so only the store is timed; the work units
+    are the rows it writes."""
+    from repro import obs
+
+    versions = _kc_build_versions(wl)
+
+    def patch() -> int:
+        kc = IncrementalKCMatrix(versions[0])
+        rows = kc.matrix.num_rows
+        for prev, cur in zip(versions, versions[1:]):
+            kc.replace_nodes({n: ks for n, ks in cur.items() if prev.get(n) is not ks})
+            rows += kc.churn["kc_rows_added"]
+        return rows
+
+    first = IncrementalKCMatrix(versions[0]).matrix
+    units = patch()
+    t = _best_time(patch, wl.repeats)
+    row = {
+        "name": wl.name, "circuit": wl.circuit, "scale": wl.scale,
+        "searcher": wl.searcher, "rows": first.num_rows,
+        "cols": first.num_cols, "entries": first.num_entries,
+        "versions": len(versions), "t_s": t,
+        "t_rebuild_s": _best_time(
+            lambda: [IncrementalKCMatrix(v) for v in versions], wl.repeats
+        ),
+        "unit": "kc_row", "units": units,
+        "units_per_sec": units / t if t else None,
+    }
+    if obs.enabled():
+        tracer = obs.Tracer(name=wl.name)
+        with obs.use_tracer(tracer), obs.span(wl.name, cat="perfcheck"):
+            patch()
+        row["phases"] = tracer.phase_breakdown()
+        row["counters"] = tracer.counter_totals()
+    return row
+
+
+def kc_build_gate(row: Dict) -> Dict:
+    """The kc-build ``--check`` gate over :func:`run_kc_build`'s row."""
+    ratio = row["t_s"] / row["t_rebuild_s"] if row["t_rebuild_s"] else 0.0
+    return {"label": "kc-build patch", "workload": row["name"],
+            "t_patch_s": row["t_s"], "t_rebuild_s": row["t_rebuild_s"],
+            "ratio": ratio, "max_ratio": MAX_KC_BUILD_RATIO,
+            "ok": ratio <= MAX_KC_BUILD_RATIO}
 
 
 #: The overhead gates, one row each: report key, label, the per-call
@@ -374,12 +468,15 @@ def run_perf_check(quick: bool = False) -> Dict:
 
     suite = QUICK_SUITE if quick else FULL_SUITE
     rows = [run_workload(wl) for wl in suite]
+    kc_row = run_kc_build()
+    rows.append(kc_row)
     report = {
         "schema": SCHEMA,
         "suite": "quick" if quick else "full",
         "python": platform.python_version(),
         "tracing_enabled": obs.enabled(),
         "workloads": rows,
+        "kc_build": kc_build_gate(kc_row),
     }
     report.update(measure_overheads())
     return report
@@ -413,6 +510,13 @@ def render_report(report: Dict) -> str:
             f"{100 * oh['max_overhead']:.0f}%) "
             f"{'OK' if oh['ok'] else 'FAIL'}"
         )
+    gate = report["kc_build"]
+    lines.append(
+        f"{gate['label']}: {1000 * gate['t_patch_s']:.2f} ms vs "
+        f"{1000 * gate['t_rebuild_s']:.2f} ms rebuilding every version "
+        f"(ratio {gate['ratio']:.3f}, limit {gate['max_ratio']:.2f}) "
+        f"{'OK' if gate['ok'] else 'FAIL'}"
+    )
     if report.get("tracing_enabled"):
         lines.append("tracing: enabled — workload rows carry phase breakdowns")
     return "\n".join(lines)

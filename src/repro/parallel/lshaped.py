@@ -80,33 +80,40 @@ def build_lshaped_matrices(
     blocks: Sequence[Sequence[str]],
     kernel_cache: Dict[str, List[Kernel]],
 ) -> _LShapeSetup:
-    """Phases 1–3: slabs, greedy cube ownership, B_ij exchange."""
+    """Phases 1–3: slabs, greedy cube ownership, B_ij exchange.
+
+    Each processor's L matrix is the only :class:`KCMatrix` built, once:
+    slabs and ``B_ij`` pieces are plain lists written straight into it.
+    """
     nprocs = machine.nprocs
 
-    # Phase 1: each processor enumerates kernels and builds its slab.
+    # Phase 1: each processor enumerates kernels and builds its slab:
+    # its (row label, node, kernel)s and each cube's local column label.
     def build_slab(proc):
-        mat = KCMatrix()
-        rows = LabelAllocator(proc.pid)
-        cols = LabelAllocator(proc.pid)
+        rows: List[Tuple[int, str, Kernel]] = []
+        cols: Dict[Cube, int] = {}
+        row_alloc = LabelAllocator(proc.pid)
+        col_alloc = LabelAllocator(proc.pid)
         for n in blocks[proc.pid]:
             ks = kernel_cache.get(n)
             if ks is None:
                 ks = kernels(network.nodes[n], meter=proc.meter)
                 kernel_cache[n] = ks
             for kern in ks:
-                r = rows()
-                mat.add_row(r, n, kern.cokernel)
+                rows.append((row_alloc(), n, kern))
                 for kc in kern.expression:
-                    c = mat.ensure_col(kc, cols)
-                    mat.add_entry(r, c)
-                    proc.meter.charge("kc_entry", 1)
-        return mat
+                    if kc not in cols:
+                        cols[kc] = col_alloc()
+                proc.meter.charge("kc_entry", len(kern.expression))
+        return rows, cols
 
-    slabs: List[KCMatrix] = machine.run_phase(build_slab, name="build-slab")
+    slabs: List[Tuple[list, Dict[Cube, int]]] = machine.run_phase(
+        build_slab, name="build-slab"
+    )
     if machine.faults is not None:
         # Crashed processors contribute empty slabs this cycle; their
         # nodes are reassigned by the post-barrier recovery pass.
-        slabs = [s if s is not None else KCMatrix() for s in slabs]
+        slabs = [s if s is not None else ([], {}) for s in slabs]
 
     # Phase 2: processors send their kernel-cube lists to the master
     # (the lowest surviving pid — 0 unless it crashed), which distributes
@@ -116,64 +123,63 @@ def build_lshaped_matrices(
     for pid in range(nprocs):
         if pid != master:
             delivered = machine.send(
-                pid, master, len(slabs[pid].cols), name="cube-gather"
+                pid, master, len(slabs[pid][1]), name="cube-gather"
             )
             if not delivered:
                 note_control_resync(machine, master, "cube-gather")
     global_label_of_cube: Dict[Cube, int] = {}
     owner_of_cube: Dict[Cube, int] = {}
     for pid in range(nprocs):
-        for label in sorted(slabs[pid].cols):
-            cube = slabs[pid].cols[label]
+        for cube, label in slabs[pid][1].items():
             if cube not in global_label_of_cube:
                 global_label_of_cube[cube] = label
                 owner_of_cube[cube] = pid
-    machine.charge(master, "cube_state_op", sum(len(s.cols) for s in slabs))
+    machine.charge(master, "cube_state_op", sum(len(s[1]) for s in slabs))
     for pid in range(nprocs):
         if pid != master:
             delivered = machine.send(
-                master, pid, len(slabs[pid].cols), name="cube-map"
+                master, pid, len(slabs[pid][1]), name="cube-map"
             )
             if not delivered:
                 note_control_resync(machine, pid, "cube-map")
 
-    # Phase 3: relabel each slab to global column labels, carve the
-    # B_ij sub-blocks, ship them, and splice the vertical legs.
-    def relabel(mat: KCMatrix) -> KCMatrix:
-        out = KCMatrix()
-        for r, info in mat.rows.items():
-            out.add_row(r, info.node, info.cokernel)
-        for label, cube in mat.cols.items():
+    # Phase 3: build each slab's matrix under the global column labels,
+    # carve the B_ij sub-blocks, ship them, and splice the vertical legs.
+    def relabel(proc) -> KCMatrix:
+        rows, cols = slabs[proc.pid]
+        mat = KCMatrix()
+        for r, n, kern in rows:
+            mat.add_row(r, n, kern.cokernel)
+        for cube in cols:
             g = global_label_of_cube[cube]
-            if g not in out.cols:
-                out.cols[g] = cube
-                out.col_of_cube[cube] = g
-                out.by_col[g] = set()
-        for (r, c) in mat.entries:
-            out.add_entry(r, out.col_of_cube[mat.cols[c]])
-        return out
+            mat.ensure_col(cube, lambda: g)
+        col_of_cube = mat.col_of_cube
+        for r, _, kern in rows:
+            mat.add_entries(r, [col_of_cube[kc] for kc in kern.expression])
+        return mat
 
-    relabeled = machine.run_phase(
-        lambda proc: relabel(slabs[proc.pid]), name="relabel"
-    )
+    matrices: List[KCMatrix] = machine.run_phase(relabel, name="relabel")
     if machine.faults is not None:
-        relabeled = [m if m is not None else KCMatrix() for m in relabeled]
+        matrices = [m if m is not None else KCMatrix() for m in matrices]
     owned_cols: List[Set[int]] = [set() for _ in range(nprocs)]
     for cube, pid in owner_of_cube.items():
         owned_cols[pid].add(global_label_of_cube[cube])
+    owned_sorted = [sorted(owned) for owned in owned_cols]
 
-    matrices = [relabeled[p] for p in range(nprocs)]
     lost_bij = False
     for i in range(nprocs):
+        src = matrices[i]
         for j in range(nprocs):
             if i == j:
                 continue
-            bij = relabeled[i].submatrix_columns(owned_cols[j])
-            if not bij.entries:
+            # B_ij: i's own rows over j's columns (the legs spliced into
+            # i's matrix hold only i's columns).
+            words = sum(len(src.rows_of_col(c)) for c in owned_sorted[j] if c in src.cols)
+            if not words:
                 continue
-            delivered = machine.send(i, j, bij.num_entries, name="Bij")
+            delivered = machine.send(i, j, words, name="Bij")
             if delivered:
-                matrices[j].merge(bij)
+                matrices[j].take_columns(src, owned_sorted[j])
             else:
                 # The vertical-leg piece is missing this cycle; the next
                 # rebuild regenerates it from the network.  (The drop
@@ -188,9 +194,9 @@ def build_lshaped_matrices(
                         detail=f"B_{i}{j} lost; regenerated next cycle",
                     )
 
-    rows_total = sum(s.num_rows for s in slabs)
+    rows_total = sum(len(s[0]) for s in slabs)
     cols_total = len(global_label_of_cube)
-    entries_total = sum(s.num_entries for s in slabs)
+    entries_total = sum(len(kern.expression) for s in slabs for _, _, kern in s[0])
     alpha = entries_total / (rows_total * cols_total) if rows_total and cols_total else 0.0
     gammas = [m.sparsity() for m in matrices if m.num_rows and m.num_cols]
     gamma = sum(gammas) / len(gammas) if gammas else 0.0
@@ -380,7 +386,7 @@ def lshaped_kernel_extract(
                 rows_by_node: Dict[str, List[Tuple[str, Cube, Tuple[CubeRef, ...]]]] = {}
                 for r in rect.rows:
                     info = mat.rows[r]
-                    refs = tuple((info.node, mat.entries[(r, c)]) for c in rect.cols)
+                    refs = tuple(mat.cube_ref(r, c) for c in rect.cols)
                     rows_by_node.setdefault(info.node, []).append(
                         (info.node, info.cokernel, refs)
                     )

@@ -136,9 +136,7 @@ def lshaped_kernel_extract_threaded(
                     rows_by_node: Dict[str, List] = {}
                     for r in rect.rows:
                         info = mat.rows[r]
-                        row_refs = tuple(
-                            (info.node, mat.entries[(r, c)]) for c in rect.cols
-                        )
+                        row_refs = tuple(mat.cube_ref(r, c) for c in rect.cols)
                         rows_by_node.setdefault(info.node, []).append(
                             (info.node, info.cokernel, row_refs)
                         )

@@ -16,9 +16,8 @@ Sub-modules:
 
 - :mod:`~repro.rectangles.kcmatrix` — the sparse matrix with the global
   offset labeling used by the parallel algorithms,
-- :mod:`~repro.rectangles.bitview` — the bitset forms of the matrix
-  that the searches run on: the live index patched with the matrix
-  (ping-pong) and the sorted compilation (exhaustive),
+- :mod:`~repro.rectangles.bitview` — the matrix's one bitset store
+  (ping-pong runs on it) and its sorted compilation (exhaustive),
 - :mod:`~repro.rectangles.rectangle` — rectangles and the literal-savings
   gain model,
 - :mod:`~repro.rectangles.search` — the pruned exhaustive column-anchored

@@ -1,11 +1,9 @@
-"""Bitset forms of a :class:`~repro.rectangles.kcmatrix.KCMatrix`.
+"""The bitset store of a :class:`~repro.rectangles.kcmatrix.KCMatrix`.
 
 The rectangle searches spend nearly all of their time intersecting row
 sets, scanning candidate columns and re-valuing (row, col) cells.  The
-sparse matrix keys all of that by *global offset labels* (processor 2's
-first kernel is row 200001), so the sets are sparse ``Set[int]`` objects
-and every cell value is a fresh ``value_fn`` call.  Two bitset forms
-replace them, sharing one cell layout:
+matrix keys all of that by *global offset labels* (processor 2's first
+kernel is row 200001); here it is held in bitset form instead:
 
 - each column's row set and each row's column set are Python int
   bitmasks — a row-set intersection is one big-int ``&``, a dominance
@@ -19,19 +17,20 @@ replace them, sharing one cell layout:
   hashes cubes for nodes that actually contribute several rows to a
   rectangle — the common all-distinct case is pure table arithmetic.
 
-:class:`LiveBitIndex` (``KCMatrix.bitview()``) is built once per matrix
-and then *patched* by the matrix's mutators in O(degree).  Rows and
-columns live at stable *slots* that never move while they live; a
-removal frees its slot and the next insertion reuses the lowest free
-one.  Slot order is therefore not label order, and the ping-pong search
-that runs on it takes every tie-break from the labels.
+:class:`LiveBitIndex` (``KCMatrix.bitview()``) is the matrix's only
+store of cells.  It is made with the matrix, and every mutator of the
+matrix writes its change here once, in O(degree) (a relabel in O(1)).
+Rows and columns live at stable *slots* that never move while they
+live; a removal frees its slot and the next insertion reuses the
+lowest free one.  Slot order is therefore not label order, and the
+ping-pong search that runs on it takes every tie-break from the labels.
 
-:class:`BitKCView` (``KCMatrix.dense_view()``) is the sorted
-compilation: dense positions ``0..R-1`` / ``0..C-1`` in sorted-label
-order, so position order *is* label order.  The exhaustive search walks
-label-ordered column subsets by position (``neg_above``), so it keeps
-this form, compiled once per matrix version and dropped by every
-mutation.
+:class:`BitKCView` (``KCMatrix.dense_view()``) is a sorted compilation
+of the live index: dense positions ``0..R-1`` / ``0..C-1`` in
+sorted-label order, so position order *is* label order.  The
+exhaustive search walks label-ordered column subsets by position
+(``neg_above``), so it keeps this form, compiled from the live slots
+once per matrix version and dropped by every mutation.
 
 The value table for the pure :func:`~repro.rectangles.rectangle.
 default_value` is kept with the structure, and so are the live index's
@@ -198,11 +197,10 @@ class BitKCView(_BitCells):
 
     Build with :meth:`KCMatrix.dense_view` (cached) rather than
     directly; the cache guarantees at most one compilation per matrix
-    version.
+    version.  The compile walks the live index's slots in label order;
+    cells keep the index's entry ids, so ``entry_cubes`` is the index's
+    own list, valid until the next mutation drops the view.
     """
-
-    #: Positions are ranks in sorted-label order.
-    ORDERED = True
 
     __slots__ = (
         "row_labels",
@@ -217,6 +215,7 @@ class BitKCView(_BitCells):
         "node_names",
         "row_cost",
         "col_cost",
+        "num_entries",
         "_overlap_rows",
         "_default_values",
         "_neg_above",
@@ -227,56 +226,51 @@ class BitKCView(_BitCells):
     )
 
     def __init__(self, matrix) -> None:
-        row_labels = sorted(matrix.rows)
-        col_labels = sorted(matrix.cols)
+        live = matrix._live
+        row_labels = sorted(live.row_pos)
+        col_labels = sorted(live.col_pos)
         self.row_labels: List[int] = row_labels
         self.col_labels: List[int] = col_labels
         row_pos = {lab: i for i, lab in enumerate(row_labels)}
         col_pos = {lab: i for i, lab in enumerate(col_labels)}
         self.row_pos: Dict[int, int] = row_pos
         self.col_pos: Dict[int, int] = col_pos
-        self.col_cost: List[int] = [len(matrix.cols[lab]) for lab in col_labels]
+        row_slots = [live.row_pos[lab] for lab in row_labels]
+        col_slots = [live.col_pos[lab] for lab in col_labels]
+        self.col_cost: List[int] = [live.col_cost[s] for s in col_slots]
+        self.row_cost: List[int] = [live.row_cost[s] for s in row_slots]
+        # Node ids are the index's: the gain correction only compares
+        # cells within one node.
+        self.row_node: List[int] = [live.row_node[s] for s in row_slots]
+        self.node_names: List[str] = live.node_names
 
-        # Dense node ids: the gain correction only compares cells within
-        # one node, so rows carry an int id instead of the node name.
-        node_ids: Dict[str, int] = {}
-        row_node: List[int] = []
-        node_names: List[str] = []
-        row_cost: List[int] = []
-        rows_map = matrix.rows
-        for lab in row_labels:
-            info = rows_map[lab]
-            row_cost.append(len(info.cokernel) + 1)
-            name = info.node
-            nid = node_ids.get(name)
-            if nid is None:
-                nid = len(node_names)
-                node_ids[name] = nid
-                node_names.append(name)
-            row_node.append(nid)
-        self.row_cost: List[int] = row_cost
-        self.row_node: List[int] = row_node
-        self.node_names: List[str] = node_names
-
+        # Column slot → position (free slots are never read).
+        cpos_of = [0] * len(live.col_labels)
+        for cpos, cslot in enumerate(col_slots):
+            cpos_of[cslot] = cpos
         col_rows = [0] * len(col_labels)
-        row_cols = [0] * len(row_labels)
-        cells: List[Dict[int, int]] = [dict() for _ in row_labels]
-        entry_cubes: List[Cube] = []
-        eid = 0
-        for (rlab, clab), cube in matrix.entries.items():
-            rpos = row_pos[rlab]
-            cpos = col_pos[clab]
-            row_cols[rpos] |= 1 << cpos
-            col_rows[cpos] |= 1 << rpos
-            cells[rpos][cpos] = eid
-            entry_cubes.append(cube)
-            eid += 1
+        row_cols: List[int] = []
+        cells: List[Dict[int, int]] = []
+        for rpos, rslot in enumerate(row_slots):
+            bit = 1 << rpos
+            rcells = {}
+            mask = 0
+            for cslot, eid in live.cells[rslot].items():
+                cpos = cpos_of[cslot]
+                rcells[cpos] = eid
+                mask |= 1 << cpos
+                col_rows[cpos] |= bit
+            cells.append(rcells)
+            row_cols.append(mask)
         self.row_cols: List[int] = row_cols
         self.col_rows: List[int] = col_rows
         self.cells: List[Dict[int, int]] = cells
-        self.entry_cubes: List[Cube] = entry_cubes
+        self.entry_cubes: List[Optional[Cube]] = live.entry_cubes
+        self.num_entries: int = live.num_entries
         self._overlap_rows: List[int] = [row_pos[lab] for lab in matrix.overlap_rows]
-        self._default_values: Optional[List[int]] = None
+        self._default_values: Optional[List[int]] = (
+            live._values[:] if live.value_source is default_value else None
+        )
         self._neg_above: Optional[List[int]] = None
         self._dup_rows: Optional[Set[int]] = None
         self._clean_rows: Optional[int] = None
@@ -291,10 +285,6 @@ class BitKCView(_BitCells):
     @property
     def num_cols(self) -> int:
         return len(self.col_labels)
-
-    @property
-    def num_entries(self) -> int:
-        return len(self.entry_cubes)
 
     def dup_rows(self) -> Set[int]:
         """Row positions whose cells repeat an original cube.
@@ -431,9 +421,10 @@ class BitKCView(_BitCells):
     def value_table(self, value_fn: ValueFn = default_value) -> List[int]:
         """Per-entry-id values under *value_fn*.
 
-        The table for the pure default value function is computed once
-        and cached with the view; any other function is evaluated per
-        call because its answers may legitimately change between calls
+        The table for the pure default value function is computed (or
+        copied from the live index) once and cached with the view; any
+        other function is evaluated per call because its answers may
+        legitimately change between calls
         (the L-shaped cube-state protocol does exactly that).  Cells of
         one node naming the same original cube always receive equal
         values, so marginal sums and gains match ``value_fn``-per-cell
@@ -442,8 +433,7 @@ class BitKCView(_BitCells):
         if value_fn is default_value:
             vals = self._default_values
             if vals is None:
-                vals = [len(cube) for cube in self.entry_cubes]
-                self._default_values = vals
+                vals = self._default_values = self._values_for(default_value)
             return vals
         return self._values_for(value_fn)
 
@@ -455,13 +445,13 @@ class BitKCView(_BitCells):
 
 
 class LiveBitIndex(_BitCells):
-    """Slot-addressed bitmask index of a KCMatrix, patched in place.
+    """Slot-addressed bitmask store of a KCMatrix's cells, patched in place.
 
-    Built by :meth:`KCMatrix.bitview` on first use.  From then on the
-    matrix's mutators call :meth:`add_row`, :meth:`add_col`,
-    :meth:`add_entry`, :meth:`remove_row`, :meth:`remove_col`,
-    :meth:`relabel_row` and :meth:`relabel_col`, so the index follows
-    every structural change in O(degree) instead of being recompiled.
+    Made empty with its matrix, which keeps it as its only store of
+    cells: the matrix's mutators call :meth:`add_row`, :meth:`add_col`,
+    :meth:`add_cells`, :meth:`remove_row`, :meth:`remove_col`,
+    :meth:`relabel_row` and :meth:`relabel_col`, each a single write of
+    the change, in O(degree) (a relabel in O(1)).
 
     Rows and columns sit at stable *slots*: a slot never moves while its
     row or column lives, a removal clears one bit in each incident mask
@@ -494,21 +484,18 @@ class LiveBitIndex(_BitCells):
     written back by :meth:`keep_ascent_records`; see
     :func:`repro.rectangles.pingpong._ascents_bit` for the reuse rule).
     Once records exist, the mutators mark the slots they patch:
-    ``add_row``, ``add_entry``, ``remove_row`` and ``remove_col``'s rows
+    ``add_row``, ``add_cells``, ``remove_row`` and ``remove_col``'s rows
     mark rows; ``add_col``, ``remove_row``'s columns, ``remove_col`` and
     ``relabel_col`` mark columns, and the columns of every marked row
-    count as marked too (that covers ``add_entry``'s column without a
+    count as marked too (that covers ``add_cells``' columns without a
     second set add per cell).  A :meth:`set_ref_value` that changes a
     cell's value marks its row.  ``relabel_row`` marks nothing: an
-    ascent reads no row label.  Dropping the index drops the records
-    with it.
+    ascent reads no row label.  :meth:`drop_derived` drops the records
+    and the seed potentials, never the cells.
 
     Slot order is *not* label order: callers that break ties must do so
     by ``row_labels`` / ``col_labels``.
     """
-
-    #: Slots are stable, not ranks in sorted-label order.
-    ORDERED = False
 
     __slots__ = (
         "row_labels",
@@ -540,7 +527,7 @@ class LiveBitIndex(_BitCells):
         "_free_eids",
     )
 
-    def __init__(self, matrix) -> None:
+    def __init__(self, overlap: Dict[int, int]) -> None:
         self.row_labels: List[Optional[int]] = []
         self.col_labels: List[Optional[int]] = []
         self.row_pos: Dict[int, int] = {}
@@ -573,16 +560,10 @@ class LiveBitIndex(_BitCells):
         self._ref_cells: Optional[Dict[CubeRef, List[Tuple[int, int]]]] = None
         # The matrix's own overlap counts (row label → overlapping
         # cells), kept current by its mutators.
-        self._overlap: Dict[int, int] = matrix.overlap_rows
+        self._overlap: Dict[int, int] = overlap
         self._free_rows: List[int] = []
         self._free_cols: List[int] = []
         self._free_eids: List[int] = []
-        for label, info in matrix.rows.items():
-            self.add_row(label, info.node, info.cokernel)
-        for label, cube in matrix.cols.items():
-            self.add_col(label, cube)
-        for (row, col), cube in matrix.entries.items():
-            self.add_entry(row, col, cube)
 
     # ------------------------------------------------------------------
     @property
@@ -717,6 +698,17 @@ class LiveBitIndex(_BitCells):
         self._dirty_rows.clear()
         self._dirty_cols.clear()
 
+    def drop_derived(self) -> None:
+        """Drop the seed potentials and the ascent records, so the next
+        search builds the one and re-runs every seed; the cells and the
+        value table stay."""
+        self.row_pot = None
+        self._pot_dirty.clear()
+        self._ascents = None
+        self._ascent_key = None
+        self._dirty_rows.clear()
+        self._dirty_cols.clear()
+
     def dup_rows(self) -> AbstractSet[int]:
         """Row slots whose cells repeat an original cube.
 
@@ -773,31 +765,42 @@ class LiveBitIndex(_BitCells):
         if self._ascents is not None:
             self._dirty_cols.add(slot)
 
-    def add_entry(self, row: int, col: int, cube: Cube) -> None:
-        rslot = self.row_pos[row]
-        cslot = self.col_pos[col]
+    def add_cells(self, rslot: int, cells: Sequence[Tuple[int, Cube]]) -> None:
+        """Store row slot *rslot*'s new cells, ``(column slot, cube)``
+        each, in order; every one must be empty."""
         refs = self._ref_cells
-        if refs is None:
-            value = len(cube)
-        else:
+        if refs is not None:
             name = self.node_names[self.row_node[rslot]]
-            value = self.value_source(name, cube)
-            refs.setdefault((name, cube), []).append((rslot, cslot))
-        if self._free_eids:
-            eid = self._free_eids.pop()
-            self.entry_cubes[eid] = cube
-            self._values[eid] = value
-        else:
-            eid = len(self.entry_cubes)
-            self.entry_cubes.append(cube)
-            self._values.append(value)
+            source = self.value_source
+        free = self._free_eids
+        cubes = self.entry_cubes
+        values = self._values
         pot = self.row_pot
-        if pot is not None:
-            pot[rslot] += (self._pot_sizes[cslot] - 1) * value
-            self._pot_dirty.add(cslot)
-        self.cells[rslot][cslot] = eid
-        self.row_cols[rslot] |= 1 << cslot
-        self.col_rows[cslot] |= 1 << rslot
+        rcells = self.cells[rslot]
+        col_rows = self.col_rows
+        bit = 1 << rslot
+        mask = 0
+        for cslot, cube in cells:
+            if refs is None:
+                value = len(cube)
+            else:
+                value = source(name, cube)
+                refs.setdefault((name, cube), []).append((rslot, cslot))
+            if free:
+                eid = free.pop()
+                cubes[eid] = cube
+                values[eid] = value
+            else:
+                eid = len(cubes)
+                cubes.append(cube)
+                values.append(value)
+            if pot is not None:
+                pot[rslot] += (self._pot_sizes[cslot] - 1) * value
+                self._pot_dirty.add(cslot)
+            rcells[cslot] = eid
+            mask |= 1 << cslot
+            col_rows[cslot] |= bit
+        self.row_cols[rslot] |= mask
         if self._ascents is not None:
             self._dirty_rows.add(rslot)
 

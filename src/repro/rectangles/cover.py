@@ -95,21 +95,9 @@ def apply_rectangle(
     network.add_node(new_name, kernel_sop)
     x_lit = network.table.id_of(new_name)
 
-    # Overlap bookkeeping: the distinct original cubes each node loses.
-    # The search has usually just used one of the matrix's bitset forms
-    # (the live index after ping-pong, the sorted compilation after the
-    # exhaustive search), whose cell ids dedupe overlapping cells without
-    # re-hashing cube tuples; fall back to the sparse entry map when
-    # neither is built.
-    view = matrix._live if matrix._live is not None else matrix._dense
-    if view is not None:
-        covered_by_node: Dict[str, Set[Cube]] = view.covered_cubes_by_node(rect)
-    else:
-        covered_by_node = {}
-        for r in rect.rows:
-            per_node = covered_by_node.setdefault(matrix.rows[r].node, set())
-            for c in rect.cols:
-                per_node.add(matrix.entries[(r, c)])
+    # Overlap bookkeeping: the distinct original cubes each node loses,
+    # deduped by the store's cell ids without re-hashing cube tuples.
+    covered_by_node = matrix.bitview().covered_cubes_by_node(rect)
 
     for node, rows in sorted(rows_by_node.items()):
         covered = covered_by_node[node]

@@ -15,12 +15,13 @@ extraction still sorts exactly like a fresh :func:`build_kc_matrix`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.algebra.cube import Cube, cube_union
 from repro.algebra.kernels import Kernel, kernels
 from repro.algebra.sop import Sop
+from repro.rectangles.bitview import BitKCView, LiveBitIndex, iter_bits
 from repro.verify import audit as _audit
 
 # The paper labels processor p's first kernel p·100000 + 1.
@@ -37,58 +38,67 @@ class RowInfo:
     cokernel: Cube
 
 
-@dataclass
 class KCMatrix:
     """Sparse KC matrix keyed by integer row/column labels.
 
-    ``entries[(r, c)]`` is the original SOP cube of ``rows[r].node``
-    obtained as ``rows[r].cokernel ∪ cols[c]``.  ``by_row``/``by_col``
-    are adjacency indexes kept consistent by :meth:`add_entry` /
-    :meth:`remove_row`.  ``overlap_rows`` counts, per row, the cells
-    whose column cube overlaps the row's co-kernel (never any for
+    A label facade over one store: ``rows`` (label → :class:`RowInfo`),
+    ``cols`` (label → kernel cube), its inverse ``col_of_cube`` and
+    ``node_rows`` name the rows and columns, and the cells live only in
+    the live bitset index (:meth:`bitview`), made with the matrix.  The
+    cell ``(r, c)`` holds the original SOP cube ``rows[r].cokernel ∪
+    cols[c]`` of ``rows[r].node``.  ``overlap_rows`` counts, per row, the
+    cells whose column cube overlaps the row's co-kernel (never any for
     kernel-built matrices); only such rows can repeat a cube.
 
-    The bitset index (:meth:`bitview`) is patched by the mutators once
-    built; the sorted compilation (:meth:`dense_view`) is dropped by
-    every mutation.
+    Every mutator writes its change to the index once; the sorted
+    compilation (:meth:`dense_view`) is dropped by every mutation.
 
     The exhaustive search keeps one record per anchor column
     (:meth:`anchor_records`).  Once records exist the mutators mark
-    what they change, by label: ``add_entry`` marks its row,
-    ``remove_row`` the row's columns, ``remove_col`` and
-    ``relabel_col`` the column's rows, and ``relabel_row`` the row
-    under its new label.  A marked row stands for all of its columns.
-    ``remove_col`` and ``relabel_col`` also mark the label that goes,
-    so its record goes with it.  ``add_row`` and ``ensure_col`` mark
+    what they change: ``add_entry`` marks its row, ``remove_row`` the
+    row's columns, ``remove_col`` and ``relabel_col`` the column's
+    rows, and ``relabel_row`` the row.  Rows are marked by slot,
+    columns by label; a marked row stands for all of its columns at the
+    next :meth:`anchor_records` call (a freed slot has none, and a
+    reused one's cells marked it when they came).  ``remove_col`` and
+    ``relabel_col`` also mark the label that goes, so its record goes
+    with it.  ``add_row`` and ``ensure_col`` mark
     nothing: a row or column without cells is in no anchor's subtree.
     """
 
-    rows: Dict[int, RowInfo] = field(default_factory=dict)
-    cols: Dict[int, Cube] = field(default_factory=dict)
-    col_of_cube: Dict[Cube, int] = field(default_factory=dict)
-    entries: Dict[Tuple[int, int], Cube] = field(default_factory=dict)
-    by_row: Dict[int, Set[int]] = field(default_factory=dict)
-    by_col: Dict[int, Set[int]] = field(default_factory=dict)
-    node_rows: Dict[str, Set[int]] = field(default_factory=dict)
-    overlap_rows: Dict[int, int] = field(default_factory=dict, repr=False, compare=False)
-    _live: Optional[object] = field(default=None, repr=False, compare=False)
-    _dense: Optional[object] = field(default=None, repr=False, compare=False)
-    # Anchor column label → its record, for the min_cols in
-    # _anchor_key; None until an exhaustive search keeps records, and
-    # the mutators mark labels only from then on.
-    _anchors: Optional[Dict[int, tuple]] = field(default=None, repr=False, compare=False)
-    _anchor_key: Optional[int] = field(default=None, repr=False, compare=False)
-    _dirty_rows: Set[int] = field(default_factory=set, repr=False, compare=False)
-    _dirty_cols: Set[int] = field(default_factory=set, repr=False, compare=False)
+    __slots__ = (
+        "rows", "cols", "col_of_cube", "node_rows", "overlap_rows",
+        "_live", "_dense", "_anchors", "_anchor_key", "_dirty_rows", "_dirty_cols",
+        "__weakref__",
+    )
+
+    def __init__(self) -> None:
+        self.rows: Dict[int, RowInfo] = {}
+        self.cols: Dict[int, Cube] = {}
+        self.col_of_cube: Dict[Cube, int] = {}
+        self.node_rows: Dict[str, Set[int]] = {}
+        self.overlap_rows: Dict[int, int] = {}
+        self._live = LiveBitIndex(self.overlap_rows)
+        self._dense: Optional[BitKCView] = None
+        # Anchor column label → its record, for the min_cols in
+        # _anchor_key; None until an exhaustive search keeps records, and
+        # the mutators mark only from then on (rows by slot, columns by
+        # label).
+        self._anchors: Optional[Dict[int, tuple]] = None
+        self._anchor_key: Optional[int] = None
+        self._dirty_rows: Set[int] = set()
+        self._dirty_cols: Set[int] = set()
 
     # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------
     def _touch(self) -> None:
-        """Record a raw-dict mutation: drops both bitset forms and the
-        anchor records."""
+        """Drop every table derived from the store: the sorted
+        compilation, the live index's seed potentials and ascent
+        records, and the anchor records.  The next search then pays
+        for all of them, as on a fresh matrix."""
         self._dense = None
-        self._live = None
+        self._live.drop_derived()
         self._anchors = None
         self._dirty_rows.clear()
         self._dirty_cols.clear()
@@ -97,10 +107,12 @@ class KCMatrix:
         if label in self.rows:
             raise ValueError(f"duplicate row label {label}")
         self.rows[label] = RowInfo(node, cokernel)
-        self.by_row[label] = set()
-        self.node_rows.setdefault(node, set()).add(label)
-        if self._live is not None:
-            self._live.add_row(label, node, cokernel)
+        got = self.node_rows.get(node)
+        if got is None:
+            self.node_rows[node] = {label}
+        else:
+            got.add(label)
+        self._live.add_row(label, node, cokernel)
         if _audit.enabled():
             _audit.audit_row_added(self, label)
         self._dense = None
@@ -115,135 +127,127 @@ class KCMatrix:
             raise ValueError(f"duplicate column label {label}")
         self.cols[label] = cube
         self.col_of_cube[cube] = label
-        self.by_col[label] = set()
-        if self._live is not None:
-            self._live.add_col(label, cube)
+        self._live.add_col(label, cube)
         if _audit.enabled():
             _audit.audit_col_added(self, label)
         self._dense = None
         return label
 
     def add_entry(self, row: int, col: int) -> None:
-        key = (row, col)
-        entries = self.entries
-        if key not in entries:
-            cokernel = self.rows[row].cokernel
-            kc = self.cols[col]
-            cube = entries[key] = cube_union(cokernel, kc)
-            self.by_row[row].add(col)
-            self.by_col[col].add(row)
-            if len(cube) != len(cokernel) + len(kc):
-                self.overlap_rows[row] = self.overlap_rows.get(row, 0) + 1
-            if self._live is not None:
-                self._live.add_entry(row, col, cube)
+        self.add_entries(row, (col,))
+
+    def add_entries(self, row: int, cols: Sequence[int]) -> None:
+        """``add_entry(row, c)`` for each column label *c* of *cols*, in
+        order, as one write of the row's new cells."""
+        live = self._live
+        rslot = live.row_pos[row]
+        have = live.cells[rslot]
+        col_pos = live.col_pos
+        cokernel = self.rows[row].cokernel
+        width = len(cokernel)
+        new = []
+        for col in dict.fromkeys(cols):
+            cslot = col_pos[col]
+            if cslot not in have:
+                kc = self.cols[col]
+                cube = cube_union(cokernel, kc)
+                if len(cube) != width + len(kc):
+                    self.overlap_rows[row] = self.overlap_rows.get(row, 0) + 1
+                new.append((cslot, cube))
+        if new:
+            live.add_cells(rslot, new)
             if self._anchors is not None:
-                self._dirty_rows.add(row)
+                self._dirty_rows.add(rslot)
         if _audit.enabled():
-            _audit.audit_entry_added(self, row, col)
+            for col in cols:
+                _audit.audit_entry_added(self, row, col)
         self._dense = None
 
     def remove_row(self, label: int) -> None:
-        if self._live is not None and label in self.rows:
-            self._live.remove_row(label)
-        if self._anchors is not None:
-            self._dirty_cols.update(self.by_row.get(label, ()))
-        for col in self.by_row.pop(label, set()):
-            self.by_col[col].discard(label)
-            self.entries.pop((label, col), None)
-        self.overlap_rows.pop(label, None)
         info = self.rows.pop(label, None)
         if info is not None:
-            node_set = self.node_rows.get(info.node)
-            if node_set is not None:
-                node_set.discard(label)
-                if not node_set:
-                    del self.node_rows[info.node]
+            live = self._live
+            if self._anchors is not None:
+                cols = live.cells[live.row_pos[label]]
+                self._dirty_cols.update(map(live.col_labels.__getitem__, cols))
+            live.remove_row(label)
+            self.overlap_rows.pop(label, None)
+            node_set = self.node_rows[info.node]
+            node_set.discard(label)
+            if not node_set:
+                del self.node_rows[info.node]
         if _audit.enabled():
             _audit.audit_row_removed(self, label)
         self._dense = None
 
     def remove_col(self, label: int) -> None:
-        cube = self.cols.get(label)
-        if self._live is not None and cube is not None:
-            self._live.remove_col(label)
-        if self._anchors is not None:
-            self._dirty_cols.add(label)
-            self._dirty_rows.update(self.by_col.get(label, ()))
-        overlap = self.overlap_rows
-        for row in self.by_col.pop(label, set()):
-            self.by_row[row].discard(label)
-            got = self.entries.pop((row, label), None)
-            if row in overlap and len(got) != len(self.rows[row].cokernel) + len(cube):
-                if overlap[row] == 1:
-                    del overlap[row]
-                else:
-                    overlap[row] -= 1
+        cube = self.cols.pop(label, None)
         if cube is not None:
-            self.col_of_cube.pop(cube, None)
-        self.cols.pop(label, None)
+            live = self._live
+            slot = live.col_pos[label]
+            rows = live.col_rows[slot]
+            if self._anchors is not None:
+                self._dirty_cols.add(label)
+                self._dirty_rows.update(iter_bits(rows))
+            overlap = self.overlap_rows
+            if overlap:
+                row_labels = live.row_labels
+                for rslot in iter_bits(rows):
+                    row = row_labels[rslot]
+                    if row in overlap:
+                        got = live.entry_cubes[live.cells[rslot][slot]]
+                        if len(got) != len(self.rows[row].cokernel) + len(cube):
+                            if overlap[row] == 1:
+                                del overlap[row]
+                            else:
+                                overlap[row] -= 1
+            del self.col_of_cube[cube]
+            live.remove_col(label)
         if _audit.enabled():
             _audit.audit_col_removed(self, label)
         self._dense = None
 
     def relabel_col(self, old: int, new: int) -> None:
-        """Move column *old* — its cube, entries and adjacency — to *new*.
+        """Move column *old* — its cube and cells — to *new*, in O(1).
 
-        O(column degree).  Used by :class:`IncrementalKCMatrix` when a
-        column's first occurrence moves and its order-preserving label
-        must move with it.
+        Used by :class:`IncrementalKCMatrix` when a column's first
+        occurrence moves and its order-preserving label must move with
+        it.
         """
         if new in self.cols:
             raise ValueError(f"duplicate column label {new}")
         cube = self.cols.pop(old)
         self.cols[new] = cube
         self.col_of_cube[cube] = new
-        rows = self.by_col.pop(old)
-        self.by_col[new] = rows
-        entries = self.entries
-        by_row = self.by_row
-        for row in rows:
-            entries[(row, new)] = entries.pop((row, old))
-            cols = by_row[row]
-            cols.discard(old)
-            cols.add(new)
-        if self._live is not None:
-            self._live.relabel_col(old, new)
+        live = self._live
         if self._anchors is not None:
             self._dirty_cols.add(old)
-            self._dirty_rows.update(rows)
+            self._dirty_rows.update(iter_bits(live.col_rows[live.col_pos[old]]))
+        live.relabel_col(old, new)
         if _audit.enabled():
             _audit.audit_col_relabeled(self, old, new)
         self._dense = None
 
     def relabel_row(self, old: int, new: int) -> None:
-        """Move row *old* — its info, entries and adjacency — to *new*.
+        """Move row *old* — its info and cells — to *new*, in O(1).
 
-        O(row degree).  Used by :class:`IncrementalKCMatrix` when a kept
-        kernel's index within its node shifts and its order-preserving
-        label must move with it.
+        Used by :class:`IncrementalKCMatrix` when a kept kernel's index
+        within its node shifts and its order-preserving label must move
+        with it.
         """
         if new in self.rows:
             raise ValueError(f"duplicate row label {new}")
         info = self.rows.pop(old)
         self.rows[new] = info
-        cols = self.by_row.pop(old)
-        self.by_row[new] = cols
-        entries = self.entries
-        by_col = self.by_col
-        for col in cols:
-            entries[(new, col)] = entries.pop((old, col))
-            rows = by_col[col]
-            rows.discard(old)
-            rows.add(new)
         node_set = self.node_rows[info.node]
         node_set.discard(old)
         node_set.add(new)
         if old in self.overlap_rows:
             self.overlap_rows[new] = self.overlap_rows.pop(old)
-        if self._live is not None:
-            self._live.relabel_row(old, new)
+        live = self._live
+        live.relabel_row(old, new)
         if self._anchors is not None:
-            self._dirty_rows.add(new)
+            self._dirty_rows.add(live.row_pos[new])
         if _audit.enabled():
             _audit.audit_row_relabeled(self, old, new)
         self._dense = None
@@ -261,53 +265,71 @@ class KCMatrix:
 
     @property
     def num_entries(self) -> int:
-        return len(self.entries)
+        return self._live.num_entries
 
     def sparsity(self) -> float:
         """Fraction of occupied cells — the α/γ of the paper's Eq. 3."""
         cells = self.num_rows * self.num_cols
         return self.num_entries / cells if cells else 0.0
 
+    def has_entry(self, row: int, col: int) -> bool:
+        live = self._live
+        rslot = live.row_pos.get(row)
+        cslot = live.col_pos.get(col)
+        return rslot is not None and cslot in live.cells[rslot]
+
     def entry_cube(self, row: int, col: int) -> Cube:
-        return self.entries[(row, col)]
+        live = self._live
+        return live.entry_cubes[live.cells[live.row_pos[row]][live.col_pos[col]]]
 
     def cube_ref(self, row: int, col: int) -> CubeRef:
-        return (self.rows[row].node, self.entries[(row, col)])
+        return (self.rows[row].node, self.entry_cube(row, col))
+
+    def cols_of_row(self, row: int) -> Set[int]:
+        """The column labels of *row*'s cells."""
+        live = self._live
+        return set(map(live.col_labels.__getitem__, live.cells[live.row_pos[row]]))
+
+    def rows_of_col(self, col: int) -> Set[int]:
+        """The row labels of *col*'s cells."""
+        live = self._live
+        return set(map(live.row_labels.__getitem__, iter_bits(live.col_rows[live.col_pos[col]])))
+
+    def cells(self) -> Dict[Tuple[int, int], Cube]:
+        """Every cell as ``{(row label, column label): cube}``, read
+        afresh from the store (for checks and oracles, not hot paths)."""
+        live = self._live
+        col_labels = live.col_labels
+        cubes = live.entry_cubes
+        return {
+            (row, col_labels[cslot]): cubes[eid]
+            for row, rslot in live.row_pos.items()
+            for cslot, eid in live.cells[rslot].items()
+        }
 
     def rows_of_node(self, node: str) -> List[int]:
         """Row labels of *node*, via the maintained ``node_rows`` index."""
         return sorted(self.node_rows.get(node, ()))
 
-    def bitview(self):
-        """The live bitset index (see :mod:`repro.rectangles.bitview`).
-
-        Built lazily on the first call; from then on every mutator
-        patches it in O(degree), so the greedy extraction loops never
-        recompile it.  Only the raw-dict paths (:meth:`merge`,
-        :meth:`submatrix_columns`) drop it.  Under ``REPRO_CHECK=1``
-        every call checks the index against the matrix.
-        """
+    def bitview(self) -> LiveBitIndex:
+        """The live bitset index, the matrix's store (see
+        :mod:`repro.rectangles.bitview`).  Under ``REPRO_CHECK=1`` every
+        call checks the whole store."""
         view = self._live
-        if view is None:
-            from repro.rectangles.bitview import LiveBitIndex
-
-            view = self._live = LiveBitIndex(self)
         if _audit.enabled():
             _audit.audit_bitview(self, view)
         return view
 
-    def dense_view(self):
+    def dense_view(self) -> BitKCView:
         """The cached sorted-label compilation (:class:`BitKCView`).
 
         Positions are ranks in sorted-label order, which the exhaustive
         search's column-subset walk relies on.
-        Compiled lazily and dropped by every mutation, so it is built
-        at most once per matrix version.
+        Compiled lazily from the live index and dropped by every
+        mutation, so it is built at most once per matrix version.
         """
         view = self._dense
         if view is None:
-            from repro.rectangles.bitview import BitKCView
-
             view = BitKCView(self)
             if _audit.enabled():
                 _audit.audit_bitview(self, view)
@@ -330,46 +352,41 @@ class KCMatrix:
             self._anchor_key = min_cols
         else:
             drop = records.pop
-            by_row = self.by_row
-            for row in self._dirty_rows:
-                # A row gone since it was marked had its columns
-                # marked when it went.
-                for col in by_row.get(row, ()):
-                    drop(col, None)
+            live = self._live
+            cells = live.cells
+            col_labels = live.col_labels
+            for slot in self._dirty_rows:
+                for cslot in cells[slot]:
+                    drop(col_labels[cslot], None)
             for col in self._dirty_cols:
                 drop(col, None)
         self._dirty_rows.clear()
         self._dirty_cols.clear()
         return records
 
-    def submatrix_columns(self, col_labels: Iterable[int]) -> "KCMatrix":
-        """Restriction to a set of columns (all rows with entries kept).
-
-        Walks the ``by_col`` adjacency of the kept columns only, so the
-        cost is proportional to the entries *kept*, not the total entry
-        count — this sits inside the L-shaped B_ij exchange, which calls
-        it once per processor pair.
-        """
-        out = KCMatrix()
-        for c in sorted(set(col_labels)):
-            cube = self.cols.get(c)
+    def take_columns(self, other: "KCMatrix", col_labels: Iterable[int]) -> None:
+        """Copy into this matrix *other*'s columns among *col_labels*, in
+        label order, with every row holding a cell in them and those
+        cells.  Labels both matrices hold must name the same row or
+        cube (the offset labeling's guarantee)."""
+        for c in sorted(col_labels):
+            cube = other.cols.get(c)
             if cube is None:
                 continue
-            out.cols[c] = cube
-            out.col_of_cube[cube] = c
-            out.by_col[c] = set()
-            for r in sorted(self.by_col[c]):
-                info = self.rows[r]
-                if r not in out.rows:
-                    out.add_row(r, info.node, info.cokernel)
-                cell = out.entries[(r, c)] = self.entries[(r, c)]
-                out.by_row[r].add(c)
-                out.by_col[c].add(r)
-                if r in self.overlap_rows and len(cell) != len(info.cokernel) + len(cube):
-                    out.overlap_rows[r] = out.overlap_rows.get(r, 0) + 1
+            self.ensure_col(cube, lambda: c)
+            for r in sorted(other.rows_of_col(c)):
+                if r not in self.rows:
+                    info = other.rows[r]
+                    self.add_row(r, info.node, info.cokernel)
+                self.add_entry(r, c)
+
+    def submatrix_columns(self, col_labels: Iterable[int]) -> "KCMatrix":
+        """Restriction to a set of columns (all rows with entries kept),
+        in O(entries kept)."""
+        out = KCMatrix()
+        out.take_columns(self, set(col_labels))
         if _audit.enabled():
             _audit.audit_kcmatrix(out)
-        out._touch()
         return out
 
     def merge(self, other: "KCMatrix") -> None:
@@ -377,9 +394,7 @@ class KCMatrix:
 
         Labels shared by both must agree on their row/column identity —
         this is exactly the guarantee the offset labeling provides.
-        Drops the bitset index: a splice rewrites most of the matrix.
         """
-        self._touch()
         for label, info in other.rows.items():
             mine = self.rows.get(label)
             if mine is None:
@@ -388,19 +403,14 @@ class KCMatrix:
                 raise ValueError(f"row label clash at {label}: {mine} vs {info}")
         for label, cube in other.cols.items():
             mine = self.cols.get(label)
-            if mine is None:
-                if cube in self.col_of_cube:
-                    raise ValueError(
-                        f"cube {cube} already labeled {self.col_of_cube[cube]}, "
-                        f"incoming label {label}"
-                    )
-                self.cols[label] = cube
-                self.col_of_cube[cube] = label
-                self.by_col[label] = set()
-            elif mine != cube:
+            if mine is None and cube in self.col_of_cube:
+                raise ValueError(
+                    f"cube {cube} already labeled {self.col_of_cube[cube]}, "
+                    f"incoming label {label}"
+                )
+            if mine is not None and mine != cube:
                 raise ValueError(f"column label clash at {label}")
-        for (r, c) in other.entries.keys():
-            self.add_entry(r, c)
+        self.take_columns(other, other.cols)
         if _audit.enabled():
             _audit.audit_kcmatrix(self)
 
@@ -469,11 +479,9 @@ def build_kc_matrix(
         for kern in ks:
             row = row_alloc()
             mat.add_row(row, node, kern.cokernel)
-            for kc in kern.expression:
-                col = mat.ensure_col(kc, col_alloc)
-                mat.add_entry(row, col)
-                if meter is not None:
-                    meter.charge("kc_entry", 1)
+            mat.add_entries(row, [mat.ensure_col(kc, col_alloc) for kc in kern.expression])
+            if meter is not None:
+                meter.charge("kc_entry", len(kern.expression))
     return mat
 
 
@@ -503,7 +511,7 @@ class IncrementalKCMatrix:
       rows holding the cube, of ``row label << INDEX_BITS | position of
       the cube in that row's kernel expression``.  Each column keeps the
       set of its occurrence keys; when the minimum moves the column is
-      relabelled (:meth:`KCMatrix.relabel_col`, O(column degree)).
+      relabelled (:meth:`KCMatrix.relabel_col`, O(1)).
 
     With an *owner* map (node → processor id) the labels sort like
     ``build_kc_matrix(..., owner=owner)``, whose per-owner allocators
@@ -522,8 +530,7 @@ class IncrementalKCMatrix:
     their new index's label when it shifts), and only new kernels get
     new rows.  :attr:`churn` counts the rows the last build or patch
     kept, added and removed.  A name longer than the encoding width
-    triggers one rebuild at a wider width.  The matrix's live bitset
-    index (:meth:`KCMatrix.bitview`) follows every patch.
+    triggers one rebuild at a wider width.
     """
 
     def __init__(
@@ -592,6 +599,7 @@ class IncrementalKCMatrix:
             if len(kern.expression) >= _INDEX_LIMIT:
                 raise OverflowError(f"node {node!r} has a kernel too large to label")
             rkey = rk << INDEX_BITS
+            cols = []
             for idx, kc in enumerate(kern.expression):
                 key = rkey | idx
                 col = col_of_cube.get(kc)
@@ -605,7 +613,8 @@ class IncrementalKCMatrix:
                         label = col_prefix | key
                         mat.relabel_col(col, label)
                         col = label
-                mat.add_entry(row, col)
+                cols.append(col)
+            mat.add_entries(row, cols)
 
     def _remove_rows(
         self, node: str, ks: List[Kernel], indices: Iterable[int], touched: Set[Cube]

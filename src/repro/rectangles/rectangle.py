@@ -17,10 +17,12 @@ mechanism); the default values a cube at its literal count.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, Optional, Set, Tuple
 
 from repro.algebra.cube import Cube
-from repro.rectangles.kcmatrix import CubeRef, KCMatrix
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.rectangles.kcmatrix import CubeRef, KCMatrix
 
 ValueFn = Callable[[str, Cube], int]
 
@@ -48,7 +50,7 @@ class Rectangle:
     def is_valid(self, matrix: KCMatrix) -> bool:
         """Every (row, col) cell must hold an entry."""
         return all(
-            (r, c) in matrix.entries for r in self.rows for c in self.cols
+            matrix.has_entry(r, c) for r in self.rows for c in self.cols
         )
 
 

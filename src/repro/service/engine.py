@@ -21,9 +21,10 @@ activity feeds one :class:`~repro.obs.metrics.MetricsRegistry`.
 
 from __future__ import annotations
 
+import inspect
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Tuple
 
 from repro import obs as _obs
 from repro.network.boolean_network import BooleanNetwork
@@ -36,7 +37,24 @@ __all__ = [
     "SequentialRun",
     "BatchReport",
     "FactorizationEngine",
+    "runner_params",
 ]
+
+#: Runner arguments the engine fills in from the job itself.
+_ENGINE_ARGS = frozenset({"network", "nprocs", "searcher", "budget"})
+
+
+def runner_params(algorithm: str) -> Tuple[str, ...]:
+    """The ``params`` keys a job of *algorithm* may carry: the keyword
+    parameters of the function it runs, minus those the engine fills in
+    from the job (the baseline runner reads only ``max_seeds``)."""
+    if algorithm == "baseline":
+        return ("max_seeds",)
+    from repro import parallel
+
+    fn = kernel_extract if algorithm == "sequential" else getattr(
+        parallel, f"{algorithm}_kernel_extract")
+    return tuple(sorted(set(inspect.signature(fn).parameters) - _ENGINE_ARGS))
 
 
 @dataclass

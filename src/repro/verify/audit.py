@@ -1,11 +1,12 @@
 """Opt-in invariant audits (sanitizer-style, ``REPRO_CHECK=1``).
 
-The rectangle searches and the speculative cube-state protocol maintain
-redundant indexes for speed: ``KCMatrix`` keeps ``entries``/``by_row``/
-``by_col``/``node_rows``/``col_of_cube``/``overlap_rows`` in lockstep,
-patches a live bitset index of the whole structure
-(:class:`~repro.rectangles.bitview.LiveBitIndex`), compiles a sorted
-one for the exhaustive search
+The rectangle searches and the speculative cube-state protocol keep
+packed, incrementally patched structures for speed: ``KCMatrix`` keeps
+its cells in one live bitset store
+(:class:`~repro.rectangles.bitview.LiveBitIndex`: slot labels, row and
+column masks, a cell table of entry ids) behind label maps
+(``rows``/``cols``/``col_of_cube``/``node_rows``/``overlap_rows``),
+compiles a sorted copy for the exhaustive search
 (:class:`~repro.rectangles.bitview.BitKCView`), and
 :class:`~repro.parallel.cubestate.CubeStateStore` tracks per-cube
 claims that must never double-cover.  A bug in any of that
@@ -18,13 +19,17 @@ enabled process-wide by ``REPRO_CHECK=1`` in the environment (read once,
 lazily) or :func:`set_audits` from code.  When enabled:
 
 - every :class:`KCMatrix` mutator validates the delta it just applied
-  (O(delta), not O(matrix)),
+  (O(delta), plus a sweep of the freed slots after a removal),
 - splice-style bulk operations (``merge``, ``submatrix_columns``)
-  validate the full structure,
-- every ``KCMatrix.bitview()`` call checks the patched live index (its
-  seed potentials included), and every sorted compilation checks
-  itself, against the matrix dicts (sparse/bitview parity); a live
-  index bound to a value source (the L-shaped cube-state view) has its
+  validate the full structure (:func:`audit_kcmatrix`: the row and
+  column masks are transposes, the cell table matches both masks,
+  every cell's cube is its co-kernel ∪ column cube, free slots are
+  empty, the label maps invert the slots, and ``overlap_rows`` matches
+  a recount),
+- every ``KCMatrix.bitview()`` call runs that full check on the live
+  store (its seed potentials included), and every sorted compilation
+  is checked against the store it was compiled from; a live index
+  bound to a value source (the L-shaped cube-state view) has its
   patched value table checked against an uncharged recompute of every
   cell, so every L-shaped search checks the table it reads,
 - every ping-pong seed ascent replayed from the live index's records is
@@ -43,8 +48,9 @@ Violations raise :class:`InvariantViolation` with a message naming the
 index that disagreed.  The fuzz driver (:mod:`repro.verify.fuzz`) runs
 with audits on under ``repro fuzz --check``.
 
-This module must stay import-light (``os`` plus :mod:`repro.algebra`):
-it is imported by :mod:`repro.rectangles.kcmatrix` at module load.
+This module must stay import-light (``os``, :mod:`repro.algebra` and
+the bitset helpers): it is imported by
+:mod:`repro.rectangles.kcmatrix` at module load.
 """
 
 from __future__ import annotations
@@ -53,13 +59,7 @@ import os
 from typing import TYPE_CHECKING, Tuple
 
 from repro.algebra.cube import cube_union
-
-
-def _popcount(mask: int) -> int:
-    return bin(mask).count("1")
-
-
-popcount = getattr(int, "bit_count", None) or _popcount
+from repro.rectangles.bitview import iter_bits, popcount
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.parallel.cubestate import CubeRecord, CubeRef, CubeStateStore
@@ -97,141 +97,178 @@ def _fail(msg: str) -> None:
 # KCMatrix: incremental (per-mutation) checks
 # ----------------------------------------------------------------------
 
+def _audit_label(kind: str, labels: dict, pos: dict, slots: list, label: int) -> int:
+    """*label* is in the matrix's *labels* map and at its store slot;
+    returns the slot."""
+    slot = pos.get(label)
+    if label not in labels or slot is None or slots[slot] != label:
+        _fail(f"{kind} {label} missing from the matrix or the store")
+    return slot
+
+
+def _audit_gone(kind: str, labels: dict, pos: dict, label: int) -> None:
+    if label in labels or label in pos:
+        _fail(f"{kind} {label} survives in the matrix or the store")
+
+
+def _audit_cube(mat: "KCMatrix", row: int, col: int) -> None:
+    """The cell (*row*, *col*) holds the row's co-kernel ∪ the column's
+    cube, and both masks carry it."""
+    live = mat._live
+    rslot = live.row_pos[row]
+    cslot = live.col_pos[col]
+    eid = live.cells[rslot].get(cslot)
+    if eid is None:
+        _fail(f"entry ({row}, {col}) missing")
+    if not (live.row_cols[rslot] >> cslot) & 1 or not (live.col_rows[cslot] >> rslot) & 1:
+        _fail(f"entry ({row}, {col}) missing from a mask")
+    expect = cube_union(mat.rows[row].cokernel, mat.cols[col])
+    if live.entry_cubes[eid] != expect:
+        _fail(f"entry ({row}, {col}) cube {live.entry_cubes[eid]} != {expect}")
+
+
+def _audit_free_slots(live) -> None:
+    """Free slots hold nothing: no cell and no bit in any mask, and free
+    entry ids no cube."""
+    free_rows = free_cols = 0
+    for i, lab in enumerate(live.row_labels):
+        if lab is None:
+            free_rows |= 1 << i
+            if live.cells[i] or live.row_cols[i]:
+                _fail(f"free row slot {i} still holds cells")
+    for j, lab in enumerate(live.col_labels):
+        if lab is None:
+            free_cols |= 1 << j
+    if any(mask & free_rows for mask in live.col_rows):
+        _fail("a column mask still lists a freed row slot")
+    if any(mask & free_cols for mask in live.row_cols):
+        _fail("a row mask still lists a freed column slot")
+    if any(live.entry_cubes[eid] is not None for eid in live._free_eids):
+        _fail("a free entry id still holds a cube")
+
+
 def audit_row_added(mat: "KCMatrix", label: int) -> None:
-    """Post-condition of ``add_row``: indexes agree on the new row."""
-    info = mat.rows.get(label)
-    if info is None:
-        _fail(f"add_row({label}): row missing from rows")
-    if mat.by_row.get(label) != set():
-        _fail(f"add_row({label}): by_row not initialized empty")
+    """Post-condition of ``add_row``: an empty row, indexed by node."""
+    live = mat._live
+    slot = _audit_label("row", mat.rows, live.row_pos, live.row_labels, label)
+    info = mat.rows[label]
+    if live.cells[slot] or live.row_cols[slot]:
+        _fail(f"add_row({label}): the row's slot is not empty")
     if label not in mat.node_rows.get(info.node, ()):
         _fail(f"add_row({label}): node_rows[{info.node!r}] missing the row")
 
 
 def audit_col_added(mat: "KCMatrix", label: int) -> None:
-    """Post-condition of ``ensure_col``: cols/col_of_cube/by_col agree."""
-    cube = mat.cols.get(label)
-    if cube is None:
-        _fail(f"ensure_col({label}): column missing from cols")
-    if mat.col_of_cube.get(cube) != label:
+    """Post-condition of ``ensure_col``: an empty column, inverse-mapped."""
+    live = mat._live
+    slot = _audit_label("column", mat.cols, live.col_pos, live.col_labels, label)
+    if mat.col_of_cube.get(mat.cols[label]) != label:
         _fail(f"ensure_col({label}): col_of_cube inverse disagrees")
-    if label not in mat.by_col:
-        _fail(f"ensure_col({label}): by_col not initialized")
+    if live.col_rows[slot]:
+        _fail(f"ensure_col({label}): the column's slot is not empty")
 
 
 def audit_entry_added(mat: "KCMatrix", row: int, col: int) -> None:
-    """Post-condition of ``add_entry``: cell, adjacency and cube agree."""
-    cube = mat.entries.get((row, col))
-    if cube is None:
-        _fail(f"add_entry({row}, {col}): entry missing")
-    if col not in mat.by_row.get(row, ()):
-        _fail(f"add_entry({row}, {col}): by_row adjacency missing")
-    if row not in mat.by_col.get(col, ()):
-        _fail(f"add_entry({row}, {col}): by_col adjacency missing")
-    expect = cube_union(mat.rows[row].cokernel, mat.cols[col])
-    if cube != expect:
-        _fail(
-            f"add_entry({row}, {col}): entry cube {cube} != "
-            f"cokernel ∪ kernel-cube {expect}"
-        )
+    """Post-condition of ``add_entry``: cell, both masks and cube agree."""
+    _audit_cube(mat, row, col)
 
 
 def audit_row_removed(mat: "KCMatrix", label: int) -> None:
-    """Post-condition of ``remove_row``: no index still references it."""
-    if label in mat.rows or label in mat.by_row:
-        _fail(f"remove_row({label}): row survives in rows/by_row")
+    """Post-condition of ``remove_row``: nothing still references it."""
+    _audit_gone("row", mat.rows, mat._live.row_pos, label)
     for node, rows in mat.node_rows.items():
         if label in rows:
             _fail(f"remove_row({label}): node_rows[{node!r}] still lists it")
         if not rows:
             _fail(f"remove_row({label}): empty node_rows[{node!r}] kept")
-    for rows in mat.by_col.values():
-        if label in rows:
-            _fail(f"remove_row({label}): by_col still lists the row")
+    _audit_free_slots(mat._live)
 
 
 def audit_col_removed(mat: "KCMatrix", label: int) -> None:
-    """Post-condition of ``remove_col``: no index still references it."""
-    if label in mat.cols or label in mat.by_col:
-        _fail(f"remove_col({label}): column survives in cols/by_col")
+    """Post-condition of ``remove_col``: nothing still references it."""
+    _audit_gone("column", mat.cols, mat._live.col_pos, label)
     if label in mat.col_of_cube.values():
         _fail(f"remove_col({label}): col_of_cube still maps to it")
-    for cols in mat.by_row.values():
-        if label in cols:
-            _fail(f"remove_col({label}): by_row still lists the column")
+    _audit_free_slots(mat._live)
 
 
 def audit_col_relabeled(mat: "KCMatrix", old: int, new: int) -> None:
-    """Post-condition of ``relabel_col``: every index moved, O(degree)."""
-    if old in mat.cols or old in mat.by_col:
-        _fail(f"relabel_col({old}, {new}): old label survives in cols/by_col")
-    cube = mat.cols.get(new)
-    if cube is None or new not in mat.by_col:
-        _fail(f"relabel_col({old}, {new}): column missing under the new label")
-    if mat.col_of_cube.get(cube) != new:
+    """Post-condition of ``relabel_col``: the label moved, the cells
+    stayed (O(degree))."""
+    live = mat._live
+    _audit_gone("column", mat.cols, live.col_pos, old)
+    slot = _audit_label("column", mat.cols, live.col_pos, live.col_labels, new)
+    if mat.col_of_cube.get(mat.cols[new]) != new:
         _fail(f"relabel_col({old}, {new}): col_of_cube inverse disagrees")
-    for row in mat.by_col[new]:
-        if (row, old) in mat.entries or old in mat.by_row[row]:
-            _fail(f"relabel_col({old}, {new}): row {row} still references old")
-        if new not in mat.by_row[row]:
-            _fail(f"relabel_col({old}, {new}): by_row[{row}] misses new label")
-        expect = cube_union(mat.rows[row].cokernel, cube)
-        if mat.entries.get((row, new)) != expect:
-            _fail(f"relabel_col({old}, {new}): entry ({row}, {new}) cube wrong")
+    for rslot in iter_bits(live.col_rows[slot]):
+        _audit_cube(mat, live.row_labels[rslot], new)
 
 
 def audit_row_relabeled(mat: "KCMatrix", old: int, new: int) -> None:
-    """Post-condition of ``relabel_row``: every index moved, O(degree)."""
-    if old in mat.rows or old in mat.by_row or old in mat.overlap_rows:
-        _fail(f"relabel_row({old}, {new}): old label survives in rows/by_row/overlap_rows")
-    info = mat.rows.get(new)
-    if info is None or new not in mat.by_row:
-        _fail(f"relabel_row({old}, {new}): row missing under the new label")
-    rows = mat.node_rows.get(info.node, ())
+    """Post-condition of ``relabel_row``: the label moved, the cells
+    stayed (O(degree))."""
+    live = mat._live
+    _audit_gone("row", mat.rows, live.row_pos, old)
+    if old in mat.overlap_rows:
+        _fail(f"relabel_row({old}, {new}): overlap_rows keeps the old label")
+    slot = _audit_label("row", mat.rows, live.row_pos, live.row_labels, new)
+    rows = mat.node_rows.get(mat.rows[new].node, ())
     if old in rows or new not in rows:
-        _fail(f"relabel_row({old}, {new}): node_rows[{info.node!r}] not moved")
-    for col in mat.by_row[new]:
-        if (old, col) in mat.entries or old in mat.by_col[col]:
-            _fail(f"relabel_row({old}, {new}): column {col} still references old")
-        if new not in mat.by_col[col]:
-            _fail(f"relabel_row({old}, {new}): by_col[{col}] misses new label")
-        expect = cube_union(info.cokernel, mat.cols[col])
-        if mat.entries.get((new, col)) != expect:
-            _fail(f"relabel_row({old}, {new}): entry ({new}, {col}) cube wrong")
+        _fail(f"relabel_row({old}, {new}): node_rows not moved")
+    for cslot in live.cells[slot]:
+        _audit_cube(mat, new, live.col_labels[cslot])
 
 
 # ----------------------------------------------------------------------
 # KCMatrix: full-structure check
 # ----------------------------------------------------------------------
 
+def _audit_cells(view, kind: str) -> None:
+    """A bitset form's cell table and masks agree: the row and column
+    masks are transposes, each row's cells are exactly its mask's bits,
+    and no two cells share an entry id."""
+    col_rows = [0] * len(view.col_rows)
+    for i, mask in enumerate(view.row_cols):
+        for j in iter_bits(mask):
+            col_rows[j] |= 1 << i
+        if set(view.cells[i]) != set(iter_bits(mask)):
+            _fail(f"{kind}: the cell table disagrees with row slot {i}'s mask")
+    if col_rows != list(view.col_rows):
+        _fail(f"{kind}: row and column adjacency masks are not transposes")
+    eids = {eid for rcells in view.cells for eid in rcells.values()}
+    if len(eids) != sum(map(len, view.cells)) or len(eids) != view.num_entries:
+        _fail(f"{kind}: cells share an entry id or miscount num_entries")
+
+
 def audit_kcmatrix(mat: "KCMatrix") -> None:
-    """Full consistency of ``entries`` vs ``by_row``/``by_col`` vs
-    ``node_rows`` vs ``col_of_cube`` (O(rows + cols + entries))."""
-    if set(mat.by_row) != set(mat.rows):
-        _fail("by_row keys != rows keys")
-    if set(mat.by_col) != set(mat.cols):
-        _fail("by_col keys != cols keys")
-    # entries ⊆ rows × cols, adjacency closed both ways, cubes correct.
-    n_adj = 0
-    for (r, c), cube in mat.entries.items():
-        if r not in mat.rows:
-            _fail(f"entry ({r}, {c}) references unknown row")
-        if c not in mat.cols:
-            _fail(f"entry ({r}, {c}) references unknown column")
-        if c not in mat.by_row[r] or r not in mat.by_col[c]:
-            _fail(f"entry ({r}, {c}) missing from adjacency")
-        expect = cube_union(mat.rows[r].cokernel, mat.cols[c])
+    """Full consistency of the one store and its label maps
+    (O(rows + cols + entries))."""
+    live = mat._live
+    _audit_slots("row", live.row_labels, live.row_pos, mat.rows, False)
+    _audit_slots("col", live.col_labels, live.col_pos, mat.cols, False)
+    _audit_free_slots(live)
+    _audit_cells(live, "store")
+    for lab, i in live.row_pos.items():
+        info = mat.rows[lab]
+        if (live.row_cost[i] != len(info.cokernel) + 1
+                or live.node_names[live.row_node[i]] != info.node):
+            _fail(f"store row {lab} carries the wrong cost or node")
+    for lab, j in live.col_pos.items():
+        if live.col_cost[j] != len(mat.cols[lab]):
+            _fail(f"store col_cost[{lab}] disagrees with kernel-cube size")
+    # Every cell's cube is its row's co-kernel ∪ its column's cube, and
+    # overlap_rows counts each row's cells where the two overlap (the
+    # only rows that can repeat a cube).
+    expect_overlap: dict = {}
+    for (r, c), cube in mat.cells().items():
+        cokernel = mat.rows[r].cokernel
+        expect = cube_union(cokernel, mat.cols[c])
         if cube != expect:
             _fail(f"entry ({r}, {c}) cube {cube} != {expect}")
-    for r, cols in mat.by_row.items():
-        n_adj += len(cols)
-        for c in cols:
-            if (r, c) not in mat.entries:
-                _fail(f"by_row lists ({r}, {c}) with no entry")
-    if n_adj != len(mat.entries):
-        _fail("by_row adjacency count != entry count")
-    if sum(len(rows) for rows in mat.by_col.values()) != len(mat.entries):
-        _fail("by_col adjacency count != entry count")
+        if len(cube) != len(cokernel) + len(mat.cols[c]):
+            expect_overlap[r] = expect_overlap.get(r, 0) + 1
+    if mat.overlap_rows != expect_overlap:
+        _fail("overlap_rows counts disagree with a recount of the cells")
     # col_of_cube is the exact inverse of cols.
     if len(mat.col_of_cube) != len(mat.cols):
         _fail("col_of_cube size != cols size")
@@ -244,14 +281,6 @@ def audit_kcmatrix(mat: "KCMatrix") -> None:
         expect_nodes.setdefault(info.node, set()).add(label)
     if mat.node_rows != expect_nodes:
         _fail("node_rows index disagrees with rows")
-    # overlap_rows counts each row's cells whose column cube overlaps
-    # the co-kernel (the only rows that can repeat a cube).
-    expect_overlap: dict = {}
-    for (r, c), cube in mat.entries.items():
-        if len(cube) != len(mat.rows[r].cokernel) + len(mat.cols[c]):
-            expect_overlap[r] = expect_overlap.get(r, 0) + 1
-    if mat.overlap_rows != expect_overlap:
-        _fail("overlap_rows counts disagree with entries")
 
 
 def kc_order_form(mat: "KCMatrix") -> Tuple[list, list, list]:
@@ -270,7 +299,7 @@ def kc_order_form(mat: "KCMatrix") -> Tuple[list, list, list]:
     rows = [(mat.rows[lab].node, mat.rows[lab].cokernel) for lab in row_labels]
     cols = [mat.cols[lab] for lab in col_labels]
     cells = sorted(
-        (row_pos[r], col_pos[c], cube) for (r, c), cube in mat.entries.items()
+        (row_pos[r], col_pos[c], cube) for (r, c), cube in mat.cells().items()
     )
     return rows, cols, cells
 
@@ -324,63 +353,34 @@ def _audit_potentials(view, values: list) -> None:
 
 
 def audit_bitview(mat: "KCMatrix", view) -> None:
-    """Sparse/bitview parity: the bitset form mirrors the matrix.
+    """A bitset form is consistent with the matrix's one store.
 
-    Holds for both forms: the sorted compilation (positions must also be
-    in sorted-label order) and the live slot index (free slots must be
-    empty, the default value table must match every live cell, and a
-    materialized ``row_pot`` must equal a full recompute of the seed
-    potentials).
+    For the live index (the store itself) this is :func:`audit_kcmatrix`
+    plus its maintained value table and, once materialized, its seed
+    potentials against a full recompute.  A sorted compilation must
+    hold its cells consistently, list the store's labels in sorted
+    order, and read back, by label, the store's cells and costs.
     """
-    _audit_slots("row", view.row_labels, view.row_pos, mat.rows, view.ORDERED)
-    _audit_slots("col", view.col_labels, view.col_pos, mat.cols, view.ORDERED)
-    if view.num_entries != mat.num_entries:
-        _fail(
-            f"bitview has {view.num_entries} cells, "
-            f"matrix has {mat.num_entries} entries"
-        )
-    n_cells = sum(len(rcells) for rcells in view.cells)
-    if n_cells != mat.num_entries:
-        _fail(f"bitview has {n_cells} cells, matrix has {mat.num_entries} entries")
-    eids = set()
-    for (r, c), cube in mat.entries.items():
-        i = view.row_pos.get(r)
-        j = view.col_pos.get(c)
-        if i is None or j is None:
-            _fail(f"bitview lost entry ({r}, {c})")
-        eid = view.cells[i].get(j)
-        if eid is None:
-            _fail(f"bitview has no cell for entry ({r}, {c})")
-        eids.add(eid)
-        if view.entry_cubes[eid] != cube:
-            _fail(f"bitview cell ({r}, {c}) cube disagrees with sparse entry")
-        if not (view.row_cols[i] >> j) & 1:
-            _fail(f"bitview row mask misses ({r}, {c})")
-        if not (view.col_rows[j] >> i) & 1:
-            _fail(f"bitview col mask misses ({r}, {c})")
-    if len(eids) != mat.num_entries:
-        _fail("bitview cells share an entry id")
-    for i, mask in enumerate(view.row_cols):
-        if popcount(mask) != len(view.cells[i]):
-            _fail(f"bitview row mask popcount disagrees at row slot {i}")
-    if sum(popcount(mask) for mask in view.col_rows) != mat.num_entries:
-        _fail("bitview col mask popcounts disagree with the entry count")
-    for i, lab in enumerate(view.row_labels):
-        if lab is None:
-            continue
-        info = mat.rows[lab]
-        if view.row_cost[i] != len(info.cokernel) + 1:
-            _fail(f"bitview row_cost[{lab}] disagrees with cokernel size")
-        if view.node_names[view.row_node[i]] != info.node:
-            _fail(f"bitview row {lab} carries the wrong node")
-    for j, lab in enumerate(view.col_labels):
-        if lab is not None and view.col_cost[j] != len(mat.cols[lab]):
-            _fail(f"bitview col_cost[{lab}] disagrees with kernel-cube size")
-    if not view.ORDERED:
+    live = mat._live
+    if view is live:
+        audit_kcmatrix(mat)
         values = view.value_table(view.value_source)
         _audit_value_table(view, values)
         if view.row_pot is not None:
             _audit_potentials(view, values)
+        return
+    _audit_slots("row", view.row_labels, view.row_pos, mat.rows, True)
+    _audit_slots("col", view.col_labels, view.col_pos, mat.cols, True)
+    _audit_cells(view, "sorted compilation")
+    for i, lab in enumerate(view.row_labels):
+        slot = live.row_pos[lab]
+        got = {view.col_labels[j]: view.entry_cubes[eid] for j, eid in view.cells[i].items()}
+        want = {live.col_labels[j]: live.entry_cubes[eid] for j, eid in live.cells[slot].items()}
+        if got != want or view.row_cost[i] != live.row_cost[slot] or (
+                view.row_node[i] != live.row_node[slot]):
+            _fail(f"sorted compilation row {lab} disagrees with the store")
+    if view.col_cost != [live.col_cost[live.col_pos[lab]] for lab in view.col_labels]:
+        _fail("sorted compilation col_cost disagrees with the store")
 
 
 def _audit_value_table(view, values: list) -> None:

@@ -53,7 +53,7 @@ def _copy(mat: KCMatrix, rows=None) -> KCMatrix:
         info = mat.rows[r]
         out.add_row(r, info.node, info.cokernel)
     for r in keep:
-        for c in sorted(mat.by_row[r]):
+        for c in sorted(mat.cols_of_row(r)):
             out.ensure_col(mat.cols[c], lambda c=c: c)
             out.add_entry(r, c)
     return out
@@ -107,7 +107,7 @@ def _random_sequence(seed, max_seeds):
     seed totals."""
     rng = random.Random(seed)
     full = _random_matrix(rng)
-    refs = sorted({full.cube_ref(r, c) for (r, c) in full.entries})
+    refs = sorted({full.cube_ref(r, c) for (r, c) in full.cells()})
     store = CubeStateStore()
     views = [CubeStateValues(store, pid) for pid in range(NPROCS)]
     # Overlapping row subsets: processors share rows, hence refs, as
@@ -146,7 +146,7 @@ def _mutate(mat: KCMatrix, full: KCMatrix, rng: random.Random) -> None:
             r = rng.choice(missing)
             info = full.rows[r]
             mat.add_row(r, info.node, info.cokernel)
-            for c in sorted(full.by_row[r]):
+            for c in sorted(full.cols_of_row(r)):
                 mat.ensure_col(full.cols[c], lambda c=c: c)
                 mat.add_entry(r, c)
     elif op == "remove_col" and mat.cols:
@@ -245,7 +245,7 @@ def test_detached_tables_take_no_patches():
     before = list(mat._live._values)
     store.detach()
     assert view.view is None
-    store.divide([mat.cube_ref(r, c) for (r, c) in mat.entries])
+    store.divide([mat.cube_ref(r, c) for (r, c) in mat.cells()])
     assert mat._live._values == before
 
 
@@ -263,7 +263,7 @@ def test_audit_rejects_a_corrupted_table():
     audit.set_audits(True)
     try:
         # An intact, patched table passes.
-        store.cover([mat.cube_ref(r, c) for (r, c) in sorted(mat.entries)[:3]], 1)
+        store.cover([mat.cube_ref(r, c) for (r, c) in sorted(mat.cells())[:3]], 1)
         mat.bitview()
         eid = next(iter(live.cells[live.row_pos[min(mat.rows)]].values()))
         live._values[eid] += 1

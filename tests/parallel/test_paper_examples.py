@@ -117,7 +117,7 @@ class TestExample51:
         f_rows = [r for r, i in m0.rows.items() if i.node == "F"]
         assert f_rows, "vertical leg missing"
         for r in f_rows:
-            assert all(c in setup.owned_cols[0] for c in m0.by_row[r])
+            assert all(c in setup.owned_cols[0] for c in m0.cols_of_row(r))
 
     def test_horizontal_slab_keeps_unowned_columns(self, eq1_network):
         """Proc 1 keeps its full slab: column f (owned by 0, global label 5)

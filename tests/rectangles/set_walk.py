@@ -6,9 +6,9 @@ pruning.  This module keeps that walk, the unpruned search ("v1") that
 :func:`repro.rectangles.search.best_rectangle_exhaustive` prunes: it
 visits the whole (prime) column-subset tree in preorder, spends the
 budget and charges the ``search_node`` meter once per node, and yields
-every profitable ``(rectangle, gain)``, from nothing but
-``KCMatrix.by_row`` / ``by_col`` / ``entries`` and
-:func:`~repro.rectangles.rectangle.rectangle_gain`.  It is the only
+every profitable ``(rectangle, gain)``, from nothing but the matrix's
+label-keyed cells (``KCMatrix.cells()``, read once into sets per row
+and column) and :func:`~repro.rectangles.rectangle.rectangle_gain`.  It is the only
 definition of the exhaustive tree's stream; the pruned search must pick
 its :func:`best_of` and never spend more nodes.
 """
@@ -27,23 +27,23 @@ from repro.rectangles.rectangle import (
 
 
 def _row_marginal(
-    matrix: KCMatrix, row: int, cols: Sequence[int], value_fn: ValueFn
+    matrix: KCMatrix, entries: dict, row: int, cols: Sequence[int], value_fn: ValueFn
 ) -> int:
     info = matrix.rows[row]
     total = 0
     for c in cols:
-        total += value_fn(info.node, matrix.entries[(row, c)])
+        total += value_fn(info.node, entries[(row, c)])
     return total - len(info.cokernel) - 1
 
 
 def _best_rows_for_cols(
-    matrix: KCMatrix, cols: Sequence[int], candidate_rows: Set[int],
+    matrix: KCMatrix, entries: dict, cols: Sequence[int], candidate_rows: Set[int],
     value_fn: ValueFn,
 ) -> Tuple[int, ...]:
     """Keep the rows with positive marginal, in label order."""
     return tuple(
         r for r in sorted(candidate_rows)
-        if _row_marginal(matrix, r, cols, value_fn) > 0
+        if _row_marginal(matrix, entries, r, cols, value_fn) > 0
     )
 
 
@@ -64,6 +64,12 @@ def set_walk(
     only prime (column-maximal for their rows) rectangles are yielded;
     under the default value function that keeps the best rectangle.
     """
+    entries = matrix.cells()
+    by_row: dict = {r: set() for r in matrix.rows}
+    by_col: dict = {c: set() for c in matrix.cols}
+    for r, c in entries:
+        by_row[r].add(c)
+        by_col[c].add(r)
 
     def explore(
         cols: List[int], rows: Set[int], last_col: int
@@ -77,20 +83,20 @@ def set_walk(
         in_cols = set(cols)
         candidates: Set[int] = set()
         for r in rows:
-            for c2 in matrix.by_row[r]:
+            for c2 in by_row[r]:
                 if c2 > last_col and c2 not in in_cols:
                     candidates.add(c2)
         branch: List[int] = []
         forced: List[int] = []
         for c2 in sorted(candidates):
-            rows2 = rows & matrix.by_col[c2]
+            rows2 = rows & by_col[c2]
             if prime_only and len(rows2) == len(rows):
                 forced.append(c2)
             else:
                 branch.append(c2)
         cols.extend(forced)
         if len(cols) >= min_cols:
-            chosen = _best_rows_for_cols(matrix, cols, rows, value_fn)
+            chosen = _best_rows_for_cols(matrix, entries, cols, rows, value_fn)
             if chosen:
                 rect = Rectangle(rows=chosen, cols=tuple(cols))
                 gain = rectangle_gain(matrix, rect, value_fn)
@@ -98,14 +104,14 @@ def set_walk(
                     yield rect, gain
         for c2 in branch:
             cols.append(c2)
-            yield from explore(cols, rows & matrix.by_col[c2], c2)
+            yield from explore(cols, rows & by_col[c2], c2)
             cols.pop()
         del cols[len(cols) - len(forced):]
 
     for c in sorted(matrix.cols):
         if anchor_filter is not None and not anchor_filter(c):
             continue
-        rows0 = set(matrix.by_col[c])
+        rows0 = set(by_col[c])
         if rows0:
             yield from explore([c], rows0, c)
 

@@ -238,7 +238,7 @@ def test_unchanged_matrix_replays_every_walked_anchor():
     mat = build_kc_matrix(make_circuit("misex3", scale=0.1))
     _assert_matches_scratch(mat)
     counters = _assert_matches_scratch(mat)
-    walked = sum(1 for c in mat.by_col.values() if c) - counters[
+    walked = sum(1 for c in mat.cols if mat.rows_of_col(c)) - counters[
         "rect_search_dominance_skips"
     ]
     assert counters[REPLAYED] == walked
@@ -331,21 +331,22 @@ def test_audit_rejects_a_corrupted_winner():
 
 MUTANTS = {
     "row: add_entry does not mark its row": (
-        KCMatrix, "add_entry", "self._dirty_rows.add(row)", "pass",
+        KCMatrix, "add_entries", "self._dirty_rows.add(rslot)", "pass",
     ),
     "column: remove_row does not mark its columns": (
         KCMatrix, "remove_row",
-        "self._dirty_cols.update(self.by_row.get(label, ()))", "pass",
+        "self._dirty_cols.update(map(live.col_labels.__getitem__, cols))", "pass",
     ),
     "column: remove_col does not mark its rows": (
         KCMatrix, "remove_col",
-        "self._dirty_rows.update(self.by_col.get(label, ()))", "pass",
+        "self._dirty_rows.update(iter_bits(rows))", "pass",
     ),
     "relabel: relabel_col does not mark its rows": (
-        KCMatrix, "relabel_col", "self._dirty_rows.update(rows)", "pass",
+        KCMatrix, "relabel_col",
+        "self._dirty_rows.update(iter_bits(live.col_rows[live.col_pos[old]]))", "pass",
     ),
     "relabel: relabel_row does not mark the row": (
-        KCMatrix, "relabel_row", "self._dirty_rows.add(new)", "pass",
+        KCMatrix, "relabel_row", "self._dirty_rows.add(live.row_pos[new])", "pass",
     ),
     "dominance bit: a recorded anchor skips the dominance test": (
         search, "_best_rectangle_bit_v2",

@@ -251,7 +251,7 @@ MUTANTS = {
         pingpong, "_replayable", "if mask != cand:", "if False:",
     ),
     "add_entry does not mark its row": (
-        LiveBitIndex, "add_entry", "self._dirty_rows.add(rslot)", "pass",
+        LiveBitIndex, "add_cells", "self._dirty_rows.add(rslot)", "pass",
     ),
     "relabel_col does not mark its column": (
         LiveBitIndex, "relabel_col", "self._dirty_cols.add(slot)", "pass",

@@ -19,7 +19,7 @@ import random
 
 import pytest
 
-from repro.algebra.cube import cube
+from repro.algebra.cube import cube, cube_union
 from repro.circuits.examples import (
     chain_network,
     paper_example_network,
@@ -150,8 +150,10 @@ class TestViewStructure:
         assert view.num_rows == mat.num_rows
         assert view.num_cols == mat.num_cols
         assert view.num_entries == mat.num_entries
-        # Round-trip: every sparse entry appears at its dense position.
-        for (r, c), cube_ in mat.entries.items():
+        # Round-trip: every label cell sits at its slots, holding the
+        # row's cokernel ∪ the column's cube.
+        for (r, c), cube_ in mat.cells().items():
+            assert cube_ == cube_union(mat.rows[r].cokernel, mat.cols[c])
             rpos = view.row_pos[r]
             cpos = view.col_pos[c]
             assert view.entry_cubes[view.cells[rpos][cpos]] == cube_

@@ -254,12 +254,12 @@ def test_relabel_col_moves_every_index():
     mat = build_kc_matrix(net)
     old = max(mat.cols)
     cube = mat.cols[old]
-    rows = set(mat.by_col[old])
+    rows = set(mat.rows_of_col(old))
     mat.relabel_col(old, old + 1000)
     assert mat.col_of_cube[cube] == old + 1000
-    assert mat.by_col[old + 1000] == rows
-    assert all((r, old + 1000) in mat.entries for r in rows)
-    assert all(old not in mat.by_row[r] for r in rows)
+    assert mat.rows_of_col(old + 1000) == rows
+    assert all(mat.has_entry(r, old + 1000) for r in rows)
+    assert all(old not in mat.cols_of_row(r) for r in rows)
     audit.audit_kcmatrix(mat)
     with pytest.raises(ValueError):
         mat.relabel_col(old + 1000, min(mat.cols))
@@ -301,7 +301,7 @@ def _check_patch(inc, state, owner=None):
     fresh = IncrementalKCMatrix(dict(state), owner=owner).matrix
     assert mat.rows == fresh.rows
     assert mat.cols == fresh.cols
-    assert mat.entries == fresh.entries
+    assert mat.cells() == fresh.cells()
     view = mat.bitview()
     assert label_form(view) == label_form(BitKCView(mat))
     assert view.potentials() == recomputed_potentials(view)

@@ -42,7 +42,7 @@ class TestBuild:
         mat = build_kc_matrix(eq1_network)
         # F: 7 kernels/cokernels, G: 5, H: 1 (ade+cde has kernel a+c @ de)
         assert mat.num_rows == 13
-        assert mat.num_entries == sum(len(mat.by_row[r]) for r in mat.rows)
+        assert mat.num_entries == sum(len(mat.cols_of_row(r)) for r in mat.rows)
 
     def test_rows_are_node_cokernel_pairs(self, eq1_network):
         mat = build_kc_matrix(eq1_network)
@@ -55,13 +55,13 @@ class TestBuild:
 
     def test_entry_is_cokernel_union_kernelcube(self, eq1_network):
         mat = build_kc_matrix(eq1_network)
-        for (r, c), cube in mat.entries.items():
+        for (r, c), cube in mat.cells().items():
             info = mat.rows[r]
             assert set(cube) == set(info.cokernel) | set(mat.cols[c])
 
     def test_entries_are_original_cubes(self, eq1_network):
         mat = build_kc_matrix(eq1_network)
-        for (r, c), cube in mat.entries.items():
+        for (r, c), cube in mat.cells().items():
             node = mat.rows[r].node
             assert cube in eq1_network.nodes[node]
 
@@ -95,12 +95,12 @@ class TestMutation:
     def test_remove_row_cleans_indexes(self, eq1_network):
         mat = build_kc_matrix(eq1_network)
         r = next(iter(mat.rows))
-        cols = set(mat.by_row[r])
+        cols = set(mat.cols_of_row(r))
         mat.remove_row(r)
         assert r not in mat.rows
         for c in cols:
-            assert r not in mat.by_col[c]
-            assert (r, c) not in mat.entries
+            assert r not in mat.rows_of_col(c)
+            assert not mat.has_entry(r, c)
 
     def test_remove_col_cleans_indexes(self, eq1_network):
         mat = build_kc_matrix(eq1_network)
@@ -152,8 +152,8 @@ class TestSubmatrixAndMerge:
         chosen = sorted(mat.cols)[:3]
         sub = mat.submatrix_columns(chosen)
         assert set(sub.cols) <= set(chosen)
-        for (r, c) in sub.entries:
-            assert (r, c) in mat.entries
+        for (r, c) in sub.cells():
+            assert mat.has_entry(r, c)
 
     def test_submatrix_drops_empty_rows(self, eq1_network):
         mat = build_kc_matrix(eq1_network)
@@ -187,7 +187,7 @@ class TestSubmatrixAndMerge:
         m1.add_entry(100_001, c1)
         m0.merge(m1)
         assert m0.num_cols == 1
-        assert len(m0.by_col[7]) == 2
+        assert len(m0.rows_of_col(7)) == 2
 
     def test_merge_conflicting_cube_label_rejected(self, eq1_network):
         # same cube under two labels must be rejected

@@ -50,12 +50,12 @@ def test_partitioned_build_matches_whole_build(seed):
 def test_adjacency_indexes_consistent(seed):
     net = tiny(seed)
     mat = build_kc_matrix(net)
-    for (r, c) in mat.entries:
-        assert c in mat.by_row[r]
-        assert r in mat.by_col[c]
-    for r, cols in mat.by_row.items():
-        for c in cols:
-            assert (r, c) in mat.entries
+    for (r, c) in mat.cells():
+        assert c in mat.cols_of_row(r)
+        assert r in mat.rows_of_col(c)
+    for r in mat.rows:
+        for c in mat.cols_of_row(r):
+            assert mat.has_entry(r, c)
     assert len(set(mat.cols.values())) == mat.num_cols
 
 
@@ -65,7 +65,7 @@ def test_entry_identity(seed):
     """entry(i,j) = cokernel_i ∪ kernelcube_j and is an original cube."""
     net = tiny(seed)
     mat = build_kc_matrix(net)
-    for (r, c), cube in mat.entries.items():
+    for (r, c), cube in mat.cells().items():
         info = mat.rows[r]
         assert set(cube) == set(info.cokernel) | set(mat.cols[c])
         assert cube in net.nodes[info.node]

@@ -129,16 +129,15 @@ def _mutate(mat: KCMatrix, rng: random.Random, next_label: List[int], ops=OPS) -
 def test_mutation_sequences_match_a_fresh_compile(seed):
     rng = random.Random(seed)
     mat = KCMatrix()
+    view = mat.bitview()  # the store, made with the matrix
     next_label = [0]
-    for _ in range(6):
-        _mutate(mat, rng, next_label)
-    view = mat.bitview()
-    peak_rows = mat.num_rows
-    peak_cols = mat.num_cols
-    for _ in range(80):
+    peak_rows = peak_cols = 0
+    for step in range(86):
         _mutate(mat, rng, next_label)
         peak_rows = max(peak_rows, mat.num_rows)
         peak_cols = max(peak_cols, mat.num_cols)
+        if step < 6:
+            continue
         assert mat.bitview() is view
         assert label_form(view) == label_form(BitKCView(mat))
         audit.audit_bitview(mat, view)
@@ -199,12 +198,12 @@ def test_relabel_row_moves_every_index():
     old = min(mat.rows)
     slot = view.row_pos[old]
     info = mat.rows[old]
-    cols = set(mat.by_row[old])
+    cols = set(mat.cols_of_row(old))
     mat.relabel_row(old, old + 10_000)
     assert mat.rows[old + 10_000] == info
-    assert mat.by_row[old + 10_000] == cols
-    assert all((old + 10_000, c) in mat.entries for c in cols)
-    assert all(old not in mat.by_col[c] for c in cols)
+    assert mat.cols_of_row(old + 10_000) == cols
+    assert all(mat.has_entry(old + 10_000, c) for c in cols)
+    assert all(old not in mat.rows_of_col(c) for c in cols)
     assert old + 10_000 in mat.node_rows[info.node]
     assert view.row_pos[old + 10_000] == slot and old not in view.row_pos
     audit.audit_kcmatrix(mat)
@@ -258,9 +257,21 @@ def _covered(net_factory, mutate):
     best = pingpong.best_rectangle_pingpong(mat)
     assert best is not None and mat._live is view
     apply_rectangle(net, mat, best[0], gain=best[1])
-    mat._touch()  # no bitset form left: the sparse entry map answers
-    apply_rectangle(sparse, mat, best[0], gain=best[1])
+    # A replica under the same labels, stored without slot history.
+    apply_rectangle(sparse, _replica(mat), best[0], gain=best[1])
     return write_eqn(net), write_eqn(sparse)
+
+
+def _replica(mat: KCMatrix) -> KCMatrix:
+    """*mat*'s rows, columns and cells, added afresh in label order."""
+    out = KCMatrix()
+    for lab in sorted(mat.rows):
+        out.add_row(lab, mat.rows[lab].node, mat.rows[lab].cokernel)
+    for lab in sorted(mat.cols):
+        out.ensure_col(mat.cols[lab], lambda: lab)
+    for r, c in sorted(mat.cells()):
+        out.add_entry(r, c)
+    return out
 
 
 def _relabel_every_col(mat):
@@ -271,7 +282,7 @@ def _relabel_every_col(mat):
 def _reuse_a_slot(mat):
     lab = min(mat.rows)
     info = mat.rows[lab]
-    cols = sorted(mat.by_row[lab])
+    cols = sorted(mat.cols_of_row(lab))
     mat.remove_row(lab)
     mat.add_row(lab + 10_000, info.node, info.cokernel)
     for c in cols:

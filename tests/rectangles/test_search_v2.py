@@ -73,7 +73,7 @@ def dup_rows_matrix(seed: int) -> KCMatrix:
         node = mat.rows[r].node
         cok = cube(rng.sample(range(1, 9), rng.randint(1, 2)))
         mat.add_row(next_row, node, cok)
-        for c in sorted(mat.by_row[r]):
+        for c in sorted(mat.cols_of_row(r)):
             mat.add_entry(next_row, c)
         next_row += 1
     return mat

@@ -237,6 +237,31 @@ class TestBatchCommand:
         assert not result["degraded"]
         assert result["error"].startswith("BudgetExceeded")
 
+    @pytest.mark.parametrize("line, bad", [
+        ("example sequential max_seed=4", "max_seed"),
+        ("example sequential deadline=5", "deadline"),
+        ("dalu lshaped procs=2 scale=0.03 max_round=4", "max_round"),
+    ])
+    def test_unknown_manifest_key_rejected_at_parse_time(self, tmp_path, line, bad):
+        manifest = tmp_path / "batch.txt"
+        manifest.write_text(line + "\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["batch", str(manifest)])
+        message = str(exc.value.code)
+        assert f"unknown key(s) {bad} " in message
+        # The message names the valid keys, runner parameters included.
+        assert "valid keys:" in message and "node_budget" in message
+        assert ("max_seeds" if "sequential" in line else "max_rounds") in message
+
+    def test_runner_parameter_in_manifest_runs(self, tmp_path, capsys):
+        manifest = tmp_path / "batch.txt"
+        manifest.write_text(
+            "example sequential max_seeds=4\n"
+            "dalu lshaped procs=2 scale=0.03 max_rounds=4\n"
+        )
+        assert main(["batch", str(manifest)]) == 0
+        assert "2/2 done" in capsys.readouterr().out
+
     def test_example_manifest_parses(self):
         import json
         import pathlib

@@ -51,7 +51,7 @@ class TestGating:
         set_audits(False)
         try:
             mat = _small_matrix()
-            mat.by_col.clear()  # massive corruption
+            mat._live.col_rows[:] = [0] * len(mat._live.col_rows)  # massive corruption
             mat.add_row(9, "H", ())  # mutator runs its audit only if enabled
         finally:
             set_audits(prev)
@@ -71,13 +71,11 @@ class TestKCMatrixAudits:
     @pytest.mark.parametrize(
         "corrupt, msg",
         [
-            (lambda m: m.by_col[next(iter(m.by_col))].clear(),
-             "adjacency"),
-            (lambda m: m.entries.update(
-                {next(iter(m.entries)): (99, 98, 97)}), "cube"),
+            (lambda m: m._live.col_rows.__setitem__(0, 0), "adjacency"),
+            (lambda m: m._live.entry_cubes.__setitem__(0, (99, 98, 97)), "cube"),
             (lambda m: m.col_of_cube.update({(77,): 12345}), "col_of_cube"),
             (lambda m: m.node_rows["F"].add(999), "node_rows"),
-            (lambda m: m.by_row.update({555: set()}), "by_row keys"),
+            (lambda m: m.rows.update({555: RowInfo("F", ())}), "row labels"),
         ],
     )
     def test_corruption_detected(self, corrupt, msg):
@@ -94,9 +92,8 @@ class TestKCMatrixAudits:
     def test_bitview_parity_detects_stale_view(self):
         mat = _small_matrix()
         view = mat.bitview()
-        # The mutators patch the live index; a raw-dict write does not.
+        # The mutators write the store; a raw write to a label map does not.
         mat.rows[4] = RowInfo("G", (12,))
-        mat.by_row[4] = set()
         with pytest.raises(InvariantViolation):
             audit.audit_bitview(mat, view)
 
