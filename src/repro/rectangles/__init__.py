@@ -16,8 +16,9 @@ Sub-modules:
 
 - :mod:`~repro.rectangles.kcmatrix` — the sparse matrix with the global
   offset labeling used by the parallel algorithms,
-- :mod:`~repro.rectangles.bitview` — the matrix's one bitset store
-  (ping-pong runs on it) and its sorted compilation (exhaustive),
+- :mod:`~repro.rectangles.bitview` — the matrix's one bitset store,
+  which both searches walk, and the exhaustive search's label-order
+  tables over it,
 - :mod:`~repro.rectangles.rectangle` — rectangles and the literal-savings
   gain model,
 - :mod:`~repro.rectangles.search` — the pruned exhaustive column-anchored
@@ -29,7 +30,7 @@ Sub-modules:
   sequential kernel-extraction baseline) and network rewriting.
 """
 
-from repro.rectangles.bitview import BitKCView, LiveBitIndex
+from repro.rectangles.bitview import LiveBitIndex
 from repro.rectangles.kcmatrix import KCMatrix, build_kc_matrix
 from repro.rectangles.rectangle import Rectangle, rectangle_gain
 from repro.rectangles.search import (
@@ -45,7 +46,6 @@ from repro.rectangles.cover import (
 )
 
 __all__ = [
-    "BitKCView",
     "LiveBitIndex",
     "KCMatrix",
     "build_kc_matrix",

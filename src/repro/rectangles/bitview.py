@@ -18,19 +18,17 @@ kernel is row 200001); here it is held in bitset form instead:
   rectangle — the common all-distinct case is pure table arithmetic.
 
 :class:`LiveBitIndex` (``KCMatrix.bitview()``) is the matrix's only
-store of cells.  It is made with the matrix, and every mutator of the
-matrix writes its change here once, in O(degree) (a relabel in O(1)).
-Rows and columns live at stable *slots* that never move while they
-live; a removal frees its slot and the next insertion reuses the
-lowest free one.  Slot order is therefore not label order, and the
-ping-pong search that runs on it takes every tie-break from the labels.
-
-:class:`BitKCView` (``KCMatrix.dense_view()``) is a sorted compilation
-of the live index: dense positions ``0..R-1`` / ``0..C-1`` in
-sorted-label order, so position order *is* label order.  The
-exhaustive search walks label-ordered column subsets by position
-(``neg_above``), so it keeps this form, compiled from the live slots
-once per matrix version and dropped by every mutation.
+store of cells, and both searches walk it.  It is made with the
+matrix, and every mutator of the matrix writes its change here once,
+in O(degree) (a relabel in O(1)).  Rows and columns live at stable
+*slots* that never move while they live; a removal frees its slot and
+the next insertion reuses the lowest free one.  Slot order is
+therefore not label order, and every tie-break and every ordered walk
+reads the labels: ping-pong ranks seeds and columns by label, and the
+exhaustive search walks label-ordered column subsets through the
+:class:`LabelTables` (``KCMatrix.search_tables()``), label-order tables
+derived from the live slots once per matrix version and dropped by
+every mutation.
 
 The value table for the pure :func:`~repro.rectangles.rectangle.
 default_value` is kept with the structure, and so are the live index's
@@ -53,7 +51,8 @@ from __future__ import annotations
 
 from heapq import heappop, heappush
 from operator import mul
-from typing import AbstractSet, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from itertools import accumulate
+from typing import AbstractSet, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.algebra.cube import Cube
 from repro.rectangles.rectangle import ValueFn, default_value
@@ -89,362 +88,7 @@ def seed_potentials(
     ]
 
 
-def _dup_slots(cells: List[Dict[int, int]], cubes: List, slots: Iterable[int]) -> Set[int]:
-    """The *slots* whose cells repeat an original cube within the row."""
-    out: Set[int] = set()
-    for slot in slots:
-        rcells = cells[slot]
-        if len(rcells) > 1 and len({cubes[eid] for eid in rcells.values()}) < len(rcells):
-            out.add(slot)
-    return out
-
-
-class _BitCells:
-    """The cell layout both bitset forms share, and the queries over it.
-
-    Subclasses provide ``row_pos``/``col_pos`` (label → row/column
-    index), ``cells`` (per row: column index → entry id),
-    ``entry_cubes``, ``row_node``/``node_names``, the cost tables and
-    :meth:`dup_rows`.
-    """
-
-    __slots__ = ()
-
-    def _values_for(self, value_fn: ValueFn) -> List[int]:
-        """A fresh per-entry-id table under a non-default *value_fn*."""
-        cubes = self.entry_cubes
-        names = self.node_names
-        row_node = self.row_node
-        out: List[int] = [0] * len(cubes)
-        for rpos, rcells in enumerate(self.cells):
-            if rcells:
-                name = names[row_node[rpos]]
-                for eid in rcells.values():
-                    out[eid] = value_fn(name, cubes[eid])
-        return out
-
-    def rect_gain(
-        self,
-        row_positions: Sequence[int],
-        col_positions: Sequence[int],
-        values: List[int],
-    ) -> int:
-        """Exact distinct-cube-counted gain of a position rectangle.
-
-        Order-free: cells of one node naming the same cube carry equal
-        values, so which of them counts first does not matter.
-        """
-        cells = self.cells
-        row_node = self.row_node
-        gain = 0
-        for cpos in col_positions:
-            gain -= self.col_cost[cpos]
-        counts: Dict[int, int] = {}
-        for rpos in row_positions:
-            gain -= self.row_cost[rpos]
-            nid = row_node[rpos]
-            counts[nid] = counts.get(nid, 0) + 1
-        dup = self.dup_rows()
-        need: Set[int] = {nid for nid, k in counts.items() if k > 1}
-        if dup:
-            for rpos in row_positions:
-                if rpos in dup:
-                    need.add(row_node[rpos])
-        if not need:
-            # Every cell is a distinct (node, cube) ref: no correction.
-            for rpos in row_positions:
-                rcells = cells[rpos]
-                for cpos in col_positions:
-                    gain += values[rcells[cpos]]
-            return gain
-        cubes = self.entry_cubes
-        seen: Dict[int, Set[Cube]] = {nid: set() for nid in need}
-        for rpos in row_positions:
-            rcells = cells[rpos]
-            node_seen = seen.get(row_node[rpos])
-            if node_seen is None:
-                for cpos in col_positions:
-                    gain += values[rcells[cpos]]
-            else:
-                for cpos in col_positions:
-                    eid = rcells[cpos]
-                    cube = cubes[eid]
-                    if cube not in node_seen:
-                        node_seen.add(cube)
-                        gain += values[eid]
-        return gain
-
-    def covered_cubes_by_node(self, rect) -> Dict[str, Set[Cube]]:
-        """Distinct original cubes a (label) rectangle covers, per node."""
-        out: Dict[str, Set[Cube]] = {}
-        cells = self.cells
-        cubes = self.entry_cubes
-        names = self.node_names
-        row_pos = self.row_pos
-        col_positions = [self.col_pos[c] for c in rect.cols]
-        for rlab in rect.rows:
-            rpos = row_pos[rlab]
-            rcells = cells[rpos]
-            node = names[self.row_node[rpos]]
-            per_node = out.setdefault(node, set())
-            for cpos in col_positions:
-                per_node.add(cubes[rcells[cpos]])
-        return out
-
-
-class BitKCView(_BitCells):
-    """Sorted dense-position compilation of one KCMatrix snapshot.
-
-    Build with :meth:`KCMatrix.dense_view` (cached) rather than
-    directly; the cache guarantees at most one compilation per matrix
-    version.  The compile walks the live index's slots in label order;
-    cells keep the index's entry ids, so ``entry_cubes`` is the index's
-    own list, valid until the next mutation drops the view.
-    """
-
-    __slots__ = (
-        "row_labels",
-        "col_labels",
-        "row_pos",
-        "col_pos",
-        "row_cols",
-        "col_rows",
-        "cells",
-        "entry_cubes",
-        "row_node",
-        "node_names",
-        "row_cost",
-        "col_cost",
-        "num_entries",
-        "_overlap_rows",
-        "_default_values",
-        "_neg_above",
-        "_dup_rows",
-        "_clean_rows",
-        "_dominated_anchors",
-        "_suffix_pot",
-    )
-
-    def __init__(self, matrix) -> None:
-        live = matrix._live
-        row_labels = sorted(live.row_pos)
-        col_labels = sorted(live.col_pos)
-        self.row_labels: List[int] = row_labels
-        self.col_labels: List[int] = col_labels
-        row_pos = {lab: i for i, lab in enumerate(row_labels)}
-        col_pos = {lab: i for i, lab in enumerate(col_labels)}
-        self.row_pos: Dict[int, int] = row_pos
-        self.col_pos: Dict[int, int] = col_pos
-        row_slots = [live.row_pos[lab] for lab in row_labels]
-        col_slots = [live.col_pos[lab] for lab in col_labels]
-        self.col_cost: List[int] = [live.col_cost[s] for s in col_slots]
-        self.row_cost: List[int] = [live.row_cost[s] for s in row_slots]
-        # Node ids are the index's: the gain correction only compares
-        # cells within one node.
-        self.row_node: List[int] = [live.row_node[s] for s in row_slots]
-        self.node_names: List[str] = live.node_names
-
-        # Column slot → position (free slots are never read).
-        cpos_of = [0] * len(live.col_labels)
-        for cpos, cslot in enumerate(col_slots):
-            cpos_of[cslot] = cpos
-        col_rows = [0] * len(col_labels)
-        row_cols: List[int] = []
-        cells: List[Dict[int, int]] = []
-        for rpos, rslot in enumerate(row_slots):
-            bit = 1 << rpos
-            rcells = {}
-            mask = 0
-            for cslot, eid in live.cells[rslot].items():
-                cpos = cpos_of[cslot]
-                rcells[cpos] = eid
-                mask |= 1 << cpos
-                col_rows[cpos] |= bit
-            cells.append(rcells)
-            row_cols.append(mask)
-        self.row_cols: List[int] = row_cols
-        self.col_rows: List[int] = col_rows
-        self.cells: List[Dict[int, int]] = cells
-        self.entry_cubes: List[Optional[Cube]] = live.entry_cubes
-        self.num_entries: int = live.num_entries
-        self._overlap_rows: List[int] = [row_pos[lab] for lab in matrix.overlap_rows]
-        self._default_values: Optional[List[int]] = (
-            live._values[:] if live.value_source is default_value else None
-        )
-        self._neg_above: Optional[List[int]] = None
-        self._dup_rows: Optional[Set[int]] = None
-        self._clean_rows: Optional[int] = None
-        self._dominated_anchors: Optional[int] = None
-        self._suffix_pot: Optional[Tuple[List[List[int]], List[List[int]]]] = None
-
-    # ------------------------------------------------------------------
-    @property
-    def num_rows(self) -> int:
-        return len(self.row_labels)
-
-    @property
-    def num_cols(self) -> int:
-        return len(self.col_labels)
-
-    def dup_rows(self) -> Set[int]:
-        """Row positions whose cells repeat an original cube.
-
-        KC matrices built from kernels never have these: a row's cubes
-        are ``cokernel ∪ kc_j`` with the kernel cubes disjoint from the
-        co-kernel, so distinct columns give distinct cubes.  Hand-built
-        matrices can violate that (a column cube may overlap the
-        co-kernel), and the distinct-cube gain correction must then also
-        dedupe within single rows.  Only rows with an overlapping cell
-        (``len(cube) != |cokernel| + |kc|``) can repeat a cube; the
-        matrix counts them as entries are added
-        (:attr:`KCMatrix.overlap_rows`), so only those rows are scanned.
-        """
-        got = self._dup_rows
-        if got is None:
-            got = _dup_slots(self.cells, self.entry_cubes, self._overlap_rows)
-            self._dup_rows = got
-        return got
-
-    def neg_above(self) -> List[int]:
-        """``neg_above[p] == -(1 << (p + 1))``: mask of columns above *p*.
-
-        ANDing with ``neg_above[p]`` keeps exactly the bits strictly
-        greater than ``p`` — the ordered-tree "only extend rightwards"
-        filter.  Cached so the per-node mask is a table load instead of a
-        fresh big-int shift at every search-tree node.
-        """
-        table = self._neg_above
-        if table is None:
-            table = [-(1 << (p + 1)) for p in range(len(self.col_labels))]
-            self._neg_above = table
-        return table
-
-    def clean_rows_mask(self) -> int:
-        """Bitmask of rows belonging to *clean* nodes.
-
-        A node is clean when no two of its cells (across all of its
-        rows, including within one row) name the same original cube —
-        the distinct-cube gain correction can never fire for it, so
-        adding a column to a rectangle made of clean rows contributes
-        its full cell values.  The v2 dominance prune is only sound for
-        columns whose rows are all clean (see
-        :func:`repro.rectangles.search.best_rectangle_exhaustive`).
-        """
-        got = self._clean_rows
-        if got is None:
-            cubes = self.entry_cubes
-            node_rows: Dict[int, List[int]] = {}
-            for rpos, nid in enumerate(self.row_node):
-                node_rows.setdefault(nid, []).append(rpos)
-            got = 0
-            for nid, rows in node_rows.items():
-                seen: Set = set()
-                clean = True
-                for rpos in rows:
-                    for eid in self.cells[rpos].values():
-                        cube = cubes[eid]
-                        if cube in seen:
-                            clean = False
-                            break
-                        seen.add(cube)
-                    if not clean:
-                        break
-                if clean:
-                    for rpos in rows:
-                        got |= 1 << rpos
-            self._clean_rows = got
-        return got
-
-    def dominated_anchors(self) -> int:
-        """Bitmask of columns the v2 search never anchors a subtree at.
-
-        Column *c* is dominated when an earlier column *c2* covers a
-        superset of its rows (``col_rows[c] ⊆ col_rows[c2]``,
-        ``c2 < c``) and every row of *c* belongs to a clean node.  Under
-        the default value function any rectangle anchored at *c* is then
-        matched or beaten (gain, then lexicographic tie-break) by one in
-        *c2*'s earlier subtree — adding *c2* costs ``|kernel_cube(c2)|``
-        but contributes ``|cokernel_r| + |kernel_cube(c2)| + 1`` per row,
-        and cleanliness guarantees the distinct-cube correction cannot
-        claw that back — so skipping *c* as an anchor is exact.  *c*
-        still participates as a forced or branched column inside other
-        anchors' subtrees.
-        """
-        got = self._dominated_anchors
-        if got is None:
-            clean = self.clean_rows_mask()
-            col_rows = self.col_rows
-            got = 0
-            for cpos in range(len(self.col_labels)):
-                rows = col_rows[cpos]
-                if not rows or rows & ~clean:
-                    continue
-                # Any dominator shares every row of c; scanning one
-                # incident row's column set finds them all.
-                r0 = (rows & -rows).bit_length() - 1
-                m = self.row_cols[r0] & ((1 << cpos) - 1)
-                while m:
-                    low = m & -m
-                    c2 = low.bit_length() - 1
-                    m ^= low
-                    if not (rows & ~col_rows[c2]):
-                        got |= 1 << cpos
-                        break
-            self._dominated_anchors = got
-        return got
-
-    def suffix_potentials(self) -> Tuple[List[List[int]], List[List[int]]]:
-        """Per-row ``(sorted column positions, value suffix sums)``.
-
-        ``sums[r][i]`` is the total default value of row *r*'s cells at
-        column positions ``cols[r][i:]`` — the most the row can still
-        gain from columns strictly above a position, found by bisecting
-        ``cols[r]``.  This is the admissible remaining-gain table the v2
-        branch-and-bound cut evaluates at every node.
-        """
-        got = self._suffix_pot
-        if got is None:
-            values = self.value_table(default_value)
-            cols_tbl: List[List[int]] = []
-            sums_tbl: List[List[int]] = []
-            for rcells in self.cells:
-                cs = sorted(rcells)
-                suf = [0] * (len(cs) + 1)
-                for i in range(len(cs) - 1, -1, -1):
-                    suf[i] = suf[i + 1] + values[rcells[cs[i]]]
-                cols_tbl.append(cs)
-                sums_tbl.append(suf)
-            got = (cols_tbl, sums_tbl)
-            self._suffix_pot = got
-        return got
-
-    def value_table(self, value_fn: ValueFn = default_value) -> List[int]:
-        """Per-entry-id values under *value_fn*.
-
-        The table for the pure default value function is computed (or
-        copied from the live index) once and cached with the view; any
-        other function is evaluated per call because its answers may
-        legitimately change between calls
-        (the L-shaped cube-state protocol does exactly that).  Cells of
-        one node naming the same original cube always receive equal
-        values, so marginal sums and gains match ``value_fn``-per-cell
-        arithmetic exactly.
-        """
-        if value_fn is default_value:
-            vals = self._default_values
-            if vals is None:
-                vals = self._default_values = self._values_for(default_value)
-            return vals
-        return self._values_for(value_fn)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"BitKCView({self.num_rows}×{self.num_cols}, "
-            f"{self.num_entries} entries)"
-        )
-
-
-class LiveBitIndex(_BitCells):
+class LiveBitIndex:
     """Slot-addressed bitmask store of a KCMatrix's cells, patched in place.
 
     Made empty with its matrix, which keeps it as its only store of
@@ -712,15 +356,106 @@ class LiveBitIndex(_BitCells):
     def dup_rows(self) -> AbstractSet[int]:
         """Row slots whose cells repeat an original cube.
 
-        Only rows the matrix counts as holding an overlapping cell can
-        (see :meth:`BitKCView.dup_rows`); kernel-built matrices have
-        none, so this is O(1) for them.
+        KC matrices built from kernels never have these: a row's cubes
+        are ``cokernel ∪ kc_j`` with the kernel cubes disjoint from the
+        co-kernel, so distinct columns give distinct cubes.  Hand-built
+        matrices can violate that (a column cube may overlap the
+        co-kernel), and the distinct-cube gain correction must then also
+        dedupe within single rows.  Only rows with an overlapping cell
+        (``len(cube) != |cokernel| + |kc|``) can repeat a cube; the
+        matrix counts them as entries are added
+        (:attr:`KCMatrix.overlap_rows`), so only those rows are scanned,
+        and this is O(1) for kernel-built matrices.
         """
-        overlap = self._overlap
-        if not overlap:
-            return frozenset()
+        out: Set[int] = set()
+        cubes = self.entry_cubes
+        for row in self._overlap:
+            slot = self.row_pos[row]
+            rcells = self.cells[slot]
+            if len(rcells) > 1 and len({cubes[eid] for eid in rcells.values()}) < len(rcells):
+                out.add(slot)
+        return out
+
+    def _values_for(self, value_fn: ValueFn) -> List[int]:
+        """A fresh per-entry-id table under a non-default *value_fn*."""
+        cubes = self.entry_cubes
+        names = self.node_names
+        row_node = self.row_node
+        out: List[int] = [0] * len(cubes)
+        for rslot, rcells in enumerate(self.cells):
+            if rcells:
+                name = names[row_node[rslot]]
+                for eid in rcells.values():
+                    out[eid] = value_fn(name, cubes[eid])
+        return out
+
+    def rect_gain(
+        self,
+        row_slots: Sequence[int],
+        col_slots: Sequence[int],
+        values: List[int],
+    ) -> int:
+        """Exact distinct-cube-counted gain of a slot rectangle.
+
+        Order-free: cells of one node naming the same cube carry equal
+        values, so which of them counts first does not matter.
+        """
+        cells = self.cells
+        row_node = self.row_node
+        gain = 0
+        for cslot in col_slots:
+            gain -= self.col_cost[cslot]
+        counts: Dict[int, int] = {}
+        for rslot in row_slots:
+            gain -= self.row_cost[rslot]
+            nid = row_node[rslot]
+            counts[nid] = counts.get(nid, 0) + 1
+        dup = self.dup_rows()
+        need: Set[int] = {nid for nid, k in counts.items() if k > 1}
+        if dup:
+            for rslot in row_slots:
+                if rslot in dup:
+                    need.add(row_node[rslot])
+        if not need:
+            # Every cell is a distinct (node, cube) ref: no correction.
+            for rslot in row_slots:
+                rcells = cells[rslot]
+                for cslot in col_slots:
+                    gain += values[rcells[cslot]]
+            return gain
+        cubes = self.entry_cubes
+        seen: Dict[int, Set[Cube]] = {nid: set() for nid in need}
+        for rslot in row_slots:
+            rcells = cells[rslot]
+            node_seen = seen.get(row_node[rslot])
+            if node_seen is None:
+                for cslot in col_slots:
+                    gain += values[rcells[cslot]]
+            else:
+                for cslot in col_slots:
+                    eid = rcells[cslot]
+                    cube = cubes[eid]
+                    if cube not in node_seen:
+                        node_seen.add(cube)
+                        gain += values[eid]
+        return gain
+
+    def covered_cubes_by_node(self, rect) -> Dict[str, Set[Cube]]:
+        """Distinct original cubes a (label) rectangle covers, per node."""
+        out: Dict[str, Set[Cube]] = {}
+        cells = self.cells
+        cubes = self.entry_cubes
+        names = self.node_names
         row_pos = self.row_pos
-        return _dup_slots(self.cells, self.entry_cubes, [row_pos[r] for r in overlap])
+        col_slots = [self.col_pos[c] for c in rect.cols]
+        for rlab in rect.rows:
+            rslot = row_pos[rlab]
+            rcells = cells[rslot]
+            node = names[self.row_node[rslot]]
+            per_node = out.setdefault(node, set())
+            for cslot in col_slots:
+                per_node.add(cubes[rcells[cslot]])
+        return out
 
     # ------------------------------------------------------------------
     # Patching (called by the KCMatrix mutators)
@@ -880,3 +615,101 @@ class LiveBitIndex(_BitCells):
             f"LiveBitIndex({self.num_rows}×{self.num_cols}, "
             f"{self.num_entries} entries)"
         )
+
+
+class LabelTables:
+    """The exhaustive search's label-order tables over one version of a
+    :class:`LiveBitIndex`.
+
+    Build with :meth:`KCMatrix.search_tables` (cached) rather than
+    directly: the matrix drops them at every mutation, so they are
+    derived at most once per matrix version, and the column stripes of
+    one replicated step share them.  All masks are over slots:
+
+    - ``anchors``: the column labels in sorted order, ``anchor_slots``
+      their slots — the order the search walks anchors in, and the list
+      *anchor_range* bisects;
+    - ``above[s]``: the mask of the column slots whose label is greater
+      than column slot *s*'s — the ordered tree's "only extend
+      rightwards" filter;
+    - ``suf_labels[r]`` / ``suf_sums[r]``: row slot *r*'s column labels
+      in sorted order and the suffix sums of its cells' default values
+      along them: ``suf_sums[r][bisect_right(suf_labels[r], lab)]`` is
+      the most row *r* can still gain from columns labelled above
+      *lab*, the branch-and-bound's admissible remaining gain;
+    - ``clean``: the rows of *clean* nodes, no two of whose cells
+      (across all of the node's rows) name the same original cube, so
+      the distinct-cube correction never fires for them;
+    - ``dominated``: the columns the search never anchors a subtree at.
+      Column *c* is dominated when a column *c2* with a smaller label
+      covers a superset of its rows and every row of *c* is clean.
+      Under the default value any rectangle anchored at *c* is then
+      matched or beaten (gain, then lexicographic tie-break) by one in
+      *c2*'s earlier subtree: adding *c2* costs ``|kernel_cube(c2)|``
+      but contributes ``|cokernel_r| + |kernel_cube(c2)| + 1`` per row,
+      and cleanliness guarantees the distinct-cube correction cannot
+      claw that back.  *c* still joins other anchors' subtrees as a
+      forced or branched column;
+    - ``dup_rows``: the index's duplicate-cube rows
+      (:meth:`LiveBitIndex.dup_rows`).
+    """
+
+    __slots__ = (
+        "index", "anchors", "anchor_slots", "above", "suf_labels", "suf_sums",
+        "clean", "dominated", "dup_rows",
+    )
+
+    def __init__(self, index: LiveBitIndex) -> None:
+        self.index = index
+        col_labels = index.col_labels
+        col_rows = index.col_rows
+        cells = index.cells
+        anchors = sorted(index.col_pos)
+        slots = [index.col_pos[lab] for lab in anchors]
+        above = [0] * len(col_labels)
+        mask = 0
+        for slot in reversed(slots):
+            above[slot] = mask
+            mask |= 1 << slot
+        values = index.value_table(default_value)
+        suf_labels: List[List[int]] = []
+        suf_sums: List[List[int]] = []
+        label_of = col_labels.__getitem__
+        for rcells in cells:
+            order = sorted(rcells, key=label_of)
+            suf_labels.append(list(map(label_of, order)))
+            sums = list(accumulate([values[rcells[c]] for c in reversed(order)], initial=0))
+            sums.reverse()
+            suf_sums.append(sums)
+        cubes = index.entry_cubes
+        row_node = index.row_node
+        node_cubes: Dict[int, List[Cube]] = {}
+        for slot in index.row_pos.values():
+            node_cubes.setdefault(row_node[slot], []).extend(
+                map(cubes.__getitem__, cells[slot].values())
+            )
+        unclean = {nid for nid, cs in node_cubes.items() if len(set(cs)) < len(cs)}
+        clean = 0
+        for slot in index.row_pos.values():
+            if row_node[slot] not in unclean:
+                clean |= 1 << slot
+        dominated = 0
+        for lab, slot in zip(anchors, slots):
+            rows = col_rows[slot]
+            if not rows or rows & ~clean:
+                continue
+            # Any dominator shares every row of c; scanning one incident
+            # row's columns finds them all.
+            for c2 in cells[(rows & -rows).bit_length() - 1]:
+                if col_labels[c2] < lab and not rows & ~col_rows[c2]:
+                    dominated |= 1 << slot
+                    break
+        self.anchors: List[int] = anchors
+        self.anchor_slots: List[int] = slots
+        self.above: List[int] = above
+        self.suf_labels = suf_labels
+        self.suf_sums = suf_sums
+        self.clean: int = clean
+        self.dominated: int = dominated
+        self.dup_rows: AbstractSet[int] = index.dup_rows()
+

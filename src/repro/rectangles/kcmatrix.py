@@ -7,6 +7,12 @@ first kernel is row 200001).  Labels therefore stay consistent across
 replicas regardless of generation order, and sub-matrices exchanged
 between processors splice together without renumbering.
 
+:class:`KCMatrix` names rows and columns by label and keeps its cells in
+one store, the live bitset index of :mod:`repro.rectangles.bitview`,
+which both rectangle searches walk; the only tables derived from it (the
+exhaustive search's label order, ping-pong's seed potentials, both
+searches' reuse records) are dropped or patched by the mutators.
+
 The sequential and replicated greedy loops use a second scheme,
 :class:`IncrementalKCMatrix`: labels derived from node names, kernel
 positions and (replicated) node owners, so a matrix patched after each
@@ -21,7 +27,7 @@ from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, 
 from repro.algebra.cube import Cube, cube_union
 from repro.algebra.kernels import Kernel, kernels
 from repro.algebra.sop import Sop
-from repro.rectangles.bitview import BitKCView, LiveBitIndex, iter_bits
+from repro.rectangles.bitview import LabelTables, LiveBitIndex, iter_bits
 from repro.verify import audit as _audit
 
 # The paper labels processor p's first kernel p·100000 + 1.
@@ -50,8 +56,8 @@ class KCMatrix:
     cells whose column cube overlaps the row's co-kernel (never any for
     kernel-built matrices); only such rows can repeat a cube.
 
-    Every mutator writes its change to the index once; the sorted
-    compilation (:meth:`dense_view`) is dropped by every mutation.
+    Every mutator writes its change to the index once and drops the
+    exhaustive search's label-order tables (:meth:`search_tables`).
 
     The exhaustive search keeps one record per anchor column
     (:meth:`anchor_records`).  Once records exist the mutators mark
@@ -68,7 +74,7 @@ class KCMatrix:
 
     __slots__ = (
         "rows", "cols", "col_of_cube", "node_rows", "overlap_rows",
-        "_live", "_dense", "_anchors", "_anchor_key", "_dirty_rows", "_dirty_cols",
+        "_live", "_tables", "_anchors", "_anchor_key", "_dirty_rows", "_dirty_cols",
         "__weakref__",
     )
 
@@ -79,7 +85,7 @@ class KCMatrix:
         self.node_rows: Dict[str, Set[int]] = {}
         self.overlap_rows: Dict[int, int] = {}
         self._live = LiveBitIndex(self.overlap_rows)
-        self._dense: Optional[BitKCView] = None
+        self._tables: Optional[LabelTables] = None
         # Anchor column label → its record, for the min_cols in
         # _anchor_key; None until an exhaustive search keeps records, and
         # the mutators mark only from then on (rows by slot, columns by
@@ -93,11 +99,11 @@ class KCMatrix:
     # Mutation
     # ------------------------------------------------------------------
     def _touch(self) -> None:
-        """Drop every table derived from the store: the sorted
-        compilation, the live index's seed potentials and ascent
-        records, and the anchor records.  The next search then pays
+        """Drop every table derived from the store: the label-order
+        tables, the live index's seed potentials and ascent records,
+        and the anchor records.  The next search then pays
         for all of them, as on a fresh matrix."""
-        self._dense = None
+        self._tables = None
         self._live.drop_derived()
         self._anchors = None
         self._dirty_rows.clear()
@@ -115,7 +121,7 @@ class KCMatrix:
         self._live.add_row(label, node, cokernel)
         if _audit.enabled():
             _audit.audit_row_added(self, label)
-        self._dense = None
+        self._tables = None
 
     def ensure_col(self, cube: Cube, label_factory: Callable[[], int]) -> int:
         """Return the column label for *cube*, creating it if new."""
@@ -130,7 +136,7 @@ class KCMatrix:
         self._live.add_col(label, cube)
         if _audit.enabled():
             _audit.audit_col_added(self, label)
-        self._dense = None
+        self._tables = None
         return label
 
     def add_entry(self, row: int, col: int) -> None:
@@ -161,7 +167,7 @@ class KCMatrix:
         if _audit.enabled():
             for col in cols:
                 _audit.audit_entry_added(self, row, col)
-        self._dense = None
+        self._tables = None
 
     def remove_row(self, label: int) -> None:
         info = self.rows.pop(label, None)
@@ -178,7 +184,7 @@ class KCMatrix:
                 del self.node_rows[info.node]
         if _audit.enabled():
             _audit.audit_row_removed(self, label)
-        self._dense = None
+        self._tables = None
 
     def remove_col(self, label: int) -> None:
         cube = self.cols.pop(label, None)
@@ -205,7 +211,7 @@ class KCMatrix:
             live.remove_col(label)
         if _audit.enabled():
             _audit.audit_col_removed(self, label)
-        self._dense = None
+        self._tables = None
 
     def relabel_col(self, old: int, new: int) -> None:
         """Move column *old* — its cube and cells — to *new*, in O(1).
@@ -226,7 +232,7 @@ class KCMatrix:
         live.relabel_col(old, new)
         if _audit.enabled():
             _audit.audit_col_relabeled(self, old, new)
-        self._dense = None
+        self._tables = None
 
     def relabel_row(self, old: int, new: int) -> None:
         """Move row *old* — its info and cells — to *new*, in O(1).
@@ -250,7 +256,7 @@ class KCMatrix:
             self._dirty_rows.add(live.row_pos[new])
         if _audit.enabled():
             _audit.audit_row_relabeled(self, old, new)
-        self._dense = None
+        self._tables = None
 
     # ------------------------------------------------------------------
     # Queries
@@ -320,21 +326,15 @@ class KCMatrix:
             _audit.audit_bitview(self, view)
         return view
 
-    def dense_view(self) -> BitKCView:
-        """The cached sorted-label compilation (:class:`BitKCView`).
-
-        Positions are ranks in sorted-label order, which the exhaustive
-        search's column-subset walk relies on.
-        Compiled lazily from the live index and dropped by every
-        mutation, so it is built at most once per matrix version.
-        """
-        view = self._dense
-        if view is None:
-            view = BitKCView(self)
-            if _audit.enabled():
-                _audit.audit_bitview(self, view)
-            self._dense = view
-        return view
+    def search_tables(self) -> LabelTables:
+        """The exhaustive search's label-order tables over the store
+        (:class:`~repro.rectangles.bitview.LabelTables`), derived from
+        the live slots at most once per matrix version: every mutation
+        drops them."""
+        tables = self._tables
+        if tables is None:
+            tables = self._tables = LabelTables(self.bitview())
+        return tables
 
     def anchor_records(self, min_cols: int) -> Dict[int, tuple]:
         """The exhaustive search's per-anchor records, for *min_cols*.

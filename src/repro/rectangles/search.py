@@ -22,10 +22,14 @@ record per anchor (leftmost column), and the next search replays every
 anchor whose subtree nothing has changed since; answers, budget spend
 and meter charges stay those of a walk from scratch.
 
-The traversal runs on the sorted bitset compilation of
-:mod:`repro.rectangles.bitview`: row sets are int bitmasks, candidate
-scans are bit iterations, the column dominance test is one mask
-equality, and cell values are table lookups.
+The traversal walks the matrix's one store, the live bitset index of
+:mod:`repro.rectangles.bitview`: row sets are int bitmasks over row
+slots, candidate scans are bit iterations, the column dominance test is
+one mask equality, and cell values are table lookups.  Slots are not in
+label order, so every order the walk follows — of anchors and of branch
+children, and with them the tie-breaks — is read from labels, through
+the label-order tables the matrix derives once per version
+(``KCMatrix.search_tables()``).
 
 Enumeration is exponential in the worst case; :class:`SearchBudget`
 bounds the number of visited tree nodes and raises
@@ -88,18 +92,29 @@ def _best_rectangle_bit_v2(
       ``max(0, Σ path values − row_cost + suffix_potential(> last))``
       and the path's column costs are subtracted.  Future column costs
       and distinct-cube corrections only lower real gains, so pruning
-      whenever the bound is below the incumbent (strictly — equal-gain
-      ties still matter lexicographically) is exact;
-    - **dominance skip** — anchors in the view's
-      :meth:`~repro.rectangles.bitview.BitKCView.dominated_anchors`
-      mask are never walked: the dominating earlier column's subtree
+      whenever the bound is below the incumbent is exact (the cut is
+      strict, and the pinned node spends follow that rule);
+    - **dominance skip** — anchors in the tables'
+      :attr:`~repro.rectangles.bitview.LabelTables.dominated` mask are
+      never walked: the dominating earlier column's subtree
       contains a rectangle with at least the gain and a lexicographically
       smaller column tuple, so the incumbent (value *and* tie-winner) is
       preserved.
 
     Anchors are walked in label order, each subtree to the end before
     the next, and only those in *anchor_range* (inclusive column label
-    bounds) that pass *anchor_filter*.
+    bounds) that pass *anchor_filter*.  Within a subtree, branch
+    children are visited in label order (the "only extend rightwards"
+    filter keeps the columns labelled above the node's, read from the
+    tables' ``above`` masks), so the walk is a preorder of the tree
+    ordered by labels.  Each rectangle's tie-break key — its column
+    labels in visit order, then its sorted row labels — is therefore
+    larger than every earlier one's: it either extends an earlier
+    node's columns or first differs from them at a branch column with a
+    larger label.  A tie between equal gains goes to the rectangle
+    visited first, so a later one replaces the incumbent only with a
+    strictly greater gain; no key is built, and forced columns may join
+    in slot order.
 
     **Anchor records.**  An anchor's subtree reads the rows of its
     column, those rows' cells and costs, the costs and label order of
@@ -124,7 +139,8 @@ def _best_rectangle_bit_v2(
     Returns the best rectangle (``None`` when no rectangle beats
     *entry*) plus a stats dict.
     """
-    view = matrix.dense_view()
+    tables = matrix.search_tables()
+    view = tables.index
     values = view.value_table(default_value)
     row_cols = view.row_cols
     col_rows = view.col_rows
@@ -135,10 +151,13 @@ def _best_rectangle_bit_v2(
     entry_cubes = view.entry_cubes
     row_labels = view.row_labels
     col_labels = view.col_labels
-    neg_above = view.neg_above()
-    dup_rows = view.dup_rows()
-    suf_cols, suf_sums = view.suffix_potentials()
-    dom_mask = view.dominated_anchors()
+    anchors = tables.anchors
+    anchor_slots = tables.anchor_slots
+    above = tables.above
+    dup_rows = tables.dup_rows
+    suf_labels = tables.suf_labels
+    suf_sums = tables.suf_sums
+    dom_mask = tables.dominated
     records = matrix.anchor_records(min_cols) if reuse else {}
     auditing = reuse and _audit.enabled()
 
@@ -154,22 +173,24 @@ def _best_rectangle_bit_v2(
     owed = 0  # replayed nodes not yet spent and charged
     found = entry > 0
     best_gain = entry
-    best_tuple: Tuple[Tuple[int, ...], Tuple[int, ...]] = ((), ())
+    best_cols: List[int] = []  # the incumbent's slots
+    best_rows: List[int] = []
     best: Optional[Tuple[Rectangle, int]] = None
     cut = entry or 1  # a rectangle must reach this gain to matter
 
     if anchor_range is None:
-        first, stop = 0, len(col_labels)
+        first, stop = 0, len(anchors)
     else:
-        first = bisect_left(col_labels, anchor_range[0])
-        stop = bisect_right(col_labels, anchor_range[1])
+        first = bisect_left(anchors, anchor_range[0])
+        stop = bisect_right(anchors, anchor_range[1])
     stack: List[tuple] = []
     push = stack.append
     pop = stack.pop
-    for apos in range(first, stop):
-        label = col_labels[apos]
+    for i in range(first, stop):
+        label = anchors[i]
         if anchor_filter is not None and not anchor_filter(label):
             continue
+        apos = anchor_slots[i]
         rows0 = col_rows[apos]
         if not rows0:
             continue
@@ -212,9 +233,12 @@ def _best_rectangle_bit_v2(
         p0 = n_pruned
         f0 = n_forced
         e0 = n_evaluated
-        push(([apos], 1 << apos, rows0, apos, None, apos, col_cost[apos]))
+        # A frame: column slots in visit order, their mask, the rows
+        # left, the label of the column the node adds, the parent's row
+        # sums, that column's slot, and the columns' total cost.
+        push(([apos], 1 << apos, rows0, label, None, apos, col_cost[apos]))
         while stack:
-            cols, cols_mask, rows_mask, last_pos, psums, add_cpos, ccost = pop()
+            cols, cols_mask, rows_mask, last_label, psums, add_cpos, ccost = pop()
             if spend is not None:
                 spend()
             if charge is not None:
@@ -233,7 +257,7 @@ def _best_rectangle_bit_v2(
                     sums[rpos] = s
                     cand_all |= row_cols[rpos]
                     t = s - row_cost[rpos] + suf_sums[rpos][
-                        bisect_right(suf_cols[rpos], last_pos)
+                        bisect_right(suf_labels[rpos], last_label)
                     ]
                     if t > 0:
                         ub += t
@@ -246,14 +270,14 @@ def _best_rectangle_bit_v2(
                     sums[rpos] = s
                     cand_all |= row_cols[rpos]
                     t = s - row_cost[rpos] + suf_sums[rpos][
-                        bisect_right(suf_cols[rpos], last_pos)
+                        bisect_right(suf_labels[rpos], last_label)
                     ]
                     if t > 0:
                         ub += t
             if ub < cut:
                 n_pruned += 1
                 continue
-            cand_mask = cand_all & neg_above[last_pos] & ~cols_mask
+            cand_mask = cand_all & above[add_cpos] & ~cols_mask
             if len(sums) == 1:
                 # Single surviving row: all candidates are forced (v1's fast
                 # path); the node has no branch children.
@@ -282,18 +306,12 @@ def _best_rectangle_bit_v2(
                             gain -= col_cost[cpos]
                         if gain > 0:
                             n_evaluated += 1
-                            key = (tuple(cols), (rpos,))
-                            if (
-                                not found
-                                or gain > best_gain
-                                or (gain == best_gain and key < best_tuple)
-                            ):
+                            if not found or gain > best_gain:
                                 found = True
-                                best_gain = gain
-                                best_tuple = key
-                                cut = gain
+                                best_gain = cut = gain
+                                best_cols = cols
+                                best_rows = [rpos]
                 continue
-            branch: List[Tuple[int, int]] = []
             rows_it = iter(sums)
             common = row_cols[next(rows_it)]
             for rpos in rows_it:
@@ -318,12 +336,13 @@ def _best_rectangle_bit_v2(
                     sums[rpos] = s
                 for cpos in forced:
                     ccost += col_cost[cpos]
+            branch: List[Tuple[int, int]] = []
             m = cand_mask & ~common
             while m:
                 low = m & -m
                 cpos = low.bit_length() - 1
                 m ^= low
-                branch.append((cpos, rows_mask & col_rows[cpos]))
+                branch.append((col_labels[cpos], cpos))
             if len(cols) >= min_cols:
                 chosen: List[int] = []
                 gain = 0
@@ -333,8 +352,7 @@ def _best_rectangle_bit_v2(
                         chosen.append(rpos)
                         gain += marg
                 if chosen:
-                    for cpos in cols:
-                        gain -= col_cost[cpos]
+                    gain -= ccost
                     if len(chosen) > 1 or dup_rows:
                         counts: Dict[int, int] = {}
                         multi = False
@@ -368,27 +386,23 @@ def _best_rectangle_bit_v2(
                                             seen.add(cube)
                     if gain > 0:
                         n_evaluated += 1
-                        key = (tuple(cols), tuple(chosen))
-                        if (
-                            not found
-                            or gain > best_gain
-                            or (gain == best_gain and key < best_tuple)
-                        ):
+                        if not found or gain > best_gain:
                             found = True
-                            best_gain = gain
-                            best_tuple = key
-                            cut = gain
-            for cpos, rows2 in reversed(branch):
+                            best_gain = cut = gain
+                            best_cols = cols
+                            best_rows = chosen
+            branch.sort()
+            for clab, cpos in reversed(branch):
                 push((
-                    cols + [cpos], cols_mask | (1 << cpos), rows2, cpos,
-                    sums, cpos, ccost + col_cost[cpos],
+                    cols + [cpos], cols_mask | (1 << cpos), rows_mask & col_rows[cpos],
+                    clab, sums, cpos, ccost + col_cost[cpos],
                 ))
         won = None
         if (cut if found else 0) != at:
             won = best = (
                 Rectangle(
-                    rows=tuple([row_labels[r] for r in best_tuple[1]]),
-                    cols=tuple([col_labels[c] for c in best_tuple[0]]),
+                    rows=tuple(map(row_labels.__getitem__, best_rows)),
+                    cols=tuple(map(col_labels.__getitem__, best_cols)),
                 ),
                 best_gain,
             )

@@ -40,6 +40,7 @@ from __future__ import annotations
 from typing import Any, Dict, Optional
 
 from repro.service.cache import canonical_job_key
+from repro.service.engine import runner_params
 from repro.service.jobs import ALGORITHMS
 
 __all__ = [
@@ -88,7 +89,9 @@ def parse_job_request(doc: Any) -> Dict[str, Any]:
     Exactly one of ``circuit`` (a name or path the worker can resolve
     via :func:`repro.circuits.load_circuit`) or ``eqn`` (inline
     equation-format text) selects the network.  Everything else is
-    optional with the CLI's defaults.
+    optional with the CLI's defaults.  ``params`` may carry only
+    keyword parameters of the algorithm's runner
+    (:func:`repro.service.engine.runner_params`).
     """
     if not isinstance(doc, dict):
         raise BadRequest("request body must be a JSON object")
@@ -145,6 +148,13 @@ def parse_job_request(doc: Any) -> Dict[str, Any]:
     params = doc.get("params", {})
     if not isinstance(params, dict):
         raise BadRequest("'params' must be an object")
+    accepted = runner_params(algorithm)
+    unknown = sorted(set(params) - set(accepted))
+    if unknown:
+        raise BadRequest(
+            f"unknown params key(s) {', '.join(map(repr, unknown))} for "
+            f"algorithm {algorithm}; valid keys: {', '.join(accepted)}"
+        )
     tenant = doc.get("tenant", "default")
     if not isinstance(tenant, str) or not tenant:
         raise BadRequest("'tenant' must be a non-empty string")

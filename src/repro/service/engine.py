@@ -24,6 +24,7 @@ from __future__ import annotations
 import inspect
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Any, Dict, List, Tuple
 
 from repro import obs as _obs
@@ -44,6 +45,7 @@ __all__ = [
 _ENGINE_ARGS = frozenset({"network", "nprocs", "searcher", "budget"})
 
 
+@lru_cache(maxsize=None)
 def runner_params(algorithm: str) -> Tuple[str, ...]:
     """The ``params`` keys a job of *algorithm* may carry: the keyword
     parameters of the function it runs, minus those the engine fills in
@@ -285,7 +287,9 @@ def _degrade(job: FactorizationJob) -> bool:
     Returns False when *job* may not degrade (``allow_degrade`` unset,
     already degraded, or no cheaper path).  The fallback drops the node
     budget: graceful degradation promises *an* answer, and the ping-pong
-    heuristic terminates on every circuit the suite contains.
+    heuristic terminates on every circuit the suite contains.  A
+    replicated job's fallback keeps only the ``params`` the sequential
+    runner takes.
     """
     if not job.allow_degrade or job.degraded:
         return False
@@ -293,6 +297,8 @@ def _degrade(job: FactorizationJob) -> bool:
         # The replicated algorithm *is* the exhaustive search; its
         # fallback is the sequential SIS loop (paper: the DNF rows).
         job.algorithm, job.searcher, job.procs = "sequential", "pingpong", 1
+        accepted = runner_params("sequential")
+        job.params = {k: v for k, v in job.params.items() if k in accepted}
     elif job.searcher == "exhaustive":
         job.searcher = "pingpong"
     else:

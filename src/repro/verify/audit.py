@@ -5,9 +5,8 @@ packed, incrementally patched structures for speed: ``KCMatrix`` keeps
 its cells in one live bitset store
 (:class:`~repro.rectangles.bitview.LiveBitIndex`: slot labels, row and
 column masks, a cell table of entry ids) behind label maps
-(``rows``/``cols``/``col_of_cube``/``node_rows``/``overlap_rows``),
-compiles a sorted copy for the exhaustive search
-(:class:`~repro.rectangles.bitview.BitKCView`), and
+(``rows``/``cols``/``col_of_cube``/``node_rows``/``overlap_rows``)
+that both rectangle searches walk, and
 :class:`~repro.parallel.cubestate.CubeStateStore` tracks per-cube
 claims that must never double-cover.  A bug in any of that
 bookkeeping silently corrupts factorization results long before an
@@ -27,11 +26,12 @@ lazily) or :func:`set_audits` from code.  When enabled:
   empty, the label maps invert the slots, and ``overlap_rows`` matches
   a recount),
 - every ``KCMatrix.bitview()`` call runs that full check on the live
-  store (its seed potentials included), and every sorted compilation
-  is checked against the store it was compiled from; a live index
-  bound to a value source (the L-shaped cube-state view) has its
-  patched value table checked against an uncharged recompute of every
-  cell, so every L-shaped search checks the table it reads,
+  store (its seed potentials included), and so does every derivation
+  of the exhaustive search's label-order tables
+  (``KCMatrix.search_tables()``); a live index bound to a value source
+  (the L-shaped cube-state view) has its patched value table checked
+  against an uncharged recompute of every cell, so every L-shaped
+  search checks the table it reads,
 - every ping-pong seed ascent replayed from the live index's records is
   re-run from scratch and must reach the same fixpoint, gain and round
   count (:func:`audit_ascent_replay`),
@@ -223,31 +223,31 @@ def audit_row_relabeled(mat: "KCMatrix", old: int, new: int) -> None:
 # KCMatrix: full-structure check
 # ----------------------------------------------------------------------
 
-def _audit_cells(view, kind: str) -> None:
-    """A bitset form's cell table and masks agree: the row and column
-    masks are transposes, each row's cells are exactly its mask's bits,
-    and no two cells share an entry id."""
+def _audit_cells(view) -> None:
+    """The store's cell table and masks agree: the row and column masks
+    are transposes, each row's cells are exactly its mask's bits, and
+    no two cells share an entry id."""
     col_rows = [0] * len(view.col_rows)
     for i, mask in enumerate(view.row_cols):
         for j in iter_bits(mask):
             col_rows[j] |= 1 << i
         if set(view.cells[i]) != set(iter_bits(mask)):
-            _fail(f"{kind}: the cell table disagrees with row slot {i}'s mask")
+            _fail(f"store: the cell table disagrees with row slot {i}'s mask")
     if col_rows != list(view.col_rows):
-        _fail(f"{kind}: row and column adjacency masks are not transposes")
+        _fail("store: row and column adjacency masks are not transposes")
     eids = {eid for rcells in view.cells for eid in rcells.values()}
     if len(eids) != sum(map(len, view.cells)) or len(eids) != view.num_entries:
-        _fail(f"{kind}: cells share an entry id or miscount num_entries")
+        _fail("store: cells share an entry id or miscount num_entries")
 
 
 def audit_kcmatrix(mat: "KCMatrix") -> None:
     """Full consistency of the one store and its label maps
     (O(rows + cols + entries))."""
     live = mat._live
-    _audit_slots("row", live.row_labels, live.row_pos, mat.rows, False)
-    _audit_slots("col", live.col_labels, live.col_pos, mat.cols, False)
+    _audit_slots("row", live.row_labels, live.row_pos, mat.rows)
+    _audit_slots("col", live.col_labels, live.col_pos, mat.cols)
     _audit_free_slots(live)
-    _audit_cells(live, "store")
+    _audit_cells(live)
     for lab, i in live.row_pos.items():
         info = mat.rows[lab]
         if (live.row_cost[i] != len(info.cokernel) + 1
@@ -288,9 +288,10 @@ def kc_order_form(mat: "KCMatrix") -> Tuple[list, list, list]:
 
     ``(rows, cols, cells)``: the ``(node, cokernel)`` of every row in
     sorted-label order, the column cubes in sorted-label order, and the
-    sorted ``(row position, column position, cube)`` cells.  Two matrices
-    with equal forms hand every search the same dense positions, so every
-    tie-break resolves the same way; only the labels may differ.
+    sorted ``(row rank, column rank, cube)`` cells, ranks in sorted-label
+    order.  Two matrices with equal forms order every search's rows and
+    columns the same way, so every tie-break resolves the same way; only
+    the labels may differ.
     """
     row_labels = sorted(mat.rows)
     col_labels = sorted(mat.cols)
@@ -318,13 +319,11 @@ def audit_kc_order(mat: "KCMatrix", fresh: "KCMatrix") -> None:
         _fail("patched KC matrix entries differ from a fresh build's")
 
 
-def _audit_slots(kind: str, labels: list, pos: dict, want: dict, ordered: bool) -> None:
+def _audit_slots(kind: str, labels: list, pos: dict, want: dict) -> None:
     """``labels[slot]`` and ``pos[label]`` are inverse over *want*'s keys."""
     live = [lab for lab in labels if lab is not None]
     if len(live) != len(want) or set(live) != set(want):
         _fail(f"bitview {kind} labels != matrix {kind}s")
-    if ordered and labels != sorted(want):
-        _fail(f"bitview {kind} labels not in sorted-label order")
     if len(pos) != len(want):
         _fail(f"bitview {kind}_pos has {len(pos)} labels, matrix {len(want)}")
     for lab, slot in pos.items():
@@ -353,34 +352,16 @@ def _audit_potentials(view, values: list) -> None:
 
 
 def audit_bitview(mat: "KCMatrix", view) -> None:
-    """A bitset form is consistent with the matrix's one store.
-
-    For the live index (the store itself) this is :func:`audit_kcmatrix`
-    plus its maintained value table and, once materialized, its seed
-    potentials against a full recompute.  A sorted compilation must
-    hold its cells consistently, list the store's labels in sorted
-    order, and read back, by label, the store's cells and costs.
-    """
-    live = mat._live
-    if view is live:
-        audit_kcmatrix(mat)
-        values = view.value_table(view.value_source)
-        _audit_value_table(view, values)
-        if view.row_pot is not None:
-            _audit_potentials(view, values)
-        return
-    _audit_slots("row", view.row_labels, view.row_pos, mat.rows, True)
-    _audit_slots("col", view.col_labels, view.col_pos, mat.cols, True)
-    _audit_cells(view, "sorted compilation")
-    for i, lab in enumerate(view.row_labels):
-        slot = live.row_pos[lab]
-        got = {view.col_labels[j]: view.entry_cubes[eid] for j, eid in view.cells[i].items()}
-        want = {live.col_labels[j]: live.entry_cubes[eid] for j, eid in live.cells[slot].items()}
-        if got != want or view.row_cost[i] != live.row_cost[slot] or (
-                view.row_node[i] != live.row_node[slot]):
-            _fail(f"sorted compilation row {lab} disagrees with the store")
-    if view.col_cost != [live.col_cost[live.col_pos[lab]] for lab in view.col_labels]:
-        _fail("sorted compilation col_cost disagrees with the store")
+    """The live index *view* is the matrix's store and is consistent:
+    :func:`audit_kcmatrix`, plus its maintained value table and, once
+    materialized, its seed potentials against a full recompute."""
+    if view is not mat._live:
+        _fail("bitview is not the matrix's store")
+    audit_kcmatrix(mat)
+    values = view.value_table(view.value_source)
+    _audit_value_table(view, values)
+    if view.row_pot is not None:
+        _audit_potentials(view, values)
 
 
 def _audit_value_table(view, values: list) -> None:

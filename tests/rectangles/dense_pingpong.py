@@ -1,8 +1,8 @@
 """The dense ping-pong walk, kept as the differential oracle.
 
 Before the live bitset index, the bit core's ping-pong ran on the
-sorted compilation (:class:`~repro.rectangles.bitview.BitKCView`), whose
-positions are label ranks, so every tie-break followed positions.  This
+sorted compilation (:class:`tests.rectangles.compiled_walk.BitKCView`),
+whose positions are label ranks, so every tie-break followed positions.  This
 module keeps that walk verbatim, over a fresh compilation whose
 ``dup_rows`` is the original full scan rather than the matrix's overlap
 counts.  Swap it in for ``repro.rectangles.pingpong._ascents_bit`` to
@@ -15,8 +15,9 @@ from operator import itemgetter, mul
 from typing import Dict, List, Set, Tuple
 
 from repro.obs.tracer import active_tracer, add_counters
-from repro.rectangles.bitview import BitKCView, popcount
+from repro.rectangles.bitview import popcount
 from repro.rectangles.rectangle import Rectangle
+from tests.rectangles.compiled_walk import BitKCView
 
 
 class FullScanView(BitKCView):

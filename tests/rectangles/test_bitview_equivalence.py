@@ -1,7 +1,7 @@
 """Differential tests: the bitset searches against their reference walks.
 
 The exhaustive search in :mod:`repro.rectangles.search` walks the
-column-subset tree over the sorted bitset compilation.  It must return
+column-subset tree over the live bitset index.  It must return
 the same best rectangle, ties included, as the recursive sparse-set
 walk kept in :mod:`tests.rectangles.set_walk`, and factorize to
 byte-identical results end to end (its node spend is pinned in
@@ -161,15 +161,18 @@ class TestViewStructure:
             assert view.col_rows[cpos] >> rpos & 1
 
     def test_view_invalidated_by_mutation(self, eq1_network):
-        # The sorted compilation is dropped by every mutation.
+        # The exhaustive search's label-order tables are dropped by
+        # every mutation and derived afresh from the store.
         mat = build_kc_matrix(eq1_network)
-        view = mat.dense_view()
-        assert mat.dense_view() is view  # cached while untouched
+        tables = mat.search_tables()
+        assert mat.search_tables() is tables  # cached while untouched
+        assert tables.index is mat.bitview()
         some_row = next(iter(mat.rows))
         mat.remove_row(some_row)
-        view2 = mat.dense_view()
-        assert view2 is not view
-        assert view2.num_rows == mat.num_rows
+        tables2 = mat.search_tables()
+        assert tables2 is not tables
+        assert tables2.index is mat.bitview()
+        assert tables2.anchors == sorted(mat.cols)
 
     def test_live_index_patched_by_mutation(self, eq1_network):
         # The live index survives mutations and follows them.

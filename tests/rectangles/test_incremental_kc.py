@@ -35,12 +35,12 @@ from repro.network.eqn import write_eqn
 from repro.obs.tracer import Tracer, use_tracer
 from repro.parallel.common import partition_network_nodes
 from repro.rectangles import kcmatrix
-from repro.rectangles.bitview import BitKCView
 from repro.rectangles.cover import apply_rectangle, kernel_extract, make_searcher
 from repro.rectangles.kcmatrix import IncrementalKCMatrix, build_kc_matrix
 from repro.rectangles.search import SearchBudget
 from repro.verify import audit
 from repro.verify.generator import FAMILIES, random_network
+from tests.rectangles.compiled_walk import BitKCView
 from tests.rectangles.test_live_bitview import label_form, recomputed_potentials
 
 SEEDS = range(20)

@@ -6,7 +6,8 @@ from label order as rows are removed, slots reused and columns
 relabelled.  Two contracts follow:
 
 - after any mutation sequence the index, mapped back to labels, equals
-  a fresh sorted compilation (:class:`BitKCView`) of the same matrix;
+  a fresh sorted compilation of the same matrix (the oracle
+  :class:`tests.rectangles.compiled_walk.BitKCView`);
 - the ping-pong walk on it takes every tie-break from labels, so every
   search returns what the old dense walk over a fresh compilation
   returned (kept as the oracle in :mod:`tests.rectangles.dense_pingpong`):
@@ -37,12 +38,13 @@ from repro.machine.costmodel import CostMeter
 from repro.network.eqn import write_eqn
 from repro.parallel import lshaped
 from repro.rectangles import pingpong
-from repro.rectangles.bitview import BitKCView, iter_bits, popcount
+from repro.rectangles.bitview import iter_bits, popcount
 from repro.rectangles.cover import apply_rectangle, kernel_extract, make_searcher
 from repro.rectangles.kcmatrix import KCMatrix, build_kc_matrix
 from repro.rectangles.rectangle import Rectangle
 from repro.verify import audit
 from repro.verify.generator import FAMILIES, random_network
+from tests.rectangles.compiled_walk import BitKCView
 from tests.rectangles.dense_pingpong import FullScanView, dense_ascents
 from tests.rectangles.test_bitview_equivalence import random_kc_matrix
 

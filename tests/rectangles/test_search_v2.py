@@ -163,11 +163,11 @@ class TestBudgetParity:
 
 def _reversed_children_mutant():
     """v2 with branch children pushed in the wrong order."""
-    old = "for cpos, rows2 in reversed(branch):"
+    old = "for clab, cpos in reversed(branch):"
     src = inspect.getsource(search._best_rectangle_bit_v2)
     assert src.count(old) == 1, "mutation site not found"
     namespace = dict(vars(search))
-    exec(compile(src.replace(old, "for cpos, rows2 in branch:"),
+    exec(compile(src.replace(old, "for clab, cpos in branch:"),
                  "<mutant>", "exec"), namespace)
     return namespace["_best_rectangle_bit_v2"]
 

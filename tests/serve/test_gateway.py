@@ -318,6 +318,13 @@ def test_health_ready_metrics_and_error_routes():
                 "POST", gw.url + "/v1/factor", {"circuit": "no-such-circuit"}
             )
             assert status == 400
+            # A params key no runner takes is refused, naming the valid keys.
+            status, doc = await http_json(
+                "POST", gw.url + "/v1/factor",
+                {"circuit": "example", "params": {"deadline": 5}},
+            )
+            assert status == 400
+            assert "'deadline'" in doc["error"] and "max_seeds" in doc["error"]
         finally:
             await gw.stop()
 

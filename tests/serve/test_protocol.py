@@ -44,6 +44,7 @@ def test_inline_eqn_request():
     {"circuit": "example", "scale": -1},
     {"circuit": "example", "node_budget": 0},
     {"circuit": "example", "params": "not-a-dict"},
+    {"circuit": "example", "params": {"deadline": 5}},  # no runner takes it
     {"circuit": "example", "tenant": ""},
 ])
 def test_bad_requests_rejected(body):

@@ -72,6 +72,18 @@ class TestDegradation:
         assert res.ok and res.degraded
         assert res.algorithm == "sequential"
 
+    def test_fallback_drops_params_only_replicated_takes(self):
+        # kernel_extract takes no 'faults': the fallback must not pass it.
+        engine = make_engine()
+        job = FactorizationJob(
+            circuit="misex3", scale=0.1, algorithm="replicated",
+            procs=2, node_budget=5, params={"faults": None, "min_gain": 1},
+        )
+        res = engine.execute(job)
+        assert res.status is JobStatus.DONE, res.error
+        assert res.degraded and res.algorithm == "sequential"
+        assert job.params == {"min_gain": 1}
+
     def test_repeated_degrading_job_fails_over_again(self):
         engine = make_engine()
         first = engine.execute(FactorizationJob(
