@@ -22,8 +22,8 @@ generated — the problem analyzed at the end of Section 5.3.
 A value changes only when the store covers, divides or releases a cube,
 so each processor's view can live as a table instead of being asked
 cell by cell: :class:`CubeStateValues` binds one processor's view to the
-live bitset index of its KC matrix, and the store pushes every value
-change its transitions make into the bound tables.
+value table of its KC matrix, and the store pushes every value change
+its transitions make into the bound tables.
 """
 
 from __future__ import annotations
@@ -102,9 +102,9 @@ class CubeStateStore:
     def _changed(self, ref: CubeRef, rec: CubeRecord) -> None:
         """Push *ref*'s new values into every bound table."""
         for table in self._tables:
-            view = table.view
-            if view is not None:
-                view.set_ref_value(ref, _value_of(ref, rec, table.pid))
+            matrix = table.matrix
+            if matrix is not None:
+                matrix.set_ref_value(ref, _value_of(ref, rec, table.pid))
 
     def cover(self, refs: Iterable[CubeRef], pid: int, meter=None) -> None:
         """Speculatively claim *refs* for processor *pid*'s best rectangle."""
@@ -163,11 +163,11 @@ class CubeStateStore:
                 _audit.audit_cube_record(ref, rec)
 
     def detach(self) -> None:
-        """Unbind every table.  A bound table and its index refer to
+        """Unbind every table.  A bound table and its matrix refer to
         each other, so without this they (and the store) outlive their
         cycle until the cyclic garbage collector finds them."""
         for table in self._tables:
-            table.view = None
+            table.matrix = None
         self._tables.clear()
 
     def __len__(self) -> int:
@@ -179,29 +179,31 @@ class CubeStateValues:
 
     Called as a value function, ``(node, cube) -> value``, it asks the
     store without charging.  :meth:`prepare` binds it to a KC matrix's
-    live bitset index (:meth:`~repro.rectangles.bitview.LiveBitIndex.
-    bind_values`), which values every cell once; from then on the
-    store's transitions patch the cells whose value they change, and a
-    ping-pong search given this object as ``value_fn`` reads the patched
-    table and keeps ascent records on it.
+    value table (:meth:`~repro.rectangles.kcmatrix.KCMatrix.bind_values`),
+    which values every cell once; from then on the store's transitions
+    patch the cells whose value they change, and a ping-pong search
+    given this object as ``value_fn`` reads the patched table and keeps
+    ascent records on it.
     """
 
     def __init__(self, store: CubeStateStore, pid: int) -> None:
         self.store = store
         self.pid = pid
-        self.view = None  # the bound LiveBitIndex
+        self.matrix = None  # the bound KCMatrix
         store._tables.append(self)
 
     def __call__(self, node: str, cube: Cube) -> int:
         return self.store.value((node, cube), self.pid)
 
     def prepare(self, matrix, meter=None) -> None:
-        """Make *matrix*'s live index hold this view, then charge one
+        """Make *matrix* hold this view, then charge one
         ``cube_state_op`` per live cell: the reads a search of the whole
-        matrix makes, as if it asked the store cell by cell."""
-        view = matrix.bitview()
-        if view is not self.view:
-            view.bind_values(self)
-            self.view = view
-        if meter is not None and view.num_entries:
-            meter.charge("cube_state_op", view.num_entries)
+        matrix makes, as if it asked the store cell by cell.  Under
+        ``REPRO_CHECK=1`` the whole store is checked first."""
+        if _audit.enabled():
+            _audit.audit_store(matrix)
+        if matrix is not self.matrix:
+            matrix.bind_values(self)
+            self.matrix = matrix
+        if meter is not None and matrix.num_entries:
+            meter.charge("cube_state_op", matrix.num_entries)

@@ -331,8 +331,8 @@ def lshaped_kernel_extract(
                 reduced.append(sub)
             matrices = reduced
         store = CubeStateStore()
-        # Each processor's view of the store, held as a value table on
-        # its matrix's live index and patched by the store's transitions.
+        # Each processor's view of the store, held as its matrix's value
+        # table and patched by the store's transitions.
         views = [CubeStateValues(store, pid) for pid in range(nprocs)]
         mailbox: List[List[PartialRectangle]] = [[] for _ in range(nprocs)]
         journal = ExtractionJournal() if machine.faults is not None else None

@@ -15,10 +15,10 @@ rows; extracting it creates a new node and rewrites every row's node.
 Sub-modules:
 
 - :mod:`~repro.rectangles.kcmatrix` — the sparse matrix with the global
-  offset labeling used by the parallel algorithms,
-- :mod:`~repro.rectangles.bitview` — the matrix's one bitset store,
-  which both searches walk, and the exhaustive search's label-order
-  tables over it,
+  offset labeling used by the parallel algorithms: its label maps and
+  its bitset cell store, which both searches walk, in one object,
+- :mod:`~repro.rectangles.bitview` — the bitset helpers and the
+  exhaustive search's label-order tables over the matrix's slots,
 - :mod:`~repro.rectangles.rectangle` — rectangles and the literal-savings
   gain model,
 - :mod:`~repro.rectangles.search` — the pruned exhaustive column-anchored
@@ -30,7 +30,6 @@ Sub-modules:
   sequential kernel-extraction baseline) and network rewriting.
 """
 
-from repro.rectangles.bitview import LiveBitIndex
 from repro.rectangles.kcmatrix import KCMatrix, build_kc_matrix
 from repro.rectangles.rectangle import Rectangle, rectangle_gain
 from repro.rectangles.search import (
@@ -46,7 +45,6 @@ from repro.rectangles.cover import (
 )
 
 __all__ = [
-    "LiveBitIndex",
     "KCMatrix",
     "build_kc_matrix",
     "Rectangle",

@@ -97,7 +97,9 @@ def apply_rectangle(
 
     # Overlap bookkeeping: the distinct original cubes each node loses,
     # deduped by the store's cell ids without re-hashing cube tuples.
-    covered_by_node = matrix.bitview().covered_cubes_by_node(rect)
+    if _audit.enabled():
+        _audit.audit_store(matrix)
+    covered_by_node = matrix.covered_cubes_by_node(rect)
 
     for node, rows in sorted(rows_by_node.items()):
         covered = covered_by_node[node]

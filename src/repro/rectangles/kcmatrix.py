@@ -7,11 +7,13 @@ first kernel is row 200001).  Labels therefore stay consistent across
 replicas regardless of generation order, and sub-matrices exchanged
 between processors splice together without renumbering.
 
-:class:`KCMatrix` names rows and columns by label and keeps its cells in
-one store, the live bitset index of :mod:`repro.rectangles.bitview`,
-which both rectangle searches walk; the only tables derived from it (the
-exhaustive search's label order, ping-pong's seed potentials, both
-searches' reuse records) are dropped or patched by the mutators.
+:class:`KCMatrix` is one object: its label maps and its bitset cell
+store, which both rectangle searches, ``apply_rectangle``, the
+cube-state tables and the audits read directly.  Every mutator writes
+each fact once; the only tables derived from the store (the exhaustive
+search's label order, ping-pong's seed potentials, both searches' reuse
+records) are dropped or patched by the mutators.  The bitset helpers
+and the label-order tables live in :mod:`repro.rectangles.bitview`.
 
 The sequential and replicated greedy loops use a second scheme,
 :class:`IncrementalKCMatrix`: labels derived from node names, kernel
@@ -21,13 +23,15 @@ extraction still sorts exactly like a fresh :func:`build_kc_matrix`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass, field
+from heapq import heappop, heappush
+from typing import AbstractSet, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.algebra.cube import Cube, cube_union
 from repro.algebra.kernels import Kernel, kernels
 from repro.algebra.sop import Sop
-from repro.rectangles.bitview import LabelTables, LiveBitIndex, iter_bits
+from repro.rectangles.bitview import LabelTables, iter_bits, popcount, seed_potentials
+from repro.rectangles.rectangle import ValueFn, default_value
 from repro.verify import audit as _audit
 
 # The paper labels processor p's first kernel p·100000 + 1.
@@ -38,43 +42,95 @@ CubeRef = Tuple[str, Cube]  # (node name, original SOP cube)
 
 @dataclass(frozen=True)
 class RowInfo:
-    """A row: one (node, co-kernel) pair."""
+    """A row: one (node, co-kernel) pair, and the store slot it sits at
+    (not part of its identity: equal rows of two matrices may sit at
+    different slots)."""
 
     node: str
     cokernel: Cube
+    slot: int = field(compare=False)
 
 
 class KCMatrix:
     """Sparse KC matrix keyed by integer row/column labels.
 
-    A label facade over one store: ``rows`` (label → :class:`RowInfo`),
-    ``cols`` (label → kernel cube), its inverse ``col_of_cube`` and
-    ``node_rows`` name the rows and columns, and the cells live only in
-    the live bitset index (:meth:`bitview`), made with the matrix.  The
-    cell ``(r, c)`` holds the original SOP cube ``rows[r].cokernel ∪
-    cols[c]`` of ``rows[r].node``.  ``overlap_rows`` counts, per row, the
-    cells whose column cube overlaps the row's co-kernel (never any for
-    kernel-built matrices); only such rows can repeat a cube.
+    **Labels.**  ``rows`` maps a row label to its :class:`RowInfo`
+    (node, co-kernel and slot), ``cols`` a column label to its kernel
+    cube, ``col_of_cube`` is the inverse of ``cols``, and ``col_pos``
+    gives each column label its slot.  The cell ``(r, c)`` holds the
+    original SOP cube ``rows[r].cokernel ∪ cols[c]`` of ``rows[r].node``.
+    ``overlap_rows`` counts, per row label, the cells whose column cube
+    overlaps the row's co-kernel (never any for kernel-built matrices);
+    only such rows can repeat a cube.
 
-    Every mutator writes its change to the index once and drops the
-    exhaustive search's label-order tables (:meth:`search_tables`).
+    **The store.**  Rows and columns sit at stable *slots*: a slot never
+    moves while its row or column lives, a removal clears one bit in
+    each incident mask and frees the slot, and an insertion takes the
+    lowest free slot, so mask width stays bounded by the largest live
+    count.  Per slot: ``row_labels`` / ``col_labels`` (``None`` when
+    free), the bitmasks ``row_cols`` (a row's column slots) and
+    ``col_rows`` (a column's row slots), ``row_cells`` (column slot →
+    *entry id*), ``row_node`` (an id into ``node_names``) and the costs
+    ``row_cost`` (``len(cokernel) + 1``) and ``col_cost``
+    (``len(kernel_cube)``).  An entry id indexes ``entry_cubes`` and the
+    value table; ids are recycled like slots, and a free id's cube is
+    ``None`` and its value 0.  A relabel rewrites one label map entry
+    and one slot label, in O(1).  Slot order is *not* label order:
+    every tie-break and every ordered walk reads the labels.
 
-    The exhaustive search keeps one record per anchor column
-    (:meth:`anchor_records`).  Once records exist the mutators mark
-    what they change: ``add_entry`` marks its row, ``remove_row`` the
-    row's columns, ``remove_col`` and ``relabel_col`` the column's
-    rows, and ``relabel_row`` the row.  Rows are marked by slot,
-    columns by label; a marked row stands for all of its columns at the
-    next :meth:`anchor_records` call (a freed slot has none, and a
-    reused one's cells marked it when they came).  ``remove_col`` and
-    ``relabel_col`` also mark the label that goes, so its record goes
-    with it.  ``add_row`` and ``ensure_col`` mark
-    nothing: a row or column without cells is in no anchor's subtree.
+    **Values.**  The value table follows :attr:`value_source`: the
+    default value until :meth:`bind_values` binds a live source, whose
+    changes then arrive through :meth:`set_ref_value`.
+
+    **Derived tables.**  Every mutator drops the exhaustive search's
+    label-order tables (:meth:`search_tables`).  ``row_pot`` holds each
+    row slot's ping-pong seed potential under the maintained values,
+    ``Σ_c (|col c| − 1) · value(cell)`` (0 for a free slot), as of the
+    column sizes in ``_pot_sizes``.  It is ``None`` until the first
+    :meth:`potentials` call builds it in bulk; from then on the mutators
+    patch it (a new cell adds its value times its column's recorded size
+    minus one, a removed column takes its cells' terms back) and mark
+    every column that gained or lost a row, and the next
+    :meth:`potentials` call settles each marked column once, in
+    O(column degree).  Relabels leave it untouched.
+
+    **Reuse records and their marks.**  Once records exist the mutators
+    mark what they change, in two sets of marks with their own rules:
+
+    - the last ping-pong search's seed ascents (:meth:`ascent_records`;
+      see :func:`repro.rectangles.pingpong._ascents_bit`), marked by
+      slot: ``add_row``, ``add_entries``, ``remove_row`` and
+      ``remove_col``'s rows mark rows; ``ensure_col``, ``remove_row``'s
+      columns, ``remove_col`` and ``relabel_col`` mark columns, and the
+      columns of every marked row count as marked too.  A
+      :meth:`set_ref_value` that changes a cell's value marks its row.
+      ``relabel_row`` marks nothing: an ascent reads no row label;
+    - the exhaustive search's per-anchor records
+      (:meth:`anchor_records`), rows marked by slot and columns by
+      label: ``add_entries`` marks its row, ``remove_row`` the row's
+      columns, ``remove_col`` and ``relabel_col`` the column's rows and
+      the label that goes, and ``relabel_row`` the row.  A marked row
+      stands for all of its columns (a freed slot has none, and a
+      reused one's cells marked it when they came).  ``add_row`` and
+      ``ensure_col`` mark nothing: a row or column without cells is in
+      no anchor's subtree.
+
+    :meth:`_touch` drops every derived table and record, never the
+    cells.
     """
 
     __slots__ = (
-        "rows", "cols", "col_of_cube", "node_rows", "overlap_rows",
-        "_live", "_tables", "_anchors", "_anchor_key", "_dirty_rows", "_dirty_cols",
+        # Labels
+        "rows", "cols", "col_of_cube", "col_pos", "overlap_rows",
+        # The store, per slot and per entry id
+        "row_labels", "col_labels", "row_cols", "col_rows", "row_cells",
+        "row_node", "node_names", "_node_ids", "row_cost", "col_cost",
+        "entry_cubes", "_values", "value_source", "_ref_cells",
+        "_free_rows", "_free_cols", "_free_eids",
+        # Derived tables and reuse records
+        "_tables", "row_pot", "_pot_sizes", "_pot_dirty",
+        "_ascents", "_ascent_key", "_ascent_rows", "_ascent_cols",
+        "_anchors", "_anchor_key", "_anchor_rows", "_anchor_cols",
         "__weakref__",
     )
 
@@ -82,43 +138,91 @@ class KCMatrix:
         self.rows: Dict[int, RowInfo] = {}
         self.cols: Dict[int, Cube] = {}
         self.col_of_cube: Dict[Cube, int] = {}
-        self.node_rows: Dict[str, Set[int]] = {}
+        self.col_pos: Dict[int, int] = {}
         self.overlap_rows: Dict[int, int] = {}
-        self._live = LiveBitIndex(self.overlap_rows)
+        self.row_labels: List[Optional[int]] = []
+        self.col_labels: List[Optional[int]] = []
+        self.row_cols: List[int] = []
+        self.col_rows: List[int] = []
+        self.row_cells: List[Dict[int, int]] = []
+        self.row_node: List[int] = []
+        self.node_names: List[str] = []
+        self._node_ids: Dict[str, int] = {}
+        self.row_cost: List[int] = []
+        self.col_cost: List[int] = []
+        self.entry_cubes: List[Optional[Cube]] = []
+        self._values: List[int] = []
+        # The value function _values holds, and once a live source is
+        # bound, each cube ref's cells as (row slot, column slot).
+        self.value_source: ValueFn = default_value
+        self._ref_cells: Optional[Dict[CubeRef, List[Tuple[int, int]]]] = None
+        self._free_rows: List[int] = []
+        self._free_cols: List[int] = []
+        self._free_eids: List[int] = []
         self._tables: Optional[LabelTables] = None
+        self.row_pot: Optional[List[int]] = None
+        # Per column slot: the size row_pot reflects; the column slots
+        # whose size has changed since.
+        self._pot_sizes: List[int] = []
+        self._pot_dirty: Set[int] = set()
+        # Seed slot → its last recorded ascent, under the search
+        # parameters _ascent_key; None until a default-value search
+        # keeps records, and the mutators mark only from then on.
+        self._ascents: Optional[Dict[int, tuple]] = None
+        self._ascent_key: Optional[tuple] = None
+        self._ascent_rows: Set[int] = set()
+        self._ascent_cols: Set[int] = set()
         # Anchor column label → its record, for the min_cols in
-        # _anchor_key; None until an exhaustive search keeps records, and
-        # the mutators mark only from then on (rows by slot, columns by
-        # label).
+        # _anchor_key; None until an exhaustive search keeps records.
         self._anchors: Optional[Dict[int, tuple]] = None
         self._anchor_key: Optional[int] = None
-        self._dirty_rows: Set[int] = set()
-        self._dirty_cols: Set[int] = set()
+        self._anchor_rows: Set[int] = set()
+        self._anchor_cols: Set[int] = set()
 
     # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------
     def _touch(self) -> None:
         """Drop every table derived from the store: the label-order
-        tables, the live index's seed potentials and ascent records,
-        and the anchor records.  The next search then pays
-        for all of them, as on a fresh matrix."""
+        tables, the seed potentials, and the ascent and anchor records
+        with their marks.  The next search then pays for all of them,
+        as on a fresh matrix; the cells and the value table stay."""
         self._tables = None
-        self._live.drop_derived()
+        self.row_pot = None
+        self._pot_dirty.clear()
+        self._ascents = None
+        self._ascent_key = None
+        self._ascent_rows.clear()
+        self._ascent_cols.clear()
         self._anchors = None
-        self._dirty_rows.clear()
-        self._dirty_cols.clear()
+        self._anchor_rows.clear()
+        self._anchor_cols.clear()
 
     def add_row(self, label: int, node: str, cokernel: Cube) -> None:
         if label in self.rows:
             raise ValueError(f"duplicate row label {label}")
-        self.rows[label] = RowInfo(node, cokernel)
-        got = self.node_rows.get(node)
-        if got is None:
-            self.node_rows[node] = {label}
+        nid = self._node_ids.get(node)
+        if nid is None:
+            nid = self._node_ids[node] = len(self.node_names)
+            self.node_names.append(node)
+        cost = len(cokernel) + 1
+        if self._free_rows:
+            slot = heappop(self._free_rows)
+            self.row_labels[slot] = label
+            self.row_node[slot] = nid
+            self.row_cost[slot] = cost
         else:
-            got.add(label)
-        self._live.add_row(label, node, cokernel)
+            slot = len(self.row_labels)
+            self.row_labels.append(label)
+            self.row_cols.append(0)
+            self.row_cells.append({})
+            self.row_node.append(nid)
+            self.row_cost.append(cost)
+            if self.row_pot is not None:
+                self.row_pot.append(0)
+        self.rows[label] = RowInfo(node, cokernel, slot)
+        if self._ascents is not None:
+            self._ascent_rows.add(slot)
         if _audit.enabled():
             _audit.audit_row_added(self, label)
         self._tables = None
@@ -131,9 +235,22 @@ class KCMatrix:
         label = label_factory()
         if label in self.cols:
             raise ValueError(f"duplicate column label {label}")
+        if self._free_cols:
+            slot = heappop(self._free_cols)
+            self.col_labels[slot] = label
+            self.col_cost[slot] = len(cube)
+        else:
+            slot = len(self.col_labels)
+            self.col_labels.append(label)
+            self.col_rows.append(0)
+            self.col_cost.append(len(cube))
+            if self.row_pot is not None:
+                self._pot_sizes.append(0)
         self.cols[label] = cube
         self.col_of_cube[cube] = label
-        self._live.add_col(label, cube)
+        self.col_pos[label] = slot
+        if self._ascents is not None:
+            self._ascent_cols.add(slot)
         if _audit.enabled():
             _audit.audit_col_added(self, label)
         self._tables = None
@@ -145,43 +262,101 @@ class KCMatrix:
     def add_entries(self, row: int, cols: Sequence[int]) -> None:
         """``add_entry(row, c)`` for each column label *c* of *cols*, in
         order, as one write of the row's new cells."""
-        live = self._live
-        rslot = live.row_pos[row]
-        have = live.cells[rslot]
-        col_pos = live.col_pos
-        cokernel = self.rows[row].cokernel
+        info = self.rows[row]
+        rslot = info.slot
+        cokernel = info.cokernel
         width = len(cokernel)
-        new = []
+        rcells = self.row_cells[rslot]
+        col_pos = self.col_pos
+        col_cubes = self.cols
+        refs = self._ref_cells
+        source = self.value_source
+        free = self._free_eids
+        cubes = self.entry_cubes
+        values = self._values
+        pot = self.row_pot
+        col_rows = self.col_rows
+        bit = 1 << rslot
+        mask = overlap = 0
         for col in dict.fromkeys(cols):
             cslot = col_pos[col]
-            if cslot not in have:
-                kc = self.cols[col]
-                cube = cube_union(cokernel, kc)
-                if len(cube) != width + len(kc):
-                    self.overlap_rows[row] = self.overlap_rows.get(row, 0) + 1
-                new.append((cslot, cube))
-        if new:
-            live.add_cells(rslot, new)
+            if cslot in rcells:
+                continue
+            kc = col_cubes[col]
+            cube = cube_union(cokernel, kc)
+            if len(cube) != width + len(kc):
+                overlap += 1
+            if refs is None:
+                value = len(cube)
+            else:
+                value = source(info.node, cube)
+                refs.setdefault((info.node, cube), []).append((rslot, cslot))
+            if free:
+                eid = free.pop()
+                cubes[eid] = cube
+                values[eid] = value
+            else:
+                eid = len(cubes)
+                cubes.append(cube)
+                values.append(value)
+            if pot is not None:
+                pot[rslot] += (self._pot_sizes[cslot] - 1) * value
+                self._pot_dirty.add(cslot)
+            rcells[cslot] = eid
+            mask |= 1 << cslot
+            col_rows[cslot] |= bit
+        if mask:
+            self.row_cols[rslot] |= mask
+            if overlap:
+                self.overlap_rows[row] = self.overlap_rows.get(row, 0) + overlap
+            if self._ascents is not None:
+                self._ascent_rows.add(rslot)
             if self._anchors is not None:
-                self._dirty_rows.add(rslot)
+                self._anchor_rows.add(rslot)
         if _audit.enabled():
             for col in cols:
                 _audit.audit_entry_added(self, row, col)
         self._tables = None
 
+    def _forget_cell(self, rslot: int, cslot: int, eid: int) -> None:
+        """Drop a removed cell from the bound source's ref map."""
+        ref = (self.node_names[self.row_node[rslot]], self.entry_cubes[eid])
+        slots = self._ref_cells[ref]
+        slots.remove((rslot, cslot))
+        if not slots:
+            del self._ref_cells[ref]
+
     def remove_row(self, label: int) -> None:
         info = self.rows.pop(label, None)
         if info is not None:
-            live = self._live
+            slot = info.slot
+            rcells = self.row_cells[slot]
             if self._anchors is not None:
-                cols = live.cells[live.row_pos[label]]
-                self._dirty_cols.update(map(live.col_labels.__getitem__, cols))
-            live.remove_row(label)
+                self._anchor_cols.update(map(self.col_labels.__getitem__, rcells))
+            if self._ascents is not None:
+                self._ascent_rows.add(slot)
+                self._ascent_cols.update(rcells)
+            if self.row_pot is not None:
+                self.row_pot[slot] = 0
+                self._pot_dirty.update(rcells)
+            if self._ref_cells is not None:
+                for cslot, eid in rcells.items():
+                    self._forget_cell(slot, cslot, eid)
+            keep = ~(1 << slot)
+            col_rows = self.col_rows
+            cubes = self.entry_cubes
+            values = self._values
+            free = self._free_eids
+            for cslot, eid in rcells.items():
+                col_rows[cslot] &= keep
+                cubes[eid] = None
+                values[eid] = 0
+                free.append(eid)
+            self.row_cells[slot] = {}
+            self.row_cols[slot] = 0
+            self.row_labels[slot] = None
+            heappush(self._free_rows, slot)
             self.overlap_rows.pop(label, None)
-            node_set = self.node_rows[info.node]
-            node_set.discard(label)
-            if not node_set:
-                del self.node_rows[info.node]
         if _audit.enabled():
             _audit.audit_row_removed(self, label)
         self._tables = None
@@ -189,26 +364,47 @@ class KCMatrix:
     def remove_col(self, label: int) -> None:
         cube = self.cols.pop(label, None)
         if cube is not None:
-            live = self._live
-            slot = live.col_pos[label]
-            rows = live.col_rows[slot]
-            if self._anchors is not None:
-                self._dirty_cols.add(label)
-                self._dirty_rows.update(iter_bits(rows))
-            overlap = self.overlap_rows
-            if overlap:
-                row_labels = live.row_labels
-                for rslot in iter_bits(rows):
-                    row = row_labels[rslot]
-                    if row in overlap:
-                        got = live.entry_cubes[live.cells[rslot][slot]]
-                        if len(got) != len(self.rows[row].cokernel) + len(cube):
-                            if overlap[row] == 1:
-                                del overlap[row]
-                            else:
-                                overlap[row] -= 1
             del self.col_of_cube[cube]
-            live.remove_col(label)
+            slot = self.col_pos.pop(label)
+            rows = self.col_rows[slot]
+            if self._anchors is not None:
+                self._anchor_cols.add(label)
+                self._anchor_rows.update(iter_bits(rows))
+            if self._ascents is not None:
+                self._ascent_cols.add(slot)
+                self._ascent_rows.update(iter_bits(rows))
+            pot = self.row_pot
+            if pot is not None:
+                shar1 = self._pot_sizes[slot] - 1
+                self._pot_sizes[slot] = 0
+                self._pot_dirty.discard(slot)
+            overlap = self.overlap_rows
+            row_labels = self.row_labels
+            row_cells = self.row_cells
+            row_cols = self.row_cols
+            cubes = self.entry_cubes
+            values = self._values
+            free = self._free_eids
+            keep = ~(1 << slot)
+            for rslot in iter_bits(rows):
+                eid = row_cells[rslot].pop(slot)
+                row = row_labels[rslot]
+                if row in overlap and len(cubes[eid]) != len(self.rows[row].cokernel) + len(cube):
+                    if overlap[row] == 1:
+                        del overlap[row]
+                    else:
+                        overlap[row] -= 1
+                if self._ref_cells is not None:
+                    self._forget_cell(rslot, slot, eid)
+                if pot is not None:
+                    pot[rslot] -= shar1 * values[eid]
+                cubes[eid] = None
+                values[eid] = 0
+                free.append(eid)
+                row_cols[rslot] &= keep
+            self.col_rows[slot] = 0
+            self.col_labels[slot] = None
+            heappush(self._free_cols, slot)
         if _audit.enabled():
             _audit.audit_col_removed(self, label)
         self._tables = None
@@ -225,11 +421,14 @@ class KCMatrix:
         cube = self.cols.pop(old)
         self.cols[new] = cube
         self.col_of_cube[cube] = new
-        live = self._live
+        slot = self.col_pos.pop(old)
+        self.col_pos[new] = slot
+        self.col_labels[slot] = new
         if self._anchors is not None:
-            self._dirty_cols.add(old)
-            self._dirty_rows.update(iter_bits(live.col_rows[live.col_pos[old]]))
-        live.relabel_col(old, new)
+            self._anchor_cols.add(old)
+            self._anchor_rows.update(iter_bits(self.col_rows[slot]))
+        if self._ascents is not None:
+            self._ascent_cols.add(slot)
         if _audit.enabled():
             _audit.audit_col_relabeled(self, old, new)
         self._tables = None
@@ -245,124 +444,14 @@ class KCMatrix:
             raise ValueError(f"duplicate row label {new}")
         info = self.rows.pop(old)
         self.rows[new] = info
-        node_set = self.node_rows[info.node]
-        node_set.discard(old)
-        node_set.add(new)
+        self.row_labels[info.slot] = new
         if old in self.overlap_rows:
             self.overlap_rows[new] = self.overlap_rows.pop(old)
-        live = self._live
-        live.relabel_row(old, new)
         if self._anchors is not None:
-            self._dirty_rows.add(live.row_pos[new])
+            self._anchor_rows.add(info.slot)
         if _audit.enabled():
             _audit.audit_row_relabeled(self, old, new)
         self._tables = None
-
-    # ------------------------------------------------------------------
-    # Queries
-    # ------------------------------------------------------------------
-    @property
-    def num_rows(self) -> int:
-        return len(self.rows)
-
-    @property
-    def num_cols(self) -> int:
-        return len(self.cols)
-
-    @property
-    def num_entries(self) -> int:
-        return self._live.num_entries
-
-    def sparsity(self) -> float:
-        """Fraction of occupied cells — the α/γ of the paper's Eq. 3."""
-        cells = self.num_rows * self.num_cols
-        return self.num_entries / cells if cells else 0.0
-
-    def has_entry(self, row: int, col: int) -> bool:
-        live = self._live
-        rslot = live.row_pos.get(row)
-        cslot = live.col_pos.get(col)
-        return rslot is not None and cslot in live.cells[rslot]
-
-    def entry_cube(self, row: int, col: int) -> Cube:
-        live = self._live
-        return live.entry_cubes[live.cells[live.row_pos[row]][live.col_pos[col]]]
-
-    def cube_ref(self, row: int, col: int) -> CubeRef:
-        return (self.rows[row].node, self.entry_cube(row, col))
-
-    def cols_of_row(self, row: int) -> Set[int]:
-        """The column labels of *row*'s cells."""
-        live = self._live
-        return set(map(live.col_labels.__getitem__, live.cells[live.row_pos[row]]))
-
-    def rows_of_col(self, col: int) -> Set[int]:
-        """The row labels of *col*'s cells."""
-        live = self._live
-        return set(map(live.row_labels.__getitem__, iter_bits(live.col_rows[live.col_pos[col]])))
-
-    def cells(self) -> Dict[Tuple[int, int], Cube]:
-        """Every cell as ``{(row label, column label): cube}``, read
-        afresh from the store (for checks and oracles, not hot paths)."""
-        live = self._live
-        col_labels = live.col_labels
-        cubes = live.entry_cubes
-        return {
-            (row, col_labels[cslot]): cubes[eid]
-            for row, rslot in live.row_pos.items()
-            for cslot, eid in live.cells[rslot].items()
-        }
-
-    def rows_of_node(self, node: str) -> List[int]:
-        """Row labels of *node*, via the maintained ``node_rows`` index."""
-        return sorted(self.node_rows.get(node, ()))
-
-    def bitview(self) -> LiveBitIndex:
-        """The live bitset index, the matrix's store (see
-        :mod:`repro.rectangles.bitview`).  Under ``REPRO_CHECK=1`` every
-        call checks the whole store."""
-        view = self._live
-        if _audit.enabled():
-            _audit.audit_bitview(self, view)
-        return view
-
-    def search_tables(self) -> LabelTables:
-        """The exhaustive search's label-order tables over the store
-        (:class:`~repro.rectangles.bitview.LabelTables`), derived from
-        the live slots at most once per matrix version: every mutation
-        drops them."""
-        tables = self._tables
-        if tables is None:
-            tables = self._tables = LabelTables(self.bitview())
-        return tables
-
-    def anchor_records(self, min_cols: int) -> Dict[int, tuple]:
-        """The exhaustive search's per-anchor records, for *min_cols*.
-
-        Drops every record the mutators have marked since the last call
-        — the anchors a marked row has cells in, and each marked column
-        — and clears the marks, so every record returned is clean.  A
-        different *min_cols* starts an empty table.  The caller adds and
-        replaces records in the returned dict (see
-        :func:`repro.rectangles.search._best_rectangle_bit_v2`).
-        """
-        records = self._anchors
-        if records is None or self._anchor_key != min_cols:
-            records = self._anchors = {}
-            self._anchor_key = min_cols
-        else:
-            drop = records.pop
-            live = self._live
-            cells = live.cells
-            col_labels = live.col_labels
-            for slot in self._dirty_rows:
-                for cslot in cells[slot]:
-                    drop(col_labels[cslot], None)
-            for col in self._dirty_cols:
-                drop(col, None)
-        self._dirty_rows.clear()
-        self._dirty_cols.clear()
-        return records
 
     def take_columns(self, other: "KCMatrix", col_labels: Iterable[int]) -> None:
         """Copy into this matrix *other*'s columns among *col_labels*, in
@@ -389,36 +478,316 @@ class KCMatrix:
             _audit.audit_kcmatrix(out)
         return out
 
-    def merge(self, other: "KCMatrix") -> None:
-        """Splice another (label-consistent) matrix into this one.
+    # ------------------------------------------------------------------
+    # Values
+    # ------------------------------------------------------------------
+    def value_table(self, value_fn: ValueFn = default_value) -> List[int]:
+        """Per-entry-id values under *value_fn* (free ids read 0).
 
-        Labels shared by both must agree on their row/column identity —
-        this is exactly the guarantee the offset labeling provides.
+        The table under :attr:`value_source` is maintained with the
+        cells and returned as is; any other function is evaluated once
+        per live cell, per call.
         """
-        for label, info in other.rows.items():
-            mine = self.rows.get(label)
-            if mine is None:
-                self.add_row(label, info.node, info.cokernel)
-            elif mine != info:
-                raise ValueError(f"row label clash at {label}: {mine} vs {info}")
-        for label, cube in other.cols.items():
-            mine = self.cols.get(label)
-            if mine is None and cube in self.col_of_cube:
-                raise ValueError(
-                    f"cube {cube} already labeled {self.col_of_cube[cube]}, "
-                    f"incoming label {label}"
-                )
-            if mine is not None and mine != cube:
-                raise ValueError(f"column label clash at {label}")
-        self.take_columns(other, other.cols)
-        if _audit.enabled():
-            _audit.audit_kcmatrix(self)
+        if value_fn is self.value_source:
+            return self._values
+        names = self.node_names
+        row_node = self.row_node
+        cubes = self.entry_cubes
+        out: List[int] = [0] * len(cubes)
+        for rslot, rcells in enumerate(self.row_cells):
+            if rcells:
+                name = names[row_node[rslot]]
+                for eid in rcells.values():
+                    out[eid] = value_fn(name, cubes[eid])
+        return out
+
+    def bind_values(self, source: ValueFn) -> None:
+        """Keep the value table under *source* from now on.
+
+        *source* values a cell as ``source(node, cube)`` without side
+        effects, and must report every later change of a cube ref's
+        value through :meth:`set_ref_value`.  Binding revalues every
+        live cell once and drops the seed potentials and ascent records,
+        which were kept under the previous values.
+        """
+        self.value_source = source
+        values = self._values
+        cubes = self.entry_cubes
+        names = self.node_names
+        row_node = self.row_node
+        refs: Dict[CubeRef, List[Tuple[int, int]]] = {}
+        for rslot, rcells in enumerate(self.row_cells):
+            if rcells:
+                name = names[row_node[rslot]]
+                for cslot, eid in rcells.items():
+                    cube = cubes[eid]
+                    values[eid] = source(name, cube)
+                    refs.setdefault((name, cube), []).append((rslot, cslot))
+        self._ref_cells = refs
+        self.row_pot = None
+        self._pot_dirty.clear()
+        self._ascents = None
+        self._ascent_key = None
+        self._ascent_rows.clear()
+        self._ascent_cols.clear()
+
+    def set_ref_value(self, ref: CubeRef, value: int) -> None:
+        """The bound source's value of *ref* is now *value*: patch its
+        cells, shift their rows' seed potentials by ``(column size − 1)
+        · δ`` as a cell edit does, and mark the rows."""
+        slots = self._ref_cells.get(ref)
+        if not slots:
+            return
+        values = self._values
+        row_cells = self.row_cells
+        pot = self.row_pot
+        recording = self._ascents is not None
+        for rslot, cslot in slots:
+            eid = row_cells[rslot][cslot]
+            delta = value - values[eid]
+            if delta:
+                values[eid] = value
+                if pot is not None:
+                    pot[rslot] += (self._pot_sizes[cslot] - 1) * delta
+                if recording:
+                    self._ascent_rows.add(rslot)
+
+    # ------------------------------------------------------------------
+    # Queries
+    # ------------------------------------------------------------------
+    @property
+    def num_rows(self) -> int:
+        return len(self.rows)
+
+    @property
+    def num_cols(self) -> int:
+        return len(self.cols)
+
+    @property
+    def num_entries(self) -> int:
+        return len(self.entry_cubes) - len(self._free_eids)
+
+    def sparsity(self) -> float:
+        """Fraction of occupied cells — the α/γ of the paper's Eq. 3."""
+        cells = self.num_rows * self.num_cols
+        return self.num_entries / cells if cells else 0.0
+
+    def has_entry(self, row: int, col: int) -> bool:
+        info = self.rows.get(row)
+        return info is not None and self.col_pos.get(col) in self.row_cells[info.slot]
+
+    def entry_cube(self, row: int, col: int) -> Cube:
+        return self.entry_cubes[self.row_cells[self.rows[row].slot][self.col_pos[col]]]
+
+    def cube_ref(self, row: int, col: int) -> CubeRef:
+        return (self.rows[row].node, self.entry_cube(row, col))
+
+    def cols_of_row(self, row: int) -> Set[int]:
+        """The column labels of *row*'s cells."""
+        return set(map(self.col_labels.__getitem__, self.row_cells[self.rows[row].slot]))
+
+    def rows_of_col(self, col: int) -> Set[int]:
+        """The row labels of *col*'s cells."""
+        return set(map(self.row_labels.__getitem__, iter_bits(self.col_rows[self.col_pos[col]])))
+
+    def cells(self) -> Dict[Tuple[int, int], Cube]:
+        """Every cell as ``{(row label, column label): cube}``, read
+        afresh from the store (for checks and oracles, not hot paths)."""
+        col_labels = self.col_labels
+        cubes = self.entry_cubes
+        row_cells = self.row_cells
+        return {
+            (row, col_labels[cslot]): cubes[eid]
+            for row, info in self.rows.items()
+            for cslot, eid in row_cells[info.slot].items()
+        }
+
+    def dup_rows(self) -> AbstractSet[int]:
+        """Row slots whose cells repeat an original cube.
+
+        KC matrices built from kernels never have these: a row's cubes
+        are ``cokernel ∪ kc_j`` with the kernel cubes disjoint from the
+        co-kernel, so distinct columns give distinct cubes.  Hand-built
+        matrices can violate that (a column cube may overlap the
+        co-kernel), and the distinct-cube gain correction must then also
+        dedupe within single rows.  Only rows counted in
+        :attr:`overlap_rows` can repeat a cube, so only those are
+        scanned, and this is O(1) for kernel-built matrices.
+        """
+        out: Set[int] = set()
+        cubes = self.entry_cubes
+        for row in self.overlap_rows:
+            slot = self.rows[row].slot
+            rcells = self.row_cells[slot]
+            if len(rcells) > 1 and len({cubes[eid] for eid in rcells.values()}) < len(rcells):
+                out.add(slot)
+        return out
+
+    def rect_gain(
+        self,
+        row_slots: Sequence[int],
+        col_slots: Sequence[int],
+        values: List[int],
+    ) -> int:
+        """Exact distinct-cube-counted gain of a slot rectangle.
+
+        Order-free: cells of one node naming the same cube carry equal
+        values, so which of them counts first does not matter.
+        """
+        row_cells = self.row_cells
+        row_node = self.row_node
+        gain = 0
+        for cslot in col_slots:
+            gain -= self.col_cost[cslot]
+        counts: Dict[int, int] = {}
+        for rslot in row_slots:
+            gain -= self.row_cost[rslot]
+            nid = row_node[rslot]
+            counts[nid] = counts.get(nid, 0) + 1
+        dup = self.dup_rows()
+        need: Set[int] = {nid for nid, k in counts.items() if k > 1}
+        if dup:
+            for rslot in row_slots:
+                if rslot in dup:
+                    need.add(row_node[rslot])
+        if not need:
+            # Every cell is a distinct (node, cube) ref: no correction.
+            for rslot in row_slots:
+                rcells = row_cells[rslot]
+                for cslot in col_slots:
+                    gain += values[rcells[cslot]]
+            return gain
+        cubes = self.entry_cubes
+        seen: Dict[int, Set[Cube]] = {nid: set() for nid in need}
+        for rslot in row_slots:
+            rcells = row_cells[rslot]
+            node_seen = seen.get(row_node[rslot])
+            if node_seen is None:
+                for cslot in col_slots:
+                    gain += values[rcells[cslot]]
+            else:
+                for cslot in col_slots:
+                    eid = rcells[cslot]
+                    cube = cubes[eid]
+                    if cube not in node_seen:
+                        node_seen.add(cube)
+                        gain += values[eid]
+        return gain
+
+    def covered_cubes_by_node(self, rect) -> Dict[str, Set[Cube]]:
+        """Distinct original cubes a (label) rectangle covers, per node."""
+        out: Dict[str, Set[Cube]] = {}
+        row_cells = self.row_cells
+        cubes = self.entry_cubes
+        col_slots = [self.col_pos[c] for c in rect.cols]
+        for rlab in rect.rows:
+            info = self.rows[rlab]
+            rcells = row_cells[info.slot]
+            per_node = out.setdefault(info.node, set())
+            for cslot in col_slots:
+                per_node.add(cubes[rcells[cslot]])
+        return out
+
+    # ------------------------------------------------------------------
+    # Derived tables and reuse records
+    # ------------------------------------------------------------------
+    def search_tables(self) -> LabelTables:
+        """The exhaustive search's label-order tables over the store
+        (:class:`~repro.rectangles.bitview.LabelTables`), derived from
+        the live slots at most once per matrix version: every mutation
+        drops them.  Under ``REPRO_CHECK=1`` each derivation first
+        checks the whole store."""
+        tables = self._tables
+        if tables is None:
+            if _audit.enabled():
+                _audit.audit_store(self)
+            tables = self._tables = LabelTables(self)
+        return tables
+
+    def potentials(self) -> List[int]:
+        """Per-slot seed potentials under the maintained values (``row_pot``).
+
+        Built in bulk on the first call; later calls settle only the
+        columns whose size changed since the previous call.
+        """
+        pot = self.row_pot
+        if pot is None:
+            self._pot_sizes = [popcount(mask) for mask in self.col_rows]
+            pot = self.row_pot = seed_potentials(self.row_cells, self._pot_sizes, self._values)
+        elif self._pot_dirty:
+            row_cells = self.row_cells
+            values = self._values
+            col_rows = self.col_rows
+            sizes = self._pot_sizes
+            for cslot in self._pot_dirty:
+                mask = col_rows[cslot]
+                grown = popcount(mask) - sizes[cslot]
+                if grown:
+                    sizes[cslot] += grown
+                    for r in iter_bits(mask):
+                        pot[r] += grown * values[row_cells[r][cslot]]
+            self._pot_dirty.clear()
+        return pot
+
+    def ascent_records(self, key: tuple) -> Tuple[Dict[int, tuple], int, AbstractSet[int]]:
+        """The last maintained-value search's ascent records, if it ran
+        with the parameters *key*, as ``(records, dirty row mask,
+        dirty column slots)``; the marks cover every patch since."""
+        records = self._ascents
+        if records is None or self._ascent_key != key:
+            return {}, 0, frozenset()
+        row_cells = self.row_cells
+        cols = self._ascent_cols
+        mask = 0
+        for slot in self._ascent_rows:
+            mask |= 1 << slot
+            # add_entries marks only its row: its columns are among the
+            # row's cells now, or were marked when the row or the
+            # column went.
+            cols.update(row_cells[slot])
+        return records, mask, cols
+
+    def keep_ascent_records(self, key: tuple, records: Dict[int, tuple]) -> None:
+        """Store a finished search's ascent records and clear the marks."""
+        self._ascents = records
+        self._ascent_key = key
+        self._ascent_rows.clear()
+        self._ascent_cols.clear()
+
+    def anchor_records(self, min_cols: int) -> Dict[int, tuple]:
+        """The exhaustive search's per-anchor records, for *min_cols*.
+
+        Drops every record the mutators have marked since the last call
+        — the anchors a marked row has cells in, and each marked column
+        — and clears the marks, so every record returned is clean.  A
+        different *min_cols* starts an empty table.  The caller adds and
+        replaces records in the returned dict (see
+        :func:`repro.rectangles.search._best_rectangle_bit_v2`).
+        """
+        records = self._anchors
+        if records is None or self._anchor_key != min_cols:
+            records = self._anchors = {}
+            self._anchor_key = min_cols
+        else:
+            drop = records.pop
+            row_cells = self.row_cells
+            col_labels = self.col_labels
+            for slot in self._anchor_rows:
+                for cslot in row_cells[slot]:
+                    drop(col_labels[cslot], None)
+            for col in self._anchor_cols:
+                drop(col, None)
+        self._anchor_rows.clear()
+        self._anchor_cols.clear()
+        return records
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"KCMatrix({self.num_rows}×{self.num_cols}, "
             f"{self.num_entries} entries)"
         )
+
+
 
 
 class LabelAllocator:

@@ -13,15 +13,14 @@ it is fast enough for the largest circuits, unlike the exhaustive search
 of :mod:`repro.rectangles.search` which the replicated parallel algorithm
 uses (and which DNFs on them, as in the paper).
 
-The ascents run over the matrix's live bitset index
-(``KCMatrix.bitview()``, patched by every mutation rather than
-recompiled per search): candidate sets are single ``&`` operations and
-cell values are table lookups.
+The ascents run over the matrix's bitset slots (patched by every
+mutation rather than recompiled per search): candidate sets are single
+``&`` operations and cell values are table lookups.
 
-Under the value the index maintains — the default value, or a live
-table bound to it such as L-shaped's cube-state view — the index also
+Under the value the matrix maintains — the default value, or a live
+table bound to it such as L-shaped's cube-state view — the matrix also
 keeps each seed's last ascent (:class:`Ascent`: its fixpoint, gain and
-rounds, and what it read), and the next search on the same index
+rounds, and what it read), and the next search on the same matrix
 replays every seed none of whose inputs the mutators or value patches
 have marked since; only the others climb again (see
 :func:`_ascents_bit` for the rule).  Answers, yield order and meter
@@ -87,15 +86,15 @@ def _ascents_bit(
     are shared by other rows (that sharing is what a rectangle
     monetizes), weighted by the value sitting in those shared columns.
 
-    The index addresses rows and columns by stable slots, not label
+    The matrix addresses rows and columns by stable slots, not label
     ranks, so every tie-break reads the labels: seeds order by
     (-potential, row label), the keep-top-*min_cols* fallback by
     (contribution, -column label), and rectangles leave label-sorted.
     Everything else — candidate intersections, the half-step memos,
     ``rect_gain`` — is order-free.
 
-    Under the value the index maintains (``view.value_source``: the
-    default value, or a bound live table) the index keeps, per seed
+    Under the value the matrix maintains (``matrix.value_source``: the
+    default value, or a bound live table) the matrix keeps, per seed
     slot, what that seed's ascent read and reached in the previous
     search (:class:`Ascent`).  An ascent is a pure function of what it
     read: the cells and costs of the seed and of every candidate row of
@@ -112,19 +111,21 @@ def _ascents_bit(
     from scratch.  Under ``REPRO_CHECK=1`` every replayed seed is also
     re-run from scratch and must reach the same fixpoint, gain and round
     count.  Any other ``value_fn`` re-runs every seed and keeps nothing.
+    Under ``REPRO_CHECK=1`` each search first checks the whole store.
     """
-    view = matrix.bitview()
-    values = view.value_table(value_fn)
-    row_cols = view.row_cols
-    col_rows = view.col_rows
-    cells = view.cells
-    row_cost = view.row_cost
-    col_cost = view.col_cost
-    row_labels = view.row_labels
-    col_labels = view.col_labels
+    if _audit.enabled():
+        _audit.audit_store(matrix)
+    values = matrix.value_table(value_fn)
+    row_cols = matrix.row_cols
+    col_rows = matrix.col_rows
+    cells = matrix.row_cells
+    row_cost = matrix.row_cost
+    col_cost = matrix.col_cost
+    row_labels = matrix.row_labels
+    col_labels = matrix.col_labels
 
     getval = values.__getitem__
-    recording = value_fn is view.value_source
+    recording = value_fn is matrix.value_source
 
     def top_cols(scored: List[Tuple[int, int]]):
         # Fewer than min_cols columns contribute positively: keep the
@@ -247,7 +248,7 @@ def _ascents_bit(
             state = (rows, cols)
             gain = memo_gain.get(state)
             if gain is None:
-                gain = memo_gain[state] = view.rect_gain(rows, cols, values)
+                gain = memo_gain[state] = matrix.rect_gain(rows, cols, values)
             else:
                 hits += 1
         if recording:
@@ -255,15 +256,15 @@ def _ascents_bit(
         return (rows, cols, gain, rounds), hits
 
     if recording:
-        # Maintained by the index's mutators once built.
-        potential = view.potentials()
+        # Maintained by the matrix's mutators once built.
+        potential = matrix.potentials()
     else:
         potential = seed_potentials(cells, [popcount(mask) for mask in col_rows], values)
     # Seeds are the live slots only, most potential first, ties to the
     # smaller row label.
     seeds = [
         r for _, _, r in sorted([
-            (-potential[r], lab, r) for lab, r in view.row_pos.items()
+            (-potential[r], lab, r) for r, lab in enumerate(row_labels) if lab is not None
         ])
     ]
     if max_seeds is not None:
@@ -272,7 +273,7 @@ def _ascents_bit(
     old: Dict[int, Ascent] = {}
     if recording:
         key = (min_cols, max_rounds)
-        old, dirty_rows, dirty_cols = view.ascent_records(key)
+        old, dirty_rows, dirty_cols = matrix.ascent_records(key)
     auditing = _audit.enabled()
 
     # Different seeds funnel into the same ascent states (that is why
@@ -324,7 +325,7 @@ def _ascents_bit(
         # Reached only when the caller drains the stream.  A stream left
         # early keeps the previous records and their marks, which stay
         # valid.
-        view.keep_ascent_records(key, kept)
+        matrix.keep_ascent_records(key, kept)
     if tracing:
         add_counters(
             pingpong_round_visit=n_rounds,

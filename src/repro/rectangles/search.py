@@ -22,14 +22,13 @@ record per anchor (leftmost column), and the next search replays every
 anchor whose subtree nothing has changed since; answers, budget spend
 and meter charges stay those of a walk from scratch.
 
-The traversal walks the matrix's one store, the live bitset index of
-:mod:`repro.rectangles.bitview`: row sets are int bitmasks over row
-slots, candidate scans are bit iterations, the column dominance test is
-one mask equality, and cell values are table lookups.  Slots are not in
-label order, so every order the walk follows — of anchors and of branch
-children, and with them the tie-breaks — is read from labels, through
-the label-order tables the matrix derives once per version
-(``KCMatrix.search_tables()``).
+The traversal walks the matrix's bitset store directly: row sets are
+int bitmasks over row slots, candidate scans are bit iterations, the
+column dominance test is one mask equality, and cell values are table
+lookups.  Slots are not in label order, so every order the walk
+follows — of anchors and of branch children, and with them the
+tie-breaks — is read from labels, through the label-order tables the
+matrix derives once per version (``KCMatrix.search_tables()``).
 
 Enumeration is exponential in the worst case; :class:`SearchBudget`
 bounds the number of visited tree nodes and raises
@@ -140,17 +139,16 @@ def _best_rectangle_bit_v2(
     *entry*) plus a stats dict.
     """
     tables = matrix.search_tables()
-    view = tables.index
-    values = view.value_table(default_value)
-    row_cols = view.row_cols
-    col_rows = view.col_rows
-    cells = view.cells
-    row_cost = view.row_cost
-    col_cost = view.col_cost
-    row_node = view.row_node
-    entry_cubes = view.entry_cubes
-    row_labels = view.row_labels
-    col_labels = view.col_labels
+    values = matrix.value_table(default_value)
+    row_cols = matrix.row_cols
+    col_rows = matrix.col_rows
+    cells = matrix.row_cells
+    row_cost = matrix.row_cost
+    col_cost = matrix.col_cost
+    row_node = matrix.row_node
+    entry_cubes = matrix.entry_cubes
+    row_labels = matrix.row_labels
+    col_labels = matrix.col_labels
     anchors = tables.anchors
     anchor_slots = tables.anchor_slots
     above = tables.above

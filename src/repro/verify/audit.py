@@ -1,14 +1,13 @@
 """Opt-in invariant audits (sanitizer-style, ``REPRO_CHECK=1``).
 
 The rectangle searches and the speculative cube-state protocol keep
-packed, incrementally patched structures for speed: ``KCMatrix`` keeps
-its cells in one live bitset store
-(:class:`~repro.rectangles.bitview.LiveBitIndex`: slot labels, row and
-column masks, a cell table of entry ids) behind label maps
-(``rows``/``cols``/``col_of_cube``/``node_rows``/``overlap_rows``)
-that both rectangle searches walk, and
-:class:`~repro.parallel.cubestate.CubeStateStore` tracks per-cube
-claims that must never double-cover.  A bug in any of that
+packed, incrementally patched structures for speed:
+:class:`~repro.rectangles.kcmatrix.KCMatrix` keeps its labels
+(``rows``/``cols``/``col_of_cube``/``col_pos``/``overlap_rows``) and its
+bitset cell store (slot labels, row and column masks, a cell table of
+entry ids, a value table) in one object that both rectangle searches
+walk, and :class:`~repro.parallel.cubestate.CubeStateStore` tracks
+per-cube claims that must never double-cover.  A bug in any of that
 bookkeeping silently corrupts factorization results long before an
 equivalence check can localize it.
 
@@ -19,20 +18,20 @@ lazily) or :func:`set_audits` from code.  When enabled:
 
 - every :class:`KCMatrix` mutator validates the delta it just applied
   (O(delta), plus a sweep of the freed slots after a removal),
-- splice-style bulk operations (``merge``, ``submatrix_columns``)
-  validate the full structure (:func:`audit_kcmatrix`: the row and
+- ``submatrix_columns`` validates the full structure
+  (:func:`audit_kcmatrix`: every label sits at its slot, the row and
   column masks are transposes, the cell table matches both masks,
   every cell's cube is its co-kernel ∪ column cube, free slots are
-  empty, the label maps invert the slots, and ``overlap_rows`` matches
-  a recount),
-- every ``KCMatrix.bitview()`` call runs that full check on the live
-  store (its seed potentials included), and so does every derivation
-  of the exhaustive search's label-order tables
-  (``KCMatrix.search_tables()``); a live index bound to a value source
-  (the L-shaped cube-state view) has its patched value table checked
-  against an uncharged recompute of every cell, so every L-shaped
-  search checks the table it reads,
-- every ping-pong seed ascent replayed from the live index's records is
+  empty, and ``overlap_rows`` matches a recount),
+- every ping-pong search, every ``apply_rectangle``, every cube-state
+  binding and every derivation of the exhaustive search's label-order
+  tables (``KCMatrix.search_tables()``) first runs :func:`audit_store`:
+  that full check plus the maintained value table and seed potentials
+  against a recompute; a matrix bound to a value source (the L-shaped
+  cube-state view) has its patched value table checked against an
+  uncharged recompute of every cell, so every L-shaped search checks
+  the table it reads,
+- every ping-pong seed ascent replayed from the matrix's records is
   re-run from scratch and must reach the same fixpoint, gain and round
   count (:func:`audit_ascent_replay`),
 - every exhaustive-search anchor replayed from the matrix's records is
@@ -97,74 +96,75 @@ def _fail(msg: str) -> None:
 # KCMatrix: incremental (per-mutation) checks
 # ----------------------------------------------------------------------
 
-def _audit_label(kind: str, labels: dict, pos: dict, slots: list, label: int) -> int:
-    """*label* is in the matrix's *labels* map and at its store slot;
-    returns the slot."""
-    slot = pos.get(label)
-    if label not in labels or slot is None or slots[slot] != label:
-        _fail(f"{kind} {label} missing from the matrix or the store")
+def _at_slot(labels: list, slot, label: int) -> bool:
+    return slot is not None and 0 <= slot < len(labels) and labels[slot] == label
+
+
+def _audit_row_slot(mat: "KCMatrix", label: int) -> int:
+    """Row *label* sits at its slot; returns the slot."""
+    info = mat.rows.get(label)
+    if info is None or not _at_slot(mat.row_labels, info.slot, label):
+        _fail(f"row labels: row {label} is not at its slot")
+    return info.slot
+
+
+def _audit_col_slot(mat: "KCMatrix", label: int) -> int:
+    """Column *label* sits at its slot and is inverse-mapped from its
+    cube; returns the slot."""
+    slot = mat.col_pos.get(label)
+    cube = mat.cols.get(label)
+    if cube is None or not _at_slot(mat.col_labels, slot, label):
+        _fail(f"column labels: column {label} is not at its slot")
+    if mat.col_of_cube.get(cube) != label:
+        _fail(f"column {label}: col_of_cube inverse disagrees")
     return slot
-
-
-def _audit_gone(kind: str, labels: dict, pos: dict, label: int) -> None:
-    if label in labels or label in pos:
-        _fail(f"{kind} {label} survives in the matrix or the store")
 
 
 def _audit_cube(mat: "KCMatrix", row: int, col: int) -> None:
     """The cell (*row*, *col*) holds the row's co-kernel ∪ the column's
     cube, and both masks carry it."""
-    live = mat._live
-    rslot = live.row_pos[row]
-    cslot = live.col_pos[col]
-    eid = live.cells[rslot].get(cslot)
+    rslot = mat.rows[row].slot
+    cslot = mat.col_pos[col]
+    eid = mat.row_cells[rslot].get(cslot)
     if eid is None:
         _fail(f"entry ({row}, {col}) missing")
-    if not (live.row_cols[rslot] >> cslot) & 1 or not (live.col_rows[cslot] >> rslot) & 1:
+    if not (mat.row_cols[rslot] >> cslot) & 1 or not (mat.col_rows[cslot] >> rslot) & 1:
         _fail(f"entry ({row}, {col}) missing from a mask")
     expect = cube_union(mat.rows[row].cokernel, mat.cols[col])
-    if live.entry_cubes[eid] != expect:
-        _fail(f"entry ({row}, {col}) cube {live.entry_cubes[eid]} != {expect}")
+    if mat.entry_cubes[eid] != expect:
+        _fail(f"entry ({row}, {col}) cube {mat.entry_cubes[eid]} != {expect}")
 
 
-def _audit_free_slots(live) -> None:
+def _audit_free_slots(mat: "KCMatrix") -> None:
     """Free slots hold nothing: no cell and no bit in any mask, and free
     entry ids no cube."""
     free_rows = free_cols = 0
-    for i, lab in enumerate(live.row_labels):
+    for i, lab in enumerate(mat.row_labels):
         if lab is None:
             free_rows |= 1 << i
-            if live.cells[i] or live.row_cols[i]:
+            if mat.row_cells[i] or mat.row_cols[i]:
                 _fail(f"free row slot {i} still holds cells")
-    for j, lab in enumerate(live.col_labels):
+    for j, lab in enumerate(mat.col_labels):
         if lab is None:
             free_cols |= 1 << j
-    if any(mask & free_rows for mask in live.col_rows):
+    if any(mask & free_rows for mask in mat.col_rows):
         _fail("a column mask still lists a freed row slot")
-    if any(mask & free_cols for mask in live.row_cols):
+    if any(mask & free_cols for mask in mat.row_cols):
         _fail("a row mask still lists a freed column slot")
-    if any(live.entry_cubes[eid] is not None for eid in live._free_eids):
+    if any(mat.entry_cubes[eid] is not None for eid in mat._free_eids):
         _fail("a free entry id still holds a cube")
 
 
 def audit_row_added(mat: "KCMatrix", label: int) -> None:
-    """Post-condition of ``add_row``: an empty row, indexed by node."""
-    live = mat._live
-    slot = _audit_label("row", mat.rows, live.row_pos, live.row_labels, label)
-    info = mat.rows[label]
-    if live.cells[slot] or live.row_cols[slot]:
+    """Post-condition of ``add_row``: an empty row at its slot."""
+    slot = _audit_row_slot(mat, label)
+    if mat.row_cells[slot] or mat.row_cols[slot]:
         _fail(f"add_row({label}): the row's slot is not empty")
-    if label not in mat.node_rows.get(info.node, ()):
-        _fail(f"add_row({label}): node_rows[{info.node!r}] missing the row")
 
 
 def audit_col_added(mat: "KCMatrix", label: int) -> None:
     """Post-condition of ``ensure_col``: an empty column, inverse-mapped."""
-    live = mat._live
-    slot = _audit_label("column", mat.cols, live.col_pos, live.col_labels, label)
-    if mat.col_of_cube.get(mat.cols[label]) != label:
-        _fail(f"ensure_col({label}): col_of_cube inverse disagrees")
-    if live.col_rows[slot]:
+    if mat.col_rows[_audit_col_slot(mat, label)]:
         _fail(f"ensure_col({label}): the column's slot is not empty")
 
 
@@ -175,86 +175,88 @@ def audit_entry_added(mat: "KCMatrix", row: int, col: int) -> None:
 
 def audit_row_removed(mat: "KCMatrix", label: int) -> None:
     """Post-condition of ``remove_row``: nothing still references it."""
-    _audit_gone("row", mat.rows, mat._live.row_pos, label)
-    for node, rows in mat.node_rows.items():
-        if label in rows:
-            _fail(f"remove_row({label}): node_rows[{node!r}] still lists it")
-        if not rows:
-            _fail(f"remove_row({label}): empty node_rows[{node!r}] kept")
-    _audit_free_slots(mat._live)
+    if label in mat.rows or label in mat.row_labels or label in mat.overlap_rows:
+        _fail(f"remove_row({label}): the row survives")
+    _audit_free_slots(mat)
 
 
 def audit_col_removed(mat: "KCMatrix", label: int) -> None:
     """Post-condition of ``remove_col``: nothing still references it."""
-    _audit_gone("column", mat.cols, mat._live.col_pos, label)
+    if label in mat.cols or label in mat.col_pos or label in mat.col_labels:
+        _fail(f"remove_col({label}): the column survives")
     if label in mat.col_of_cube.values():
         _fail(f"remove_col({label}): col_of_cube still maps to it")
-    _audit_free_slots(mat._live)
+    _audit_free_slots(mat)
 
 
 def audit_col_relabeled(mat: "KCMatrix", old: int, new: int) -> None:
     """Post-condition of ``relabel_col``: the label moved, the cells
     stayed (O(degree))."""
-    live = mat._live
-    _audit_gone("column", mat.cols, live.col_pos, old)
-    slot = _audit_label("column", mat.cols, live.col_pos, live.col_labels, new)
-    if mat.col_of_cube.get(mat.cols[new]) != new:
-        _fail(f"relabel_col({old}, {new}): col_of_cube inverse disagrees")
-    for rslot in iter_bits(live.col_rows[slot]):
-        _audit_cube(mat, live.row_labels[rslot], new)
+    if old in mat.cols or old in mat.col_pos:
+        _fail(f"relabel_col({old}, {new}): the old label survives")
+    slot = _audit_col_slot(mat, new)
+    for rslot in iter_bits(mat.col_rows[slot]):
+        _audit_cube(mat, mat.row_labels[rslot], new)
 
 
 def audit_row_relabeled(mat: "KCMatrix", old: int, new: int) -> None:
     """Post-condition of ``relabel_row``: the label moved, the cells
     stayed (O(degree))."""
-    live = mat._live
-    _audit_gone("row", mat.rows, live.row_pos, old)
+    if old in mat.rows:
+        _fail(f"relabel_row({old}, {new}): the old label survives")
     if old in mat.overlap_rows:
         _fail(f"relabel_row({old}, {new}): overlap_rows keeps the old label")
-    slot = _audit_label("row", mat.rows, live.row_pos, live.row_labels, new)
-    rows = mat.node_rows.get(mat.rows[new].node, ())
-    if old in rows or new not in rows:
-        _fail(f"relabel_row({old}, {new}): node_rows not moved")
-    for cslot in live.cells[slot]:
-        _audit_cube(mat, new, live.col_labels[cslot])
+    slot = _audit_row_slot(mat, new)
+    for cslot in mat.row_cells[slot]:
+        _audit_cube(mat, new, mat.col_labels[cslot])
 
 
 # ----------------------------------------------------------------------
 # KCMatrix: full-structure check
 # ----------------------------------------------------------------------
 
-def _audit_cells(view) -> None:
-    """The store's cell table and masks agree: the row and column masks
-    are transposes, each row's cells are exactly its mask's bits, and
-    no two cells share an entry id."""
-    col_rows = [0] * len(view.col_rows)
-    for i, mask in enumerate(view.row_cols):
+def _audit_cells(mat: "KCMatrix") -> None:
+    """The cell table and masks agree: the row and column masks are
+    transposes, each row's cells are exactly its mask's bits, and no
+    two cells share an entry id."""
+    col_rows = [0] * len(mat.col_rows)
+    for i, mask in enumerate(mat.row_cols):
         for j in iter_bits(mask):
             col_rows[j] |= 1 << i
-        if set(view.cells[i]) != set(iter_bits(mask)):
+        if set(mat.row_cells[i]) != set(iter_bits(mask)):
             _fail(f"store: the cell table disagrees with row slot {i}'s mask")
-    if col_rows != list(view.col_rows):
+    if col_rows != mat.col_rows:
         _fail("store: row and column adjacency masks are not transposes")
-    eids = {eid for rcells in view.cells for eid in rcells.values()}
-    if len(eids) != sum(map(len, view.cells)) or len(eids) != view.num_entries:
+    eids = {eid for rcells in mat.row_cells for eid in rcells.values()}
+    if len(eids) != sum(map(len, mat.row_cells)) or len(eids) != mat.num_entries:
         _fail("store: cells share an entry id or miscount num_entries")
 
 
 def audit_kcmatrix(mat: "KCMatrix") -> None:
-    """Full consistency of the one store and its label maps
-    (O(rows + cols + entries))."""
-    live = mat._live
-    _audit_slots("row", live.row_labels, live.row_pos, mat.rows)
-    _audit_slots("col", live.col_labels, live.col_pos, mat.cols)
-    _audit_free_slots(live)
-    _audit_cells(live)
-    for lab, i in live.row_pos.items():
-        info = mat.rows[lab]
-        if (live.row_cost[i] != len(info.cokernel) + 1
-                or live.node_names[live.row_node[i]] != info.node):
+    """Full consistency of the matrix (O(rows + cols + entries)): every
+    label sits at its slot and every live slot holds a label, free slots
+    are empty, the cell table matches both masks, each cell's cube is
+    its co-kernel ∪ column cube, ``overlap_rows`` matches a recount and
+    ``col_of_cube`` inverts ``cols``."""
+    for label in mat.rows:
+        _audit_row_slot(mat, label)
+    if sum(lab is not None for lab in mat.row_labels) != len(mat.rows):
+        _fail("row labels: a live slot holds no row")
+    if mat.col_pos.keys() != mat.cols.keys() or len(mat.col_of_cube) != len(mat.cols):
+        _fail("column labels: cols, col_pos and col_of_cube disagree")
+    for label in mat.cols:
+        _audit_col_slot(mat, label)
+    if sum(lab is not None for lab in mat.col_labels) != len(mat.cols):
+        _fail("column labels: a live slot holds no column")
+    _audit_free_slots(mat)
+    _audit_cells(mat)
+    for lab, info in mat.rows.items():
+        i = info.slot
+        if (mat.row_cost[i] != len(info.cokernel) + 1
+                or mat.node_names[mat.row_node[i]] != info.node):
             _fail(f"store row {lab} carries the wrong cost or node")
-    for lab, j in live.col_pos.items():
-        if live.col_cost[j] != len(mat.cols[lab]):
+    for lab, j in mat.col_pos.items():
+        if mat.col_cost[j] != len(mat.cols[lab]):
             _fail(f"store col_cost[{lab}] disagrees with kernel-cube size")
     # Every cell's cube is its row's co-kernel ∪ its column's cube, and
     # overlap_rows counts each row's cells where the two overlap (the
@@ -269,18 +271,6 @@ def audit_kcmatrix(mat: "KCMatrix") -> None:
             expect_overlap[r] = expect_overlap.get(r, 0) + 1
     if mat.overlap_rows != expect_overlap:
         _fail("overlap_rows counts disagree with a recount of the cells")
-    # col_of_cube is the exact inverse of cols.
-    if len(mat.col_of_cube) != len(mat.cols):
-        _fail("col_of_cube size != cols size")
-    for cube, label in mat.col_of_cube.items():
-        if mat.cols.get(label) != cube:
-            _fail(f"col_of_cube[{cube}] = {label} but cols disagrees")
-    # node_rows is the exact row partition by node.
-    expect_nodes: dict = {}
-    for label, info in mat.rows.items():
-        expect_nodes.setdefault(info.node, set()).add(label)
-    if mat.node_rows != expect_nodes:
-        _fail("node_rows index disagrees with rows")
 
 
 def kc_order_form(mat: "KCMatrix") -> Tuple[list, list, list]:
@@ -319,78 +309,62 @@ def audit_kc_order(mat: "KCMatrix", fresh: "KCMatrix") -> None:
         _fail("patched KC matrix entries differ from a fresh build's")
 
 
-def _audit_slots(kind: str, labels: list, pos: dict, want: dict) -> None:
-    """``labels[slot]`` and ``pos[label]`` are inverse over *want*'s keys."""
-    live = [lab for lab in labels if lab is not None]
-    if len(live) != len(want) or set(live) != set(want):
-        _fail(f"bitview {kind} labels != matrix {kind}s")
-    if len(pos) != len(want):
-        _fail(f"bitview {kind}_pos has {len(pos)} labels, matrix {len(want)}")
-    for lab, slot in pos.items():
-        if slot >= len(labels) or labels[slot] != lab:
-            _fail(f"bitview {kind}_pos[{lab}] = {slot} disagrees with the slot's label")
-
-
-def _audit_potentials(view, values: list) -> None:
+def _audit_potentials(mat: "KCMatrix", values: list) -> None:
     """A materialized ``row_pot``, with its unsettled columns settled on
     a copy, must equal a full recompute; every other column's recorded
     size must be its real size."""
-    sizes = [popcount(mask) for mask in view.col_rows]
+    sizes = [popcount(mask) for mask in mat.col_rows]
     for j, size in enumerate(sizes):
-        if j not in view._pot_dirty and view._pot_sizes[j] != size:
-            _fail(f"bitview row_pot: column slot {j} changed size but is not marked")
-    got = list(view.row_pot)
-    for i, rcells in enumerate(view.cells):
+        if j not in mat._pot_dirty and mat._pot_sizes[j] != size:
+            _fail(f"row_pot: column slot {j} changed size but is not marked")
+    got = list(mat.row_pot)
+    for i, rcells in enumerate(mat.row_cells):
         for j, eid in rcells.items():
-            got[i] += (sizes[j] - view._pot_sizes[j]) * values[eid]
+            got[i] += (sizes[j] - mat._pot_sizes[j]) * values[eid]
     expect = [
         sum((sizes[j] - 1) * values[eid] for j, eid in rcells.items())
-        for rcells in view.cells
+        for rcells in mat.row_cells
     ]
     if got != expect:
-        _fail("bitview row_pot disagrees with a full recompute")
+        _fail("row_pot disagrees with a full recompute")
 
 
-def audit_bitview(mat: "KCMatrix", view) -> None:
-    """The live index *view* is the matrix's store and is consistent:
-    :func:`audit_kcmatrix`, plus its maintained value table and, once
-    materialized, its seed potentials against a full recompute."""
-    if view is not mat._live:
-        _fail("bitview is not the matrix's store")
+def audit_store(mat: "KCMatrix") -> None:
+    """The whole store is consistent: :func:`audit_kcmatrix`, plus its
+    maintained value table and, once materialized, its seed potentials
+    against a full recompute."""
     audit_kcmatrix(mat)
-    values = view.value_table(view.value_source)
-    _audit_value_table(view, values)
-    if view.row_pot is not None:
-        _audit_potentials(view, values)
+    values = mat.value_table(mat.value_source)
+    _audit_value_table(mat, values)
+    if mat.row_pot is not None:
+        _audit_potentials(mat, values)
 
 
-def _audit_value_table(view, values: list) -> None:
-    """The live index's maintained table must equal a full recompute
-    under its value source; a bound source's ref map must list exactly
-    the live cells."""
-    source = view.value_source
-    bound = view._ref_cells is not None
-    names = view.node_names
+def _audit_value_table(mat: "KCMatrix", values: list) -> None:
+    """The maintained table must equal a full recompute under its value
+    source; a bound source's ref map must list exactly the live cells."""
+    source = mat.value_source
+    bound = mat._ref_cells is not None
+    names = mat.node_names
     refs: dict = {}
-    for i, rcells in enumerate(view.cells):
+    for i, rcells in enumerate(mat.row_cells):
         if not rcells:
             continue
-        name = names[view.row_node[i]]
+        name = names[mat.row_node[i]]
         for j, eid in rcells.items():
-            cube = view.entry_cubes[eid]
+            cube = mat.entry_cubes[eid]
             want = source(name, cube)
             if values[eid] != want:
                 _fail(
-                    f"bitview value of cell ({view.row_labels[i]}, "
-                    f"{view.col_labels[j]}) is {values[eid]}, a recompute "
-                    f"gives {want}"
+                    f"value of cell ({mat.row_labels[i]}, {mat.col_labels[j]}) "
+                    f"is {values[eid]}, a recompute gives {want}"
                 )
             if bound:
                 refs.setdefault((name, cube), set()).add((i, j))
     if bound:
-        got = {ref: set(slots) for ref, slots in view._ref_cells.items()}
-        if got != refs or sum(map(len, view._ref_cells.values())) != view.num_entries:
-            _fail("bitview cube-ref map disagrees with the live cells")
+        got = {ref: set(slots) for ref, slots in mat._ref_cells.items()}
+        if got != refs or sum(map(len, mat._ref_cells.values())) != mat.num_entries:
+            _fail("cube-ref map disagrees with the live cells")
 
 
 def audit_ascent_replay(seed: int, recorded, fresh) -> None:

@@ -17,7 +17,6 @@ from repro.harness.perfcheck import (
     _run_searcher,
     _time_search,
 )
-from repro.rectangles.bitview import LiveBitIndex
 from repro.rectangles.kcmatrix import KCMatrix, build_kc_matrix
 from repro.rectangles.search import (
     BudgetExceeded,
@@ -47,7 +46,7 @@ def test_timed_repeats_replay_no_ascent_or_anchor(wl, monkeypatch):
     # one would let a repeat replay the previous repeat's work.
     handed = []
     real_anchors = KCMatrix.anchor_records
-    real_ascents = LiveBitIndex.ascent_records
+    real_ascents = KCMatrix.ascent_records
 
     def anchor_records(self, min_cols):
         got = real_anchors(self, min_cols)
@@ -60,7 +59,7 @@ def test_timed_repeats_replay_no_ascent_or_anchor(wl, monkeypatch):
         return got
 
     monkeypatch.setattr(KCMatrix, "anchor_records", anchor_records)
-    monkeypatch.setattr(LiveBitIndex, "ascent_records", ascent_records)
+    monkeypatch.setattr(KCMatrix, "ascent_records", ascent_records)
     _time_search(wl, build_kc_matrix(_build_network(wl)))
     assert len(handed) == 1 + wl.repeats
     assert not any(handed)

@@ -2,13 +2,13 @@
 
 Each L-shaped processor holds its Table 5 view of the cube-state store
 (:class:`repro.parallel.cubestate.CubeStateValues`) as the value table
-of its matrix's live bitset index: built once, then patched by the
+of its KC matrix: built once, then patched by the
 store's ``cover``, ``divide`` and ``release_owner`` transitions, with
 each value change marking its row for the ascent records and shifting
 the row's seed potential.  A stale cell rarely changes a whole run's
 answer, so every search here is compared on its own — the full
 (rectangle, gain) stream and the ``cube_state_op`` and
-``pingpong_round`` charges — against a fresh index of the same matrix
+``pingpong_round`` charges — against a fresh copy of the same matrix
 valued cell by cell through ``store.value``:
 
 - after random sequences of ``cover``, ``divide``, ``release_owner``
@@ -38,7 +38,6 @@ from repro.obs.tracer import Tracer, use_tracer
 from repro.parallel import lshaped
 from repro.parallel.cubestate import CubeStateStore, CubeStateValues
 from repro.rectangles import pingpong
-from repro.rectangles.bitview import LiveBitIndex
 from repro.rectangles.kcmatrix import KCMatrix
 from repro.verify import audit
 
@@ -91,7 +90,7 @@ def _traced_search(view, mat, max_seeds):
 
 
 def _fresh_search(store, pid, mat, max_seeds):
-    """The reference: a fresh index valued through ``store.value``."""
+    """The reference: a fresh copy valued through ``store.value``."""
     meter = CostMeter()
     stream = _search(
         _copy(mat),
@@ -217,9 +216,9 @@ def test_lshaped_search_spans_report_replayed_ascents():
 
 
 def test_each_cycle_frees_its_tables_without_the_cycle_collector():
-    # A bound table and its index refer to each other; detaching at the
+    # A bound table and its matrix refer to each other; detaching at the
     # end of every cycle lets reference counting free the cycle's
-    # store, tables and indexes.
+    # store, tables and matrices.
     stores = []
 
     class Recorded(CubeStateStore):
@@ -242,11 +241,11 @@ def test_detached_tables_take_no_patches():
     store = CubeStateStore()
     view = CubeStateValues(store, 0)
     view.prepare(mat)
-    before = list(mat._live._values)
+    before = list(mat._values)
     store.detach()
-    assert view.view is None
+    assert view.matrix is None
     store.divide([mat.cube_ref(r, c) for (r, c) in mat.cells()])
-    assert mat._live._values == before
+    assert mat._values == before
 
 
 # ----------------------------------------------------------------------
@@ -259,16 +258,15 @@ def test_audit_rejects_a_corrupted_table():
     store = CubeStateStore()
     view = CubeStateValues(store, 0)
     view.prepare(mat)
-    live = mat._live
     audit.set_audits(True)
     try:
         # An intact, patched table passes.
         store.cover([mat.cube_ref(r, c) for (r, c) in sorted(mat.cells())[:3]], 1)
-        mat.bitview()
-        eid = next(iter(live.cells[live.row_pos[min(mat.rows)]].values()))
-        live._values[eid] += 1
+        audit.audit_store(mat)
+        eid = next(iter(mat.row_cells[mat.rows[min(mat.rows)].slot].values()))
+        mat._values[eid] += 1
         with pytest.raises(audit.InvariantViolation, match="recompute"):
-            mat.bitview()
+            view.prepare(mat)
     finally:
         audit.set_audits(None)
 
@@ -288,10 +286,10 @@ MUTANTS = {
         CubeStateStore, "release_owner", "self._changed(ref, rec)", "pass",
     ),
     "a value change does not mark its row": (
-        LiveBitIndex, "set_ref_value", "self._dirty_rows.add(rslot)", "pass",
+        KCMatrix, "set_ref_value", "self._ascent_rows.add(rslot)", "pass",
     ),
     "a value change does not shift the row's potential": (
-        LiveBitIndex, "set_ref_value",
+        KCMatrix, "set_ref_value",
         "pot[rslot] += (self._pot_sizes[cslot] - 1) * delta", "pass",
     ),
 }

@@ -1,8 +1,8 @@
 """The sorted compilation and the position-space exhaustive walk, kept
 as the differential oracle.
 
-Before the exhaustive search walked the live bitset index, it ran on a
-sorted compilation of it (:class:`BitKCView`): dense positions
+Before the exhaustive search walked the KC matrix's live bitset slots,
+it ran on a sorted compilation of them (:class:`BitKCView`): dense positions
 ``0..R-1`` / ``0..C-1`` in sorted-label order, so position order *is*
 label order, and the column-subset walk could take every tie-break and
 every "only extend rightwards" filter from positions (``neg_above``).
@@ -39,9 +39,9 @@ def _dup_slots(cells: List[Dict[int, int]], cubes: List, slots) -> Set[int]:
 class BitKCView:
     """Sorted dense-position compilation of one KCMatrix snapshot.
 
-    The compile walks the live index's slots in label order; cells keep
-    the index's entry ids, so ``entry_cubes`` is the index's own list,
-    valid until the next mutation of the matrix.
+    The compile walks the matrix's slots in label order; cells keep the
+    matrix's entry ids, so ``entry_cubes`` is the matrix's own list,
+    valid until its next mutation.
     """
 
     __slots__ = (
@@ -68,26 +68,25 @@ class BitKCView:
     )
 
     def __init__(self, matrix) -> None:
-        live = matrix._live
-        row_labels = sorted(live.row_pos)
-        col_labels = sorted(live.col_pos)
+        row_labels = sorted(matrix.rows)
+        col_labels = sorted(matrix.col_pos)
         self.row_labels: List[int] = row_labels
         self.col_labels: List[int] = col_labels
         row_pos = {lab: i for i, lab in enumerate(row_labels)}
         col_pos = {lab: i for i, lab in enumerate(col_labels)}
         self.row_pos: Dict[int, int] = row_pos
         self.col_pos: Dict[int, int] = col_pos
-        row_slots = [live.row_pos[lab] for lab in row_labels]
-        col_slots = [live.col_pos[lab] for lab in col_labels]
-        self.col_cost: List[int] = [live.col_cost[s] for s in col_slots]
-        self.row_cost: List[int] = [live.row_cost[s] for s in row_slots]
-        # Node ids are the index's: the gain correction only compares
+        row_slots = [matrix.rows[lab].slot for lab in row_labels]
+        col_slots = [matrix.col_pos[lab] for lab in col_labels]
+        self.col_cost: List[int] = [matrix.col_cost[s] for s in col_slots]
+        self.row_cost: List[int] = [matrix.row_cost[s] for s in row_slots]
+        # Node ids are the matrix's: the gain correction only compares
         # cells within one node.
-        self.row_node: List[int] = [live.row_node[s] for s in row_slots]
-        self.node_names: List[str] = live.node_names
+        self.row_node: List[int] = [matrix.row_node[s] for s in row_slots]
+        self.node_names: List[str] = matrix.node_names
 
         # Column slot → position (free slots are never read).
-        cpos_of = [0] * len(live.col_labels)
+        cpos_of = [0] * len(matrix.col_labels)
         for cpos, cslot in enumerate(col_slots):
             cpos_of[cslot] = cpos
         col_rows = [0] * len(col_labels)
@@ -97,7 +96,7 @@ class BitKCView:
             bit = 1 << rpos
             rcells = {}
             mask = 0
-            for cslot, eid in live.cells[rslot].items():
+            for cslot, eid in matrix.row_cells[rslot].items():
                 cpos = cpos_of[cslot]
                 rcells[cpos] = eid
                 mask |= 1 << cpos
@@ -107,11 +106,11 @@ class BitKCView:
         self.row_cols: List[int] = row_cols
         self.col_rows: List[int] = col_rows
         self.cells: List[Dict[int, int]] = cells
-        self.entry_cubes: List[Optional[Cube]] = live.entry_cubes
-        self.num_entries: int = live.num_entries
+        self.entry_cubes: List[Optional[Cube]] = matrix.entry_cubes
+        self.num_entries: int = matrix.num_entries
         self._overlap_rows: List[int] = [row_pos[lab] for lab in matrix.overlap_rows]
         self._default_values: Optional[List[int]] = (
-            live._values[:] if live.value_source is default_value else None
+            matrix._values[:] if matrix.value_source is default_value else None
         )
         self._neg_above: Optional[List[int]] = None
         self._dup_rows: Optional[Set[int]] = None
@@ -345,7 +344,7 @@ class BitKCView:
         """Per-entry-id values under *value_fn*.
 
         The table for the pure default value function is computed (or
-        copied from the live index) once and cached with the view; any
+        copied from the matrix) once and cached with the view; any
         other function is evaluated per call because its answers may
         legitimately change between calls
         (the L-shaped cube-state protocol does exactly that).  Cells of

@@ -1,8 +1,8 @@
 """The label-keyed dict model of a KC matrix, kept as a differential oracle.
 
 ``KCMatrix`` used to keep its cells twice: in ``entries`` /
-``by_row`` / ``by_col`` dicts keyed by labels, and in the live bitset
-index.  The index is now the one store.  This module keeps the dict
+``by_row`` / ``by_col`` dicts keyed by labels, and in a bitset index.
+The bitset slots are now its one store.  This module keeps the dict
 bookkeeping as a plain reference model with the same mutators, so a
 random mutation sequence can be replayed on both and the store's
 label-keyed views compared with the model's dicts after every step
@@ -11,31 +11,33 @@ label-keyed views compared with the model's dicts after every step
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Set, Tuple
+from typing import Callable, Dict, Iterable, NamedTuple, Set, Tuple
 
 from repro.algebra.cube import Cube, cube_union
-from repro.rectangles.kcmatrix import RowInfo
+
+
+class RefRow(NamedTuple):
+    node: str
+    cokernel: Cube
 
 
 class ReferenceKC:
     """Rows, columns and cells in label-keyed dicts, O(degree) per edit."""
 
     def __init__(self) -> None:
-        self.rows: Dict[int, RowInfo] = {}
+        self.rows: Dict[int, RefRow] = {}
         self.cols: Dict[int, Cube] = {}
         self.col_of_cube: Dict[Cube, int] = {}
         self.entries: Dict[Tuple[int, int], Cube] = {}
         self.by_row: Dict[int, Set[int]] = {}
         self.by_col: Dict[int, Set[int]] = {}
-        self.node_rows: Dict[str, Set[int]] = {}
         self.overlap_rows: Dict[int, int] = {}
 
     def add_row(self, label: int, node: str, cokernel: Cube) -> None:
         if label in self.rows:
             raise ValueError(f"duplicate row label {label}")
-        self.rows[label] = RowInfo(node, cokernel)
+        self.rows[label] = RefRow(node, cokernel)
         self.by_row[label] = set()
-        self.node_rows.setdefault(node, set()).add(label)
 
     def ensure_col(self, cube: Cube, label_factory: Callable[[], int]) -> int:
         got = self.col_of_cube.get(cube)
@@ -65,12 +67,7 @@ class ReferenceKC:
             self.by_col[col].discard(label)
             del self.entries[(label, col)]
         self.overlap_rows.pop(label, None)
-        info = self.rows.pop(label, None)
-        if info is not None:
-            node_set = self.node_rows[info.node]
-            node_set.discard(label)
-            if not node_set:
-                del self.node_rows[info.node]
+        self.rows.pop(label, None)
 
     def remove_col(self, label: int) -> None:
         cube = self.cols.pop(label, None)
@@ -100,14 +97,12 @@ class ReferenceKC:
     def relabel_row(self, old: int, new: int) -> None:
         if new in self.rows:
             raise ValueError(f"duplicate row label {new}")
-        info = self.rows[new] = self.rows.pop(old)
+        self.rows[new] = self.rows.pop(old)
         cols = self.by_row[new] = self.by_row.pop(old)
         for col in cols:
             self.entries[(new, col)] = self.entries.pop((old, col))
             self.by_col[col].discard(old)
             self.by_col[col].add(new)
-        self.node_rows[info.node].discard(old)
-        self.node_rows[info.node].add(new)
         if old in self.overlap_rows:
             self.overlap_rows[new] = self.overlap_rows.pop(old)
 
@@ -123,13 +118,3 @@ class ReferenceKC:
                     out.add_row(r, self.rows[r].node, self.rows[r].cokernel)
                 out.add_entry(r, c)
         return out
-
-    def merge(self, other: "ReferenceKC") -> None:
-        for label, info in other.rows.items():
-            if label not in self.rows:
-                self.add_row(label, info.node, info.cokernel)
-        for label, cube in other.cols.items():
-            if label not in self.cols:
-                self.ensure_col(cube, lambda: label)
-        for (r, c) in other.entries:
-            self.add_entry(r, c)

@@ -331,22 +331,22 @@ def test_audit_rejects_a_corrupted_winner():
 
 MUTANTS = {
     "row: add_entry does not mark its row": (
-        KCMatrix, "add_entries", "self._dirty_rows.add(rslot)", "pass",
+        KCMatrix, "add_entries", "self._anchor_rows.add(rslot)", "pass",
     ),
     "column: remove_row does not mark its columns": (
         KCMatrix, "remove_row",
-        "self._dirty_cols.update(map(live.col_labels.__getitem__, cols))", "pass",
+        "self._anchor_cols.update(map(self.col_labels.__getitem__, rcells))", "pass",
     ),
     "column: remove_col does not mark its rows": (
         KCMatrix, "remove_col",
-        "self._dirty_rows.update(iter_bits(rows))", "pass",
+        "self._anchor_rows.update(iter_bits(rows))", "pass",
     ),
     "relabel: relabel_col does not mark its rows": (
         KCMatrix, "relabel_col",
-        "self._dirty_rows.update(iter_bits(live.col_rows[live.col_pos[old]]))", "pass",
+        "self._anchor_rows.update(iter_bits(self.col_rows[slot]))", "pass",
     ),
     "relabel: relabel_row does not mark the row": (
-        KCMatrix, "relabel_row", "self._dirty_rows.add(live.row_pos[new])", "pass",
+        KCMatrix, "relabel_row", "self._anchor_rows.add(info.slot)", "pass",
     ),
     "dominance bit: a recorded anchor skips the dominance test": (
         search, "_best_rectangle_bit_v2",

@@ -2,7 +2,7 @@
 
 A default-value ping-pong search keeps, per seed slot, what the seed's
 ascent read and reached (:class:`repro.rectangles.pingpong.Ascent`), and
-the next search replays every record whose inputs the live index has
+the next search replays every record whose inputs the matrix has
 not marked dirty.  Whole-run comparisons cannot tell a stale replay
 from a fresh ascent: a stale seed rarely changes the best rectangle.
 So every search here is compared on its own — the full (rectangle,
@@ -32,7 +32,6 @@ from repro.circuits.mcnc import make_circuit
 from repro.machine.costmodel import CostMeter
 from repro.obs.tracer import Tracer, use_tracer
 from repro.rectangles import pingpong, power
-from repro.rectangles.bitview import LiveBitIndex
 from repro.rectangles.cover import kernel_extract
 from repro.rectangles.kcmatrix import KCMatrix
 from repro.rectangles.rectangle import Rectangle, default_value
@@ -196,7 +195,7 @@ def test_other_value_functions_keep_no_records():
 
     def recording(mat, **kw):
         got = real(mat, **kw)
-        searched.append(mat._live)
+        searched.append(mat)
         return got
 
     with pytest.MonkeyPatch.context() as mp:
@@ -205,9 +204,9 @@ def test_other_value_functions_keep_no_records():
             make_circuit("dalu", scale=0.1), vectors=256, max_iterations=3
         )
     assert searched
-    for view in searched:
-        assert view._ascents is None
-        assert not view._dirty_rows and not view._dirty_cols
+    for mat in searched:
+        assert mat._ascents is None
+        assert not mat._ascent_rows and not mat._ascent_cols
 
 
 def test_changed_search_parameters_rerun_every_seed():
@@ -227,15 +226,14 @@ def test_changed_search_parameters_rerun_every_seed():
 def test_audit_rejects_a_corrupted_record(field):
     mat = _joining_row_matrix()
     pingpong.best_rectangle_pingpong(mat)
-    view = mat.bitview()
-    slot = view.row_pos[1]
-    rec = view._ascents[slot]
+    slot = mat.rows[1].slot
+    rec = mat._ascents[slot]
     assert rec.gain is not None
     audit.set_audits(True)
     try:
         # Intact records pass the audit.
         pingpong.best_rectangle_pingpong(mat)
-        view._ascents[slot] = rec._replace(**{field: getattr(rec, field) + 1})
+        mat._ascents[slot] = rec._replace(**{field: getattr(rec, field) + 1})
         with pytest.raises(audit.InvariantViolation):
             pingpong.best_rectangle_pingpong(mat)
     finally:
@@ -251,10 +249,10 @@ MUTANTS = {
         pingpong, "_replayable", "if mask != cand:", "if False:",
     ),
     "add_entry does not mark its row": (
-        LiveBitIndex, "add_cells", "self._dirty_rows.add(rslot)", "pass",
+        KCMatrix, "add_entries", "self._ascent_rows.add(rslot)", "pass",
     ),
     "relabel_col does not mark its column": (
-        LiveBitIndex, "relabel_col", "self._dirty_cols.add(slot)", "pass",
+        KCMatrix, "relabel_col", "self._ascent_cols.add(slot)", "pass",
     ),
 }
 

@@ -146,19 +146,18 @@ class TestEndToEnd:
 class TestViewStructure:
     def test_view_matches_matrix(self, eq1_network):
         mat = build_kc_matrix(eq1_network)
-        view = mat.bitview()
-        assert view.num_rows == mat.num_rows
-        assert view.num_cols == mat.num_cols
-        assert view.num_entries == mat.num_entries
+        assert sum(lab is not None for lab in mat.row_labels) == mat.num_rows
+        assert sum(lab is not None for lab in mat.col_labels) == mat.num_cols
+        assert sum(map(len, mat.row_cells)) == mat.num_entries
         # Round-trip: every label cell sits at its slots, holding the
         # row's cokernel ∪ the column's cube.
         for (r, c), cube_ in mat.cells().items():
             assert cube_ == cube_union(mat.rows[r].cokernel, mat.cols[c])
-            rpos = view.row_pos[r]
-            cpos = view.col_pos[c]
-            assert view.entry_cubes[view.cells[rpos][cpos]] == cube_
-            assert view.row_cols[rpos] >> cpos & 1
-            assert view.col_rows[cpos] >> rpos & 1
+            rpos = mat.rows[r].slot
+            cpos = mat.col_pos[c]
+            assert mat.entry_cubes[mat.row_cells[rpos][cpos]] == cube_
+            assert mat.row_cols[rpos] >> cpos & 1
+            assert mat.col_rows[cpos] >> rpos & 1
 
     def test_view_invalidated_by_mutation(self, eq1_network):
         # The exhaustive search's label-order tables are dropped by
@@ -166,27 +165,26 @@ class TestViewStructure:
         mat = build_kc_matrix(eq1_network)
         tables = mat.search_tables()
         assert mat.search_tables() is tables  # cached while untouched
-        assert tables.index is mat.bitview()
         some_row = next(iter(mat.rows))
         mat.remove_row(some_row)
         tables2 = mat.search_tables()
         assert tables2 is not tables
-        assert tables2.index is mat.bitview()
         assert tables2.anchors == sorted(mat.cols)
 
     def test_live_index_patched_by_mutation(self, eq1_network):
-        # The live index survives mutations and follows them.
+        # The store follows mutations in place: a removed row frees its
+        # slot and takes its cells with it.
         mat = build_kc_matrix(eq1_network)
-        view = mat.bitview()
         some_row = next(iter(mat.rows))
+        slot = mat.rows[some_row].slot
+        entries = mat.num_entries - len(mat.cols_of_row(some_row))
         mat.remove_row(some_row)
-        assert mat.bitview() is view
-        assert view.num_rows == mat.num_rows
-        assert some_row not in view.row_pos
+        assert mat.row_labels[slot] is None and not mat.row_cells[slot]
+        assert some_row not in mat.row_labels
+        assert mat.num_entries == entries
 
     def test_value_table_default_cached(self, eq1_network):
         mat = build_kc_matrix(eq1_network)
-        view = mat.bitview()
-        assert view.value_table() is view.value_table()
-        custom = view.value_table(lambda node, cube_: 1)
-        assert custom == [1] * view.num_entries
+        assert mat.value_table() is mat.value_table()
+        custom = mat.value_table(lambda node, cube_: 1)
+        assert custom == [1] * mat.num_entries

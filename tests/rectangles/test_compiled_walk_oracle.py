@@ -148,22 +148,22 @@ def test_reuse_replays_anchors_in_both_walks():
 def _table_form(mat):
     """The label-order tables, keyed by labels."""
     tables = mat.search_tables()
-    live = tables.index
-    rows = live.row_labels
-    cols = live.col_labels
-    values = live.value_table()
+    rows = mat.row_labels
+    cols = mat.col_labels
+    values = mat.value_table()
+    row_slots = [info.slot for info in mat.rows.values()]
     return {
         "anchors": tables.anchors,
-        "slots": [live.col_pos[lab] for lab in tables.anchors] == tables.anchor_slots,
+        "slots": [mat.col_pos[lab] for lab in tables.anchors] == tables.anchor_slots,
         "above": {cols[s]: {cols[a] for a in iter_bits(tables.above[s])}
-                  for s in live.col_pos.values()},
+                  for s in mat.col_pos.values()},
         "suffix": {rows[r]: (tables.suf_labels[r], tables.suf_sums[r])
-                   for r in live.row_pos.values()},
+                   for r in row_slots},
         "clean": {rows[r] for r in iter_bits(tables.clean)},
         "dominated": {cols[s] for s in iter_bits(tables.dominated)},
         "dup": {rows[r] for r in tables.dup_rows},
         "values": {(rows[r], cols[c]): values[eid]
-                   for r in live.row_pos.values() for c, eid in live.cells[r].items()},
+                   for r in row_slots for c, eid in mat.row_cells[r].items()},
     }
 
 

@@ -302,9 +302,8 @@ def _check_patch(inc, state, owner=None):
     assert mat.rows == fresh.rows
     assert mat.cols == fresh.cols
     assert mat.cells() == fresh.cells()
-    view = mat.bitview()
-    assert label_form(view) == label_form(BitKCView(mat))
-    assert view.potentials() == recomputed_potentials(view)
+    assert label_form(mat) == label_form(BitKCView(mat))
+    assert mat.potentials() == recomputed_potentials(mat)
 
 
 def _patch(inc, state, changes, owner=None):
@@ -325,7 +324,7 @@ K = [_kernel((20 + i,), (i,), (40,), (41 + i % 3,)) for i in range(10)]
 def _start(lists, owner=None, cls=IncrementalKCMatrix):
     state = {n: _sorted(ks) for n, ks in lists.items()}
     inc = cls(dict(state), owner=owner)
-    inc.matrix.bitview().potentials()
+    inc.matrix.potentials()
     _check_patch(inc, state, owner)
     return inc, state
 
@@ -443,7 +442,7 @@ def _fuzz_patches(seed, cls=IncrementalKCMatrix, with_owner=False):
     state = {n: _random_list(rng, pool) for n in names[:3]}
     inc = cls(dict(state), owner=owner)
     if rng.random() < 0.8:
-        inc.matrix.bitview().potentials()
+        inc.matrix.potentials()
     kept = 0
     for _ in range(12):
         changes = {n: _random_list(rng, pool) for n in rng.sample(names, rng.randint(1, 3))}

@@ -1,14 +1,14 @@
 """The one KC store against the dict reference model.
 
-``KCMatrix`` keeps its cells only in the live bitset index.  Every
-random mutation sequence here runs on a matrix and on
+``KCMatrix`` keeps its cells only in its bitset store.  Every random
+mutation sequence here runs on a matrix and on
 :class:`~tests.rectangles.kc_reference.ReferenceKC` (the dict
-bookkeeping the matrix used to keep next to the index), and after every
-step the store's label-keyed views — cells from the cell table, row and
-column adjacency from the two bitmasks, ``node_rows``,
-``overlap_rows`` and ``num_entries`` — must equal the model's dicts.
-The steps cover every mutator (``add_entries`` included), both
-relabels, ``merge`` and ``submatrix_columns``.
+bookkeeping the matrix used to keep next to the bitsets), and after
+every step the store's label-keyed views — cells from the cell table,
+row and column adjacency from the two bitmasks, ``overlap_rows`` and
+``num_entries`` — must equal the model's dicts.  The steps cover every
+mutator (``add_entries`` included), both relabels and
+``submatrix_columns``.
 
 The mutant tests run the comparison with audits off and show it
 catches, on its own, a relabel that leaves a slot's label behind and a
@@ -25,7 +25,7 @@ from typing import Dict, List
 import pytest
 
 from repro.algebra.cube import cube
-from repro.rectangles.bitview import LiveBitIndex, iter_bits
+from repro.rectangles.bitview import iter_bits
 from repro.rectangles.kcmatrix import KCMatrix
 from repro.verify import audit
 from tests.rectangles.kc_reference import ReferenceKC
@@ -37,27 +37,26 @@ def store_views(mat: KCMatrix) -> Dict[str, object]:
     """The store read back by label: cells from the cell table, each
     row's columns from its row mask and each column's rows from its
     column mask, plus the label maps it keeps."""
-    live = mat._live
     cells = {}
     by_row = {}
     by_col = {}
-    for row, rslot in live.row_pos.items():
-        by_row[row] = {live.col_labels[c] for c in iter_bits(live.row_cols[rslot])}
-        for cslot, eid in live.cells[rslot].items():
-            cells[(row, live.col_labels[cslot])] = live.entry_cubes[eid]
-    for col, cslot in live.col_pos.items():
-        by_col[col] = {live.row_labels[r] for r in iter_bits(live.col_rows[cslot])}
+    for row, info in mat.rows.items():
+        rslot = info.slot
+        by_row[row] = {mat.col_labels[c] for c in iter_bits(mat.row_cols[rslot])}
+        for cslot, eid in mat.row_cells[rslot].items():
+            cells[(row, mat.col_labels[cslot])] = mat.entry_cubes[eid]
+    for col, cslot in mat.col_pos.items():
+        by_col[col] = {mat.row_labels[r] for r in iter_bits(mat.col_rows[cslot])}
     return {
         "cells": cells,
         "by_row": by_row,
         "by_col": by_col,
-        "rows": dict(mat.rows),
+        "rows": {r: (info.node, info.cokernel) for r, info in mat.rows.items()},
         "cols": dict(mat.cols),
         "col_of_cube": dict(mat.col_of_cube),
-        "node_rows": {n: set(rs) for n, rs in mat.node_rows.items()},
         "overlap_rows": dict(mat.overlap_rows),
         "num_entries": mat.num_entries,
-        # The facade's own label reads agree with the store.
+        # The label reads agree with the store.
         "facade": (
             mat.cells(),
             {r: mat.cols_of_row(r) for r in mat.rows},
@@ -71,10 +70,9 @@ def model_views(ref: ReferenceKC) -> Dict[str, object]:
         "cells": dict(ref.entries),
         "by_row": {r: set(cs) for r, cs in ref.by_row.items()},
         "by_col": {c: set(rs) for c, rs in ref.by_col.items()},
-        "rows": dict(ref.rows),
+        "rows": {r: tuple(info) for r, info in ref.rows.items()},
         "cols": dict(ref.cols),
         "col_of_cube": dict(ref.col_of_cube),
-        "node_rows": {n: set(rs) for n, rs in ref.node_rows.items()},
         "overlap_rows": dict(ref.overlap_rows),
         "num_entries": len(ref.entries),
         "facade": (
@@ -114,12 +112,9 @@ class _Pair:
         for c in cols:
             self.ref.add_entry(label, c)
 
-    def ensure_col(self, avoid=()) -> int:
+    def ensure_col(self) -> int:
         rng = self.rng
-        while True:
-            kc = cube(rng.sample(range(1, 12), rng.randint(1, 3)))
-            if kc not in avoid:
-                break
+        kc = cube(rng.sample(range(1, 12), rng.randint(1, 3)))
         label = self._label()
         got = self.mat.ensure_col(kc, lambda: label)
         assert self.ref.ensure_col(kc, lambda: label) == got
@@ -132,34 +127,13 @@ class _Pair:
             self.both("add_entry", rng.choice(rows), rng.choice(cols))
 
 
-def _merge_step(pair: _Pair) -> None:
-    """Splice a label-consistent matrix in: some of the pair's rows and
-    columns, plus new ones, with cells among them."""
-    rng = pair.rng
-    other = _Pair(rng, pair.labels)
-    for r in rng.sample(sorted(pair.ref.rows), min(2, len(pair.ref.rows))):
-        info = pair.ref.rows[r]
-        other.both("add_row", r, info.node, info.cokernel)
-    for c in rng.sample(sorted(pair.ref.cols), min(2, len(pair.ref.cols))):
-        kc = pair.ref.cols[c]
-        other.mat.ensure_col(kc, lambda: c)
-        other.ref.ensure_col(kc, lambda: c)
-    for _ in range(rng.randint(1, 3)):
-        other.add_row()
-    for _ in range(rng.randint(0, 2)):
-        other.ensure_col(avoid=pair.ref.col_of_cube)
-    other.add_entries(rng.randint(2, 8))
-    pair.mat.merge(other.mat)
-    pair.ref.merge(other.ref)
-
-
 def _step(pair: _Pair) -> str:
     rng = pair.rng
     ref = pair.ref
     op = rng.choice([
         "add_row", "add_row", "ensure_col", "ensure_col", "add_entry",
         "add_entry", "add_entry", "remove_row", "remove_col",
-        "relabel_row", "relabel_col", "merge", "submatrix_columns",
+        "relabel_row", "relabel_col", "submatrix_columns",
     ])
     if op == "add_row":
         pair.add_row()
@@ -180,8 +154,6 @@ def _step(pair: _Pair) -> str:
     elif op == "relabel_col" and ref.cols:
         new = pair._label() * rng.choice((1, -1))
         pair.both("relabel_col", rng.choice(sorted(ref.cols)), new)
-    elif op == "merge":
-        _merge_step(pair)
     elif op == "submatrix_columns" and len(ref.cols) > 2:
         keep = rng.sample(sorted(ref.cols), len(ref.cols) * 2 // 3)
         pair.mat = pair.mat.submatrix_columns(keep)
@@ -212,7 +184,7 @@ def test_every_step_kind_runs():
             kinds.add(_step(pair))
     assert kinds == {
         "add_row", "ensure_col", "add_entry", "remove_row", "remove_col",
-        "relabel_row", "relabel_col", "merge", "submatrix_columns",
+        "relabel_row", "relabel_col", "submatrix_columns",
     }
 
 
@@ -222,7 +194,7 @@ def test_every_step_kind_runs():
 
 MUTANTS = {
     "relabel_row leaves the slot's label": (
-        "relabel_row", "self.row_labels[slot] = new", "pass",
+        "relabel_row", "self.row_labels[info.slot] = new", "pass",
     ),
     "relabel_col leaves the slot's label": (
         "relabel_col", "self.col_labels[slot] = new", "pass",
@@ -238,9 +210,9 @@ MUTANTS = {
 
 def _mutant(name):
     attr, old, new = MUTANTS[name]
-    src = textwrap.dedent(inspect.getsource(getattr(LiveBitIndex, attr)))
+    src = textwrap.dedent(inspect.getsource(getattr(KCMatrix, attr)))
     assert src.count(old) == 1, f"mutation site for {name!r} not found"
-    namespace = dict(vars(inspect.getmodule(LiveBitIndex)))
+    namespace = dict(vars(inspect.getmodule(KCMatrix)))
     exec(compile(src.replace(old, new), "<mutant>", "exec"), namespace)
     return attr, namespace[attr]
 
@@ -261,7 +233,7 @@ def test_mutants_are_caught(name):
     audit.set_audits(False)
     try:
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(LiveBitIndex, attr, mutant)
+            mp.setattr(KCMatrix, attr, mutant)
             assert _caught(), f"mutant {name!r} survived"
         assert not _caught()
     finally:

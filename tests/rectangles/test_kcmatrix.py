@@ -118,32 +118,15 @@ class TestMutation:
 
 
 class TestNodeRowsIndex:
-    def test_index_matches_row_infos(self, eq1_network):
-        mat = build_kc_matrix(eq1_network)
-        for node, labels in mat.node_rows.items():
-            assert labels == {
-                r for r, info in mat.rows.items() if info.node == node
-            }
-
-    def test_rows_of_node_sorted(self, eq1_network):
-        mat = build_kc_matrix(eq1_network)
-        for node in mat.node_rows:
-            got = mat.rows_of_node(node)
-            assert got == sorted(got)
-            assert set(got) == mat.node_rows[node]
-
-    def test_rows_of_node_unknown_is_empty(self, eq1_network):
-        mat = build_kc_matrix(eq1_network)
-        assert mat.rows_of_node("no-such-node") == []
-
     def test_remove_row_maintains_index(self, eq1_network):
         mat = build_kc_matrix(eq1_network)
-        node = next(iter(mat.node_rows))
-        for r in list(mat.rows_of_node(node)):
+        node = mat.rows[min(mat.rows)].node
+        for r in [r for r, info in mat.rows.items() if info.node == node]:
             mat.remove_row(r)
-        # Last row removed drops the node key entirely.
-        assert node not in mat.node_rows
-        assert mat.rows_of_node(node) == []
+        # No row, cell or overlap count of the node is left.
+        assert all(info.node != node for info in mat.rows.values())
+        assert all(r in mat.rows for r, _ in mat.cells())
+        assert all(r in mat.rows for r in mat.overlap_rows)
 
 
 class TestSubmatrixAndMerge:
@@ -170,7 +153,7 @@ class TestSubmatrixAndMerge:
         m1.add_row(100_001, "G", (8,))
         c1 = m1.ensure_col((2,), lambda: 100_001)
         m1.add_entry(100_001, c1)
-        m0.merge(m1)
+        m0.take_columns(m1, m1.cols)
         assert m0.num_rows == 2
         assert m0.num_cols == 2
         assert m0.num_entries == 2
@@ -185,13 +168,6 @@ class TestSubmatrixAndMerge:
         m1.add_row(100_001, "G", (8,))
         c1 = m1.ensure_col((0,), lambda: 7)
         m1.add_entry(100_001, c1)
-        m0.merge(m1)
+        m0.take_columns(m1, m1.cols)
         assert m0.num_cols == 1
         assert len(m0.rows_of_col(7)) == 2
-
-    def test_merge_conflicting_cube_label_rejected(self, eq1_network):
-        # same cube under two labels must be rejected
-        m0 = build_kc_matrix(eq1_network, nodes=["G"], pid=0)
-        m1 = build_kc_matrix(eq1_network, nodes=["G"], pid=1)
-        with pytest.raises(ValueError):
-            m0.merge(m1)

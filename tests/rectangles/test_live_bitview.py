@@ -1,11 +1,11 @@
-"""The live bitset index against a fresh compile and the dense walk.
+"""The KC matrix's bitset store against a fresh compile and the dense walk.
 
-``KCMatrix.bitview()`` is built once and then patched by every mutator.
+The store is made with the matrix and then patched by every mutator.
 Its rows and columns sit at stable slots, so slot order drifts away
 from label order as rows are removed, slots reused and columns
 relabelled.  Two contracts follow:
 
-- after any mutation sequence the index, mapped back to labels, equals
+- after any mutation sequence the store, mapped back to labels, equals
   a fresh sorted compilation of the same matrix (the oracle
   :class:`tests.rectangles.compiled_walk.BitKCView`);
 - the ping-pong walk on it takes every tie-break from labels, so every
@@ -18,7 +18,7 @@ The mutant tests show the whole-run comparison catches the two ways a
 slot-addressed walk can go wrong: a tie-break by slot, and seeds drawn
 from freed slots.
 
-The index's patched seed potentials (``row_pot``) must equal a full
+The store's patched seed potentials (``row_pot``) must equal a full
 recompute after any mutation sequence, and L-shaped, which searches
 under its own value function, must never build them.
 """
@@ -49,19 +49,28 @@ from tests.rectangles.dense_pingpong import FullScanView, dense_ascents
 from tests.rectangles.test_bitview_equivalence import random_kc_matrix
 
 
+def _slots(view):
+    """A bitset form's row slots by label, and its per-row cells: the
+    matrix's own, or a compilation's."""
+    if isinstance(view, KCMatrix):
+        return {lab: info.slot for lab, info in view.rows.items()}, view.row_cells
+    return view.row_pos, view.cells
+
+
 def label_form(view) -> Dict[str, object]:
     """Everything a search reads from a bitset form, keyed by labels."""
     rows = {}
     cols = {}
     cells = {}
     values = view.value_table()
-    for lab, r in view.row_pos.items():
+    row_pos, row_cells = _slots(view)
+    for lab, r in row_pos.items():
         rows[lab] = (
             view.node_names[view.row_node[r]],
             view.row_cost[r],
             frozenset(view.col_labels[c] for c in iter_bits(view.row_cols[r])),
         )
-        for c, eid in view.cells[r].items():
+        for c, eid in row_cells[r].items():
             cells[(lab, view.col_labels[c])] = (view.entry_cubes[eid], values[eid])
     for lab, c in view.col_pos.items():
         cols[lab] = (
@@ -73,14 +82,14 @@ def label_form(view) -> Dict[str, object]:
             "entries": view.num_entries}
 
 
-def recomputed_potentials(view) -> List[int]:
+def recomputed_potentials(mat: KCMatrix) -> List[int]:
     """Every slot's seed potential, recomputed from scratch under the
-    values the index maintains."""
-    values = view.value_table(view.value_source)
-    shar1 = [popcount(mask) - 1 for mask in view.col_rows]
+    values the matrix maintains."""
+    values = mat.value_table(mat.value_source)
+    shar1 = [popcount(mask) - 1 for mask in mat.col_rows]
     return [
         sum(shar1[c] * values[eid] for c, eid in rcells.items())
-        for rcells in view.cells
+        for rcells in mat.row_cells
     ]
 
 
@@ -131,7 +140,6 @@ def _mutate(mat: KCMatrix, rng: random.Random, next_label: List[int], ops=OPS) -
 def test_mutation_sequences_match_a_fresh_compile(seed):
     rng = random.Random(seed)
     mat = KCMatrix()
-    view = mat.bitview()  # the store, made with the matrix
     next_label = [0]
     peak_rows = peak_cols = 0
     for step in range(86):
@@ -140,14 +148,13 @@ def test_mutation_sequences_match_a_fresh_compile(seed):
         peak_cols = max(peak_cols, mat.num_cols)
         if step < 6:
             continue
-        assert mat.bitview() is view
-        assert label_form(view) == label_form(BitKCView(mat))
-        audit.audit_bitview(mat, view)
+        assert label_form(mat) == label_form(BitKCView(mat))
+        audit.audit_store(mat)
         audit.audit_kcmatrix(mat)
         # Freed slots are reused lowest first: the width stays bounded
         # by the largest live count.
-        assert len(view.row_labels) <= peak_rows
-        assert len(view.col_labels) <= peak_cols
+        assert len(mat.row_labels) <= peak_rows
+        assert len(mat.col_labels) <= peak_cols
 
 
 @pytest.mark.parametrize("seed", range(25))
@@ -159,46 +166,42 @@ def test_patched_potentials_match_a_recompute(seed):
     next_label = [0]
     for _ in range(6):
         _mutate(mat, rng, next_label)
-    view = mat.bitview()
-    assert view.row_pot is None
-    pot = view.potentials()
-    assert pot == recomputed_potentials(view)
+    assert mat.row_pot is None
+    pot = mat.potentials()
+    assert pot == recomputed_potentials(mat)
     seen = set()
     for _ in range(40):
         # Several mutations between two reads: a column touched more
         # than once is settled once.
         for _ in range(rng.randint(1, 3)):
             seen.add(_mutate(mat, rng, next_label, OPS + ["relabel_row"] * 2))
-            audit.audit_bitview(mat, view)
-        assert view.potentials() is pot
-        assert pot == recomputed_potentials(view)
-        assert label_form(view) == label_form(BitKCView(mat))
+            audit.audit_store(mat)
+        assert mat.potentials() is pot
+        assert pot == recomputed_potentials(mat)
+        assert label_form(mat) == label_form(BitKCView(mat))
         audit.audit_kcmatrix(mat)
     assert {"relabel_row", "remove_row", "add_row"} <= seen
 
 
 def test_audit_catches_a_stale_potential():
     mat = random_kc_matrix(1)
-    view = mat.bitview()
-    view.potentials()
-    audit.audit_bitview(mat, view)
-    view.row_pot[view.row_pos[min(mat.rows)]] += 1
+    mat.potentials()
+    audit.audit_store(mat)
+    mat.row_pot[mat.rows[min(mat.rows)].slot] += 1
     with pytest.raises(audit.InvariantViolation):
-        audit.audit_bitview(mat, view)
+        audit.audit_store(mat)
     # A column whose size changed must be marked for settling.
-    view.row_pot[view.row_pos[min(mat.rows)]] -= 1
+    mat.row_pot[mat.rows[min(mat.rows)].slot] -= 1
     mat.remove_row(max(mat.rows))
-    audit.audit_bitview(mat, view)
-    view._pot_dirty.clear()
+    audit.audit_store(mat)
+    mat._pot_dirty.clear()
     with pytest.raises(audit.InvariantViolation):
-        audit.audit_bitview(mat, view)
+        audit.audit_store(mat)
 
 
 def test_relabel_row_moves_every_index():
     mat = random_kc_matrix(2)
-    view = mat.bitview()
     old = min(mat.rows)
-    slot = view.row_pos[old]
     info = mat.rows[old]
     cols = set(mat.cols_of_row(old))
     mat.relabel_row(old, old + 10_000)
@@ -206,24 +209,23 @@ def test_relabel_row_moves_every_index():
     assert mat.cols_of_row(old + 10_000) == cols
     assert all(mat.has_entry(old + 10_000, c) for c in cols)
     assert all(old not in mat.rows_of_col(c) for c in cols)
-    assert old + 10_000 in mat.node_rows[info.node]
-    assert view.row_pos[old + 10_000] == slot and old not in view.row_pos
+    assert mat.rows[old + 10_000].slot == info.slot and old not in mat.rows
+    assert mat.row_labels[info.slot] == old + 10_000
     audit.audit_kcmatrix(mat)
-    audit.audit_bitview(mat, view)
+    audit.audit_store(mat)
     with pytest.raises(ValueError):
         mat.relabel_row(old + 10_000, max(mat.rows))
 
 
 def test_freed_slot_is_reused_lowest_first():
     mat = random_kc_matrix(3)
-    view = mat.bitview()
     labels = sorted(mat.rows)
-    slots = sorted(view.row_pos[lab] for lab in labels[1:4])
+    slots = sorted(mat.rows[lab].slot for lab in labels[1:4])
     for lab in labels[1:4]:
         mat.remove_row(lab)
     mat.add_row(999, "n9", (1,))
-    assert view.row_pos[999] == slots[0]
-    assert len(view.row_labels) == len(labels)
+    assert mat.rows[999].slot == slots[0]
+    assert len(mat.row_labels) == len(labels)
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -233,7 +235,7 @@ def test_overlap_counts_find_the_same_dup_rows_as_a_full_scan(seed):
     # the fresh matrix and after removals.
     mat = random_kc_matrix(seed)
     for _ in range(2):
-        for form in (mat.bitview(), BitKCView(mat)):
+        for form in (mat, BitKCView(mat)):
             got = {form.row_labels[r] for r in form.dup_rows()}
             full = FullScanView(mat)
             assert got == {full.row_labels[r] for r in full.dup_rows()}
@@ -246,18 +248,16 @@ def test_overlap_counts_find_the_same_dup_rows_as_a_full_scan(seed):
 # ----------------------------------------------------------------------
 
 def _covered(net_factory, mutate):
-    """Extract the best rectangle with the index live after *mutate*;
-    return the network and the same extraction via the sparse path."""
+    """Extract the best rectangle from the store as *mutate* leaves it;
+    return the network and the same extraction via a fresh replica."""
     net = net_factory()
     sparse = net.copy()
     mat = build_kc_matrix(net)
-    mat.bitview()
     mutate(mat)
-    view = mat.bitview()
     for rect, _ in pingpong.pingpong_candidates(mat):
-        assert view.covered_cubes_by_node(rect) == BitKCView(mat).covered_cubes_by_node(rect)
+        assert mat.covered_cubes_by_node(rect) == BitKCView(mat).covered_cubes_by_node(rect)
     best = pingpong.best_rectangle_pingpong(mat)
-    assert best is not None and mat._live is view
+    assert best is not None
     apply_rectangle(net, mat, best[0], gain=best[1])
     # A replica under the same labels, stored without slot history.
     apply_rectangle(sparse, _replica(mat), best[0], gain=best[1])
@@ -376,7 +376,7 @@ def test_lshaped_matches_dense_walk(nprocs):
 
 def test_lshaped_potentials_follow_its_cube_state_view():
     # L-shaped searches under its processor's cube-state view, bound to
-    # the per-cycle index, so the potentials it reads are patched under
+    # the per-cycle matrix, so the potentials it reads are patched under
     # those values — never the default ones — and match a recompute.
     searched = []
     real = lshaped.best_rectangle_pingpong
@@ -384,9 +384,8 @@ def test_lshaped_potentials_follow_its_cube_state_view():
     def recording(mat, value_fn=None, **kw):
         got = real(mat, value_fn=value_fn, **kw)
         searched.append(value_fn)
-        view = mat._live
-        assert view is not None and view.value_source is value_fn
-        assert view.row_pot == recomputed_potentials(view)
+        assert mat.value_source is value_fn
+        assert mat.row_pot == recomputed_potentials(mat)
         return got
 
     with pytest.MonkeyPatch.context() as mp:
@@ -405,7 +404,7 @@ def test_sequential_runs_read_patched_potentials():
 
     def recording(matrix):
         got = search(matrix)
-        tables.append(matrix.bitview().row_pot)
+        tables.append(matrix.row_pot)
         return got
 
     kernel_extract(make_circuit("misex3", scale=0.1), searcher=recording)
@@ -414,7 +413,7 @@ def test_sequential_runs_read_patched_potentials():
 
 
 def test_audited_run_checks_the_patched_index():
-    # Under REPRO_CHECK=1 every bitview() call audits the patched index.
+    # Under REPRO_CHECK=1 every search audits the patched store.
     audit.set_audits(True)
     try:
         live = _seq_run(make_circuit("misex3", scale=0.1))
@@ -433,8 +432,8 @@ MUTANTS = {
         "scored.sort(key=lambda cs: (-cs[0], cs[1]))",
     ),
     "seeds drawn from freed slots": (
-        "(-potential[r], lab, r) for lab, r in view.row_pos.items()",
-        "(-potential[r], lab or 0, r) for r, lab in enumerate(view.row_labels)",
+        "(-potential[r], lab, r) for r, lab in enumerate(row_labels) if lab is not None",
+        "(-potential[r], lab or 0, r) for r, lab in enumerate(row_labels)",
     ),
 }
 
@@ -480,8 +479,7 @@ def test_fallback_tie_follows_labels_not_slots():
         mat.add_entry(1, col)
     for col in (a, b):
         mat.add_entry(2, col)
-    view = mat.bitview()
-    assert view.col_pos[a] < view.col_pos[b] < view.col_pos[c]
+    assert mat.col_pos[a] < mat.col_pos[b] < mat.col_pos[c]
     args = (mat, lambda node, cb: 3, 2, None, 8, None)
     live = list(pingpong._ascents_bit(*args))
     assert live == list(dense_ascents(*args))

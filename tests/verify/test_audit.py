@@ -51,7 +51,7 @@ class TestGating:
         set_audits(False)
         try:
             mat = _small_matrix()
-            mat._live.col_rows[:] = [0] * len(mat._live.col_rows)  # massive corruption
+            mat.col_rows[:] = [0] * len(mat.col_rows)  # massive corruption
             mat.add_row(9, "H", ())  # mutator runs its audit only if enabled
         finally:
             set_audits(prev)
@@ -71,11 +71,10 @@ class TestKCMatrixAudits:
     @pytest.mark.parametrize(
         "corrupt, msg",
         [
-            (lambda m: m._live.col_rows.__setitem__(0, 0), "adjacency"),
-            (lambda m: m._live.entry_cubes.__setitem__(0, (99, 98, 97)), "cube"),
+            (lambda m: m.col_rows.__setitem__(0, 0), "adjacency"),
+            (lambda m: m.entry_cubes.__setitem__(0, (99, 98, 97)), "cube"),
             (lambda m: m.col_of_cube.update({(77,): 12345}), "col_of_cube"),
-            (lambda m: m.node_rows["F"].add(999), "node_rows"),
-            (lambda m: m.rows.update({555: RowInfo("F", ())}), "row labels"),
+            (lambda m: m.rows.update({555: RowInfo("F", (), 0)}), "row labels"),
         ],
     )
     def test_corruption_detected(self, corrupt, msg):
@@ -86,32 +85,30 @@ class TestKCMatrixAudits:
 
     def test_bitview_parity_clean(self):
         mat = _small_matrix()
-        view = mat.bitview()
-        audit.audit_bitview(mat, view)
+        audit.audit_store(mat)
 
     def test_bitview_parity_detects_stale_view(self):
         mat = _small_matrix()
-        view = mat.bitview()
         # The mutators write the store; a raw write to a label map does not.
-        mat.rows[4] = RowInfo("G", (12,))
+        mat.rows[4] = RowInfo("G", (12,), len(mat.row_labels))
         with pytest.raises(InvariantViolation):
-            audit.audit_bitview(mat, view)
+            audit.audit_store(mat)
 
     def test_bitview_detects_corrupted_masks(self):
         mat = _small_matrix()
-        view = mat.bitview()
-        view.row_cols[0] = 0
+        mat.row_cols[0] = 0
         with pytest.raises(InvariantViolation, match="mask"):
-            audit.audit_bitview(mat, view)
+            audit.audit_store(mat)
 
     def test_mutation_audit_fires_at_the_faulty_operation(self, audits_on):
         mat = _small_matrix()
-        # Sabotage an index, then perform the next mutation touching it:
+        # Sabotage the store, then perform the next mutation touching it:
         # the audit localizes the breach to that operation instead of
         # letting it surface later as a wrong factorization.
-        mat.node_rows["G"].add(1)  # row 1 belongs to F, not G
+        c2 = mat.col_pos[mat.col_of_cube[(21, 22)]]
+        mat.col_rows[c2] |= 1 << mat.rows[2].slot  # row 2 has no cell there
         with pytest.raises(InvariantViolation, match="still lists"):
-            mat.remove_row(1)
+            mat.remove_row(2)
 
 
 class TestCubeStateAudits:

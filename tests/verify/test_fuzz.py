@@ -111,3 +111,23 @@ class TestRunFuzz:
         report = run_fuzz(FuzzConfig(runs=1, seed=0, paths=["seq-pingpong"]))
         text = report.render()
         assert "1 runs" in text and "0 failure(s)" in text
+
+
+# Run 32 of ``repro fuzz --runs 40 --seed 100 --faults --check``.  The
+# shrinker cannot reduce it, and its written .eqn does not reproduce it
+# (re-read, the network's literal ids change and the fault-free run
+# ends at LC 28), so the case is built from the generator here.
+@pytest.mark.xfail(strict=True, reason=(
+    "L-shaped crash recovery: processor 0 crashes while building its cycle-0 "
+    "slab, so processor 1 searches that cycle alone, without processor 0's "
+    "cube claims, and extracts the gain-1 single-row kernel 1 + x2 from u3, "
+    "which the fault-free run never takes; the whole-matrix cycles after the "
+    "reassignment then stop in a ping-pong local optimum at LC 31 against "
+    "the fault-free 25"))
+def test_lshaped_crash_in_first_slab_build_keeps_fault_quality():
+    report = run_fuzz(FuzzConfig(
+        runs=1, seed=132, family="dupcube", paths=["lshaped"],
+        audits=True, faults=True, fault_seed=32,
+    ))
+    assert report.lc_by_path["lshaped"] == 25
+    assert report.ok, report.render()
