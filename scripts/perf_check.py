@@ -7,6 +7,10 @@ Usage:
     PYTHONPATH=src python scripts/perf_check.py --quick    # CI smoke suite
     PYTHONPATH=src python scripts/perf_check.py --check    # non-zero exit on regression
 
+The full suite writes ``benchmarks/results/BENCH_rectsearch.json`` unless
+``--out`` says otherwise; a ``--quick`` run writes a file only when given
+``--out``, so it never replaces the committed full-suite rows.
+
 ``--check`` fails (exit 1) when disabled tracing, the disabled
 fault-injection or journal gates, or the always-on flight recorder are
 estimated to cost more than their budgets (2% each), or when the
@@ -34,6 +38,13 @@ from repro.harness.perfcheck import (
     write_report,
 )
 
+FULL_SUITE_OUT = REPO_ROOT / "benchmarks" / "results" / "BENCH_rectsearch.json"
+
+
+def default_out(quick: bool):
+    """Where a run without ``--out`` writes: the committed file, or nowhere."""
+    return None if quick else FULL_SUITE_OUT
+
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -46,17 +57,19 @@ def main(argv=None) -> int:
         help="exit 1 if an overhead gate or the kc-build gate fails",
     )
     parser.add_argument(
-        "--out", type=pathlib.Path,
-        default=REPO_ROOT / "benchmarks" / "results" / "BENCH_rectsearch.json",
-        help="output JSON path (default benchmarks/results/BENCH_rectsearch.json)",
+        "--out", type=pathlib.Path, default=None,
+        help="output JSON path (default: benchmarks/results/BENCH_rectsearch.json "
+             "for the full suite, no file for --quick)",
     )
     args = parser.parse_args(argv)
 
     report = run_perf_check(quick=args.quick)
     print(render_report(report))
-    args.out.parent.mkdir(parents=True, exist_ok=True)
-    write_report(report, args.out)
-    print(f"wrote {args.out}")
+    out = args.out or default_out(args.quick)
+    if out is not None:
+        out.parent.mkdir(parents=True, exist_ok=True)
+        write_report(report, out)
+        print(f"wrote {out}")
 
     if args.check:
         gate = report["kc_build"]

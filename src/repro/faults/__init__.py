@@ -18,9 +18,10 @@ Entry points::
     run = lshaped_kernel_extract(net, nprocs=4, faults=inj)
     inj.summary()                                    # injected vs recovered
 
-or environment-driven: ``REPRO_FAULTS="crash:1@3" python -m repro ...``;
-``python -m repro chaos CIRCUIT --plan ... --algorithm lshaped`` wraps
-the whole story in one command.
+or from the command line: ``python -m repro chaos CIRCUIT --plan ...
+--algorithm lshaped`` wraps the whole story in one command.  No
+environment variable injects machine faults; a run without ``faults=``
+is fault-free.
 """
 
 from repro.faults.injector import (

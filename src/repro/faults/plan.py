@@ -24,8 +24,8 @@ processor regardless of what the plan asks for.
 
 Spec strings
 ------------
-``FaultPlan.parse`` accepts a compact comma-separated spec, also read
-from the ``REPRO_FAULTS`` environment variable::
+``FaultPlan.parse`` accepts a compact comma-separated spec (the
+``--plan`` of ``repro chaos``)::
 
     crash:1@3            processor 1 dies before top-level op 3
     slow:2x4@5-12        processor 2 runs 4x slower during ops [5, 12)
@@ -76,10 +76,6 @@ SERVE_FAULT_KINDS = (
 )
 
 ALL_FAULT_KINDS = FAULT_KINDS + SERVE_FAULT_KINDS
-
-#: Environment variables honored by :func:`resolve_fault_injector`.
-ENV_PLAN = "REPRO_FAULTS"
-ENV_SEED = "REPRO_FAULTS_SEED"
 
 #: Environment variable carrying a serve-level plan into the serve
 #: processes (the chaos harness sets it; DiskCache and the workers read
@@ -342,21 +338,16 @@ def serve_plan_from_env() -> Optional[FaultPlan]:
 def resolve_fault_injector(faults=None):
     """Normalize the ``faults=`` argument the parallel entry points take.
 
-    Accepts ``None`` (consult ``REPRO_FAULTS``/``REPRO_FAULTS_SEED``), a
-    :class:`FaultPlan`, or a ready
-    :class:`~repro.faults.injector.FaultInjector`.  Returns an injector,
-    or ``None`` when the resulting plan is empty — an empty plan must be
-    byte-identical to (and as cheap as) the fault-free path, so it is
-    represented by the absence of an injector.
+    Accepts ``None`` (the fault-free path), a :class:`FaultPlan`, or a
+    ready :class:`~repro.faults.injector.FaultInjector`.  Returns an
+    injector, or ``None`` when there is no plan or it is empty — an
+    empty plan must be byte-identical to (and as cheap as) the
+    fault-free path, so it is represented by the absence of an injector.
     """
     from repro.faults.injector import FaultInjector
 
     if faults is None:
-        spec = os.environ.get(ENV_PLAN, "").strip()
-        if not spec:
-            return None
-        seed = int(os.environ.get(ENV_SEED, "0"))
-        faults = FaultInjector(FaultPlan.parse(spec), seed=seed)
+        return None
     if isinstance(faults, FaultPlan):
         faults = FaultInjector(faults)
     if faults.plan.is_empty():

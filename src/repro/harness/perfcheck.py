@@ -320,6 +320,14 @@ OVERHEAD_GATES: Tuple[Tuple[str, str, str, str, str, float], ...] = (
      "journal_gates", MAX_JOURNAL_OVERHEAD),
 )
 
+#: The most ``faults is None`` tests one machine operation runs on the
+#: fault gate's 4-processor workload.  ``run_phase`` is the widest
+#: primitive: one test on entry and one on exit, plus two per processor
+#: (the dead-pid skip and the slowdown multiplier); ``charge_all`` runs
+#: one fewer, ``barrier`` and ``charge`` two, ``broadcast`` and ``send``
+#: one.
+FAULT_GATES_PER_OP = 2 + 2 * 4
+
 #: The journal's ``self.journal is not None`` sites on the gateway
 #: request path (accepted, dispatched, done, replay probe), priced double.
 JOURNAL_GATES = 8
@@ -402,9 +410,10 @@ def measure_overheads(wl: Optional[Workload] = None) -> Dict[str, Dict]:
     - ``lshaped`` (``dalu@0.2``, 4 processors) is timed fault-free, then
       run under an idle injector (one event at an unreachable message
       index) whose counters say how often the fault gates ran, each
-      index priced at three gate calls.  The journal prices its fixed
-      :data:`JOURNAL_GATES` over the same request, and reports the
-      enabled cost of its two appends per request for context.
+      index priced at :data:`FAULT_GATES_PER_OP` gate calls.  The
+      journal prices its fixed :data:`JOURNAL_GATES` over the same
+      request, and reports the enabled cost of its two appends per
+      request for context.
 
     All estimates are deliberately pessimistic.
     """
@@ -437,7 +446,7 @@ def measure_overheads(wl: Optional[Workload] = None) -> Dict[str, Dict]:
     }
     calls = {
         "trace_events": len(spans) + sum(len(sp.counters) for sp in spans),
-        "fault_gates": 3 * (idle.op_index + idle.msg_index),
+        "fault_gates": FAULT_GATES_PER_OP * (idle.op_index + idle.msg_index),
         "journal_gates": JOURNAL_GATES,
     }
     report: Dict[str, Dict] = {}

@@ -23,7 +23,8 @@ barrier stall, broadcast and send closes a span on the owning pid's
 track whose virtual interval is exactly the clock movement — so a
 trace's per-track maxima reproduce :meth:`elapsed` and the final
 :class:`PhaseReport` clocks bit-for-bit.  With no tracer the
-instrumentation reduces to one ``is None`` test per primitive.
+instrumentation reduces to ``is None`` tests (``run_phase`` enters the
+shared :data:`~repro.obs.tracer.NULL_SPAN`).
 
 Fault injection (:mod:`repro.faults`) follows the same discipline: with
 a :class:`~repro.faults.injector.FaultInjector` attached via ``faults=``
@@ -34,17 +35,20 @@ timeouts; :meth:`send` returns ``False`` on permanent loss so callers
 can journal the payload).  Crashes are *detected* at the next barrier:
 every survivor pays the plan's detection timeout once and the newly
 detected pids are surfaced through :meth:`take_detected` for the
-algorithm's recovery pass.  With ``faults=None`` every primitive is
-byte-identical to the pre-fault implementation — one ``is None`` test.
+algorithm's recovery pass.  Each primitive has one body: the fault
+branches are inline ``is not None`` tests around the clock-and-span
+tail every run shares, so with ``faults=None`` the injector is never
+consulted and the clocks, reports and spans are those of a machine
+without fault support.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, TypeVar
+from dataclasses import dataclass
+from typing import Callable, List, Optional, Sequence, TypeVar
 
 from repro.machine.costmodel import CostMeter, CostModel, DEFAULT_COST_MODEL
-from repro.obs.tracer import Tracer, active_tracer
+from repro.obs.tracer import NULL_SPAN, Tracer, active_tracer
 
 T = TypeVar("T")
 
@@ -95,10 +99,6 @@ class SimulatedMachine:
         self.faults = faults
         self._in_phase = False
         self._newly_detected: List[int] = []
-        if faults is not None:
-            attach = getattr(faults, "attach", None)
-            if attach is not None:
-                attach(self)
 
     @property
     def nprocs(self) -> int:
@@ -130,6 +130,18 @@ class SimulatedMachine:
     # ------------------------------------------------------------------
     # Work execution
     # ------------------------------------------------------------------
+    def _record(self, name: str) -> None:
+        """Append the :class:`PhaseReport` every primitive ends with."""
+        self.phases.append(PhaseReport(name, [p.clock for p in self.procs]))
+
+    @staticmethod
+    def _span(tr: Tracer, name: str, cat: str, track: int, v0: float,
+              v1: float, **counters: float) -> None:
+        """Close one span whose virtual interval is [*v0*, *v1*]."""
+        with tr.span(name, cat=cat, track=track, virtual_start=v0) as sp:
+            sp.set_virtual_end(v1)
+            sp.add_counters(**counters)
+
     def run_phase(
         self,
         work: Callable[[VirtualProcessor], T],
@@ -157,25 +169,18 @@ class SimulatedMachine:
                     continue
                 proc = self.procs[pid]
                 before = proc.meter.snapshot()
-                if tr is None:
+                with (NULL_SPAN if tr is None else
+                      tr.span(name, cat="phase", track=pid,
+                              virtual_start=proc.clock)) as sp:
                     results.append(work(proc))
                     after = proc.meter.counts
-                    delta = {k: after.get(k, 0.0) - before.get(k, 0.0) for k in after}
+                    delta = {k: after.get(k, 0.0) - before.get(k, 0.0)
+                             for k in after}
                     dt = self.model.compute_time(delta)
                     if fa is not None:
                         dt *= fa.slow_factor(pid)
                     proc.clock += dt
-                else:
-                    with tr.span(name, cat="phase", track=pid,
-                                 virtual_start=proc.clock) as sp:
-                        results.append(work(proc))
-                        after = proc.meter.counts
-                        delta = {k: after.get(k, 0.0) - before.get(k, 0.0)
-                                 for k in after}
-                        dt = self.model.compute_time(delta)
-                        if fa is not None:
-                            dt *= fa.slow_factor(pid)
-                        proc.clock += dt
+                    if tr is not None:
                         sp.set_virtual_end(proc.clock)
                         for kind, amount in delta.items():
                             if amount:
@@ -183,7 +188,7 @@ class SimulatedMachine:
         finally:
             if fa is not None:
                 self._in_phase = False
-        self.phases.append(PhaseReport(name, [p.clock for p in self.procs]))
+        self._record(name)
         return results
 
     def charge(self, pid: int, kind: str, amount: float = 1.0) -> None:
@@ -203,10 +208,8 @@ class SimulatedMachine:
             dt *= fa.slow_factor(pid)
         proc.clock += dt
         if tr is not None:
-            with tr.span("charge", cat="compute", track=pid,
-                         virtual_start=v0) as sp:
-                sp.set_virtual_end(proc.clock)
-                sp.add_counter(kind, amount)
+            self._span(tr, "charge", "compute", pid, v0, proc.clock,
+                       **{kind: amount})
 
     def charge_all(self, probe: CostMeter, name: str = "charge-all") -> None:
         """Merge *probe* into every processor's meter; advance all clocks.
@@ -233,11 +236,9 @@ class SimulatedMachine:
                 dt *= fa.slow_factor(proc.pid)
             proc.clock += dt
             if tr is not None:
-                with tr.span(name, cat="phase", track=proc.pid,
-                             virtual_start=v0) as sp:
-                    sp.set_virtual_end(proc.clock)
-                    sp.add_counters(**nonzero)
-        self.phases.append(PhaseReport(name, [p.clock for p in self.procs]))
+                self._span(tr, name, "phase", proc.pid, v0, proc.clock,
+                           **nonzero)
+        self._record(name)
 
     # ------------------------------------------------------------------
     # Synchronization
@@ -252,124 +253,85 @@ class SimulatedMachine:
         :meth:`take_detected`.
         """
         fa = self.faults
+        procs, extra, detect = self.procs, 0.0, {}
         if fa is not None:
-            self._barrier_faulted(name, fa)
-            return
-        top = max(p.clock for p in self.procs)
+            fa.tick(self)
+            procs = [p for p in procs if p.pid not in fa.dead]
+            undetected = fa.undetected_dead()
+            extra = fa.plan.detection_timeout if undetected else 0.0
+            detect = {"crash_detect": extra}
+        top = max(p.clock for p in procs)
+        cost = self.model.barrier_cost
         tr = self._trace()
-        for p in self.procs:
+        for p in procs:
             v0 = p.clock
-            p.clock = top + self.model.barrier_cost
+            p.clock = top + cost + extra
             if tr is not None:
-                with tr.span(name, cat="sync", track=p.pid,
-                             virtual_start=v0) as sp:
-                    sp.set_virtual_end(p.clock)
-                    sp.add_counters(stall=top - v0,
-                                    barrier_cost=self.model.barrier_cost)
-        self.phases.append(PhaseReport(name, [p.clock for p in self.procs]))
-
-    def _barrier_faulted(self, name: str, fa) -> None:
-        fa.tick(self)
-        alive = [p for p in self.procs if p.pid not in fa.dead]
-        top = max(p.clock for p in alive)
-        undetected = fa.undetected_dead()
-        extra = fa.plan.detection_timeout if undetected else 0.0
-        tr = self._trace()
-        for p in alive:
-            v0 = p.clock
-            p.clock = top + self.model.barrier_cost + extra
-            if tr is not None:
-                with tr.span(name, cat="sync", track=p.pid,
-                             virtual_start=v0) as sp:
-                    sp.set_virtual_end(p.clock)
-                    sp.add_counters(stall=top - v0,
-                                    barrier_cost=self.model.barrier_cost,
-                                    crash_detect=extra)
-        if undetected:
-            newly = fa.mark_detected()
-            self._newly_detected.extend(newly)
-            for pid in newly:
-                fa.note_recovery("detect", self, pid=pid, consume=False,
-                                 detail=f"detected at {name}")
-        fa.absorb_expired_slowdowns(self)
-        self.phases.append(PhaseReport(name, [p.clock for p in self.procs]))
+                self._span(tr, name, "sync", p.pid, v0, p.clock,
+                           stall=top - v0, barrier_cost=cost, **detect)
+        if fa is not None:
+            if undetected:
+                newly = fa.mark_detected()
+                self._newly_detected.extend(newly)
+                for pid in newly:
+                    fa.note_recovery("detect", self, pid=pid, consume=False,
+                                     detail=f"detected at {name}")
+            fa.absorb_expired_slowdowns(self)
+        self._record(name)
 
     def broadcast(self, src: int, words: float, name: str = "broadcast") -> None:
-        """One-to-all transfer of a payload of *words* units."""
-        fa = self.faults
-        if fa is not None:
-            self._broadcast_faulted(src, words, name, fa)
-            return
-        cost = self.model.transfer_time(words)
-        sender = self.procs[src]
-        tr = self._trace()
-        v0 = sender.clock
-        sender.clock += cost * max(1, self.nprocs - 1) * 0.25 + cost
-        arrival = sender.clock
-        if tr is not None:
-            with tr.span(name, cat="comm", track=src, virtual_start=v0) as sp:
-                sp.set_virtual_end(arrival)
-                sp.add_counters(transfer_words=words, fanout=self.nprocs - 1)
-        for p in self.procs:
-            if p.pid != src:
-                r0 = p.clock
-                p.clock = max(p.clock, arrival)
-                if tr is not None:
-                    with tr.span(name, cat="comm", track=p.pid,
-                                 virtual_start=r0) as sp:
-                        sp.set_virtual_end(p.clock)
-                        sp.add_counters(stall=p.clock - r0,
-                                        transfer_words=words)
-        self.phases.append(PhaseReport(name, [p.clock for p in self.procs]))
+        """One-to-all transfer of a payload of *words* units.
 
-    def _broadcast_faulted(self, src: int, words: float, name: str, fa) -> None:
-        if not self._in_phase:
-            fa.tick(self)
-        if src in fa.dead:
-            return
+        With faults attached a drop or corruption costs the sender one
+        full attempt plus the ack timeout per failed round (broadcasts
+        always complete), a duplicate costs every receiver one more
+        transfer, and dead processors neither send nor receive.
+        """
+        fa = self.faults
         cost = self.model.transfer_time(words)
         sender = self.procs[src]
         tr = self._trace()
-        ev = fa.message_event()
-        if ev is not None and ev.kind in ("drop", "corrupt"):
-            # Broadcasts always complete (tree retransmit), but every
-            # failed round costs the sender a full attempt plus the
-            # ack timeout.
-            v0 = sender.clock
-            sender.clock += ev.attempts * (cost + fa.plan.retransmit_timeout)
-            fa.note_fault(ev.kind, self, pid=src,
-                          detail=f"bcast attempts={ev.attempts}",
-                          v_start=v0, v_end=sender.clock)
-            fa.note_recovery("retransmit", self, pid=src,
-                             for_kinds=(ev.kind,),
-                             detail=f"bcast delivered after {ev.attempts} retries")
-        dup = ev is not None and ev.kind == "dup"
-        if dup:
-            fa.note_fault("dup", self, pid=src, detail="bcast duplicated")
-        alive = [p for p in self.procs if p.pid not in fa.dead]
+        procs = self.procs
+        dup = False
+        if fa is not None:
+            if not self._in_phase:
+                fa.tick(self)
+            if src in fa.dead:
+                return
+            ev = fa.message_event()
+            if ev is not None and ev.kind in ("drop", "corrupt"):
+                v0 = sender.clock
+                sender.clock += ev.attempts * (cost + fa.plan.retransmit_timeout)
+                fa.note_fault(ev.kind, self, pid=src,
+                              detail=f"bcast attempts={ev.attempts}",
+                              v_start=v0, v_end=sender.clock)
+                fa.note_recovery("retransmit", self, pid=src,
+                                 for_kinds=(ev.kind,),
+                                 detail=f"bcast delivered after {ev.attempts} retries")
+            dup = ev is not None and ev.kind == "dup"
+            if dup:
+                fa.note_fault("dup", self, pid=src, detail="bcast duplicated")
+            procs = [p for p in procs if p.pid not in fa.dead]
+        fanout = len(procs) - 1
         v0 = sender.clock
-        sender.clock += cost * max(1, len(alive) - 1) * 0.25 + cost
+        sender.clock += cost * max(1, fanout) * 0.25 + cost
         arrival = sender.clock
         if tr is not None:
-            with tr.span(name, cat="comm", track=src, virtual_start=v0) as sp:
-                sp.set_virtual_end(arrival)
-                sp.add_counters(transfer_words=words, fanout=len(alive) - 1)
-        for p in alive:
+            self._span(tr, name, "comm", src, v0, arrival,
+                       transfer_words=words, fanout=fanout)
+        for p in procs:
             if p.pid != src:
                 r0 = p.clock
                 p.clock = max(p.clock, arrival)
                 if dup:
                     p.clock += cost
                 if tr is not None:
-                    with tr.span(name, cat="comm", track=p.pid,
-                                 virtual_start=r0) as sp:
-                        sp.set_virtual_end(p.clock)
-                        sp.add_counters(stall=p.clock - r0,
-                                        transfer_words=words)
+                    self._span(tr, name, "comm", p.pid, r0, p.clock,
+                               stall=p.clock - r0, transfer_words=words)
         if dup:
             fa.note_recovery("dedup", self, pid=src, for_kinds=("dup",),
                              detail="receivers discarded duplicate bcast")
-        self.phases.append(PhaseReport(name, [p.clock for p in self.procs]))
+        self._record(name)
 
     def send(self, src: int, dst: int, words: float, name: str = "send") -> bool:
         """Point-to-point transfer; receiver can't proceed before arrival.
@@ -384,53 +346,29 @@ class SimulatedMachine:
         if src == dst:
             return True
         fa = self.faults
-        if fa is not None:
-            return self._send_faulted(src, dst, words, name, fa)
         cost = self.model.transfer_time(words)
         sender = self.procs[src]
         tr = self._trace()
-        s0 = sender.clock
-        sender.clock += cost
-        receiver = self.procs[dst]
-        r0 = receiver.clock
-        receiver.clock = max(receiver.clock, sender.clock)
-        if tr is not None:
-            with tr.span(name, cat="comm", track=src, virtual_start=s0) as sp:
-                sp.set_virtual_end(sender.clock)
-                sp.add_counters(transfer_words=words)
-            with tr.span(name, cat="comm", track=dst, virtual_start=r0) as sp:
-                sp.set_virtual_end(receiver.clock)
-                sp.add_counters(stall=receiver.clock - r0,
-                                transfer_words=words)
-        self.phases.append(PhaseReport(name, [p.clock for p in self.procs]))
-        return True
-
-    def _send_faulted(self, src: int, dst: int, words: float,
-                      name: str, fa) -> bool:
-        if not self._in_phase:
-            fa.tick(self)
-        if src in fa.dead:
-            return False
-        cost = self.model.transfer_time(words)
-        sender = self.procs[src]
-        tr = self._trace()
-        if dst in fa.dead:
-            # The attempt is paid for; the payload lands nowhere.  The
-            # crash itself is the fault on record — the caller journals
-            # the payload and the post-barrier recovery replays it.
-            s0 = sender.clock
-            sender.clock += cost
-            if tr is not None:
-                with tr.span(name, cat="comm", track=src,
-                             virtual_start=s0) as sp:
-                    sp.set_virtual_end(sender.clock)
-                    sp.add_counters(transfer_words=words, lost=1)
-            self.phases.append(PhaseReport(name, [p.clock for p in self.procs]))
-            return False
-        ev = fa.message_event()
         dup = False
-        if ev is not None:
-            if ev.kind in ("drop", "corrupt"):
+        if fa is not None:
+            if not self._in_phase:
+                fa.tick(self)
+            if src in fa.dead:
+                return False
+            if dst in fa.dead:
+                # The attempt is paid for; the payload lands nowhere.
+                # The crash itself is the fault on record — the caller
+                # journals the payload and the post-barrier recovery
+                # replays it.
+                s0 = sender.clock
+                sender.clock += cost
+                if tr is not None:
+                    self._span(tr, name, "comm", src, s0, sender.clock,
+                               transfer_words=words, lost=1)
+                self._record(name)
+                return False
+            ev = fa.message_event()
+            if ev is not None and ev.kind in ("drop", "corrupt"):
                 v0 = sender.clock
                 failed = ev.attempts
                 sender.clock += failed * (cost + fa.plan.retransmit_timeout)
@@ -439,13 +377,12 @@ class SimulatedMachine:
                                      f"attempts={failed}",
                               v_start=v0, v_end=sender.clock)
                 if failed > fa.plan.max_retransmits:
-                    self.phases.append(
-                        PhaseReport(name, [p.clock for p in self.procs]))
+                    self._record(name)
                     return False
                 fa.note_recovery("retransmit", self, pid=src,
                                  for_kinds=(ev.kind,),
                                  detail=f"delivered after {failed} retries")
-            elif ev.kind == "dup":
+            elif ev is not None and ev.kind == "dup":
                 dup = True
                 fa.note_fault("dup", self, pid=src,
                               detail=f"msg {fa.msg_index - 1} -> p{dst}")
@@ -459,14 +396,11 @@ class SimulatedMachine:
             fa.note_recovery("dedup", self, pid=dst, for_kinds=("dup",),
                              detail="duplicate discarded by sequence check")
         if tr is not None:
-            with tr.span(name, cat="comm", track=src, virtual_start=s0) as sp:
-                sp.set_virtual_end(sender.clock)
-                sp.add_counters(transfer_words=words)
-            with tr.span(name, cat="comm", track=dst, virtual_start=r0) as sp:
-                sp.set_virtual_end(receiver.clock)
-                sp.add_counters(stall=receiver.clock - r0,
-                                transfer_words=words)
-        self.phases.append(PhaseReport(name, [p.clock for p in self.procs]))
+            self._span(tr, name, "comm", src, s0, sender.clock,
+                       transfer_words=words)
+            self._span(tr, name, "comm", dst, r0, receiver.clock,
+                       stall=receiver.clock - r0, transfer_words=words)
+        self._record(name)
         return True
 
     # ------------------------------------------------------------------

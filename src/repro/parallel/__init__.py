@@ -24,7 +24,6 @@ from repro.parallel.lshaped import (
     lshaped_kernel_extract,
     lshaped_quality_single_processor,
 )
-from repro.parallel.lshaped_threaded import lshaped_kernel_extract_threaded
 
 __all__ = [
     "ParallelRunResult",
@@ -33,5 +32,4 @@ __all__ = [
     "independent_kernel_extract",
     "lshaped_kernel_extract",
     "lshaped_quality_single_processor",
-    "lshaped_kernel_extract_threaded",
 ]

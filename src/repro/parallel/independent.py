@@ -63,8 +63,8 @@ def independent_kernel_extract(
     ``REPRO_TRACE=1``) to record per-processor spans.
 
     ``faults`` accepts a :class:`~repro.faults.plan.FaultPlan` or
-    :class:`~repro.faults.injector.FaultInjector` (default: the
-    ``REPRO_FAULTS`` environment).  With faults active a gather barrier
+    :class:`~repro.faults.injector.FaultInjector` (default ``None``:
+    fault-free).  With faults active a gather barrier
     follows the factor phase; blocks orphaned by a crash are re-factored
     by survivors under per-block recovery prefixes.
     """

@@ -277,8 +277,8 @@ def lshaped_kernel_extract(
     suite while preserving the speedup.
 
     ``faults`` accepts a :class:`~repro.faults.plan.FaultPlan` or
-    :class:`~repro.faults.injector.FaultInjector` (default: the
-    ``REPRO_FAULTS`` environment).  Crashed owners are detected at the
+    :class:`~repro.faults.injector.FaultInjector` (default ``None``:
+    fault-free).  Crashed owners are detected at the
     cycle barrier; their blocks and speculative cube claims go to
     survivors, and partial rectangles lost in flight are replayed from
     the extraction journal — see ``docs/robustness.md``.
@@ -583,13 +583,13 @@ def _replay_pid(entry, alive: List[int]) -> int:
 
 
 def _sweep_dead_extractions(network: BooleanNetwork) -> Set[str]:
-    """Remove extraction nodes ([L…]/[T…]) with no remaining fanout."""
+    """Remove extraction nodes ([L…]) with no remaining fanout."""
     removed: Set[str] = set()
     while True:
         fanout = network.fanout_map()
         dead = [
             n for n in network.nodes
-            if n.startswith(("[L", "[T"))
+            if n.startswith("[L")
             and not fanout.get(n)
             and n not in network.outputs
         ]

@@ -121,8 +121,8 @@ def replicated_kernel_extract(
     (or set ``REPRO_TRACE=1``) to record per-processor spans.
 
     ``faults`` accepts a :class:`~repro.faults.plan.FaultPlan` or
-    :class:`~repro.faults.injector.FaultInjector` (default: the
-    ``REPRO_FAULTS`` environment).  Because every replica is complete,
+    :class:`~repro.faults.injector.FaultInjector` (default ``None``:
+    fault-free).  Because every replica is complete,
     recovery is redistribution: crashed processors' kernel shares and
     column stripes are re-dealt to survivors at the next step barrier.
     """

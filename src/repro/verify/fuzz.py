@@ -312,13 +312,24 @@ def _chaos_sweep(
         say("  " + failure.describe())
 
 
+def _size(net: BooleanNetwork) -> int:
+    """The (inputs, nodes, cubes, literals) total every shrink edit lowers."""
+    cubes = sum(len(sop) for sop in net.nodes.values())
+    return len(net.inputs) + len(net.nodes) + cubes + net.literal_count()
+
+
 def _finalize_failure(
     failure: FuzzFailure,
     net: BooleanNetwork,
     path: FactorPath,
     config: FuzzConfig,
 ) -> None:
-    """Optionally shrink the failing network and persist a repro entry."""
+    """Optionally shrink the failing network and persist a repro entry.
+
+    ``shrunk`` is set only when the shrinker handed back a smaller
+    network; one whose predicate never held (a ``fault-quality`` find,
+    which :func:`check_path` does not judge) is written as found.
+    """
     if not config.shrink:
         return
     try:
@@ -327,8 +338,9 @@ def _finalize_failure(
                                 fault_seed=failure.fault_seed)
     except Exception:  # noqa: BLE001 - shrinking must never mask the find
         return
-    failure.eqn = write_eqn(small)
-    failure.shrunk = True
+    if _size(small) < _size(net):
+        failure.eqn = write_eqn(small)
+        failure.shrunk = True
     if config.repro_dir:
         from repro.verify.corpus import save_repro
 

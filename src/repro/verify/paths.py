@@ -1,9 +1,7 @@
 """Registry of the factorization paths the fuzzer drives differentially.
 
 Every entry takes a :class:`BooleanNetwork` and returns a *new* network
-(the input is never mutated).  The threaded L-shaped path races real
-threads, so only it may return a different (still equivalent) network
-on a rerun.
+(the input is never mutated).
 """
 
 from __future__ import annotations
@@ -72,19 +70,12 @@ def _lshaped(network: BooleanNetwork, faults=None) -> BooleanNetwork:
     return lshaped_kernel_extract(network, nprocs=2, faults=faults).network
 
 
-def _lshaped_threaded(network: BooleanNetwork) -> BooleanNetwork:
-    from repro.parallel.lshaped_threaded import lshaped_kernel_extract_threaded
-
-    return lshaped_kernel_extract_threaded(network, nprocs=2)
-
-
 _PATHS: List[FactorPath] = [
     FactorPath("seq-exhaustive", _seq("exhaustive")),
     FactorPath("seq-pingpong", _seq("pingpong")),
     FactorPath("replicated", _replicated, nprocs=3),
     FactorPath("independent", _independent, nprocs=2),
     FactorPath("lshaped", _lshaped, nprocs=2),
-    FactorPath("lshaped-threaded", _lshaped_threaded),
 ]
 
 _BY_NAME: Dict[str, FactorPath] = {p.name: p for p in _PATHS}

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.faults import FaultEvent, FaultPlan, resolve_fault_injector
-from repro.faults.plan import ENV_PLAN, ENV_SEED
 
 
 def test_parse_render_roundtrip():
@@ -60,13 +59,25 @@ def test_resolve_empty_plan_is_none():
     assert resolve_fault_injector(None) is None  # no env, no plan
 
 
-def test_resolve_env_plan(monkeypatch):
-    monkeypatch.setenv(ENV_PLAN, "crash:1@3")
-    monkeypatch.setenv(ENV_SEED, "5")
-    inj = resolve_fault_injector(None)
-    assert inj is not None
-    assert inj.plan.render() == "crash:1@3"
-    assert inj.seed == 5
+def test_env_plan_is_ignored(monkeypatch):
+    """No environment variable injects faults: a plan is passed or absent.
+
+    A process-wide plan would reach every parallel run in the process,
+    bench runs and serve workers included, whose cache keys exclude
+    faults.  ``faults=`` and ``repro chaos --plan`` are the only routes.
+    """
+    from repro.circuits.mcnc import make_circuit
+    from repro.parallel.lshaped import lshaped_kernel_extract
+
+    monkeypatch.delenv("REPRO_FAULTS", raising=False)
+    monkeypatch.delenv("REPRO_FAULTS_SEED", raising=False)
+    plain = lshaped_kernel_extract(make_circuit("dalu", scale=0.1), 4)
+    monkeypatch.setenv("REPRO_FAULTS", "crash:1@3")
+    monkeypatch.setenv("REPRO_FAULTS_SEED", "5")
+    assert resolve_fault_injector(None) is None
+    run = lshaped_kernel_extract(make_circuit("dalu", scale=0.1), 4)
+    assert (run.final_lc, run.parallel_time, run.proc_clocks) == (
+        plain.final_lc, plain.parallel_time, plain.proc_clocks)
 
 
 def test_resolve_passes_injector_through():

@@ -4,9 +4,7 @@ Per-track virtual-time totals reconstructed from the span trace must
 agree with the authoritative accounting they claim to attribute: the
 simulated machine's final per-processor clocks (== the PhaseReport sum
 plus stalls) on the three parallel paths, and the cost-model compute
-time of the metered run on the two sequential paths.  The threaded path
-has no virtual clock; it must still produce one host-clock lane per
-worker thread.
+time of the metered run on the two sequential paths.
 """
 
 import pytest
@@ -80,21 +78,6 @@ def test_parallel_phase_reports_are_traced(network):
     # Tracer passed by kwarg, not installed globally: the ambient
     # tracer stays off while per-run spans still flow.
     assert run.proc_clocks is not None
-
-
-def test_threaded_path_emits_host_lanes(network):
-    from repro.parallel.lshaped_threaded import lshaped_kernel_extract_threaded
-
-    tracer = Tracer()
-    with use_tracer(tracer):
-        result = lshaped_kernel_extract_threaded(network, 2, max_cycles=2)
-    lanes = {sp.track for sp in tracer.finished()
-             if sp.name == "worker-cycle"}
-    assert lanes == {"thread-0", "thread-1"}
-    for sp in tracer.finished():
-        if sp.name == "worker-cycle":
-            assert sp.host_duration >= 0.0
-    assert result.literal_count() <= network.literal_count()
 
 
 def test_profile_run_covers_all_algorithms(network):

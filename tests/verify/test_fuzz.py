@@ -113,6 +113,33 @@ class TestRunFuzz:
         assert "1 runs" in text and "0 failure(s)" in text
 
 
+def test_unshrinkable_failure_is_not_marked_shrunk(tmp_path):
+    """A find the shrink predicate cannot reproduce is written as found.
+
+    ``check_path`` never returns ``fault-quality`` (that oracle lives in
+    the chaos sweep), so the shrinker keeps the input and the corpus
+    entry must say ``"shrunk": false``.
+    """
+    import json
+    from pathlib import Path
+
+    from repro.network.eqn import write_eqn
+    from repro.verify.fuzz import FuzzFailure, _finalize_failure
+
+    net = _tiny_network()
+    failure = FuzzFailure(
+        run=0, seed=0, family="dense", path="lshaped", kind="fault-quality",
+        detail="post-recovery LC exceeds fault-free", eqn=write_eqn(net),
+        fault_plan="crash:1@3", fault_seed=0,
+    )
+    config = FuzzConfig(shrink=True, repro_dir=str(tmp_path))
+    _finalize_failure(failure, net, get_path("lshaped"), config)
+    assert failure.shrunk is False
+    assert failure.eqn == write_eqn(net)
+    meta = json.loads(Path(failure.repro_file).with_suffix(".json").read_text())
+    assert meta["shrunk"] is False
+
+
 # Run 32 of ``repro fuzz --runs 40 --seed 100 --faults --check``.  The
 # shrinker cannot reduce it, and its written .eqn does not reproduce it
 # (re-read, the network's literal ids change and the fault-free run
