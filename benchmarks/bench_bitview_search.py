@@ -3,8 +3,10 @@
 Times the BENCH_rectsearch workload suite: the pruned exhaustive search
 where the replicated algorithm finishes and budget-truncated exhaustive
 search in the paper's DNF regime (spla/ex1010), plus the ping-pong
-heuristic the sequential baseline and the timing-driven loop run, and
-the kc-build row: the KC store patched through one sequential run.
+heuristic the sequential baseline and the timing-driven loop run, the
+kernel-gen row (``kernels()`` over the node expressions of one
+sequential run) and the kc-build row: the KC store patched through that
+run.
 
 The committed ``benchmarks/results/BENCH_rectsearch.json`` is the full
 suite at scale 1; runs with ``REPRO_SCALE < 1`` use the quick smoke

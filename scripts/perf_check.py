@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Time the rectangle searches (exhaustive, ping-pong) and kc-build; write BENCH_rectsearch.json.
+"""Time the rectangle searches (exhaustive, ping-pong), kernel-gen and kc-build; write BENCH_rectsearch.json.
 
 Usage:
 

@@ -8,13 +8,17 @@ The enumeration is the classic recursion from Brayton & Rudell (MIS,
 1987), run over per-expression bitmask encodings for speed: literals of
 *f* are mapped to bit positions in ascending global-id order, cubes become
 integers, and the "already generated" prune is a mask test against the
-current literal index.
+current literal index.  Each recursion step buckets its cubes, in order,
+under the literals they hold at or above that index and visits the
+buckets in ascending literal order, which selects exactly what a scan of
+every literal index over every cube would; each distinct mask of the
+result becomes a literal tuple once per call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from repro.algebra.cube import Cube
 from repro.algebra.sop import Sop, sop_support
@@ -41,35 +45,6 @@ class Kernel:
         return len(self.expression)
 
 
-class _MaskSpace:
-    """Bidirectional mapping between global literal ids and local bits."""
-
-    __slots__ = ("lits", "bit")
-
-    def __init__(self, f: Sop) -> None:
-        self.lits: List[int] = sorted(sop_support(f))
-        self.bit: Dict[int, int] = {l: i for i, l in enumerate(self.lits)}
-
-    def to_mask(self, c: Cube) -> int:
-        m = 0
-        for l in c:
-            m |= 1 << self.bit[l]
-        return m
-
-    def to_cube(self, mask: int) -> Cube:
-        out = []
-        i = 0
-        while mask:
-            if mask & 1:
-                out.append(self.lits[i])
-            mask >>= 1
-            i += 1
-        return tuple(out)
-
-    def to_sop(self, masks: Sequence[int]) -> Sop:
-        return tuple(sorted(self.to_cube(m) for m in masks))
-
-
 def kernels(f: Sop, meter=None) -> List[Kernel]:
     """Enumerate all (kernel, co-kernel) pairs of *f*.
 
@@ -85,22 +60,38 @@ def kernels(f: Sop, meter=None) -> List[Kernel]:
     """
     if len(f) < 2:
         return []
-    space = _MaskSpace(f)
-    masks = [space.to_mask(c) for c in f]
+    bit_of = {l: 1 << i for i, l in enumerate(sorted(sop_support(f)))}
+    masks = []
+    for c in f:
+        m = 0
+        for l in c:
+            m |= bit_of[l]
+        masks.append(m)
     common = masks[0]
     for m in masks[1:]:
         common &= m
-    base = sorted(m & ~common for m in masks)
-    nlits = len(space.lits)
     found: Dict[Tuple[Tuple[int, ...], int], None] = {}
 
-    def rec(cubes: List[int], cok: int, j: int) -> None:
+    def rec(cubes: Tuple[int, ...], cok: int, low: int) -> None:
+        # *low* is the bit of the lowest literal index this call may
+        # select; ``-low`` masks a cube down to its literals from there.
         if meter is not None:
             meter.charge("kernel_cube_visit", len(cubes))
-        found.setdefault((tuple(cubes), cok), None)
-        for i in range(j, nlits):
-            b = 1 << i
-            sel = [m for m in cubes if m & b]
+        found.setdefault((cubes, cok), None)
+        buckets: Dict[int, List[int]] = {}
+        above = -low
+        for m in cubes:
+            rest = m & above
+            while rest:
+                b = rest & -rest
+                rest ^= b
+                sel = buckets.get(b)
+                if sel is None:
+                    buckets[b] = [m]
+                else:
+                    sel.append(m)
+        for b in sorted(buckets):
+            sel = buckets[b]
             if len(sel) < 2:
                 continue
             co = sel[0]
@@ -110,15 +101,29 @@ def kernels(f: Sop, meter=None) -> List[Kernel]:
                 # The common cube contains a literal with smaller index:
                 # this kernel was already generated from that literal.
                 continue
-            sub = sorted(m & ~co for m in sel)
-            rec(sub, cok | co, i + 1)
+            rec(tuple(sorted(m & ~co for m in sel)), cok | co, b << 1)
 
-    rec(base, common, 0)
-    out = []
-    for (cube_masks, cok_mask) in found.keys():
-        out.append(
-            Kernel(expression=space.to_sop(cube_masks), cokernel=space.to_cube(cok_mask))
-        )
+    rec(tuple(sorted(m & ~common for m in masks)), common, 1)
+    # Each distinct mask becomes a literal tuple once: ascending bits are
+    # ascending literal ids, read off lowest set bit first.
+    lit_of = {b: l for l, b in bit_of.items()}
+    distinct = {cok for _, cok in found}
+    for cube_masks, _ in found:
+        distinct.update(cube_masks)
+    cube_of: Dict[int, Cube] = {}
+    for mask in distinct:
+        lits_of_mask = []
+        rest = mask
+        while rest:
+            b = rest & -rest
+            rest ^= b
+            lits_of_mask.append(lit_of[b])
+        cube_of[mask] = tuple(lits_of_mask)
+    to_cube = cube_of.__getitem__
+    out = [
+        Kernel(expression=tuple(sorted(map(to_cube, cube_masks))), cokernel=to_cube(cok_mask))
+        for cube_masks, cok_mask in found
+    ]
     out.sort(key=lambda k: (k.cokernel, k.expression))
     return out
 

@@ -339,10 +339,12 @@ def resolve_fault_injector(faults=None):
     """Normalize the ``faults=`` argument the parallel entry points take.
 
     Accepts ``None`` (the fault-free path), a :class:`FaultPlan`, or a
-    ready :class:`~repro.faults.injector.FaultInjector`.  Returns an
-    injector, or ``None`` when there is no plan or it is empty — an
-    empty plan must be byte-identical to (and as cheap as) the
-    fault-free path, so it is represented by the absence of an injector.
+    ready :class:`~repro.faults.injector.FaultInjector`; anything else
+    (a spec string included: parse it with :meth:`FaultPlan.parse`)
+    raises :class:`TypeError`.  Returns an injector, or ``None`` when
+    there is no plan or it is empty — an empty plan must be
+    byte-identical to (and as cheap as) the fault-free path, so it is
+    represented by the absence of an injector.
     """
     from repro.faults.injector import FaultInjector
 
@@ -350,6 +352,11 @@ def resolve_fault_injector(faults=None):
         return None
     if isinstance(faults, FaultPlan):
         faults = FaultInjector(faults)
+    elif not isinstance(faults, FaultInjector):
+        raise TypeError(
+            "faults= takes None, a FaultPlan or a FaultInjector, not "
+            f"{type(faults).__name__} (parse a spec string with FaultPlan.parse)"
+        )
     if faults.plan.is_empty():
         return None
     return faults

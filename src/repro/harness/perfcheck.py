@@ -15,7 +15,10 @@ test suite (``tests/rectangles/test_search_v2.py``), not here.
 
 One more row times the kc-build layer alone (:func:`run_kc_build`); its
 ``--check`` gate bounds the patch time against rebuilding every matrix
-version from scratch (:data:`MAX_KC_BUILD_RATIO`).
+version from scratch (:data:`MAX_KC_BUILD_RATIO`).  A reported row
+beside it times the kernel-gen layer alone (:func:`run_kernel_gen`):
+``kernels()`` over every distinct expression of those matrix versions,
+in ``kernel_cube_visit`` units.
 
 The harness also polices its always-present instrumentation: every run
 prices the disabled tracing, fault-injection and journal gates and the
@@ -36,6 +39,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.algebra.kernels import Kernel, kernels
+from repro.algebra.sop import Sop
 from repro.circuits.examples import paper_example_network
 from repro.circuits.mcnc import make_circuit
 from repro.machine.costmodel import CostMeter
@@ -50,7 +54,7 @@ from repro.rectangles.search import (
 )
 
 #: JSON schema version for BENCH_rectsearch.json.
-SCHEMA = "rectsearch/7"
+SCHEMA = "rectsearch/8"
 
 #: Ceiling on the kc-build row's patch time over a from-scratch rebuild
 #: of every matrix version it patches: patching must stay well under
@@ -85,7 +89,7 @@ class Workload:
     name: str
     circuit: str
     scale: float
-    searcher: str  # "exhaustive" | "pingpong" | "pingpong-all" | "kc-build"
+    searcher: str  # "exhaustive" | "pingpong" | "pingpong-all" | "kc-build" | "kernel-gen"
     budget: Optional[int] = None  # exhaustive node cap (None = unbounded)
     max_seeds: Optional[int] = 64
     repeats: int = 3
@@ -143,6 +147,10 @@ QUICK_SUITE: List[Workload] = [
 #: The kc-build row, in both suites: the KC store through one sequential
 #: ping-pong ``kernel_extract`` of dalu@0.2 (30 matrix versions).
 KC_BUILD = Workload("dalu@0.2/kc-build", "dalu", 0.2, "kc-build", repeats=5)
+
+#: The kernel-gen row, in both suites: ``kernels()`` over the distinct
+#: node expressions of the kc-build row's matrix versions.
+KERNEL_GEN = Workload("dalu@0.2/kernel-gen", "dalu", 0.2, "kernel-gen", repeats=5)
 
 
 def _build_network(wl: Workload) -> BooleanNetwork:
@@ -239,19 +247,31 @@ def run_workload(wl: Workload) -> Dict:
     return row
 
 
-def _kc_build_versions(wl: Workload) -> List[Dict[str, List[Kernel]]]:
-    """The kernel map of every matrix version one sequential
-    ``kernel_extract`` of *wl*'s circuit searches, in order; a node no
-    extraction touched keeps the very same kernel list."""
+def _expression_versions(wl: Workload) -> List[Dict[str, Sop]]:
+    """The node expressions of every matrix version one sequential
+    ``kernel_extract`` of *wl*'s circuit searches, in order."""
     net = _build_network(wl)
-    snapshots: List[Dict[str, tuple]] = []
+    snapshots: List[Dict[str, Sop]] = []
 
     def searcher(matrix: KCMatrix):
         snapshots.append(dict(net.nodes))
         return best_rectangle_pingpong(matrix, max_seeds=wl.max_seeds)
 
     kernel_extract(net, searcher=searcher)
-    memo = {f: kernels(f) for f in {f for snap in snapshots for f in snap.values()}}
+    return snapshots
+
+
+def _distinct_expressions(snapshots: List[Dict[str, Sop]]) -> List[Sop]:
+    """Each expression of *snapshots* once, in first-seen order."""
+    return list(dict.fromkeys(f for snap in snapshots for f in snap.values()))
+
+
+def _kc_build_versions(wl: Workload) -> List[Dict[str, List[Kernel]]]:
+    """The kernel map of every matrix version one sequential
+    ``kernel_extract`` of *wl*'s circuit searches, in order; a node no
+    extraction touched keeps the very same kernel list."""
+    snapshots = _expression_versions(wl)
+    memo = {f: kernels(f) for f in _distinct_expressions(snapshots)}
     return [{n: memo[f] for n, f in snap.items()} for snap in snapshots]
 
 
@@ -292,6 +312,42 @@ def run_kc_build(wl: Workload = KC_BUILD) -> Dict:
         tracer = obs.Tracer(name=wl.name)
         with obs.use_tracer(tracer), obs.span(wl.name, cat="perfcheck"):
             patch()
+        row["phases"] = tracer.phase_breakdown()
+        row["counters"] = tracer.counter_totals()
+    return row
+
+
+def run_kernel_gen(wl: Workload = KERNEL_GEN) -> Dict:
+    """Time the kernel-gen layer: ``kernels()`` over every distinct node
+    expression of the kc-build row's matrix versions.  ``rows``,
+    ``cols`` and ``entries`` give the shape of the KC matrix those
+    kernels would make (kernels, distinct kernel cubes, cells); the
+    work units are the ``kernel_cube_visit`` charges."""
+    from repro import obs
+
+    exprs = _distinct_expressions(_expression_versions(wl))
+
+    def generate() -> None:
+        for f in exprs:
+            kernels(f)
+
+    meter = CostMeter()
+    ks = [k for f in exprs for k in kernels(f, meter=meter)]
+    units = meter.counts.get("kernel_cube_visit", 0.0)
+    t = _best_time(generate, wl.repeats)
+    row = {
+        "name": wl.name, "circuit": wl.circuit, "scale": wl.scale,
+        "searcher": wl.searcher, "rows": len(ks),
+        "cols": len({kc for k in ks for kc in k.expression}),
+        "entries": sum(k.num_cubes for k in ks),
+        "expressions": len(exprs), "t_s": t,
+        "unit": "kernel_cube_visit", "units": units,
+        "units_per_sec": units / t if t else None,
+    }
+    if obs.enabled():
+        tracer = obs.Tracer(name=wl.name)
+        with obs.use_tracer(tracer), obs.span(wl.name, cat="perfcheck"):
+            generate()
         row["phases"] = tracer.phase_breakdown()
         row["counters"] = tracer.counter_totals()
     return row
@@ -477,6 +533,7 @@ def run_perf_check(quick: bool = False) -> Dict:
 
     suite = QUICK_SUITE if quick else FULL_SUITE
     rows = [run_workload(wl) for wl in suite]
+    rows.append(run_kernel_gen())
     kc_row = run_kc_build()
     rows.append(kc_row)
     report = {

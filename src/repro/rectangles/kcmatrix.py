@@ -897,7 +897,8 @@ class IncrementalKCMatrix:
     node by the difference between its old and new kernel lists: the
     rows of dropped kernels go, the rows of kept kernels stay (moved to
     their new index's label when it shifts), and only new kernels get
-    new rows.  :attr:`churn` counts the rows the last build or patch
+    new rows; a column whose cube the patch removes and adds again keeps
+    its slot.  :attr:`churn` counts the rows the last build or patch
     kept, added and removed.  A name longer than the encoding width
     triggers one rebuild at a wider width.
     """
@@ -924,6 +925,8 @@ class IncrementalKCMatrix:
         self._owners: Dict[int, int] = {}
         self.kernels: Dict[str, List[Kernel]] = {}
         self._occ: Dict[Cube, Set[int]] = {}
+        # Label → cube of each column _settle parked in the current patch.
+        self._parked: Dict[int, Cube] = {}
         for node in names:
             self._add_node(node, node_kernels[node])
         self.churn: Dict[str, int] = {
@@ -954,6 +957,7 @@ class IncrementalKCMatrix:
         mat = self.matrix
         col_of_cube = mat.col_of_cube
         occ = self._occ
+        parked = self._parked
         key_mask = self._key_mask
         name_key = self._name_key(node)
         owner = self._owners.get(name_key, 0)
@@ -975,13 +979,23 @@ class IncrementalKCMatrix:
                 if col is None:
                     occ[kc] = {key}
                     label = col_prefix | key
+                    if label in parked:
+                        self._evict(label)
                     col = mat.ensure_col(kc, lambda: label)
                 else:
-                    occ[kc].add(key)
-                    if key < (col & key_mask):
+                    keys = occ[kc]
+                    if not keys:
+                        # A parked column returns at its first new
+                        # occurrence, wherever its stale label points.
+                        del parked[col]
+                    if not keys or key < (col & key_mask):
                         label = col_prefix | key
-                        mat.relabel_col(col, label)
-                        col = label
+                        if label != col:
+                            if label in parked:
+                                self._evict(label)
+                            mat.relabel_col(col, label)
+                            col = label
+                    keys.add(key)
                 cols.append(col)
             mat.add_entries(row, cols)
 
@@ -1020,22 +1034,36 @@ class IncrementalKCMatrix:
         return kern.expression
 
     def _settle(self, cubes: Iterable[Cube]) -> None:
-        """Drop each column of *cubes* left without occurrences and
-        relabel the others to their current first occurrence."""
+        """Park each column of *cubes* left without occurrences and
+        relabel the others to their current first occurrence.
+
+        A parked column keeps its slot, cube and (now stale) label.
+        :meth:`_add_rows` relabels it when the patch adds its cube again,
+        and :meth:`replace_nodes` drops it at the end otherwise."""
         mat = self.matrix
         occ = self._occ
+        parked = self._parked
         key_mask = self._key_mask
         for kc in cubes:
             keys = occ[kc]
             label = mat.col_of_cube[kc]
             if not keys:
-                del occ[kc]
-                mat.remove_col(label)
+                parked[label] = kc
                 continue
             low = min(keys)
             if low != label & key_mask:
                 owner = self._owners.get(low >> 2 * INDEX_BITS, 0)
-                mat.relabel_col(label, (owner << self._col_shift) | low)
+                new = (owner << self._col_shift) | low
+                if new in parked:
+                    self._evict(new)
+                mat.relabel_col(label, new)
+
+    def _evict(self, label: int) -> None:
+        """Move the parked column off *label*, which a live occurrence
+        now takes, to ``~label``: negative, so no occurrence key can
+        take it, and distinct, as the stale labels are."""
+        self.matrix.relabel_col(label, ~label)
+        self._parked[~label] = self._parked.pop(label)
 
     def _diff(
         self, node: str, ks: List[Kernel], touched: Set[Cube]
@@ -1094,13 +1122,21 @@ class IncrementalKCMatrix:
         order that never puts two columns on one label:
 
         1. the dropped kernels' rows are removed, and every touched
-           column is dropped or relabelled to its surviving first
-           occurrence, so every column label is a live occurrence key;
+           column is parked when it has no occurrence left, or else
+           relabelled to its surviving first occurrence, so every live
+           column label is a live occurrence key;
         2. the kept rows whose index shifts move, and the columns of
            each moved row are rechecked right after that move — a
            column still on the label of a row that moved away would
            collide with one relabelled onto a row moving in;
-        3. rows are added for the new kernels.
+        3. rows are added for the new kernels, and a parked column
+           whose cube they bring back is relabelled to its new first
+           occurrence;
+        4. the columns still parked are dropped.
+
+        A parked column keeps its stale label, which a moved or added
+        row can take as an occurrence key; before a column is labelled
+        or created there, :meth:`_evict` moves the parked one off it.
         """
         names = sorted(node_kernels)
         mat = self.matrix
@@ -1129,6 +1165,11 @@ class IncrementalKCMatrix:
             else:
                 kept += len(ks) - len(added)
                 self._add_rows(node, ks, added)
+        occ = self._occ
+        for label, kc in self._parked.items():
+            del occ[kc]
+            mat.remove_col(label)
+        self._parked.clear()
         self.churn = {
             "kc_rows_kept": kept,
             "kc_rows_added": mat.num_rows - after_removal,

@@ -118,7 +118,18 @@ def replay_entry(entry: CorpusEntry, vectors: int = 256) -> "CheckOutcome":
 
     Entries that record a fault plan replay it with the recorded seed, so
     a chaos repro exercises the exact recovery path that once failed.
+
+    A ``fault-quality`` entry raises :class:`ValueError`: its oracle
+    compares the recovered run with a fault-free one inside the chaos
+    sweep, and the ``check_path`` replay does not apply it, so such an
+    entry would always replay clean.
     """
+    if entry.kind == "fault-quality":
+        raise ValueError(
+            f"{entry.describe()}: fault-quality entries cannot be replayed; "
+            "the replay applies the per-path oracles only, not the "
+            "fault-free comparison that found it"
+        )
     from repro.verify.fuzz import check_path
     from repro.verify.paths import get_path
 

@@ -85,3 +85,17 @@ def test_resolve_passes_injector_through():
 
     inj = FaultInjector(FaultPlan.parse("drop:1"), seed=2)
     assert resolve_fault_injector(inj) is inj
+
+
+@pytest.mark.parametrize("faults", ["crash:1@3", {"events": []}, 3])
+def test_resolve_rejects_other_types(faults):
+    with pytest.raises(TypeError, match="None, a FaultPlan or a FaultInjector"):
+        resolve_fault_injector(faults)
+
+
+def test_parallel_entry_point_rejects_a_spec_string():
+    from repro.circuits.mcnc import make_circuit
+    from repro.parallel.lshaped import lshaped_kernel_extract
+
+    with pytest.raises(TypeError, match="FaultPlan.parse"):
+        lshaped_kernel_extract(make_circuit("dalu", scale=0.1), 4, faults="crash:1@3")

@@ -83,3 +83,18 @@ def test_kc_build_gate_fails_past_its_ratio():
     assert kc_build_gate(row)["ok"]
     row["t_s"] = 2 * MAX_KC_BUILD_RATIO
     assert not kc_build_gate(row)["ok"]
+
+
+def test_kernel_gen_row_times_every_kc_build_expression():
+    from dataclasses import replace
+
+    from repro.harness.perfcheck import KC_BUILD, KERNEL_GEN, _kc_build_versions, run_kernel_gen
+
+    # kc-build's versions share one kernel list per distinct expression.
+    lists = {id(ks): ks for v in _kc_build_versions(KC_BUILD) for ks in v.values()}
+    row = run_kernel_gen(replace(KERNEL_GEN, repeats=1))
+    assert (KERNEL_GEN.circuit, KERNEL_GEN.scale) == (KC_BUILD.circuit, KC_BUILD.scale)
+    assert row["expressions"] == len(lists)
+    assert row["rows"] == sum(map(len, lists.values()))
+    assert row["unit"] == "kernel_cube_visit"
+    assert row["units"] >= row["entries"] > 0

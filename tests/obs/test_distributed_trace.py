@@ -167,8 +167,8 @@ def test_sigkill_mid_request_keeps_trace_id_and_dumps_flight(tmp_path):
                 http_json("POST", gw.url + "/v1/factor", body, timeout=60)
             )
             busy = []
-            for _ in range(200):  # wait until the job is on a worker
-                await asyncio.sleep(0.02)
+            for _ in range(4000):  # wait until the job is on a worker
+                await asyncio.sleep(0.001)
                 busy = [h for h in gw._handles if gw._outstanding[h.worker_id]]
                 if busy:
                     break

@@ -463,6 +463,23 @@ def test_fuzzed_kernel_diffs_with_owners_match_fresh_builds(seed):
     _fuzz_patches(seed, with_owner=True)
 
 
+def test_emptied_columns_survive_the_patch():
+    # Dropping f's only kernel empties every column it has; the new
+    # kernel brings the same cubes back, so they keep their slots.
+    old = _kernel((20,), (0,), (40,), (41,))
+    new = _kernel((30,), (0,), (40,), (41,))
+    inc, state = _start({"f": [old], "g": [K[1]]})
+    mat = inc.matrix
+    slots = {kc: mat.col_pos[mat.col_of_cube[kc]] for kc in old.expression}
+    churn = _patch(inc, state, {"f": [new]})
+    assert churn["kc_rows_removed"] == churn["kc_rows_added"] == 1
+    assert {kc: mat.col_pos[mat.col_of_cube[kc]] for kc in new.expression} == slots
+    assert not inc._parked
+    # A cube no kernel brings back loses its column at the end.
+    _patch(inc, state, {"f": [K[2]]})
+    assert (0,) not in mat.col_of_cube and not inc._parked
+
+
 def test_traced_kc_build_spans_count_the_churn():
     # Every kc-build span counts the rows its patch kept, added and
     # removed; a real run keeps rows, which is what the diff saves.
@@ -502,6 +519,27 @@ def _mutant_class(substitutions):
     namespace = dict(vars(kcmatrix))
     exec(compile(src, "<mutant>", "exec"), namespace)
     return namespace["IncrementalKCMatrix"]
+
+
+#: Leave a parked column on its stale label when a live occurrence
+#: takes that label.
+NO_EVICTION = [
+    ("        self.matrix.relabel_col(label, ~label)\n"
+     "        self._parked[~label] = self._parked.pop(label)\n",
+     "        pass\n"),
+]
+
+
+def test_stale_label_eviction_mutant_is_caught():
+    mutant = _mutant_class(NO_EVICTION)
+    caught = 0
+    for seed in range(40):
+        try:
+            _fuzz_patches(seed, cls=mutant)
+        except ValueError as exc:
+            assert "duplicate column label" in str(exc)
+            caught += 1
+    assert caught, "keeping a parked column's stale label survived every fuzzed diff"
 
 
 def test_deferred_column_recheck_mutant_is_caught():

@@ -241,8 +241,8 @@ def test_worker_crash_respawns_and_request_still_completes():
             task = asyncio.ensure_future(
                 http_json("POST", gw.url + "/v1/factor", body, timeout=60)
             )
-            for _ in range(100):  # wait until the job is on a worker
-                await asyncio.sleep(0.02)
+            for _ in range(2000):  # wait until the job is on a worker
+                await asyncio.sleep(0.001)
                 busy = [h for h in gw._handles if gw._outstanding[h.worker_id]]
                 if busy:
                     break

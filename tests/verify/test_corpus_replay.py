@@ -72,3 +72,18 @@ def test_legacy_core_key_is_ignored():
     assert not hasattr(entry, "core")
     assert entry.path == "seq-pingpong"
     assert replay_entry(entry) is None
+
+
+def test_fault_quality_entry_is_refused(tmp_path):
+    # check_path applies no fault-quality oracle: replaying such an
+    # entry would pass whatever the code does.
+    failure = FuzzFailure(
+        run=0, seed=0, family="dense", path="lshaped", kind="fault-quality",
+        detail="post-recovery LC exceeds fault-free",
+        eqn="INORDER = a b;\nOUTORDER = F;\nF = a*b;\n",
+        fault_plan="crash:1@3", fault_seed=0,
+    )
+    save_repro(str(tmp_path), failure)
+    (entry,) = load_corpus(str(tmp_path))
+    with pytest.raises(ValueError, match="fault-quality entries cannot be replayed"):
+        replay_entry(entry)
